@@ -1,65 +1,12 @@
 #include "advisor/advisor.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
-#include "optimizer/planner.h"
+#include "advisor/trial_costs.h"
 #include "util/strings.h"
 
 namespace tabbench {
-
-namespace {
-
-/// A selectable unit: one index, or one view together with its indexes.
-struct Unit {
-  bool is_view = false;
-  IndexCandidate index;
-  ViewCandidate view;
-  double pages = 0.0;
-
-  const std::string& Target() const {
-    return is_view ? view.def.name : index.def.target;
-  }
-  /// True when the unit could change plans of `q`.
-  bool RelevantTo(const BoundQuery& q) const {
-    auto touches = [&q](const std::string& table) {
-      for (const auto& r : q.relations) {
-        if (r == table) return true;
-      }
-      return false;
-    };
-    if (is_view) {
-      for (const auto& t : view.def.tables) {
-        if (touches(t)) return true;
-      }
-      return false;
-    }
-    // Index on a base table: relevant if the query touches the table,
-    // including via an IN-frequency subquery over it.
-    if (touches(index.def.target)) return true;
-    for (const auto& p : q.in_preds) {
-      if (p.sub_table == index.def.target) return true;
-    }
-    return false;
-  }
-};
-
-Configuration MakeConfig(const std::vector<const Unit*>& chosen) {
-  Configuration config;
-  config.name = "R";
-  for (const Unit* u : chosen) {
-    if (u->is_view) {
-      config.views.push_back(u->view.def);
-      for (const auto& idx : u->view.indexes) config.indexes.push_back(idx);
-    } else {
-      config.indexes.push_back(u->index.def);
-    }
-  }
-  return config;
-}
-
-}  // namespace
 
 Result<Recommendation> Advisor::Recommend(
     const std::vector<BoundQuery>& workload) {
@@ -76,31 +23,6 @@ Result<Recommendation> Advisor::Recommend(
         cands.unsupported_queries, workload.size()));
   }
 
-  std::vector<Unit> units;
-  for (auto& ic : cands.indexes) {
-    Unit u;
-    u.is_view = false;
-    u.index = ic;
-    u.pages = ic.est_pages;
-    units.push_back(std::move(u));
-  }
-  for (auto& vc : cands.views) {
-    Unit u;
-    u.is_view = true;
-    u.view = vc;
-    u.pages = vc.est_pages;
-    units.push_back(std::move(u));
-  }
-
-  // Era-faithful estimation: what-if costing may ignore value-distribution
-  // detail (uniform densities). The degraded copy lives for this call.
-  ConfigView whatif_base = base_;
-  DatabaseStats degraded;
-  if (options_.whatif.uniform_value_assumption) {
-    degraded = DegradeToUniform(*base_.stats);
-    whatif_base.stats = &degraded;
-  }
-
   // Evaluation sample: a deterministic subset of the workload.
   std::vector<const BoundQuery*> sample;
   {
@@ -111,33 +33,23 @@ Result<Recommendation> Advisor::Recommend(
     for (size_t i : idx) sample.push_back(&workload[i]);
   }
 
+  TrialCosts trials(base_, options_.whatif, MakeUnits(cands), sample);
+  const std::vector<Unit>& units = trials.units();
   // Baseline hypothetical costs (the empty recommendation = P).
-  std::vector<const Unit*> chosen;
-  std::vector<double> cur_cost(sample.size(), 0.0);
-  {
-    Configuration empty;
-    ConfigView v;
-    TB_ASSIGN_OR_RETURN(v, MakeHypotheticalView(empty, whatif_base, options_.whatif));
-    for (size_t i = 0; i < sample.size(); ++i) {
-      auto c = EstimateCost(*sample[i], v);
-      if (!c.ok()) return c.status();
-      cur_cost[i] = *c;
-    }
-  }
+  std::vector<double> cur_cost;
+  TB_ASSIGN_OR_RETURN(cur_cost, trials.Baseline());
   double before =
       std::accumulate(cur_cost.begin(), cur_cost.end(), 0.0,
                       [](double a, double b) { return a + b; });
   double pages_used = 0.0;
-  std::vector<bool> taken(units.size(), false);
 
   // Scored outcome of trying one unit in one round. Units are evaluated
   // into per-unit slots — in parallel when options_.eval_pool is set, since
-  // each trial's what-if costing is independent and read-only — and the
-  // winner is then chosen by a sequential scan, so the pick (and therefore
-  // the whole recommendation) is identical either way.
+  // each unit's trials touch only its own memo row — and the winner is then
+  // chosen by a sequential scan, so the pick (and therefore the whole
+  // recommendation) is identical either way.
   struct UnitEval {
     bool eligible = false;  // passed budget + benefit bars
-    double benefit = 0.0;
     double score = 0.0;
     std::vector<double> costs;
     Status status;
@@ -155,33 +67,18 @@ Result<Recommendation> Advisor::Recommend(
         options_.eval_pool, units.size(),
         [&](size_t ui) {
           UnitEval& ev = evals[ui];
-          if (taken[ui]) return;
+          if (trials.Taken(ui)) return;
           const Unit& u = units[ui];
           if (options_.space_budget_pages >= 0.0 &&
               pages_used + u.pages > options_.space_budget_pages) {
             return;
           }
-          // Hypothetical view with the unit added.
-          std::vector<const Unit*> trial = chosen;
-          trial.push_back(&u);
-          Configuration config = MakeConfig(trial);
-          auto v = MakeHypotheticalView(config, whatif_base, options_.whatif);
-          if (!v.ok()) {
-            ev.status = v.status();
-            return;
-          }
-
-          double benefit = 0.0;
           std::vector<double> costs = cur_cost;
+          ev.status = trials.Trial(ui, &costs);
+          if (!ev.status.ok()) return;
+          double benefit = 0.0;
           for (size_t i = 0; i < sample.size(); ++i) {
-            if (!u.RelevantTo(*sample[i])) continue;
-            auto c = EstimateCost(*sample[i], *v);
-            if (!c.ok()) {
-              ev.status = c.status();
-              return;
-            }
-            costs[i] = *c;
-            benefit += cur_cost[i] - *c;
+            if (u.RelevantTo(*sample[i])) benefit += cur_cost[i] - costs[i];
           }
           // Update-aware charging: maintaining the structure costs I/O per
           // insert (descent + leaf write; views also re-derive their rows).
@@ -201,7 +98,6 @@ Result<Recommendation> Advisor::Recommend(
           double score = benefit / std::max(1.0, u.pages);
           if (u.is_view) score *= options_.view_score_boost;
           ev.eligible = true;
-          ev.benefit = benefit;
           ev.score = score;
           ev.costs = std::move(costs);
         },
@@ -219,16 +115,14 @@ Result<Recommendation> Advisor::Recommend(
     }
 
     if (best_unit < 0) break;
-    std::vector<double> best_costs =
-        std::move(evals[static_cast<size_t>(best_unit)].costs);
-    taken[static_cast<size_t>(best_unit)] = true;
-    chosen.push_back(&units[static_cast<size_t>(best_unit)]);
-    pages_used += units[static_cast<size_t>(best_unit)].pages;
-    cur_cost = std::move(best_costs);
+    const size_t best = static_cast<size_t>(best_unit);
+    trials.Pick(best);
+    pages_used += units[best].pages;
+    cur_cost = std::move(evals[best].costs);
   }
 
   Recommendation rec;
-  rec.config = MakeConfig(chosen);
+  rec.config = trials.Config("R");
   rec.est_cost_before = before;
   rec.est_cost_after =
       std::accumulate(cur_cost.begin(), cur_cost.end(), 0.0,

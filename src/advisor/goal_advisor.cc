@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "optimizer/planner.h"
-#include "util/strings.h"
+#include "advisor/trial_costs.h"
 
 namespace tabbench {
 
@@ -30,66 +29,18 @@ Result<GoalRecommendation> GoalDrivenAdvisor::Recommend(
                             "workload; no configuration produced");
   }
 
-  // Selectable units (indexes; views with their indexes as atomic picks).
-  struct Unit {
-    bool is_view = false;
-    IndexCandidate index;
-    ViewCandidate view;
-    double pages = 0.0;
-  };
-  std::vector<Unit> units;
-  for (auto& ic : cands.indexes) {
-    units.push_back(Unit{false, ic, {}, ic.est_pages});
-  }
-  for (auto& vc : cands.views) {
-    units.push_back(Unit{true, {}, vc, vc.est_pages});
-  }
-
-  ConfigView whatif_base = base_;
-  DatabaseStats degraded;
-  if (options_.whatif.uniform_value_assumption) {
-    degraded = DegradeToUniform(*base_.stats);
-    whatif_base.stats = &degraded;
-  }
-
-  auto make_config = [&](const std::vector<size_t>& picks) {
-    Configuration config;
-    config.name = "G";
-    for (size_t ui : picks) {
-      const Unit& u = units[ui];
-      if (u.is_view) {
-        config.views.push_back(u.view.def);
-        for (const auto& idx : u.view.indexes) {
-          config.indexes.push_back(idx);
-        }
-      } else {
-        config.indexes.push_back(u.index.def);
-      }
-    }
-    return config;
-  };
-
   // The goal constrains the whole workload's curve, so evaluate every
   // query (goal satisfaction cannot be sampled away).
-  std::vector<double> cur_cost(workload.size(), 0.0);
-  {
-    Configuration empty;
-    ConfigView v;
-    TB_ASSIGN_OR_RETURN(v,
-                        MakeHypotheticalView(empty, whatif_base,
-                                             options_.whatif));
-    for (size_t i = 0; i < workload.size(); ++i) {
-      auto c = EstimateCost(workload[i], v);
-      if (!c.ok()) return c.status();
-      cur_cost[i] = *c;
-    }
-  }
+  std::vector<const BoundQuery*> queries;
+  for (const auto& q : workload) queries.push_back(&q);
+  TrialCosts trials(base_, options_.whatif, MakeUnits(cands), queries);
+  const std::vector<Unit>& units = trials.units();
+  std::vector<double> cur_cost;
+  TB_ASSIGN_OR_RETURN(cur_cost, trials.Baseline());
 
   GoalRecommendation rec;
   rec.est_shortfall_before = ShortfallOf(goal_, cur_cost);
 
-  std::vector<size_t> picks;
-  std::vector<bool> taken(units.size(), false);
   double pages_used = 0.0;
   double cur_shortfall = rec.est_shortfall_before;
 
@@ -101,23 +52,15 @@ Result<GoalRecommendation> GoalDrivenAdvisor::Recommend(
     std::vector<double> best_costs;
 
     for (size_t ui = 0; ui < units.size(); ++ui) {
-      if (taken[ui]) continue;
+      if (trials.Taken(ui)) continue;
       const Unit& u = units[ui];
       if (options_.space_budget_pages >= 0.0 &&
           pages_used + u.pages > options_.space_budget_pages) {
         continue;
       }
-      std::vector<size_t> trial = picks;
-      trial.push_back(ui);
-      auto v = MakeHypotheticalView(make_config(trial), whatif_base,
-                                    options_.whatif);
-      if (!v.ok()) return v.status();
-      std::vector<double> costs(workload.size());
-      for (size_t i = 0; i < workload.size(); ++i) {
-        auto c = EstimateCost(workload[i], *v);
-        if (!c.ok()) return c.status();
-        costs[i] = *c;
-      }
+      // Queries the unit is irrelevant to keep their current cost.
+      std::vector<double> costs = cur_cost;
+      TB_RETURN_IF_ERROR(trials.Trial(ui, &costs));
       double shortfall = ShortfallOf(goal_, costs);
       double gain = cur_shortfall - shortfall;
       // Primary objective: shortfall per page. Secondary tie-break: total
@@ -138,14 +81,13 @@ Result<GoalRecommendation> GoalDrivenAdvisor::Recommend(
       }
     }
     if (best_unit < 0) break;
-    taken[static_cast<size_t>(best_unit)] = true;
-    picks.push_back(static_cast<size_t>(best_unit));
+    trials.Pick(static_cast<size_t>(best_unit));
     pages_used += units[static_cast<size_t>(best_unit)].pages;
     cur_cost = std::move(best_costs);
     cur_shortfall = best_shortfall;
   }
 
-  rec.config = make_config(picks);
+  rec.config = trials.Config("G");
   rec.est_shortfall_after = cur_shortfall;
   rec.est_pages = pages_used;
   rec.goal_met_by_estimates = cur_shortfall <= 0.0;

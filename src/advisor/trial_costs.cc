@@ -1,0 +1,126 @@
+#include "advisor/trial_costs.h"
+
+#include "optimizer/planner.h"
+
+namespace tabbench {
+
+namespace {
+
+Configuration MakeConfig(const std::vector<Unit>& units,
+                         const std::vector<size_t>& picks) {
+  Configuration config;
+  for (size_t ui : picks) {
+    const Unit& u = units[ui];
+    if (u.is_view) {
+      config.views.push_back(u.view.def);
+      for (const auto& idx : u.view.indexes) config.indexes.push_back(idx);
+    } else {
+      config.indexes.push_back(u.index.def);
+    }
+  }
+  return config;
+}
+
+}  // namespace
+
+bool Unit::RelevantTo(const BoundQuery& q) const {
+  auto touches = [&q](const std::string& table) {
+    for (const auto& r : q.relations) {
+      if (r == table) return true;
+    }
+    return false;
+  };
+  if (is_view) {
+    for (const auto& t : view.def.tables) {
+      if (touches(t)) return true;
+    }
+    return false;
+  }
+  // Index on a base table: relevant if the query touches the table,
+  // including via an IN-frequency subquery over it.
+  if (touches(index.def.target)) return true;
+  for (const auto& p : q.in_preds) {
+    if (p.sub_table == index.def.target) return true;
+  }
+  return false;
+}
+
+std::vector<Unit> MakeUnits(const CandidateSet& cands) {
+  std::vector<Unit> units;
+  for (const auto& ic : cands.indexes) {
+    units.push_back(Unit{false, ic, {}, ic.est_pages});
+  }
+  for (const auto& vc : cands.views) {
+    units.push_back(Unit{true, {}, vc, vc.est_pages});
+  }
+  return units;
+}
+
+TrialCosts::TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
+                       std::vector<Unit> units,
+                       std::vector<const BoundQuery*> queries)
+    : whatif_base_(base),
+      rules_(rules),
+      units_(std::move(units)),
+      queries_(std::move(queries)),
+      taken_(units_.size(), false),
+      cost_(units_.size() * queries_.size()) {
+  // Era-faithful estimation: what-if costing may ignore value-distribution
+  // detail (uniform densities). The degraded copy lives with the memo.
+  if (rules_.uniform_value_assumption) {
+    degraded_ = DegradeToUniform(*base.stats);
+    whatif_base_.stats = &degraded_;
+  }
+}
+
+Configuration TrialCosts::Config(const std::string& name) const {
+  Configuration config = MakeConfig(units_, chosen_);
+  config.name = name;
+  return config;
+}
+
+Result<std::vector<double>> TrialCosts::Baseline() const {
+  ConfigView v;
+  TB_ASSIGN_OR_RETURN(
+      v, MakeHypotheticalView(MakeConfig(units_, chosen_), whatif_base_,
+                              rules_));
+  std::vector<double> costs(queries_.size(), 0.0);
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    TB_ASSIGN_OR_RETURN(costs[i], EstimateCost(*queries_[i], v));
+  }
+  return costs;
+}
+
+Status TrialCosts::Trial(size_t ui, std::vector<double>* costs) {
+  const Unit& u = units_[ui];
+  std::optional<ConfigView> view;  // built on the first memo miss
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    if (!u.RelevantTo(*queries_[i])) continue;
+    std::optional<double>& cost = cost_[ui * queries_.size() + i];
+    if (!cost) {
+      if (!view) {
+        std::vector<size_t> trial = chosen_;
+        trial.push_back(ui);
+        TB_ASSIGN_OR_RETURN(
+            view, MakeHypotheticalView(MakeConfig(units_, trial),
+                                       whatif_base_, rules_));
+      }
+      TB_ASSIGN_OR_RETURN(cost, EstimateCost(*queries_[i], *view));
+    }
+    (*costs)[i] = *cost;
+  }
+  return Status::OK();
+}
+
+void TrialCosts::Pick(size_t ui) {
+  chosen_.push_back(ui);
+  taken_[ui] = true;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    if (!units_[ui].RelevantTo(*queries_[i])) continue;
+    for (size_t u = 0; u < units_.size(); ++u) {
+      cost_[u * queries_.size() + i].reset();
+    }
+  }
+}
+
+}  // namespace tabbench

@@ -1,0 +1,87 @@
+#ifndef TABBENCH_ADVISOR_TRIAL_COSTS_H_
+#define TABBENCH_ADVISOR_TRIAL_COSTS_H_
+
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "advisor/candidates.h"
+#include "optimizer/config_view.h"
+#include "optimizer/whatif.h"
+#include "util/status.h"
+
+namespace tabbench {
+
+/// A selectable unit of the greedy advisors: one index, or one view together
+/// with its indexes (an atomic pick).
+struct Unit {
+  bool is_view = false;
+  IndexCandidate index;
+  ViewCandidate view;
+  double pages = 0.0;
+
+  /// True when the unit could change the plan of `q`: an index on one of
+  /// q's tables or IN-subquery tables, or a view over any of q's tables.
+  /// Contract: adding a unit this returns false for must leave
+  /// EstimateCost(q) bit-equal, wherever the unit sits in the configuration.
+  /// A planner change that reads structures outside the query's tables must
+  /// widen this test (tests/advisor_test.cc pins the contract).
+  bool RelevantTo(const BoundQuery& q) const;
+};
+
+/// The units of a candidate set: its indexes, then its views.
+std::vector<Unit> MakeUnits(const CandidateSet& cands);
+
+/// What-if trial costing for a greedy search over `units`: the estimated
+/// cost E of each query under `chosen ∪ {unit}`, all from hypothetical
+/// views over `base` (degraded to uniform densities when `rules` say so).
+///
+/// Trial costs are memoized per (unit, query). A pick changes only the
+/// costs of the queries it is relevant to (Unit::RelevantTo), so Pick()
+/// drops those queries' entries and keeps the rest: every cost a search
+/// reads is bit-identical to re-planning the query under the full trial
+/// configuration. A unit's trial view is built only when one of its
+/// relevant queries misses the memo.
+class TrialCosts {
+ public:
+  TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
+             std::vector<Unit> units, std::vector<const BoundQuery*> queries);
+  TrialCosts(const TrialCosts&) = delete;
+  TrialCosts& operator=(const TrialCosts&) = delete;
+
+  const std::vector<Unit>& units() const { return units_; }
+  bool Taken(size_t ui) const { return taken_[ui]; }
+
+  /// E of every query under the structures picked so far (none yet: P).
+  Result<std::vector<double>> Baseline() const;
+
+  /// Sets (*costs)[i] to E of query i under the picked structures plus unit
+  /// `ui`, for every query the unit is relevant to; other entries are left
+  /// alone (they already hold the current costs). Calls for distinct units
+  /// may run concurrently; Pick() must not run alongside.
+  Status Trial(size_t ui, std::vector<double>* costs);
+
+  /// Adds unit `ui` to the picked structures and forgets the trial costs
+  /// of the queries it is relevant to.
+  void Pick(size_t ui);
+
+  /// The picked structures, in pick order.
+  Configuration Config(const std::string& name) const;
+
+ private:
+  DatabaseStats degraded_;  // whatif_base_.stats points here when degraded
+  ConfigView whatif_base_;
+  HypotheticalRules rules_;
+  std::vector<Unit> units_;
+  std::vector<const BoundQuery*> queries_;
+  std::vector<size_t> chosen_;
+  std::vector<bool> taken_;
+  // Row-major [unit][query], empty until evaluated: each unit's row is
+  // written only by Trial(ui), which keeps concurrent trials of distinct
+  // units race-free.
+  std::vector<std::optional<double>> cost_;
+};
+
+}  // namespace tabbench
+
+#endif  // TABBENCH_ADVISOR_TRIAL_COSTS_H_

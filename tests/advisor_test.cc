@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "advisor/advisor.h"
 #include "advisor/candidates.h"
+#include "advisor/goal_advisor.h"
 #include "advisor/profiles.h"
+#include "advisor/trial_costs.h"
 #include "core/benchmark_suite.h"
+#include "core/nref_families.h"
+#include "core/tpch_families.h"
+#include "optimizer/planner.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace tabbench {
 namespace {
@@ -229,6 +236,268 @@ TEST_F(AdvisorTest, ProfilesDiffer) {
   EXPECT_TRUE(ProfileByName("A").candidates.reject_count_distinct_self_joins);
   EXPECT_FALSE(ProfileByName("B").whatif.credit_index_only);
   EXPECT_TRUE(ProfileByName("C").candidates.enable_views);
+}
+
+// ------------------------------------------------- planner locality
+
+/// The NREF2J and NREF3J families over a miniature NREF database.
+class AdvisorNrefTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    owner_ = testing::MakeMiniNref();
+    db_ = owner_.get();
+  }
+  static void TearDownTestSuite() {
+    owner_.reset();
+    db_ = nullptr;
+  }
+  void SetUp() override { ASSERT_NE(db_, nullptr); }
+
+  static std::vector<BoundQuery> Bind(const QueryFamily& family) {
+    auto w = BindWorkload(family, db_->catalog());
+    EXPECT_TRUE(w.ok()) << w.status().ToString();
+    return w.ok() ? w.TakeValue() : std::vector<BoundQuery>{};
+  }
+  static std::vector<BoundQuery> Nref2J() {
+    return Bind(GenerateNref2J(db_->catalog(), db_->stats()));
+  }
+  static std::vector<BoundQuery> Nref3J() {
+    return Bind(GenerateNref3J(db_->catalog(), db_->stats()));
+  }
+
+  static std::unique_ptr<Database> owner_;
+  static Database* db_;
+};
+
+std::unique_ptr<Database> AdvisorNrefTest::owner_;
+Database* AdvisorNrefTest::db_ = nullptr;
+
+/// E(q) under the units `picks`, in that order.
+double CostUnder(const BoundQuery& q, const std::vector<const Unit*>& picks,
+                 const ConfigView& base, const HypotheticalRules& rules) {
+  Configuration config;
+  for (const Unit* u : picks) {
+    if (u->is_view) {
+      config.views.push_back(u->view.def);
+      for (const auto& idx : u->view.indexes) config.indexes.push_back(idx);
+    } else {
+      config.indexes.push_back(u->index.def);
+    }
+  }
+  auto view = MakeHypotheticalView(config, base, rules);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return -1.0;
+  auto cost = EstimateCost(q, *view);
+  EXPECT_TRUE(cost.ok()) << cost.status().ToString();
+  return cost.ok() ? *cost : -1.0;
+}
+
+// The trial-cost memo (TrialCosts) is exact only if a structure that
+// Unit::RelevantTo calls irrelevant to q cannot change E(q), wherever it
+// sits in the configuration. Pin that planner locality directly: for NREF2J
+// and NREF3J queries and seeded random configurations of their candidate
+// units, inserting an irrelevant index, or an irrelevant view with its
+// indexes, at any position leaves EstimateCost bit-equal. A view sharing
+// only some of q's tables is relevant by RelevantTo's test but can never be
+// matched, so it must not move E(q) either.
+TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
+  std::vector<BoundQuery> workload = Nref2J();
+  const std::vector<BoundQuery> nref3j = Nref3J();
+  workload.insert(workload.end(), nref3j.begin(), nref3j.end());
+  ASSERT_FALSE(workload.empty());
+  const AdvisorOptions profile = SystemCProfile();  // indexes and views
+  std::vector<Unit> units = MakeUnits(GenerateCandidates(
+      workload, db_->catalog(), db_->stats(), profile.candidates));
+  const ConfigView base = db_->CurrentView();
+
+  Rng rng(2005);
+  size_t checked_index = 0, checked_view = 0, checked_unmatched = 0;
+  const size_t stride = std::max<size_t>(1, workload.size() / 24);
+  for (size_t qi = 0; qi < workload.size(); qi += stride) {
+    const BoundQuery& q = workload[qi];
+    std::vector<const Unit*> relevant, irrelevant_index, irrelevant_view,
+        unmatched_view;
+    for (const Unit& u : units) {
+      if (!u.RelevantTo(q)) {
+        (u.is_view ? irrelevant_view : irrelevant_index).push_back(&u);
+        continue;
+      }
+      relevant.push_back(&u);
+      if (!u.is_view) continue;
+      for (const auto& t : u.view.def.tables) {
+        if (std::find(q.relations.begin(), q.relations.end(), t) ==
+            q.relations.end()) {
+          unmatched_view.push_back(&u);
+          break;
+        }
+      }
+    }
+    auto draw = [&rng](const std::vector<const Unit*>& from,
+                       std::vector<const Unit*>* into, size_t n) {
+      std::vector<size_t> idx = rng.SampleWithoutReplacement(
+          from.size(), std::min(n, from.size()));
+      for (size_t i : idx) into->push_back(from[i]);
+    };
+    for (int round = 0; round < 3; ++round) {
+      // C: up to three relevant units and one irrelevant unit of each
+      // kind, in seeded random order.
+      std::vector<const Unit*> config;
+      draw(relevant, &config, 3);
+      draw(irrelevant_index, &config, 1);
+      draw(irrelevant_view, &config, 1);
+      rng.Shuffle(&config);
+      const double expected = CostUnder(q, config, base, profile.whatif);
+
+      std::vector<const Unit*> extras;
+      draw(irrelevant_index, &extras, 1);
+      draw(irrelevant_view, &extras, 1);
+      draw(unmatched_view, &extras, 1);
+      for (const Unit* extra : extras) {
+        if (std::find(config.begin(), config.end(), extra) != config.end()) {
+          continue;
+        }
+        for (size_t pos = 0; pos <= config.size(); ++pos) {
+          std::vector<const Unit*> with = config;
+          with.insert(with.begin() + static_cast<std::ptrdiff_t>(pos), extra);
+          EXPECT_EQ(CostUnder(q, with, base, profile.whatif), expected)
+              << "query " << qi << ", "
+              << (extra->is_view ? extra->view.def.name : extra->index.def.name)
+              << " at " << pos;
+        }
+        if (!extra->RelevantTo(q)) {
+          ++(extra->is_view ? checked_view : checked_index);
+        } else {
+          ++checked_unmatched;
+        }
+      }
+    }
+  }
+  // The property must actually have been exercised on every kind.
+  EXPECT_GT(checked_index, 10u);
+  EXPECT_GT(checked_view, 10u);
+  EXPECT_GT(checked_unmatched, 10u);
+}
+
+// ------------------------------------------------ golden recommendations
+
+// Recommendations captured from the advisors before they memoized trial
+// costs, when every round re-planned every (unit, query) trial. The memo
+// must reproduce them bit for bit: the same picks in the same order and
+// the same estimated costs, written as hex-float literals.
+struct GoldenRecommendation {
+  std::vector<std::string> views;
+  std::vector<std::string> indexes;  // pick order; view indexes inline
+  double before;
+  double after;
+  double pages;
+};
+
+void ExpectPicks(const Configuration& config,
+                 const std::vector<std::string>& views,
+                 const std::vector<std::string>& indexes) {
+  std::vector<std::string> got_views, got_indexes;
+  for (const auto& v : config.views) got_views.push_back(v.name);
+  for (const auto& i : config.indexes) got_indexes.push_back(i.name);
+  EXPECT_EQ(got_views, views);
+  EXPECT_EQ(got_indexes, indexes);
+}
+
+void ExpectGolden(Database* db, const std::vector<BoundQuery>& workload,
+                  const AdvisorOptions& profile,
+                  const GoldenRecommendation& golden) {
+  Advisor advisor(db->CurrentView(), profile);
+  auto rec = advisor.Recommend(workload);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ExpectPicks(rec->config, golden.views, golden.indexes);
+  EXPECT_EQ(rec->est_cost_before, golden.before);
+  EXPECT_EQ(rec->est_cost_after, golden.after);
+  EXPECT_EQ(rec->est_pages, golden.pages);
+}
+
+TEST_F(AdvisorNrefTest, GoldenSystemANref2J) {
+  ExpectGolden(db_, Nref2J(), SystemAProfile(),
+               {{},
+                {"ix_taxonomy_taxon_id",
+                 "ix_neighboring_seq_nref_id_2",
+                 "ix_protein_p_name_length",
+                 "ix_neighboring_seq_taxon_id_2",
+                 "ix_neighboring_seq_length_2",
+                 "ix_taxonomy_species_name",
+                 "ix_taxonomy_common_name",
+                 "ix_protein_length",
+                 "ix_neighboring_seq_nref_id_2_taxon_id_2_length_2_overlap_length",
+                 "ix_taxonomy_taxon_id_species_name",
+                 "ix_neighboring_seq_length_2_nref_id_2_taxon_id_2_overlap_length",
+                 "ix_taxonomy_taxon_id_species_name_common_name_nref_id",
+                 "ix_neighboring_seq_taxon_id_2_nref_id_2_length_2_overlap_length",
+                 "ix_taxonomy_common_name_species_name_nref_id_taxon_id",
+                 "ix_taxonomy_nref_id_species_name_common_name_taxon_id",
+                 "ix_taxonomy_nref_id"},
+                0x1.76d3530ffa912p+11,
+                0x1.89644d6411f23p+9,
+                0x1.9fd9417075d33p+9});
+}
+
+TEST_F(AdvisorNrefTest, GoldenSystemBNref2J) {
+  ExpectGolden(db_, Nref2J(), SystemBProfile(),
+               {{},
+                {"ix_neighboring_seq_taxon_id_2", "ix_taxonomy_taxon_id",
+                 "ix_neighboring_seq_nref_id_2",
+                 "ix_neighboring_seq_overlap_length",
+                 "ix_neighboring_seq_length_2"},
+                0x1.a174b0f4cfbbcp+11,
+                0x1.677e81aba85f3p+11,
+                0x1.f17b500094cebp+7});
+}
+
+TEST_F(AdvisorNrefTest, GoldenSystemBNref3J) {
+  ExpectGolden(db_, Nref3J(), SystemBProfile(),
+               {{},
+                {"ix_taxonomy_species_name", "ix_neighboring_seq_taxon_id_2",
+                 "ix_neighboring_seq_nref_id_2", "ix_taxonomy_common_name"},
+                0x1.54f47b2558acdp+14,
+                0x1.38af4b740dce4p+14,
+                0x1.33b8e82966d2p+7});
+}
+
+TEST_F(AdvisorNrefTest, GoldenGoalDrivenNref2J) {
+  GoalDrivenAdvisor advisor(
+      db_->CurrentView(), SystemAProfile(),
+      PerformanceGoal::FromSteps({{1.0, 0.5}, {10.0, 0.9}}));
+  auto rec = advisor.Recommend(Nref2J());
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ExpectPicks(rec->config, {},
+              {"ix_source_taxon_id", "ix_organism_ordinal", "ix_source_p_name",
+               "ix_protein_p_name", "ix_source_p_name_taxon_id"});
+  EXPECT_EQ(rec->est_shortfall_before, 0x1.24129e4129e42p-1);
+  EXPECT_EQ(rec->est_shortfall_after, 0x1p-1);
+  EXPECT_EQ(rec->est_pages, 0x1.1e7616221713dp+4);
+}
+
+TEST(AdvisorTpchTest, GoldenSystemCTpch3Js) {
+  auto db = testing::MakeMiniTpch(4000.0, /*zipf_theta=*/1.0);
+  ASSERT_NE(db, nullptr);
+  auto workload = BindWorkload(GenerateTpch3Js(db->catalog(), db->stats()),
+                               db->catalog());
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  ExpectGolden(
+      db.get(), *workload, SystemCProfile(),
+      {{"mv_partsupp_lineitem_l_partkey_l_suppkey_w5", "mv_lineitem_w4",
+        "mv_lineitem_w3"},
+       {"ix_mv_partsupp_lineitem_l_partkey_l_suppkey_w5_lineitem_l_partkey",
+        "ix_mv_lineitem_w4_lineitem_l_partkey_lineitem_l_suppkey_lineitem_l_quantity",
+        "ix_mv_lineitem_w3_lineitem_l_partkey",
+        "ix_orders_o_orderdate",
+        "ix_partsupp_ps_availqty_ps_partkey_ps_suppkey",
+        "ix_lineitem_l_suppkey",
+        "ix_lineitem_l_partkey",
+        "ix_orders_o_orderdate_o_custkey_o_orderkey_o_orderstatus",
+        "ix_lineitem_l_suppkey_l_orderkey_l_quantity",
+        "ix_lineitem_l_suppkey_l_partkey_l_quantity",
+        "ix_lineitem_l_suppkey_l_partkey_l_shipdate"},
+       0x1.a1da7c76fe1c1p+10,
+       0x1.932433ccd267p+7,
+       0x1.5946e41d919c7p+9});
 }
 
 }  // namespace

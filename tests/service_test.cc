@@ -846,9 +846,10 @@ TEST_F(ParallelRunnerTest, AdvisorParallelEvaluationMatchesSequential) {
   for (size_t i = 0; i < seq->config.views.size(); ++i) {
     EXPECT_EQ(par->config.views[i].name, seq->config.views[i].name) << i;
   }
-  EXPECT_DOUBLE_EQ(par->est_cost_before, seq->est_cost_before);
-  EXPECT_DOUBLE_EQ(par->est_cost_after, seq->est_cost_after);
-  EXPECT_DOUBLE_EQ(par->est_pages, seq->est_pages);
+  // Bit identity, not closeness: the same trials are summed in the same order.
+  EXPECT_EQ(par->est_cost_before, seq->est_cost_before);
+  EXPECT_EQ(par->est_cost_after, seq->est_cost_after);
+  EXPECT_EQ(par->est_pages, seq->est_pages);
 }
 
 // ------------------------------------------------------------------ Watchdog

@@ -72,6 +72,15 @@ step "ctest -L mutation under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_mutation_tests
 ctest --test-dir "${TSAN_DIR}" -L mutation --output-on-failure -j "${JOBS}"
 
+# The concurrency suite under TSan: thread pool, sessions, the workload
+# service, the parallel runners, and the advisors' parallel candidate
+# evaluation, whose eval_pool workers each write their unit's row of the
+# shared trial-cost memo. The shard and vectorized binaries built above
+# carry the label too and run again here.
+step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_service_tests
+ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
+
 # ------------------------------------------------------------- vectorized
 # The morsel-driven vectorized engine: the golden suite proves simulated
 # costs bit-identical to the Volcano executor (ctest -L vectorized also ran
