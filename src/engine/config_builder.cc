@@ -315,6 +315,7 @@ Status Database::ResetToPrimary() {
   current_config_.indexes.clear();
   current_config_.views.clear();
   pool_.Clear();
+  in_set_memo_.Clear();
   return Status::OK();
 }
 

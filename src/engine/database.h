@@ -10,6 +10,7 @@
 #include "catalog/catalog.h"
 #include "catalog/configuration.h"
 #include "exec/exec_context.h"
+#include "exec/in_set.h"
 #include "exec/plan_executor.h"
 #include "exec/vec/vec_executor.h"
 #include "optimizer/config_view.h"
@@ -240,6 +241,9 @@ class Database : public ObjectResolver {
   // ObjectResolver:
   const HeapTable* FindHeap(const std::string& name) const override;
   const IndexInfo* FindIndex(const std::string& name) const override;
+  /// Shared by every query on this database, sessions and parallel
+  /// workers included; always on. ResetToPrimary clears it.
+  InSetMemo* in_set_memo() const override { return &in_set_memo_; }
 
  private:
   /// The online build drives private pieces directly: it allocates its tree
@@ -290,6 +294,7 @@ class Database : public ObjectResolver {
   std::vector<std::unique_ptr<BuiltIndex>> secondary_indexes_;
   std::vector<std::unique_ptr<BuiltView>> views_;
   Configuration current_config_;
+  mutable InSetMemo in_set_memo_;
 };
 
 }  // namespace tabbench

@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <cassert>
+#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -74,7 +75,7 @@ Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
         if (p.in_set < 0 || p.in_set >= static_cast<int>(in_sets.size())) {
           return Status::Internal("residual IN-set index out of range");
         }
-        cp.in_set = &in_sets[static_cast<size_t>(p.in_set)];
+        cp.in_set = in_sets[static_cast<size_t>(p.in_set)].get();
         break;
     }
     out.push_back(std::move(cp));
@@ -489,55 +490,6 @@ class ProjectOp : public Operator {
 };
 
 }  // namespace
-
-// ---------------------------------------------------------------- helpers
-
-Result<std::unordered_set<Value, ValueHash>> MaterializeInSet(
-    const InSetSpec& spec, const ObjectResolver& resolver, ExecContext* ctx) {
-  std::unordered_map<Value, uint64_t, ValueHash> counts;
-  if (!spec.index_name.empty()) {
-    const IndexInfo* idx = resolver.FindIndex(spec.index_name);
-    if (idx == nullptr) {
-      return Status::NotFound("IN-set index " + spec.index_name);
-    }
-    auto iter = idx->btree->ScanAll([ctx](PageId id) { ctx->TouchPage(id); });
-    IndexKey key;
-    Rid rid;
-    while (iter.Next(&key, &rid)) {
-      ctx->ChargeTuples(1);
-      ctx->ChargeHashOps(1);
-      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
-      counts[key[0]] += 1;
-    }
-  } else {
-    const HeapTable* heap = resolver.FindHeap(spec.table);
-    if (heap == nullptr) {
-      return Status::NotFound("IN-set table " + spec.table);
-    }
-    if (spec.column_pos < 0) {
-      return Status::Internal("IN-set spec missing column position for " +
-                              spec.table + "." + spec.column);
-    }
-    size_t pos = static_cast<size_t>(spec.column_pos);
-    auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
-    Tuple t;
-    while (cursor.Next(&t, nullptr)) {
-      ctx->ChargeTuples(1);
-      ctx->ChargeHashOps(1);
-      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
-      counts[t.at(pos)] += 1;
-    }
-  }
-  std::unordered_set<Value, ValueHash> out;
-  // Order-insensitive: fills another unordered set (membership probes
-  // only), so hash-iteration order never reaches any ordered output.
-  for (const auto& [v, c] : counts) {  // NOLINT(tabbench-unordered-iter)
-    bool keep = (spec.cmp == '<') ? (c < static_cast<uint64_t>(spec.k))
-                                  : (c == static_cast<uint64_t>(spec.k));
-    if (keep && !v.is_null()) out.insert(v);
-  }
-  return out;
-}
 
 Result<std::unique_ptr<Operator>> BuildOperator(const PlanNode& node,
                                                 const ObjectResolver& resolver,

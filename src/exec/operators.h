@@ -2,11 +2,11 @@
 #define TABBENCH_EXEC_OPERATORS_H_
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "exec/in_set.h"
 #include "exec/plan.h"
 #include "exec/plan_executor.h"
 #include "types/tuple.h"
@@ -54,20 +54,11 @@ struct CompiledPred {
   bool Eval(const Tuple& t) const;
 };
 
-/// Materialized IN-subquery value sets, one per PhysicalPlan::in_sets entry.
-using InSets = std::vector<std::unordered_set<Value, ValueHash>>;
-
 /// Compiles a node's residual predicates against its output slot layout.
 /// Shared between the Volcano operators and the vectorized pipeline
 /// compiler so both executors evaluate identical predicate programs.
 Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
                                                const InSets& in_sets);
-
-/// Builds the value set for one InSetSpec by a frequency scan of the
-/// subquery table (index-only when the spec names an index). Charges all
-/// work to `ctx`; respects the timeout.
-Result<std::unordered_set<Value, ValueHash>> MaterializeInSet(
-    const InSetSpec& spec, const ObjectResolver& resolver, ExecContext* ctx);
 
 /// Pairs each plan node with its instantiated operator, so actual row
 /// counts can be written back after execution (EXPLAIN ANALYZE).

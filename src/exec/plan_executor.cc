@@ -6,16 +6,28 @@
 
 namespace tabbench {
 
+QueryResult FinishQuery(const ExecContext& ctx, bool timed_out,
+                        std::vector<Tuple> rows) {
+  QueryResult result;
+  result.timed_out = timed_out;
+  result.sim_seconds =
+      timed_out ? ctx.params().timeout_seconds : ctx.sim_time();
+  result.pages_read = ctx.pages_read();
+  result.tuples_processed = ctx.tuples_processed();
+  if (!timed_out) result.rows = std::move(rows);
+  return result;
+}
+
 namespace {
 Result<QueryResult> ExecutePlanImpl(const PhysicalPlan& plan,
                                     const ObjectResolver& resolver,
                                     ExecContext* ctx,
                                     OperatorRegistry* registry) {
-  QueryResult result;
   if (plan.root == nullptr) {
     return Status::InvalidArgument("plan has no root");
   }
 
+  std::vector<Tuple> rows;
   auto finish = [&](bool timed_out) -> QueryResult {
     // Harvest per-operator actuals while the operator tree is still alive
     // (the registry's Operator pointers die with it).
@@ -25,30 +37,20 @@ Result<QueryResult> ExecutePlanImpl(const PhysicalPlan& plan,
             static_cast<int64_t>(op->rows_emitted());
       }
     }
-    result.timed_out = timed_out;
-    result.sim_seconds =
-        timed_out ? ctx->params().timeout_seconds : ctx->sim_time();
-    result.pages_read = ctx->pages_read();
-    result.tuples_processed = ctx->tuples_processed();
-    if (timed_out) result.rows.clear();
-    return result;
+    return FinishQuery(*ctx, timed_out, std::move(rows));
   };
 
   // Materialize the IN-subquery value sets first (they are real query work
   // and can themselves hit the timeout).
-  InSets in_sets;
-  for (const auto& spec : plan.in_sets) {
-    auto set = MaterializeInSet(spec, resolver, ctx);
-    if (!set.ok()) {
-      if (set.status().IsTimeout()) return finish(/*timed_out=*/true);
-      return set.status();
-    }
-    in_sets.push_back(set.TakeValue());
+  auto in_sets = MaterializeInSets(plan, resolver, ctx);
+  if (!in_sets.ok()) {
+    if (in_sets.status().IsTimeout()) return finish(/*timed_out=*/true);
+    return in_sets.status();
   }
 
   std::unique_ptr<Operator> root;
   TB_ASSIGN_OR_RETURN(
-      root, BuildOperator(*plan.root, resolver, in_sets, ctx, registry));
+      root, BuildOperator(*plan.root, resolver, *in_sets, ctx, registry));
   Status open = root->Open();
   if (!open.ok()) {
     if (open.IsTimeout()) return finish(/*timed_out=*/true);
@@ -62,7 +64,7 @@ Result<QueryResult> ExecutePlanImpl(const PhysicalPlan& plan,
       return more.status();
     }
     if (!*more) break;
-    result.rows.push_back(std::move(t));
+    rows.push_back(std::move(t));
   }
   return finish(/*timed_out=*/false);
 }

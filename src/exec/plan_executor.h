@@ -22,6 +22,8 @@ struct IndexInfo {
   std::vector<int> key_cols;
 };
 
+class InSetMemo;
+
 /// Maps plan object/index names to physical storage. Implemented by the
 /// engine's Database; tests implement it directly over raw storage.
 class ObjectResolver {
@@ -29,6 +31,9 @@ class ObjectResolver {
   virtual ~ObjectResolver() = default;
   virtual const HeapTable* FindHeap(const std::string& name) const = 0;
   virtual const IndexInfo* FindIndex(const std::string& name) const = 0;
+  /// The IN-set memo shared by every query over this storage
+  /// (exec/in_set.h); nullptr scans every IN-set afresh.
+  virtual InSetMemo* in_set_memo() const { return nullptr; }
 };
 
 /// Outcome of running one query.
@@ -45,6 +50,11 @@ struct QueryResult {
   /// timeout cost; the executor itself never sets it.
   bool failed = false;
 };
+
+/// The outcome of a query that stopped with `ctx`'s charges. A timed-out
+/// query is clamped to the timeout limit and returns no rows.
+QueryResult FinishQuery(const ExecContext& ctx, bool timed_out,
+                        std::vector<Tuple> rows);
 
 /// Runs a physical plan to completion. Timeouts are reported as a successful
 /// QueryResult with `timed_out = true` (they are benchmark data, the `t_out`

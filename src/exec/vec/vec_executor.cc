@@ -177,22 +177,11 @@ class VecExecutor {
       AppendCheck(&trace_);
     }
     Status applied = ApplyTraceToContext(trace_, ctx_);
-    QueryResult result;
-    auto finish = [&](bool timed_out) -> QueryResult {
-      result.timed_out = timed_out;
-      result.sim_seconds =
-          timed_out ? ctx_->params().timeout_seconds : ctx_->sim_time();
-      result.pages_read = ctx_->pages_read();
-      result.tuples_processed = ctx_->tuples_processed();
-      if (timed_out) result.rows.clear();
-      return result;
-    };
     if (!applied.ok()) {
-      if (applied.IsTimeout()) return finish(/*timed_out=*/true);
-      return applied;
+      if (!applied.IsTimeout()) return applied;
+      return FinishQuery(*ctx_, /*timed_out=*/true, {});
     }
-    result.rows = std::move(result_rows_);
-    return finish(/*timed_out=*/false);
+    return FinishQuery(*ctx_, /*timed_out=*/false, std::move(result_rows_));
   }
 
  private:
@@ -735,27 +724,16 @@ Result<QueryResult> ExecutePlanVectorized(const PhysicalPlan& plan,
     if (!probe.ok()) return probe.status();
   }
 
-  // IN-subquery sets are real query work, charged live to ctx exactly as
-  // the Volcano driver charges them (exec/plan_executor.cc).
-  InSets in_sets;
-  for (const auto& spec : plan.in_sets) {
-    auto set = MaterializeInSet(spec, resolver, ctx);
-    if (!set.ok()) {
-      if (set.status().IsTimeout()) {
-        QueryResult result;
-        result.timed_out = true;
-        result.sim_seconds = ctx->params().timeout_seconds;
-        result.pages_read = ctx->pages_read();
-        result.tuples_processed = ctx->tuples_processed();
-        return result;
-      }
-      return set.status();
-    }
-    in_sets.push_back(set.TakeValue());
+  // IN-subquery sets are real query work, charged live to ctx by the same
+  // helper the Volcano driver uses (exec/in_set.h).
+  auto in_sets = MaterializeInSets(plan, resolver, ctx);
+  if (!in_sets.ok()) {
+    if (!in_sets.status().IsTimeout()) return in_sets.status();
+    return FinishQuery(*ctx, /*timed_out=*/true, {});
   }
 
   VecPlan vplan;
-  TB_ASSIGN_OR_RETURN(vplan, CompileVecPlan(plan, resolver, in_sets));
+  TB_ASSIGN_OR_RETURN(vplan, CompileVecPlan(plan, resolver, *in_sets));
   VecExecutor exec(vplan, ctx, options);
   return exec.Run();
 }

@@ -54,6 +54,11 @@ BTree::BTree(std::string name, size_t num_key_columns, size_t key_width_bytes,
 
 BTree::~BTree() { Drop(); }
 
+size_t BTree::MinFill(bool leaf) const {
+  return leaf ? std::max<size_t>(1, leaf_capacity_ / 4)
+              : std::max<size_t>(2, internal_capacity_ / 4);
+}
+
 std::unique_ptr<BTree::Node> BTree::MakeNode(bool leaf) {
   auto n = std::make_unique<Node>();
   n->is_leaf = leaf;
@@ -91,6 +96,7 @@ BTree::Node* BTree::FindLeaf(const IndexKey& prefix,
 Status BTree::Insert(const IndexKey& key, const Rid& rid,
                      const PageTouchFn& touch) {
   MutexLock lock(&mu_);
+  RenewEpoch();
   return InsertLocked(key, rid, touch);
 }
 
@@ -181,6 +187,7 @@ Status BTree::InsertRec(Node* node, const IndexKey& key, const Rid& rid,
 Status BTree::Delete(const IndexKey& key, const Rid& rid,
                      const PageTouchFn& touch) {
   MutexLock lock(&mu_);
+  RenewEpoch();
   return DeleteLocked(key, rid, touch);
 }
 
@@ -215,6 +222,14 @@ Status BTree::DeleteRec(Node* node, const IndexKey& key, const Rid& rid,
     size_t i = static_cast<size_t>(it - node->keys.begin());
     while (i < node->keys.size() && CompareKeys(node->keys[i], key) == 0) {
       if (node->rids[i] == rid) {
+        // Every rebalance cascade starts with this leaf underflowing, so
+        // the merge fault fires here, before the erase: an injected failure
+        // leaves the tree and its entry count untouched, and a retry of the
+        // same delete succeeds.
+        if (node != root_.get() &&
+            node->keys.size() <= MinFill(/*leaf=*/true)) {
+          TB_FAULT_POINT("storage.btree_merge");
+        }
         node->keys.erase(node->keys.begin() + static_cast<long>(i));
         node->rids.erase(node->rids.begin() + static_cast<long>(i));
         *found = true;
@@ -232,7 +247,10 @@ Status BTree::DeleteRec(Node* node, const IndexKey& key, const Rid& rid,
   for (;;) {
     TB_RETURN_IF_ERROR(DeleteRec(node->children[i].get(), key, rid, touch,
                                  found));
-    if (*found) return RebalanceChild(node, i, touch);
+    if (*found) {
+      RebalanceChild(node, i, touch);
+      return Status::OK();
+    }
     if (i < node->keys.size() && CompareKeys(node->keys[i], key) == 0) {
       ++i;
       continue;
@@ -241,17 +259,15 @@ Status BTree::DeleteRec(Node* node, const IndexKey& key, const Rid& rid,
   }
 }
 
-Status BTree::RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch) {
+void BTree::RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch) {
   Node* child = parent->children[i].get();
   const bool leaf = child->is_leaf;
-  const size_t min_fill = leaf ? std::max<size_t>(1, leaf_capacity_ / 4)
-                               : std::max<size_t>(2, internal_capacity_ / 4);
+  const size_t min_fill = MinFill(leaf);
   const size_t size = leaf ? child->keys.size() : child->children.size();
-  if (size >= min_fill) return Status::OK();
-  // Fires before the rebalance applies: an injected merge failure leaves a
-  // consistent (merely underfull) node, so a deterministic re-run converges
-  // to the same tree.
-  TB_FAULT_POINT("storage.btree_merge");
+  if (size >= min_fill) return;
+  // The `storage.btree_merge` fault point already fired in DeleteRec,
+  // before the leaf erase that started this cascade: once begun, a
+  // rebalance always completes.
   Node* left = i > 0 ? parent->children[i - 1].get() : nullptr;
   Node* right =
       i + 1 < parent->children.size() ? parent->children[i + 1].get() : nullptr;
@@ -275,7 +291,7 @@ Status BTree::RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch) {
       left->keys.pop_back();
       left->children.pop_back();
     }
-    return Status::OK();
+    return;
   }
   if (right != nullptr && spare(right)) {
     // Borrow the smallest entry of the right sibling.
@@ -293,7 +309,7 @@ Status BTree::RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch) {
       right->keys.erase(right->keys.begin());
       right->children.erase(right->children.begin());
     }
-    return Status::OK();
+    return;
   }
   // No sibling has spare entries: merge. Both neighbors are at (or below)
   // min_fill, so the combined node fits well under capacity.
@@ -324,13 +340,13 @@ Status BTree::RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch) {
   }
   // A root with a single child is collapsed by DeleteLocked; any other
   // parent underflow is repaired one level up by our caller.
-  return Status::OK();
 }
 
 Status BTree::Update(const IndexKey& old_key, const Rid& old_rid,
                      const IndexKey& new_key, const Rid& new_rid,
                      const PageTouchFn& touch) {
   MutexLock lock(&mu_);
+  RenewEpoch();
   TB_FAULT_POINT("storage.btree_update");
   TB_RETURN_IF_ERROR(DeleteLocked(old_key, old_rid, touch));
   return InsertLocked(new_key, new_rid, touch);
@@ -338,6 +354,7 @@ Status BTree::Update(const IndexKey& old_key, const Rid& old_rid,
 
 void BTree::BulkBuild(std::vector<std::pair<IndexKey, Rid>> sorted_entries) {
   MutexLock lock(&mu_);
+  RenewEpoch();
   // Rebuild from scratch: pack leaves to ~90% fill, then stack internals.
   DropLocked();
   num_entries_ = sorted_entries.size();
@@ -550,6 +567,7 @@ uint64_t BTree::Fingerprint() const {
 
 void BTree::Drop() {
   MutexLock lock(&mu_);
+  RenewEpoch();
   DropLocked();
 }
 

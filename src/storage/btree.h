@@ -1,6 +1,7 @@
 #ifndef TABBENCH_STORAGE_BTREE_H_
 #define TABBENCH_STORAGE_BTREE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,9 +60,10 @@ class BTree {
       TB_EXCLUDES(mu_);
 
   /// Removes the entry matching (key, rid) exactly; NotFound if absent.
-  /// Underflowing leaves borrow from or merge with a sibling (the
-  /// `storage.btree_merge` fault point fires before the rebalance applies,
-  /// leaving a consistent but underfull node on injection).
+  /// Underflowing leaves borrow from or merge with a sibling. The
+  /// `storage.btree_merge` fault point fires before the erase that would
+  /// underflow a leaf, so a faulted delete leaves the tree untouched, as a
+  /// faulted split does.
   Status Delete(const IndexKey& key, const Rid& rid, const PageTouchFn& touch)
       TB_EXCLUDES(mu_);
 
@@ -130,6 +132,10 @@ class BTree {
   /// Frees all node pages.
   void Drop() TB_EXCLUDES(mu_);
 
+  /// Content epoch (NextContentEpoch): renewed at construction and at the
+  /// entry of Insert, Delete, Update, BulkBuild and Drop.
+  uint64_t content_epoch() const { return epoch_.load(); }
+
  private:
   struct Node;
 
@@ -147,8 +153,12 @@ class BTree {
                    const PageTouchFn& touch, bool* found) TB_REQUIRES(mu_);
   /// Repairs an underfull children_[i]: borrow from an adjacent sibling
   /// with spare entries, else merge into the left (or right) sibling.
-  Status RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch)
+  void RebalanceChild(Node* parent, size_t i, const PageTouchFn& touch)
       TB_REQUIRES(mu_);
+  /// Fewest entries (leaf) or children (internal) a non-root node keeps.
+  size_t MinFill(bool leaf) const TB_REQUIRES(mu_);
+  /// Takes a fresh content epoch; first step of every mutator.
+  void RenewEpoch() { epoch_.store(NextContentEpoch()); }
   std::unique_ptr<Node> MakeNode(bool leaf) TB_REQUIRES(mu_);
   void FreeNode(Node* node) TB_REQUIRES(mu_);
   void DropLocked() TB_REQUIRES(mu_);
@@ -178,6 +188,7 @@ class BTree {
   /// relationship.
   /// NOLINTNEXTLINE(tabbench-lockset-inconsistent)
   std::unique_ptr<Node> root_;
+  std::atomic<uint64_t> epoch_{NextContentEpoch()};
   uint64_t num_entries_ TB_GUARDED_BY(mu_) = 0;
   size_t num_pages_ TB_GUARDED_BY(mu_) = 0;
   /// Lazily computed distinct/clustering metrics. The mutex makes the lazy

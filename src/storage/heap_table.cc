@@ -21,6 +21,7 @@ HeapTable::HeapTable(std::string name, TupleCodec codec, PageStore* store)
     : name_(std::move(name)), codec_(std::move(codec)), store_(store) {}
 
 Rid HeapTable::Append(const Tuple& t) {
+  epoch_ = NextContentEpoch();
   std::vector<uint8_t> rec;
   codec_.Encode(t, &rec);
   assert(rec.size() + 2 <= kPageSize && "record larger than a page");
@@ -37,6 +38,7 @@ Rid HeapTable::Append(const Tuple& t) {
 }
 
 Result<Rid> HeapTable::Insert(const Tuple& t, const PageTouchFn& touch) {
+  epoch_ = NextContentEpoch();
   TB_FAULT_POINT("storage.heap_insert");
   Rid rid = Append(t);
   if (touch) touch(pages_[rid.page_ordinal]);
@@ -56,6 +58,7 @@ bool HeapTable::IsLive(const Rid& rid) const {
 }
 
 Status HeapTable::Delete(const Rid& rid, const PageTouchFn& touch) {
+  epoch_ = NextContentEpoch();
   TB_FAULT_POINT("storage.heap_delete");
   if (rid.page_ordinal >= pages_.size()) {
     return Status::NotFound("rid page out of range in " + name_);
@@ -142,6 +145,7 @@ bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
 }
 
 void HeapTable::Drop() {
+  epoch_ = NextContentEpoch();
   for (PageId pid : pages_) store_->Free(pid);
   pages_.clear();
   deleted_.clear();

@@ -91,6 +91,9 @@ class HeapTable {
   size_t num_pages() const { return pages_.size(); }
   const std::vector<PageId>& pages() const { return pages_; }
   uint64_t total_bytes() const { return total_bytes_; }
+  /// Content epoch (NextContentEpoch): renewed at construction and at the
+  /// entry of Append, Insert, Delete and Drop.
+  uint64_t content_epoch() const { return epoch_; }
 
   /// Frees all pages (dropping a materialized view).
   void Drop();
@@ -108,6 +111,7 @@ class HeapTable {
   uint64_t num_rows_ = 0;
   uint64_t num_deleted_ = 0;
   uint64_t total_bytes_ = 0;
+  uint64_t epoch_ = NextContentEpoch();
 };
 
 }  // namespace tabbench

@@ -1,10 +1,16 @@
 #include "storage/page_store.h"
 
+#include <atomic>
 #include <cassert>
 
 #include "util/fault_injection.h"
 
 namespace tabbench {
+
+uint64_t NextContentEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 PageId PageStore::Allocate() {
   // Latched: Allocate cannot return Status; a firing fault surfaces at the

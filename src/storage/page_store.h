@@ -13,6 +13,13 @@ inline constexpr size_t kPageSize = 8192;
 using PageId = uint64_t;
 inline constexpr PageId kInvalidPageId = ~PageId{0};
 
+/// Draws a fresh *content epoch* from one process-wide counter (never 0,
+/// never reused). Every HeapTable and BTree takes one when constructed and
+/// again at the entry of every mutator, before it changes anything, so an
+/// equal epoch means unchanged contents — the validity check of the
+/// executor's IN-set memo (exec/in_set.h). Thread-safe.
+uint64_t NextContentEpoch();
+
 /// A disk page: a fixed-size byte buffer.
 struct Page {
   uint8_t data[kPageSize];

@@ -7,6 +7,7 @@
 
 #include "storage/btree.h"
 #include "storage/page_store.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace tabbench {
@@ -448,6 +449,97 @@ TEST(BTreeMutationTest, FingerprintTracksContentNotHistory) {
     if (!am) break;
     EXPECT_EQ(CompareKeys(ak, bk), 0);
   }
+}
+
+TEST(BTreeMutationTest, FaultedMergeLeavesTreeUntouchedAndRetrySucceeds) {
+  struct Disarm {
+    ~Disarm() { FaultRegistry::Global().DisarmAll(); }
+  } disarm;
+  const uint32_t n = 4000;
+  auto load = [&](BTree* tree) {
+    for (uint32_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(
+          tree->Insert(IKey(static_cast<int64_t>(i)), Rid{i, 0}, nullptr).ok());
+    }
+  };
+  PageStore store;
+  BTree tree("ix", 1, 8, &store);
+  load(&tree);
+  ASSERT_TRUE(FaultRegistry::Global()
+                  .ArmFromString("storage.btree_merge=unavailable@once")
+                  .ok());
+  // Deleting in key order underflows the leftmost leaf first.
+  uint32_t faulted = n;
+  for (uint32_t i = 0; i < n && faulted == n; ++i) {
+    Status st = tree.Delete(IKey(static_cast<int64_t>(i)), Rid{i, 0}, nullptr);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), Status::Code::kUnavailable);
+      faulted = i;
+    }
+  }
+  FaultRegistry::Global().DisarmAll();
+  ASSERT_LT(faulted, n);
+
+  // The faulted delete was a no-op: the entry is still there, the count
+  // agrees with a scan, and the tree equals one that never saw the delete.
+  EXPECT_EQ(tree.num_entries(), n - faulted);
+  uint64_t scanned = 0;
+  auto it = tree.ScanAll(nullptr);
+  IndexKey k;
+  Rid r;
+  while (it.Next(&k, &r)) ++scanned;
+  EXPECT_EQ(scanned, n - faulted);
+  BTree reference("ix", 1, 8, &store);
+  load(&reference);
+  for (uint32_t i = 0; i < faulted; ++i) {
+    ASSERT_TRUE(reference.Delete(IKey(static_cast<int64_t>(i)), Rid{i, 0},
+                                 nullptr)
+                    .ok());
+  }
+  EXPECT_EQ(tree.Fingerprint(), reference.Fingerprint());
+
+  // Retrying the same delete succeeds, and so does every later one.
+  for (uint32_t i = faulted; i < n; ++i) {
+    ASSERT_TRUE(
+        tree.Delete(IKey(static_cast<int64_t>(i)), Rid{i, 0}, nullptr).ok())
+        << i;
+  }
+  EXPECT_EQ(tree.num_entries(), 0u);
+}
+
+TEST(BTreeMutationTest, EveryMutatorRenewsTheContentEpoch) {
+  PageStore store;
+  BTree tree("ix", 1, 8, &store);
+  BTree other("ix", 1, 8, &store);
+  EXPECT_NE(tree.content_epoch(), other.content_epoch());
+  uint64_t last = tree.content_epoch();
+  auto renewed = [&] {
+    uint64_t now = tree.content_epoch();
+    bool changed = now != last;
+    last = now;
+    return changed;
+  };
+  ASSERT_TRUE(tree.Insert(IKey(1), Rid{1, 0}, nullptr).ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(tree.Update(IKey(1), Rid{1, 0}, IKey(2), Rid{2, 0}, nullptr).ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(tree.Delete(IKey(2), Rid{2, 0}, nullptr).ok());
+  EXPECT_TRUE(renewed());
+  // A failed mutation renews it too: the epoch is taken before any change.
+  EXPECT_TRUE(tree.Delete(IKey(2), Rid{2, 0}, nullptr).IsNotFound());
+  EXPECT_TRUE(renewed());
+  tree.BulkBuild({{IKey(5), Rid{5, 0}}});
+  EXPECT_TRUE(renewed());
+  // Reads leave it alone.
+  auto it = tree.ScanAll(nullptr);
+  IndexKey k;
+  Rid r;
+  while (it.Next(&k, &r)) {
+  }
+  EXPECT_EQ(tree.num_entries(), 1u);
+  EXPECT_FALSE(renewed());
+  tree.Drop();
+  EXPECT_TRUE(renewed());
 }
 
 }  // namespace

@@ -7,8 +7,12 @@
 #include <set>
 
 #include "core/configurations.h"
+#include "core/nref_families.h"
 #include "engine/database.h"
+#include "engine/index_build.h"
+#include "exec/in_set.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 
 namespace tabbench {
 namespace {
@@ -268,6 +272,364 @@ TEST(ExecSpillTest, LargeAggregateChargesSpillIo) {
   double spilled = run_with_workmem(2);
   double in_memory = run_with_workmem(100000);
   EXPECT_GT(spilled, in_memory * 1.2);
+}
+
+// ------------------------------------------------------------ IN-set memo
+
+/// The same storage as a Database, without its IN-set memo: every
+/// materialization scans live.
+class NoMemoResolver : public ObjectResolver {
+ public:
+  explicit NoMemoResolver(const Database& db) : db_(db) {}
+  const HeapTable* FindHeap(const std::string& name) const override {
+    return db_.FindHeap(name);
+  }
+  const IndexInfo* FindIndex(const std::string& name) const override {
+    return db_.FindIndex(name);
+  }
+
+ private:
+  const Database& db_;
+};
+
+/// Everything one materialization leaves behind.
+struct InSetRun {
+  Status status;
+  InSet values;
+  double sim_seconds = 0.0;
+  uint64_t pages_read = 0;
+  uint64_t tuples = 0;
+  BufferPoolStats pool;
+  std::vector<bool> resident;  // afterwards, per page of the warm-up list
+  AccessTrace trace;
+};
+
+/// Materializes `spec` in a session context over a fresh pool that is
+/// first warmed with every other page of `pages`, then reports which of
+/// `pages` stayed resident — so LRU state, not only counters, is compared.
+InSetRun MaterializeFrom(const Database& db, const ObjectResolver& resolver,
+                         const InSetSpec& spec, const CostParams& params,
+                         const std::vector<PageId>& pages) {
+  BufferPool pool(std::max<size_t>(4, pages.size() / 2));
+  for (size_t i = 0; i < pages.size(); i += 2) pool.Touch(pages[i]);
+  pool.ResetCounters();
+  ExecContext ctx = db.MakeSessionContext(&pool, params);
+  InSetRun run;
+  ctx.set_trace(&run.trace);
+  auto r = MaterializeInSet(spec, resolver, &ctx);
+  run.status = r.status();
+  if (r.ok()) run.values = r.TakeValue();
+  run.sim_seconds = ctx.sim_time();
+  run.pages_read = ctx.pages_read();
+  run.tuples = ctx.tuples_processed();
+  run.pool = pool.stats();
+  for (PageId p : pages) run.resident.push_back(pool.Touch(p));
+  return run;
+}
+
+void ExpectSameRun(const InSetRun& a, const InSetRun& b) {
+  EXPECT_EQ(a.status.code(), b.status.code());
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);  // bit-identical, not near
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.tuples, b.tuples);
+  EXPECT_EQ(a.pool.hits, b.pool.hits);
+  EXPECT_EQ(a.pool.misses, b.pool.misses);
+  EXPECT_EQ(a.pool.resident, b.pool.resident);
+  EXPECT_EQ(a.resident, b.resident);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (size_t i = 0; i < a.trace.size(); ++i) {
+    ASSERT_EQ(a.trace[i].kind, b.trace[i].kind) << "trace event " << i;
+    ASSERT_EQ(a.trace[i].arg, b.trace[i].arg) << "trace event " << i;
+  }
+  ASSERT_EQ(a.values == nullptr, b.values == nullptr);
+  if (a.values != nullptr) {
+    EXPECT_EQ(*a.values, *b.values);
+  }
+}
+
+/// Pages a live scan of `spec` touches, in order.
+std::vector<PageId> ScanPages(const Database& db, const InSetSpec& spec) {
+  BufferPool pool(1);
+  ExecContext ctx = db.MakeSessionContext(&pool, db.options().cost);
+  AccessTrace trace;
+  ctx.set_trace(&trace);
+  NoMemoResolver live(db);
+  EXPECT_TRUE(MaterializeInSet(spec, live, &ctx).ok());
+  std::vector<PageId> pages;
+  for (const auto& e : trace) {
+    if (e.kind == TraceEvent::Kind::kTouchSeq) pages.push_back(e.arg);
+  }
+  return pages;
+}
+
+std::string SpecName(const InSetSpec& s) {
+  return s.table + "." + s.column + " " + s.cmp + std::to_string(s.k) +
+         (s.index_name.empty() ? " heap" : " via " + s.index_name);
+}
+
+/// A mini NREF database with the distinct IN-set specs of the NREF2J
+/// plans on P (heap scans) and on 1C (index-only scans).
+class InSetMemoTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    owner_ = testing::MakeMiniNref(4000.0);
+    db_ = owner_.get();
+    QueryFamily family = GenerateNref2J(db_->catalog(), db_->stats());
+    std::map<std::string, InSetSpec> p_specs, c_specs;
+    auto collect = [&](std::map<std::string, InSetSpec>* out) {
+      for (const auto& sql : family.Sql()) {
+        auto plan = db_->Plan(sql);
+        ASSERT_TRUE(plan.ok()) << sql;
+        for (const auto& spec : plan->in_sets) out->emplace(SpecName(spec), spec);
+      }
+    };
+    collect(&p_specs);
+    ASSERT_TRUE(db_->ApplyConfiguration(Make1CConfig(db_->catalog())).ok());
+    collect(&c_specs);
+    ASSERT_TRUE(db_->ResetToPrimary().ok());
+    for (auto& [name, spec] : p_specs) p_specs_.push_back(spec);
+    for (auto& [name, spec] : c_specs) c_specs_.push_back(spec);
+
+  }
+  static void TearDownTestSuite() {
+    owner_.reset();
+    db_ = nullptr;
+  }
+
+  /// Runs `check(spec)` for every spec, on P and then on 1C. Each side
+  /// has both heap scans and index-only scans.
+  template <typename Fn>
+  void ForEachSpec(Fn check) {
+    auto has = [](const std::vector<InSetSpec>& specs, bool heap) {
+      return std::any_of(specs.begin(), specs.end(), [&](const InSetSpec& s) {
+        return s.index_name.empty() == heap;
+      });
+    };
+    ASSERT_TRUE(has(p_specs_, true) && has(p_specs_, false));
+    ASSERT_TRUE(has(c_specs_, true) && has(c_specs_, false));
+    for (const auto& spec : p_specs_) {
+      SCOPED_TRACE("P: " + SpecName(spec));
+      check(spec);
+    }
+    ASSERT_TRUE(db_->ApplyConfiguration(Make1CConfig(db_->catalog())).ok());
+    for (const auto& spec : c_specs_) {
+      SCOPED_TRACE("1C: " + SpecName(spec));
+      check(spec);
+    }
+    ASSERT_TRUE(db_->ResetToPrimary().ok());
+  }
+
+  static std::unique_ptr<Database> owner_;
+  static Database* db_;
+  static std::vector<InSetSpec> p_specs_;
+  static std::vector<InSetSpec> c_specs_;
+};
+
+std::unique_ptr<Database> InSetMemoTest::owner_;
+Database* InSetMemoTest::db_ = nullptr;
+std::vector<InSetSpec> InSetMemoTest::p_specs_;
+std::vector<InSetSpec> InSetMemoTest::c_specs_;
+
+TEST_F(InSetMemoTest, WarmHitChargesExactlyAsColdScan) {
+  ForEachSpec([&](const InSetSpec& spec) {
+    const std::vector<PageId> pages = ScanPages(*db_, spec);
+    const CostParams params = db_->options().cost;
+    InSetMemo* memo = db_->in_set_memo();
+    memo->Clear();
+    InSetRun cold = MaterializeFrom(*db_, *db_, spec, params, pages);
+    ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+    EXPECT_EQ(memo->size(), 1u);
+    InSetRun warm = MaterializeFrom(*db_, *db_, spec, params, pages);
+    // The same shared set: the warm run was a memo hit, not a rescan.
+    EXPECT_EQ(warm.values.get(), cold.values.get());
+    ExpectSameRun(cold, warm);
+    ExpectSameRun(cold,
+                  MaterializeFrom(*db_, NoMemoResolver(*db_), spec, params, pages));
+  });
+}
+
+TEST_F(InSetMemoTest, WarmHitTimesOutAtTheSameEvent) {
+  ForEachSpec([&](const InSetSpec& spec) {
+    const std::vector<PageId> pages = ScanPages(*db_, spec);
+    CostParams params = db_->options().cost;
+    InSetMemo* memo = db_->in_set_memo();
+    memo->Clear();
+    InSetRun full = MaterializeFrom(*db_, *db_, spec, params, pages);
+    ASSERT_TRUE(full.status.ok());
+    params.timeout_seconds = full.sim_seconds / 2;
+    memo->Clear();
+    InSetRun cold = MaterializeFrom(*db_, *db_, spec, params, pages);
+    ASSERT_TRUE(cold.status.IsTimeout()) << cold.status.ToString();
+    EXPECT_EQ(memo->size(), 0u);  // a scan that did not complete stores nothing
+    EXPECT_LT(cold.tuples, full.tuples);
+    MaterializeFrom(*db_, *db_, spec, db_->options().cost, pages);
+    ASSERT_EQ(memo->size(), 1u);
+    InSetRun warm = MaterializeFrom(*db_, *db_, spec, params, pages);
+    ExpectSameRun(cold, warm);
+  });
+}
+
+TEST_F(InSetMemoTest, WarmHitFailsAtTheSameFaultedRow) {
+  struct Disarm {
+    ~Disarm() { FaultRegistry::Global().DisarmAll(); }
+  } disarm;
+  ForEachSpec([&](const InSetSpec& spec) {
+    const std::vector<PageId> pages = ScanPages(*db_, spec);
+    const CostParams params = db_->options().cost;
+    FaultSpec fault;
+    fault.point = "storage.heap_scan";
+    fault.code = Status::Code::kUnavailable;
+    fault.trigger = FaultSpec::Trigger::kNth;
+    fault.nth = std::max<uint64_t>(1, pages.size() / 2);
+    auto faulted_run = [&] {
+      EXPECT_TRUE(FaultRegistry::Global().Arm(fault).ok());
+      FaultScope scope(7);
+      InSetRun run = MaterializeFrom(*db_, *db_, spec, params, pages);
+      FaultRegistry::Global().DisarmAll();
+      return run;
+    };
+    InSetMemo* memo = db_->in_set_memo();
+    memo->Clear();
+    InSetRun cold = faulted_run();
+    // Only heap scans pass the trigger; index-only scans never fault here.
+    EXPECT_EQ(cold.status.code(), spec.index_name.empty()
+                                      ? Status::Code::kUnavailable
+                                      : Status::Code::kOk);
+    MaterializeFrom(*db_, *db_, spec, params, pages);
+    ASSERT_EQ(memo->size(), 1u);
+    InSetRun warm = faulted_run();
+    ExpectSameRun(cold, warm);
+  });
+}
+
+/// `row` with column `pos` replaced by a value no row holds.
+Tuple WithFreshValue(const Tuple& row, size_t pos) {
+  std::vector<Value> vals = row.values();
+  vals[pos] = vals[pos].is_string() ? Value(std::string("memo-test-fresh"))
+                                    : Value(int64_t{987654321});
+  return Tuple(std::move(vals));
+}
+
+/// Fills the memo for `spec`, applies `mutate`, then requires a warm
+/// materialization to rescan (a new set) and to equal a memo-less one.
+void ExpectMutationInvalidates(Database* db, const InSetSpec& spec,
+                               const std::function<void()>& mutate) {
+  const CostParams params = db->options().cost;
+  const std::vector<PageId> before_pages = ScanPages(*db, spec);
+  InSetRun before = MaterializeFrom(*db, *db, spec, params, before_pages);
+  ASSERT_TRUE(before.status.ok());
+  mutate();
+  const std::vector<PageId> pages = ScanPages(*db, spec);
+  InSetRun warm = MaterializeFrom(*db, *db, spec, params, pages);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_NE(warm.values.get(), before.values.get());
+  ExpectSameRun(warm, MaterializeFrom(*db, NoMemoResolver(*db), spec, params,
+                                      pages));
+}
+
+TEST(InSetMemoInvalidationTest, RowWritesInvalidateHeapAndIndexEntries) {
+  auto db = testing::MakeMiniNref(4000.0);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  ASSERT_FALSE(family.queries.empty());
+  for (bool one_c : {false, true}) {
+    SCOPED_TRACE(one_c ? "1C" : "P");
+    if (one_c) {
+      ASSERT_TRUE(db->ApplyConfiguration(Make1CConfig(db->catalog())).ok());
+    }
+    auto plan = db->Plan(family.queries.front().sql);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_FALSE(plan->in_sets.empty());
+    const InSetSpec spec = plan->in_sets.front();
+    EXPECT_EQ(spec.index_name.empty(), !one_c);
+    const std::string table = spec.table;
+    const size_t pos = static_cast<size_t>(
+        db->catalog().FindTable(table)->ColumnIndex(spec.column));
+    auto first_live = [&] {
+      Rid rid;
+      Tuple row;
+      auto cur = db->FindHeap(table)->Scan(nullptr);
+      EXPECT_TRUE(cur.Next(&row, &rid));
+      return std::make_pair(rid, row);
+    };
+    ExpectMutationInvalidates(db.get(), spec, [&] {
+      auto [rid, row] = first_live();
+      ASSERT_TRUE(db->TimedInsert(table, WithFreshValue(row, pos)).ok());
+    });
+    ExpectMutationInvalidates(db.get(), spec, [&] {
+      auto [rid, row] = first_live();
+      ASSERT_TRUE(db->TimedDelete(table, rid).ok());
+    });
+    ExpectMutationInvalidates(db.get(), spec, [&] {
+      auto [rid, row] = first_live();
+      ASSERT_TRUE(db->TimedUpdate(table, rid, WithFreshValue(row, pos)).ok());
+    });
+  }
+}
+
+TEST(InSetMemoInvalidationTest, ReusedIndexNameWithNewContentsRescans) {
+  auto db = testing::MakeMiniNref(4000.0);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  auto plan = db->Plan(family.queries.front().sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_GE(plan->in_sets.size(), 2u);
+  // Two specs on different columns, both read through an index named "ix".
+  InSetSpec a = plan->in_sets[0], b = plan->in_sets[1];
+  ASSERT_NE(SpecName(a), SpecName(b));
+  a.index_name = b.index_name = "ix";
+  auto config_on = [](const InSetSpec& s) {
+    Configuration c;
+    c.name = "ix-" + s.column;
+    IndexDef idx;
+    idx.name = "ix";
+    idx.target = s.table;
+    idx.columns = {s.column};
+    c.indexes.push_back(idx);
+    return c;
+  };
+  const CostParams params = db->options().cost;
+  ASSERT_TRUE(db->ApplyConfiguration(config_on(a)).ok());
+  InSetRun on_a = MaterializeFrom(*db, *db, a, params, ScanPages(*db, a));
+  ASSERT_TRUE(on_a.status.ok());
+  ASSERT_TRUE(db->ApplyConfiguration(config_on(b)).ok());
+  const std::vector<PageId> pages = ScanPages(*db, b);
+  InSetRun warm = MaterializeFrom(*db, *db, b, params, pages);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_NE(warm.values.get(), on_a.values.get());
+  ExpectSameRun(warm, MaterializeFrom(*db, NoMemoResolver(*db), b, params,
+                                      pages));
+}
+
+TEST(InSetMemoInvalidationTest, DropAndOnlineRebuildRescans) {
+  auto db = testing::MakeMiniNref(4000.0);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  ASSERT_TRUE(db->ApplyConfiguration(Make1CConfig(db->catalog())).ok());
+  auto plan = db->Plan(family.queries.front().sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->in_sets.empty());
+  const InSetSpec spec = plan->in_sets.front();
+  ASSERT_FALSE(spec.index_name.empty());
+  IndexDef def;
+  for (const auto& idx : db->current_config().indexes) {
+    if (idx.name == spec.index_name) def = idx;
+  }
+  ASSERT_EQ(def.name, spec.index_name);
+  const size_t pos = static_cast<size_t>(
+      db->catalog().FindTable(spec.table)->ColumnIndex(spec.column));
+  ExpectMutationInvalidates(db.get(), spec, [&] {
+    ASSERT_TRUE(db->DropSecondaryIndex(def.name, nullptr).ok());
+    // New contents for the rebuilt index: one more row under a fresh value.
+    Tuple row;
+    auto cur = db->FindHeap(spec.table)->Scan(nullptr);
+    ASSERT_TRUE(cur.Next(&row, nullptr));
+    ASSERT_TRUE(db->TimedInsert(spec.table, WithFreshValue(row, pos)).ok());
+    OnlineIndexBuild build(db.get(), def);
+    ExecContext ctx = db->MakeSessionContext(db->buffer_pool(),
+                                             db->options().cost);
+    ASSERT_TRUE(build.Start(&ctx).ok());
+    while (!build.done()) ASSERT_TRUE(build.Step(&ctx).ok());
+    ASSERT_EQ(build.state(), IndexBuildState::kLive);
+    ASSERT_NE(db->FindIndex(def.name), nullptr);
+  });
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 #include "advisor/advisor.h"
 #include "advisor/profiles.h"
 #include "core/benchmark_suite.h"
+#include "core/configurations.h"
 #include "core/nref_families.h"
 #include "core/runner.h"
 #include "core/sampling.h"
+#include "exec/in_set.h"
 #include "service/circuit_breaker.h"
 #include "service/session.h"
 #include "util/thread_pool.h"
@@ -616,6 +618,74 @@ TEST(BTreeStatsCacheTest, ConcurrentLazyFillIsConsistent) {
                           Rid{1, 1}, nullptr)
                   .ok());
   EXPECT_EQ(tree.num_distinct_keys(), 501u);
+}
+
+// ------------------------------------------------------------ IN-set memo
+
+TEST(InSetMemoConcurrencyTest, ConcurrentFillsAndHitsMatchSerialScans) {
+  // Session contexts on many threads materialize the same IN-set specs at
+  // once, racing to fill the database's shared memo and then hitting it.
+  // Every result must equal a serial scan from a cold pool. Runs under the
+  // concurrency label so the TSan matrix covers the memo's locking.
+  auto db = testing::MakeMiniNref(4000.0);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  ASSERT_TRUE(db->ApplyConfiguration(Make1CConfig(db->catalog())).ok());
+  std::vector<InSetSpec> specs;
+  for (size_t q = 0; q < 6 && q < family.queries.size(); ++q) {
+    auto plan = db->Plan(family.queries[q].sql);
+    ASSERT_TRUE(plan.ok());
+    for (const auto& spec : plan->in_sets) specs.push_back(spec);
+  }
+  ASSERT_FALSE(specs.empty());
+
+  struct Outcome {
+    double sim_seconds = 0.0;
+    uint64_t tuples = 0;
+    std::unordered_set<Value, ValueHash> values;
+  };
+  auto materialize = [&](const InSetSpec& spec) {
+    BufferPool pool(db->options().buffer_pool_pages);
+    ExecContext ctx = db->MakeSessionContext(&pool, db->options().cost);
+    auto set = MaterializeInSet(spec, *db, &ctx);
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    Outcome out{ctx.sim_time(), ctx.tuples_processed(), {}};
+    if (set.ok()) out.values = **set;
+    return out;
+  };
+  db->in_set_memo()->Clear();
+  std::vector<Outcome> serial;
+  for (const auto& spec : specs) serial.push_back(materialize(spec));
+
+  // First pass: threads race to fill the cleared memo; second: all hits.
+  db->in_set_memo()->Clear();
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 2;
+  std::vector<std::vector<Outcome>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (size_t i = 0; i < specs.size(); ++i) {
+            // Offset starts so threads collide on different specs.
+            const size_t s = (i + static_cast<size_t>(t)) % specs.size();
+            got[static_cast<size_t>(t)].push_back(materialize(specs[s]));
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& runs = got[static_cast<size_t>(t)];
+    ASSERT_EQ(runs.size(), kPasses * specs.size());
+    for (size_t r = 0; r < runs.size(); ++r) {
+      const size_t s = (r + static_cast<size_t>(t)) % specs.size();
+      EXPECT_EQ(runs[r].sim_seconds, serial[s].sim_seconds);
+      EXPECT_EQ(runs[r].tuples, serial[s].tuples);
+      EXPECT_EQ(runs[r].values, serial[s].values);
+    }
+  }
 }
 
 // ------------------------------------------------- parallel workload runner

@@ -245,6 +245,38 @@ TEST(HeapTableTest, AppendAndScan) {
   EXPECT_EQ(expected, 100);
 }
 
+TEST(HeapTableTest, EveryMutatorRenewsTheContentEpoch) {
+  PageStore store;
+  HeapTable heap("t", TupleCodec({TypeId::kInt}), &store);
+  HeapTable other("t", TupleCodec({TypeId::kInt}), &store);
+  EXPECT_NE(heap.content_epoch(), other.content_epoch());
+  uint64_t last = heap.content_epoch();
+  auto renewed = [&] {
+    uint64_t now = heap.content_epoch();
+    bool changed = now != last;
+    last = now;
+    return changed;
+  };
+  Rid rid = heap.Append(Tuple({Value(int64_t{1})}));
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(heap.Insert(Tuple({Value(int64_t{2})}), nullptr).ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(heap.Delete(rid, nullptr).ok());
+  EXPECT_TRUE(renewed());
+  // A failed mutation renews it too: the epoch is taken before any change.
+  EXPECT_TRUE(heap.Delete(rid, nullptr).IsNotFound());
+  EXPECT_TRUE(renewed());
+  heap.Drop();
+  EXPECT_TRUE(renewed());
+  // Reads leave it alone.
+  auto cur = heap.Scan(nullptr);
+  Tuple t;
+  while (cur.Next(&t, nullptr)) {
+  }
+  EXPECT_FALSE(heap.Fetch(rid, nullptr).ok());
+  EXPECT_FALSE(renewed());
+}
+
 TEST(HeapTableTest, FetchByRid) {
   PageStore store;
   HeapTable heap("t", TupleCodec({TypeId::kInt, TypeId::kString}), &store);

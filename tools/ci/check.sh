@@ -81,6 +81,26 @@ step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_service_tests
 ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
 
+# ------------------------------------------------------------ perfbench
+# The simulated-output digest gate: one short traced cfc_nref2j run checks
+# all four perfbench workloads' carried seed-1 digests and the serial,
+# 1-worker, parallel and vectorized equivalences. Every cached or replayed
+# charge path (the IN-set memo, trace replay) must reproduce the live
+# charges bit for bit, or a digest moves. perfbench/run.py builds its own
+# tree under .bench_build/; this stage only reads its last stdout line.
+step "perfbench digest gate (cfc_nref2j, seed 1, traced)"
+PB_LAST="$(cd "${ROOT}" && python3 perfbench/run.py --workload cfc_nref2j \
+  --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "${PB_LAST}"; then
+  echo "perfbench digest gate failed: ${PB_LAST:0:300}"
+  exit 1
+fi
+echo "perfbench: correct, 0 failed"
+
 # ------------------------------------------------------------- vectorized
 # The morsel-driven vectorized engine: the golden suite proves simulated
 # costs bit-identical to the Volcano executor (ctest -L vectorized also ran
