@@ -1,6 +1,7 @@
 // Times tabbench_analyze's full-tree run: every .h/.cc/.cpp under the
-// repo through BuildModel plus all ten passes (including the
-// path-sensitive CFG passes), repeated --iters times. The point of the
+// repo through BuildModel plus every pass (the per-file rules, the
+// whole-program passes and the path-sensitive CFG passes), repeated
+// --iters times. The point of the
 // artifact is keeping the analyzer fast enough to sit in the inner CI
 // loop: queries_per_second reports files analyzed per second, and the
 // BENCH_analyze.json trajectory catches a pass whose cost quietly goes

@@ -15,14 +15,6 @@ namespace tabbench {
 
 namespace {
 
-/// Drops a fault latched after an attempt's last safe point so it cannot
-/// leak into the next attempt or repetition. The serial runner, the
-/// parallel record phase, and the service retry loop all call this at the
-/// same attempt boundaries, keeping their fault schedules aligned.
-void DropStaleLatchedFault() {
-  if (FaultInjectionArmed()) (void)FaultRegistry::TakePending();
-}
-
 /// What one worker records for one query: every attempt of its retry loop.
 /// Slots are preallocated per batch, so workers write disjoint memory and
 /// the batch joins race-free.

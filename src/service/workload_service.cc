@@ -20,13 +20,6 @@ std::future<Result<T>> ReadyFuture(Status status) {
   return p.get_future();
 }
 
-/// Drops a fault latched after an attempt's last safe point so it cannot
-/// leak into the next attempt (the runner does the same at its attempt
-/// boundaries).
-void DropStaleLatchedFault() {
-  if (FaultInjectionArmed()) (void)FaultRegistry::TakePending();
-}
-
 /// Seed for the FaultScope of query `idx` of job `ordinal`. The shift
 /// keeps distinct jobs' query seeds from colliding for workloads of up to
 /// ~1M queries; schedules stay deterministic per (job, query) pair.

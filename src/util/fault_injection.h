@@ -179,6 +179,14 @@ class FaultRegistry {
   uint64_t dropped_fires_ TB_GUARDED_BY(mu_) = 0;
 };
 
+/// Drops a fault latched after an attempt's last safe point so it cannot
+/// leak into the next attempt or repetition. The serial runner, the
+/// parallel record phase, and the service retry loop all call this at the
+/// same attempt boundaries, keeping their fault schedules aligned.
+inline void DropStaleLatchedFault() {
+  if (FaultInjectionArmed()) (void)FaultRegistry::TakePending();
+}
+
 /// Declares a fault point in a Status/Result-returning function: returns
 /// the injected Status when armed and firing, else falls through.
 #define TB_FAULT_POINT(point)                                         \

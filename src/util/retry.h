@@ -65,7 +65,7 @@ struct RetryPolicy {
 /// flag with no condition variable, and at backoff scale (tens of
 /// milliseconds and up) a 1ms response beats the complexity of adding one.
 /// This is the one sanctioned real-sleep site in the library — the
-/// tabbench-raw-sleep lint rule flags std::this_thread::sleep_for anywhere
+/// tabbench-raw-sleep rule flags std::this_thread::sleep_for anywhere
 /// else under src/.
 Status SleepWithCancellation(
     double seconds, const CancellationToken& cancel,

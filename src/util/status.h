@@ -13,7 +13,7 @@ namespace tabbench {
 /// a Status (or a Result<T>, below) that the caller must inspect.
 ///
 /// [[nodiscard]] makes dropping a returned Status a compile error — the
-/// compile-time twin of tabbench_lint's `unchecked-status` rule. Callers
+/// compile-time twin of tabbench_analyze's `unchecked-status` rule. Callers
 /// that really mean to ignore an outcome must write `(void)Foo();`.
 class [[nodiscard]] Status {
  public:

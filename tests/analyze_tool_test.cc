@@ -17,7 +17,7 @@
 namespace {
 
 using tabbench_analyze::Analyze;
-using tabbench_analyze::ApplyAnnotationFixes;
+using tabbench_analyze::ApplyFixes;
 using tabbench_analyze::BaselineEntry;
 using tabbench_analyze::FaultCoverageReport;
 using tabbench_analyze::DiffBaseline;
@@ -73,9 +73,23 @@ Options LayeredOpts() {
 
 TEST(AnalyzeLayering, DownwardDagIsQuiet) {
   auto findings = RunAnalyze(
-      {{"src/util/rng.h", "int Rng();\n"},
-       {"src/engine/db.h", "#include \"util/rng.h\"\nint Db();\n"},
-       {"src/service/svc.h", "#include \"engine/db.h\"\nint Svc();\n"}},
+      {{"src/util/rng.h",
+        "#ifndef TABBENCH_UTIL_RNG_H_\n"
+        "#define TABBENCH_UTIL_RNG_H_\n"
+        "int Rng();\n"
+        "#endif  // TABBENCH_UTIL_RNG_H_\n"},
+       {"src/engine/db.h",
+        "#ifndef TABBENCH_ENGINE_DB_H_\n"
+        "#define TABBENCH_ENGINE_DB_H_\n"
+        "#include \"util/rng.h\"\n"
+        "int Db();\n"
+        "#endif  // TABBENCH_ENGINE_DB_H_\n"},
+       {"src/service/svc.h",
+        "#ifndef TABBENCH_SERVICE_SVC_H_\n"
+        "#define TABBENCH_SERVICE_SVC_H_\n"
+        "#include \"engine/db.h\"\n"
+        "int Svc();\n"
+        "#endif  // TABBENCH_SERVICE_SVC_H_\n"}},
       LayeredOpts());
   EXPECT_TRUE(findings.empty()) << ToText(findings);
 }
@@ -115,7 +129,11 @@ TEST(AnalyzeLayering, ForbiddenEdgeFiresEvenThoughUpwardAnyway) {
 }
 
 TEST(AnalyzeLayering, FilesOutsideEveryLayerAreExempt) {
-  auto findings = RunAnalyze({{"src/service/svc.h", "int Svc();\n"},
+  auto findings = RunAnalyze({{"src/service/svc.h",
+                        "#ifndef TABBENCH_SERVICE_SVC_H_\n"
+                        "#define TABBENCH_SERVICE_SVC_H_\n"
+                        "int Svc();\n"
+                        "#endif  // TABBENCH_SERVICE_SVC_H_\n"},
                        {"tests/x_test.cc",
                         "#include \"service/svc.h\"\nint T();\n"}},
                       LayeredOpts());
@@ -486,6 +504,8 @@ TEST(AnalyzeOutput, TextCarriesFileLineRuleAndRelatedSites) {
 
 TEST(AnalyzeOutput, SarifIsStructurallySound) {
   auto findings = RunAnalyze({{"src/service/pair.h",
+                        "#ifndef TABBENCH_SERVICE_PAIR_H_\n"
+                        "#define TABBENCH_SERVICE_PAIR_H_\n"
                         "namespace tabbench {\n"
                         "class Pair {\n"
                         " public:\n"
@@ -501,7 +521,8 @@ TEST(AnalyzeOutput, SarifIsStructurallySound) {
                         "  Mutex a_;\n"
                         "  Mutex b_;\n"
                         "};\n"
-                        "}  // namespace tabbench\n"}});
+                        "}  // namespace tabbench\n"
+                        "#endif  // TABBENCH_SERVICE_PAIR_H_\n"}});
   ASSERT_EQ(findings.size(), 1u) << ToText(findings);
   const std::string sarif = ToSarif(findings);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
@@ -512,7 +533,7 @@ TEST(AnalyzeOutput, SarifIsStructurallySound) {
             std::string::npos);
   EXPECT_NE(sarif.find("\"physicalLocation\""), std::string::npos);
   EXPECT_NE(sarif.find("\"relatedLocations\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 5"), std::string::npos);
+  EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
   // Every rule is present in the rules array even when only one fired.
   for (const auto& rule : tabbench_analyze::Rules()) {
     EXPECT_NE(sarif.find(std::string("\"id\": \"") + rule.name + "\""),
@@ -543,8 +564,9 @@ TEST(AnalyzeOutput, SarifIsStructurallySound) {
 }
 
 TEST(AnalyzeOutput, RuleTableIsUniqueAndPrefixed) {
+  // 9 per-file rules + 15 whole-program and path-sensitive rules.
   const auto& rules = tabbench_analyze::Rules();
-  ASSERT_EQ(rules.size(), 15u);
+  ASSERT_EQ(rules.size(), 24u);
   for (size_t i = 0; i < rules.size(); ++i) {
     EXPECT_EQ(std::string(rules[i].name).rfind("tabbench-", 0), 0u);
     for (size_t j = i + 1; j < rules.size(); ++j) {
@@ -661,6 +683,8 @@ TEST(AnalyzeLayerSpec, RejectsMalformedInput) {
 // mu_ (suggest the annotation), total_ is touched both under mu_ and bare
 // (a race).
 const char* kCacheFixture =
+    "#ifndef TABBENCH_SERVICE_CACHE_H_\n"
+    "#define TABBENCH_SERVICE_CACHE_H_\n"
     "namespace tabbench {\n"
     "class Cache {\n"
     " public:\n"
@@ -679,14 +703,15 @@ const char* kCacheFixture =
     "  int hits_ = 0;\n"
     "  int total_ = 0;\n"
     "};\n"
-    "}  // namespace tabbench\n";
+    "}  // namespace tabbench\n"
+    "#endif  // TABBENCH_SERVICE_CACHE_H_\n";
 
 TEST(AnalyzeLockset, ConsistentlyGuardedFieldSuggestsAnnotation) {
   auto findings = RunAnalyze({{"src/service/cache.h", kCacheFixture}});
   ASSERT_EQ(CountRule(findings, "tabbench-lockset-unannotated"), 1u)
       << ToText(findings);
   const Finding* f = FindRule(findings, "tabbench-lockset-unannotated");
-  EXPECT_EQ(f->line, 16u);  // anchored at the member declaration
+  EXPECT_EQ(f->line, 18u);  // anchored at the member declaration
   EXPECT_NE(f->message.find("Cache::hits_"), std::string::npos)
       << f->message;
   EXPECT_NE(f->message.find("TB_GUARDED_BY(mu_)"), std::string::npos)
@@ -701,7 +726,7 @@ TEST(AnalyzeLockset, MixedLockedAndBareAccessIsInconsistent) {
   ASSERT_EQ(CountRule(findings, "tabbench-lockset-inconsistent"), 1u)
       << ToText(findings);
   const Finding* f = FindRule(findings, "tabbench-lockset-inconsistent");
-  EXPECT_EQ(f->line, 17u);
+  EXPECT_EQ(f->line, 19u);
   EXPECT_NE(f->message.find("Cache::total_"), std::string::npos)
       << f->message;
   // Related sites cover both kinds of access.
@@ -793,7 +818,7 @@ TEST(AnalyzeFixes, ApplyInsertsSuggestedAnnotationAndIsIdempotent) {
   std::vector<SourceFile> files = {{"src/service/cache.h", kCacheFixture}};
   auto findings = RunAnalyze(files);
   ASSERT_NE(FindRule(findings, "tabbench-lockset-unannotated"), nullptr);
-  EXPECT_EQ(ApplyAnnotationFixes(findings, &files), 1u);
+  EXPECT_EQ(ApplyFixes(findings, &files), 1u);
   EXPECT_NE(files[0].content.find("int hits_ TB_GUARDED_BY(mu_) = 0;"),
             std::string::npos)
       << files[0].content;
@@ -804,7 +829,90 @@ TEST(AnalyzeFixes, ApplyInsertsSuggestedAnnotationAndIsIdempotent) {
   EXPECT_EQ(CountRule(after, "tabbench-lockset-contradicted"), 0u)
       << ToText(after);
   // Re-applying the same (now stale) fixes inserts nothing.
-  EXPECT_EQ(ApplyAnnotationFixes(findings, &files), 0u);
+  EXPECT_EQ(ApplyFixes(findings, &files), 0u);
+}
+
+// ------------------------- per-file and cross-TU findings, one plumbing
+
+// A header that trips a per-file rule (its guard is not the canonical
+// TABBENCH_SERVICE_MIXED_H_) and a cross-TU one (hits_ is only touched
+// under mu_ but carries no TB_GUARDED_BY), both with a --fix repair.
+const char* kMixedFixture =
+    "#ifndef WRONG_GUARD_H\n"
+    "#define WRONG_GUARD_H\n"
+    "namespace tabbench {\n"
+    "class Mixed {\n"
+    " public:\n"
+    "  void Put(int v) {\n"
+    "    MutexLock lock(&mu_);\n"
+    "    hits_ = v;\n"
+    "  }\n"
+    "  int Get() {\n"
+    "    MutexLock lock(&mu_);\n"
+    "    return hits_;\n"
+    "  }\n"
+    " private:\n"
+    "  Mutex mu_;\n"
+    "  int hits_ = 0;\n"
+    "};\n"
+    "}  // namespace tabbench\n"
+    "#endif\n";
+
+TEST(AnalyzeOutput, SarifCarriesPerFileAndCrossTuFindingsTogether) {
+  auto findings = RunAnalyze({{"src/service/mixed.h", kMixedFixture}});
+  ASSERT_EQ(findings.size(), 2u) << ToText(findings);
+  EXPECT_EQ(findings[0].rule, "tabbench-include-guard");
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_EQ(findings[1].rule, "tabbench-lockset-unannotated");
+  EXPECT_EQ(findings[1].line, 16u);
+  const std::string sarif = ToSarif(findings);
+  for (const char* rule :
+       {"tabbench-include-guard", "tabbench-lockset-unannotated"}) {
+    EXPECT_NE(sarif.find(std::string("\"ruleId\": \"") + rule + "\""),
+              std::string::npos)
+        << rule;
+    EXPECT_NE(sarif.find(std::string("\"id\": \"") + rule + "\""),
+              std::string::npos)
+        << rule;
+  }
+}
+
+TEST(AnalyzeBaseline, PerFileAndCrossTuFindingsRoundTripTogether) {
+  auto findings = RunAnalyze({{"src/service/mixed.h", kMixedFixture}});
+  ASSERT_EQ(findings.size(), 2u) << ToText(findings);
+  EXPECT_EQ(DiffBaseline(findings, {}).fresh.size(), 2u);
+  std::vector<BaselineEntry> entries;
+  std::string err;
+  ASSERT_TRUE(ParseBaselineJson(ToBaselineJson(findings), &entries, &err))
+      << err;
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].rule, "tabbench-include-guard");
+  EXPECT_EQ(entries[1].rule, "tabbench-lockset-unannotated");
+  auto diff = DiffBaseline(findings, entries);
+  EXPECT_TRUE(diff.fresh.empty());
+  EXPECT_TRUE(diff.stale.empty());
+  EXPECT_EQ(diff.matched, 2u);
+}
+
+TEST(AnalyzeFixes, ApplyFixesRepairsGuardAndAnnotationThenIsANoOp) {
+  std::vector<SourceFile> files = {{"src/service/mixed.h", kMixedFixture}};
+  auto findings = RunAnalyze(files);
+  ASSERT_EQ(findings.size(), 2u) << ToText(findings);
+  EXPECT_EQ(ApplyFixes(findings, &files), 2u);
+  EXPECT_NE(files[0].content.find("#ifndef TABBENCH_SERVICE_MIXED_H_"),
+            std::string::npos)
+      << files[0].content;
+  EXPECT_NE(files[0].content.find("int hits_ TB_GUARDED_BY(mu_) = 0;"),
+            std::string::npos)
+      << files[0].content;
+  const std::string fixed = files[0].content;
+  // Second pass: the fixed file is clean, and neither its own (empty)
+  // findings nor the first pass's stale ones change a byte.
+  auto after = RunAnalyze(files);
+  EXPECT_TRUE(after.empty()) << ToText(after);
+  EXPECT_EQ(ApplyFixes(after, &files), 0u);
+  EXPECT_EQ(ApplyFixes(findings, &files), 0u);
+  EXPECT_EQ(files[0].content, fixed);
 }
 
 // ---------------------------------------------------- blocking under lock

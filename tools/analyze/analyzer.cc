@@ -10,6 +10,34 @@ namespace tabbench_analyze {
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
+      {"tabbench-determinism",
+       "Ambient entropy or a wall-clock read (rand, random_device, "
+       "time(nullptr), system_clock::now) in a src/core, src/engine, or "
+       "src/exec/vec result path; randomness flows through util/rng.h."},
+      {"tabbench-naked-new",
+       "A naked new or delete; ownership goes through "
+       "make_unique/unique_ptr."},
+      {"tabbench-raw-sleep",
+       "A raw this_thread sleep in src/, which cannot be cancelled; delays "
+       "go through util/retry.h SleepWithCancellation."},
+      {"tabbench-float-equal",
+       "A float-literal ==/!= comparison in cost/CFC code; compare with a "
+       "tolerance."},
+      {"tabbench-unsynced-write",
+       "A direct ofstream/fopen write in src/core or src/service; durable "
+       "artifacts go through AtomicWriteFile or the run journal."},
+      {"tabbench-unchecked-status",
+       "A discarded call to a Status/Result-returning function "
+       "(compile-time twin: [[nodiscard]] in util/status.h)."},
+      {"tabbench-unordered-iter",
+       "A range-for over an unordered container: a replay-order hazard; "
+       "sort, or NOLINT with a reason."},
+      {"tabbench-include-guard",
+       "A header without the canonical TABBENCH_<PATH>_H_ include guard; "
+       "--fix rewrites it."},
+      {"tabbench-include-hygiene",
+       "A parent-relative (\"../\") include; include project headers by "
+       "their src/-relative path."},
       {"tabbench-layering",
        "A file includes a higher layer, or crosses a `forbid` edge, per "
        "tools/analyze/layers.txt. Dependencies must point downward."},
@@ -41,7 +69,7 @@ const std::vector<RuleInfo>& Rules() {
       {"tabbench-lockset-unannotated",
        "Every access to a member field holds the same mutex, but the "
        "field carries no TB_GUARDED_BY; the inferred annotation is "
-       "suggested and --fix-annotations inserts it."},
+       "suggested and --fix inserts it."},
       {"tabbench-lockset-contradicted",
        "A field declares TB_GUARDED_BY(m) but some access site does not "
        "hold m; the annotation is a model the code contradicts."},
@@ -215,6 +243,7 @@ std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
                              const Options& opts) {
   const Model model = BuildModel(files);
   std::vector<Finding> findings;
+  RunFilePass(model, &findings);
   RunLayeringPass(model, opts.layers, &findings);
   RunLockOrderPass(model, &findings);
   RunStatusFlowPass(model, &findings);
@@ -244,8 +273,8 @@ std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
   return kept;
 }
 
-size_t ApplyAnnotationFixes(const std::vector<Finding>& findings,
-                            std::vector<SourceFile>* files) {
+size_t ApplyFixes(const std::vector<Finding>& findings,
+                  std::vector<SourceFile>* files) {
   auto is_word = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
            (c >= '0' && c <= '9') || c == '_';
@@ -294,6 +323,14 @@ size_t ApplyAnnotationFixes(const std::vector<Finding>& findings,
       sf.content.insert(begin + pos, f.fix.text);
       ++applied;
       break;
+    }
+  }
+  // Guard rewrites last: wrapping a guardless header shifts its lines,
+  // which would misplace any line-anchored insertion applied after it.
+  for (const Finding& f : findings) {
+    if (f.rule != "tabbench-include-guard") continue;
+    for (SourceFile& sf : *files) {
+      if (sf.path == f.file && RewriteIncludeGuard(&sf)) ++applied;
     }
   }
   return applied;

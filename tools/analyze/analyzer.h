@@ -7,13 +7,34 @@
 #include <utility>
 #include <vector>
 
-/// tabbench_analyze — the project's cross-translation-unit static analyzer.
+/// tabbench_analyze — the project's static analyzer.
 ///
-/// Where tabbench_lint (tools/lint) applies per-file regex rules, this tool
-/// parses the whole tree once (tools/common/cpptok tokens) into a project
-/// model — includes, classes and their members, function bodies, call
-/// sites, mutex acquisitions — and runs ten whole-program passes over
-/// it:
+/// It parses the whole tree once (cpptok.h tokens) into a project model —
+/// includes, classes and their members, function bodies, call sites,
+/// mutex acquisitions, and each file's raw and comment/string-stripped
+/// lines — and runs every pass below over it. Every Analyze() call runs
+/// every pass; there is no switch to turn one off.
+///
+/// The per-file pass (passes_file.cc) applies nine token/regex rules to
+/// each file on its own:
+///
+///   determinism       — no rand()/random_device/time(nullptr)/
+///                       system_clock::now() in src/core, src/engine,
+///                       src/exec/vec (randomness flows through util/rng.h);
+///   naked-new         — no naked new/delete;
+///   raw-sleep         — no this_thread sleeps in src/ outside
+///                       src/util/retry.cc;
+///   float-equal       — no float-literal ==/!= in cost/CFC files;
+///   unsynced-write    — no ofstream/fopen writes in src/core|src/service;
+///   unchecked-status  — no discarded call to a function declared (anywhere
+///                       in the file set) as returning Status/Result;
+///   unordered-iter    — no range-for over an unordered container declared
+///                       in the same file;
+///   include-guard     — canonical TABBENCH_<PATH>_H_ guards (--fix
+///                       rewrites them);
+///   include-hygiene   — no parent-relative ("../") includes.
+///
+/// Passes 1–7 are whole-program:
 ///
 ///   1. layering          — the architecture DAG declared in layers.txt:
 ///                          a file may include only its own or lower
@@ -42,7 +63,7 @@
 ///                          inconsistent; fields with a consistent
 ///                          inferred guard but no TB_GUARDED_BY get a
 ///                          suggested annotation (insertable via
-///                          --fix-annotations); declared annotations the
+///                          --fix); declared annotations the
 ///                          locksets contradict are reported against the
 ///                          offending site.
 ///   6. blocking-under-lock — fsync/sleeps/non-condvar Waits executed, or
@@ -83,9 +104,9 @@
 /// mode — on baseline entries that no longer fire, so the baseline can
 /// only shrink.
 ///
-/// Like the linter, the library is dependency-free and analyzes in-memory
-/// SourceFiles, so tests/analyze_tool_test.cc drives every pass on fixture
-/// snippets without touching the real tree.
+/// The library is dependency-free and analyzes in-memory SourceFiles, so
+/// tests/analyze_tool_test.cc and tests/analyze_file_test.cc drive every
+/// pass on fixture snippets without touching the real tree.
 namespace tabbench_analyze {
 
 /// One file to analyze. `path` is repo-relative with forward slashes; pass
@@ -111,11 +132,11 @@ struct Finding {
   std::string rule;  // "tabbench-<rule>"
   std::string message;  // deliberately line-free: it is the baseline key
   std::vector<RelatedSite> related;
-  /// Machine-applicable fix (today: lockset-unannotated suggestions).
-  /// When `text` is non-empty, inserting it immediately after the first
+  /// Machine-applicable fix (lockset-unannotated suggestions). When
+  /// `text` is non-empty, inserting it immediately after the first
   /// whole-word occurrence of `after_word` on `line` of `file` (skipping
-  /// any array brackets) resolves the finding. Applied by
-  /// ApplyAnnotationFixes / --fix-annotations.
+  /// any array brackets) resolves the finding. Applied by ApplyFixes /
+  /// --fix, which also repairs tabbench-include-guard findings.
   struct FixHint {
     std::string after_word;
     std::string text;
@@ -130,6 +151,11 @@ struct RuleInfo {
 
 /// The rule table (for --list-rules and the SARIF rules array).
 const std::vector<RuleInfo>& Rules();
+
+/// Canonical include guard for a header path:
+/// "src/util/mutex.h" -> "TABBENCH_UTIL_MUTEX_H_" (leading "src/" drops,
+/// every other component is kept).
+std::string CanonicalGuard(const std::string& path);
 
 /// Architecture layers, lowest first. A file belongs to the layer with the
 /// longest matching directory prefix; files outside every layer (tests,
@@ -200,18 +226,21 @@ struct Options {
   ProtocolSpec protocols;
 };
 
-/// Runs all ten passes over `files`. Findings are sorted by (file,
-/// line, rule). NOLINT(rule) comment markers on the anchor line and
-/// NOLINTFILE(rule) markers suppress findings, same syntax as the linter.
+/// Runs every pass over `files`. Findings are sorted by (file, line,
+/// rule, message). Comment markers suppress findings: NOLINT(rule) on the
+/// anchor line, NOLINTNEXTLINE(rule) on the line above it,
+/// NOLINTFILE(rule) anywhere in the file; a bare NOLINT covers every rule.
 std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
                              const Options& opts);
 
-/// Applies the FixHints carried by `findings` to the matching in-memory
-/// files, in place. Lines that already carry a GUARDED_BY are left alone,
-/// so re-running over already-fixed sources is a no-op (idempotent).
-/// Returns the number of insertions made.
-size_t ApplyAnnotationFixes(const std::vector<Finding>& findings,
-                            std::vector<SourceFile>* files);
+/// Applies the machine-applicable fixes in `findings` to the matching
+/// in-memory files, in place: the FixHint annotation insertions first (they
+/// are line-anchored), then the include-guard rewrites. Lines that already
+/// carry a GUARDED_BY and guards that are already canonical are left
+/// alone, so applying the same fixes twice changes nothing (idempotent).
+/// Returns the number of edits made.
+size_t ApplyFixes(const std::vector<Finding>& findings,
+                  std::vector<SourceFile>* files);
 
 /// Plain-text TB_FAULT_POINT coverage report: sites per declared layer
 /// (file:line and fault-point name) plus the layers with zero sites —

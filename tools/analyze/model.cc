@@ -34,7 +34,10 @@ bool IsAnnotationMacro(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions (same marker syntax as tools/lint, parsed from comments)
+// Suppressions: NOLINT(rule) / NOLINT on the anchor line,
+// NOLINTNEXTLINE(rule) on the line above, NOLINTFILE(rule) anywhere.
+// Parsed from comment text only (KeepCommentsOnly), so a marker quoted
+// inside a string literal — e.g. a test fixture — suppresses nothing.
 // ---------------------------------------------------------------------------
 
 void AddRuleList(const std::string& args, std::set<std::string>* out) {

@@ -10,7 +10,7 @@
 #include "analyzer.h"
 #include "cpptok.h"
 
-/// Internal project model shared by the four passes. Built once per
+/// Internal project model shared by the passes. Built once per
 /// Analyze() call by BuildModel(); not part of the public API.
 namespace tabbench_analyze {
 
@@ -135,6 +135,16 @@ void RunDurabilityPass(const Model& model, const ProtocolSpec& protocols,
 void RunReleasePass(const Model& model, std::vector<Finding>* findings);
 void RunErrorPathPass(const Model& model, const ProtocolSpec& protocols,
                       std::vector<Finding>* findings);
+
+// The per-file rules (passes_file.cc): determinism, naked-new, raw-sleep,
+// float-equal, unsynced-write, unchecked-status, unordered-iter,
+// include-guard, include-hygiene.
+void RunFilePass(const Model& model, std::vector<Finding>* findings);
+
+/// Rewrites (or, when absent, inserts) `file`'s include guard to
+/// CanonicalGuard(file->path). Returns false when the guard is already
+/// canonical, so a second application changes nothing.
+bool RewriteIncludeGuard(SourceFile* file);
 
 }  // namespace tabbench_analyze
 

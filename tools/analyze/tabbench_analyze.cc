@@ -1,23 +1,24 @@
-// tabbench_analyze — cross-translation-unit static-analysis CLI.
+// tabbench_analyze — the project's static-analysis CLI.
 //
 // Usage:
 //   tabbench_analyze [--root DIR] [--layers FILE] [--protocols FILE]
 //                    [--baseline FILE] [--write-baseline]
-//                    [--strict-baseline] [--sarif FILE]
-//                    [--fix-annotations] [--fault-coverage]
-//                    [--check-fault-coverage FILE] [--list-rules] [paths...]
+//                    [--strict-baseline] [--sarif FILE] [--fix]
+//                    [--fault-coverage] [--check-fault-coverage FILE]
+//                    [--list-rules] [paths...]
 //
 // Walks the given paths (default: src bench tests tools examples) under
 // --root (default: cwd), builds one project model from every .h/.cc/.cpp
-// file, and runs the ten passes (see analyzer.h). Findings are diffed
+// file, and runs every pass (see analyzer.h). Findings are diffed
 // against the baseline (default: ROOT/tools/analyze/baseline.json when it
 // exists): baselined findings are reported but do not fail the run.
 // --protocols names the durability-protocol declarations for the
 // path-sensitive passes (default: ROOT/tools/analyze/protocols.txt when it
 // exists).
 //
-// --fix-annotations inserts the TB_GUARDED_BY annotations suggested by
-// tabbench-lockset-unannotated findings into the source files on disk
+// --fix applies the machine-applicable fixes to the source files on disk —
+// the TB_GUARDED_BY annotations suggested by tabbench-lockset-unannotated
+// and the canonical guards for tabbench-include-guard — and exits
 // (idempotent; re-running changes nothing). --fault-coverage prints the
 // TB_FAULT_POINT coverage report per layer and exits.
 // --check-fault-coverage enforces the committed coverage floor
@@ -27,7 +28,9 @@
 //
 // Exit status: 0 clean (or fully baselined), 1 when fresh findings exist —
 // or, under --strict-baseline, when baseline entries no longer fire (the
-// ratchet: the baseline may shrink, never grow) — 2 on usage/I-O errors.
+// ratchet: the baseline may shrink, never grow) — 2 on usage/I-O errors,
+// including an output file (--sarif, --write-baseline, --fix) that cannot
+// be written in full.
 //
 // --write-baseline rewrites the baseline file from the current findings
 // (for adopting the tool on a tree with known debt); --sarif additionally
@@ -89,6 +92,18 @@ bool ReadFile(const fs::path& path, std::string* out) {
   return true;
 }
 
+/// Replaces `path` with `content`. The stream is checked after close, so a
+/// failed write or flush (a full disk, /dev/full) is an error, not just a
+/// failed open; on failure prints "cannot write <path>".
+bool WriteFile(const fs::path& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+  out.close();
+  if (out) return true;
+  std::cerr << "tabbench_analyze: cannot write " << path.string() << "\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,7 +115,7 @@ int main(int argc, char** argv) {
   bool write_baseline = false;
   bool strict_baseline = false;
   bool dump_model = false;
-  bool fix_annotations = false;
+  bool fix = false;
   bool fault_coverage = false;
   std::string check_fault_file;  // --check-fault-coverage ratchet floor
   std::vector<std::string> paths;
@@ -131,8 +146,8 @@ int main(int argc, char** argv) {
       strict_baseline = true;
     } else if (arg == "--dump-model") {
       dump_model = true;
-    } else if (arg == "--fix-annotations") {
-      fix_annotations = true;
+    } else if (arg == "--fix") {
+      fix = true;
     } else if (arg == "--fault-coverage") {
       fault_coverage = true;
     } else if (arg == "--check-fault-coverage") {
@@ -146,7 +161,7 @@ int main(int argc, char** argv) {
       std::cout << "usage: tabbench_analyze [--root DIR] [--layers FILE] "
                    "[--protocols FILE] [--baseline FILE] "
                    "[--write-baseline] [--strict-baseline] [--sarif FILE] "
-                   "[--fix-annotations] [--fault-coverage] "
+                   "[--fix] [--fault-coverage] "
                    "[--check-fault-coverage FILE] [--list-rules] "
                    "[paths...]\n";
       return 0;
@@ -274,37 +289,27 @@ int main(int argc, char** argv) {
   const std::vector<tabbench_analyze::Finding> findings =
       tabbench_analyze::Analyze(files, options);
 
-  if (fix_annotations) {
+  if (fix) {
     std::vector<std::string> before;
     before.reserve(files.size());
     for (const auto& f : files) before.push_back(f.content);
-    const size_t applied =
-        tabbench_analyze::ApplyAnnotationFixes(findings, &files);
+    const size_t applied = tabbench_analyze::ApplyFixes(findings, &files);
     size_t written = 0;
     for (size_t i = 0; i < files.size(); ++i) {
       if (files[i].content == before[i]) continue;
-      std::ofstream out(fs::path(root) / files[i].path,
-                        std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::cerr << "tabbench_analyze: cannot write " << files[i].path
-                  << "\n";
+      if (!WriteFile(fs::path(root) / files[i].path, files[i].content)) {
         return 2;
       }
-      out << files[i].content;
       ++written;
     }
-    std::cout << "tabbench_analyze: inserted " << applied
-              << " annotation(s) across " << written << " file(s)\n";
+    std::cout << "tabbench_analyze: applied " << applied
+              << " fix(es) across " << written << " file(s)\n";
     return 0;
   }
 
-  if (!sarif_file.empty()) {
-    std::ofstream out(sarif_file, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "tabbench_analyze: cannot write " << sarif_file << "\n";
-      return 2;
-    }
-    out << tabbench_analyze::ToSarif(findings);
+  if (!sarif_file.empty() &&
+      !WriteFile(sarif_file, tabbench_analyze::ToSarif(findings))) {
+    return 2;
   }
 
   if (write_baseline) {
@@ -312,12 +317,9 @@ int main(int argc, char** argv) {
         baseline_file.empty()
             ? (fs::path(root) / "tools/analyze/baseline.json").string()
             : baseline_file;
-    std::ofstream out(target, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "tabbench_analyze: cannot write " << target << "\n";
+    if (!WriteFile(target, tabbench_analyze::ToBaselineJson(findings))) {
       return 2;
     }
-    out << tabbench_analyze::ToBaselineJson(findings);
     std::cout << "tabbench_analyze: wrote " << findings.size()
               << " baseline entries to " << target << "\n";
     return 0;

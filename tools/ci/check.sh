@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-shot local CI gate: configure, build, test, lint — and, when a Clang
+# One-shot local CI gate: configure, build, test, analyze — and, when a Clang
 # toolchain is on PATH, prove the thread-safety annotations with
 # -Werror=thread-safety. Run from anywhere inside the repo:
 #
@@ -204,27 +204,26 @@ step "mutation kill-resume smoke (SIGKILL at every build transition)"
 "${BUILD_DIR}/tests/tabbench_mutation_tests" --gtest_brief=1 \
   --gtest_filter='MutationKillResumeTest.SigkillAtEveryBuildTransitionResumesExact'
 
-# ----------------------------------------------------------------- lint
-# ctest already ran lint_repo, but run the binary directly too so the
-# human-readable findings (if any) land at the end of the log.
-step "tabbench_lint"
-"${BUILD_DIR}/tools/lint/tabbench_lint" --root "${ROOT}"
-
 # --------------------------------------------------------------- analyze
-# The cross-TU analyzer — layering, lock-order, Status-flow, nondeterminism
-# taint, the concurrency-soundness passes (lockset inference,
-# blocking-under-lock, cancellation-poll liveness), and the path-sensitive
-# CFG passes (durability-protocol ordering vs tools/analyze/protocols.txt,
-# release-on-all-paths, error-path soundness) — under the ratchet: any
-# finding not in tools/analyze/baseline.json fails, and --strict-baseline
-# also fails on stale entries, so the baseline can only shrink. The SARIF
-# artifact is what a code-scanning UI ingests.
+# The static analyzer, all 24 rules in one run: the per-file rules
+# (determinism, naked-new, raw-sleep, float-equal, unsynced-write,
+# unchecked-status, unordered-iter, include-guard, include-hygiene), the
+# whole-program passes (layering, lock-order, Status-flow, nondeterminism
+# taint, lockset inference, blocking-under-lock, cancellation-poll
+# liveness), and the path-sensitive CFG passes (durability-protocol
+# ordering vs tools/analyze/protocols.txt, release-on-all-paths,
+# error-path soundness) — under the ratchet: any finding not in
+# tools/analyze/baseline.json fails, and --strict-baseline also fails on
+# stale entries, so the baseline can only shrink. ctest already ran
+# analyze_repo; running the binary here puts the human-readable findings
+# (if any) at the end of the log. The SARIF artifact is what a
+# code-scanning UI ingests.
 step "tabbench_analyze (ratchet vs tools/analyze/baseline.json)"
 "${BUILD_DIR}/tools/analyze/tabbench_analyze" --root "${ROOT}" \
   --strict-baseline --sarif "${BUILD_DIR}/analyze.sarif"
 echo "SARIF artifact: ${BUILD_DIR}/analyze.sarif"
 
-# Analyzer perf trajectory: the full-tree run (all ten passes) must stay
+# Analyzer perf trajectory: the full-tree run (every pass) must stay
 # fast enough for the inner CI loop; BENCH_analyze.json goes through the
 # same schema gate as the engine benches, alone and cross-file, so a name
 # collision or malformed artifact fails here.
