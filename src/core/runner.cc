@@ -1,9 +1,6 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -15,28 +12,15 @@ namespace tabbench {
 
 namespace {
 
-/// What one worker records for one query: every attempt of its retry loop.
-/// Slots are preallocated per batch, so workers write disjoint memory and
-/// the batch joins race-free.
-struct RecordedAttempt {
-  AccessTrace trace;
-  Status status;          // OK, or the attempt's error
-  bool timed_out = false; // QueryResult::timed_out when status is OK
-};
-
+/// What one record worker captures for one query: every attempt of its
+/// retry loop, in the journal's own attempt record. Slots are preallocated
+/// per batch, so workers write disjoint memory and the batch joins
+/// race-free.
 struct RecordedQuery {
-  std::vector<RecordedAttempt> attempts;
+  std::vector<JournalAttempt> attempts;
   Status spawn_status;  // ParallelFor rejection / pre-spawn cancellation
   double estimate = 0.0;
   Status est_status;
-};
-
-/// A borrowed view of one recorded execution attempt — from the parallel
-/// record phase (RecordedAttempt) or a journal record (JournalAttempt).
-struct AttemptView {
-  const AccessTrace* trace;
-  Status status;
-  bool timed_out;
 };
 
 /// The serial runner's per-query decisions, recomputed from attempt traces.
@@ -48,13 +32,14 @@ struct QueryReplayOutcome {
   Status failure_status;
 };
 
-/// Walks one query's recorded attempts through `pool` in workload position,
-/// making exactly the decisions RunWorkload's live loop makes: the same
-/// retry choices on the recorded statuses, the same cumulative clock
-/// (ReplayTrace's start_seconds re-applies the backoff charges), the same
-/// repetition averaging and single-run rule for timeouts, the same final
-/// pool state. Both the parallel runner's replay phase and journal resume
-/// are this walk — which is what makes a journal written by either runner
+/// Walks one query's recorded attempts through the shared pool in workload
+/// position, making exactly the decisions RunWorkload's live loop makes:
+/// one cumulative context per query that Applies each attempt's trace and
+/// charges the backoff between attempts, the same retry choices on the
+/// recorded statuses, the same repetition averaging (each repetition on a
+/// fresh context) and single-run rule for timeouts, the same final pool
+/// state. Both the parallel runner's replay phase and journal resume are
+/// this walk — which is what makes a journal written by either runner
 /// resumable by either runner, bit-identically.
 ///
 /// When the replay trips a timeout mid-attempt, the serial run stopped
@@ -62,41 +47,41 @@ struct QueryReplayOutcome {
 /// (attempts_consumed tells the caller how many were used). Returns non-OK
 /// only for a recorded cancellation, which aborts the whole run.
 Result<QueryReplayOutcome> ReplayQueryAttempts(
-    const std::vector<AttemptView>& attempts, BufferPool* pool,
+    const std::vector<JournalAttempt>& attempts, Database* db,
     const CostParams& cost, const RetryPolicy& retry, int repetitions) {
   const double timeout = cost.timeout_seconds;
   QueryReplayOutcome out;
   double total = 0.0;
   int runs = 0;
-  double start = 0.0;
-  size_t final_attempt = 0;
-  bool succeeded = false;
+  const AccessTrace* final_trace = nullptr;
+  ExecContext ctx = db->MakeSessionContext(db->buffer_pool(), cost);
   for (size_t a = 0; a < attempts.size(); ++a) {
-    const AttemptView& att = attempts[a];
+    const JournalAttempt& att = attempts[a];
+    const Status status = Status::FromCode(att.code, att.message);
     out.attempts_consumed = a + 1;
-    if (att.status.IsCancelled()) return att.status;
-    ReplayOutcome ro = ReplayTrace(*att.trace, pool, cost, start);
-    if (ro.timed_out) {
+    if (status.IsCancelled()) return status;
+    Status applied = ApplyIsolated(&ctx, att.trace);
+    if (applied.IsTimeout()) {
       out.timing.timed_out = true;
       out.timing.seconds = timeout;
       break;
     }
-    if (att.status.ok()) {
+    TB_RETURN_IF_ERROR(applied);
+    if (status.ok()) {
       if (att.timed_out) {
         // An injected-timeout attempt: a genuinely doomed query trips in
         // the replay above instead. Censored like any timeout.
         out.timing.timed_out = true;
         out.timing.seconds = timeout;
       } else {
-        total += ro.sim_seconds;
+        total += ctx.sim_time();
         ++runs;
-        final_attempt = a;
-        succeeded = true;
+        final_trace = &att.trace;
       }
       break;
     }
-    if (retry.ShouldRetry(att.status, static_cast<int>(a) + 1)) {
-      start = ro.sim_seconds + retry.BackoffSeconds(static_cast<int>(a) + 1);
+    if (retry.ShouldRetry(status, static_cast<int>(a) + 1)) {
+      ctx.ChargeBackoff(retry.BackoffSeconds(static_cast<int>(a) + 1));
       ++out.retries;
       continue;
     }
@@ -104,23 +89,24 @@ Result<QueryReplayOutcome> ReplayQueryAttempts(
     out.timing.failed = true;
     out.timing.seconds = timeout;
     out.failed = true;
-    out.failure_status = att.status;
+    out.failure_status = status;
     break;
   }
 
   // Extra repetitions (warm-cache averaging) replay the final successful
-  // attempt's trace from a zero clock — the trace is pool-independent, so
+  // attempt's trace on a fresh context — the trace is pool-independent, so
   // one recording serves every repetition.
-  if (succeeded) {
+  if (final_trace != nullptr) {
     for (int rep = 1; rep < std::max(1, repetitions); ++rep) {
-      ReplayOutcome ro =
-          ReplayTrace(*attempts[final_attempt].trace, pool, cost, 0.0);
-      if (ro.timed_out) {
+      ExecContext rep_ctx = db->MakeSessionContext(db->buffer_pool(), cost);
+      Status applied = ApplyIsolated(&rep_ctx, *final_trace);
+      if (applied.IsTimeout()) {
         out.timing.timed_out = true;
         out.timing.seconds = timeout;
         break;
       }
-      total += ro.sim_seconds;
+      TB_RETURN_IF_ERROR(applied);
+      total += rep_ctx.sim_time();
       ++runs;
     }
   }
@@ -227,14 +213,8 @@ Status ReplayJournalPrefix(const RunJournal& j, Database* db,
     };
     if (rec.query_index != i) return corrupt("is out of order");
     if (rec.attempt_log.empty()) return corrupt("has no attempts");
-    std::vector<AttemptView> views;
-    views.reserve(rec.attempt_log.size());
-    for (const auto& a : rec.attempt_log) {
-      views.push_back(
-          {&a.trace, Status::FromCode(a.code, a.message), a.timed_out});
-    }
     BufferPoolStats before = db->buffer_pool()->stats();
-    auto rq = ReplayQueryAttempts(views, db->buffer_pool(), cost, opts.retry,
+    auto rq = ReplayQueryAttempts(rec.attempt_log, db, cost, opts.retry,
                                   opts.repetitions);
     if (!rq.ok()) return rq.status();
     BufferPoolStats after = db->buffer_pool()->stats();
@@ -302,6 +282,66 @@ Result<QueryResult> RunQueryWithOptions(Database* db, const std::string& q,
   return db->RunWithContext(q, ctx);
 }
 
+/// One query's retry loop on `ctx`, shared by the serial runner and the
+/// parallel record workers so both make the same attempts: run, drop a
+/// fault latched after the last safe point, and on a retryable error charge
+/// the backoff to ctx's clock and go again. With `log`, each attempt is
+/// traced into its own JournalAttempt with its outcome. Returns the last
+/// attempt's result; `attempts` receives the number of executions.
+Result<QueryResult> RunQueryAttempts(Database* db, const std::string& q,
+                                     ExecContext* ctx, const RunOptions& opts,
+                                     std::vector<JournalAttempt>* log,
+                                     int* attempts) {
+  for (int attempt = 1;; ++attempt) {
+    JournalAttempt* att = nullptr;
+    if (log != nullptr) {
+      // Recording changes no charge and no timing (see ExecContext).
+      att = &log->emplace_back();
+      ctx->set_trace(&att->trace);
+    }
+    auto res = RunQueryWithOptions(db, q, ctx, opts);
+    ctx->set_trace(nullptr);
+    DropStaleLatchedFault();
+    *attempts = attempt;
+    if (att != nullptr) {
+      if (res.ok()) {
+        att->timed_out = res->timed_out;
+      } else {
+        att->code = res.status().code();
+        att->message = res.status().message();
+      }
+    }
+    if (res.ok() || !opts.retry.ShouldRetry(res.status(), attempt)) {
+      return res;
+    }
+    ctx->ChargeBackoff(opts.retry.BackoffSeconds(attempt));
+  }
+}
+
+/// The journal record of one finished query, built the same way by both
+/// runners so either runner resumes the other's journal. `after` is sampled
+/// before estimate collection: planning does not touch the pool, and the
+/// resume replay (which uses the journaled estimate instead of re-planning)
+/// must see the same delta.
+JournalQueryRecord MakeQueryRecord(size_t k, const QueryTiming& timing,
+                                   std::vector<JournalAttempt> attempt_log,
+                                   const BufferPoolStats& before,
+                                   const BufferPoolStats& after,
+                                   const RunOptions& opts, double estimate) {
+  JournalQueryRecord rec;
+  rec.query_index = static_cast<uint32_t>(k);
+  rec.seconds = timing.seconds;
+  rec.timed_out = timing.timed_out;
+  rec.failed = timing.failed;
+  rec.attempts = static_cast<uint32_t>(attempt_log.size());
+  rec.has_estimate = opts.collect_estimates;
+  rec.estimate = opts.collect_estimates ? estimate : 0.0;
+  rec.pool_hit_delta = after.hits - before.hits;
+  rec.pool_miss_delta = after.misses - before.misses;
+  rec.attempt_log = std::move(attempt_log);
+  return rec;
+}
+
 }  // namespace
 
 Result<WorkloadResult> RunWorkload(Database* db,
@@ -330,8 +370,7 @@ Result<WorkloadResult> RunWorkload(Database* db,
     QueryTiming timing;
     double total = 0.0;
     int runs = 0;
-    int attempt = 1;
-    JournalQueryRecord rec;  // only filled when journaling
+    std::vector<JournalAttempt> attempt_log;  // only filled when journaling
     const BufferPoolStats pool_before = db->buffer_pool()->stats();
 
     // The first repetition carries the retry loop on one cumulative
@@ -339,42 +378,13 @@ Result<WorkloadResult> RunWorkload(Database* db,
     // simulated clock, so a retried query pays for its retries in the CFC
     // and the timeout bounds the whole loop, not each attempt.
     ExecContext ctx = db->MakeSessionContext(db->buffer_pool(), cost);
-    for (;;) {
-      JournalAttempt* att = nullptr;
-      if (journal != nullptr) {
-        // Trace this attempt so the journal can replay it on resume.
-        // Recording changes no charge and no timing (see ExecContext).
-        rec.attempt_log.emplace_back();
-        att = &rec.attempt_log.back();
-        ctx.set_trace(&att->trace);
-      }
-      auto res = RunQueryWithOptions(db, q, &ctx, opts);
-      ctx.set_trace(nullptr);
-      DropStaleLatchedFault();
-      if (res.ok()) {
-        if (att != nullptr) att->timed_out = res->timed_out;
-        if (res->timed_out) {
-          // Timeout queries are run once (paper Section 4.1).
-          timing.timed_out = true;
-          timing.seconds = timeout;
-        } else {
-          total += res->sim_seconds;
-          ++runs;
-        }
-        break;
-      }
-      Status st = res.status();
-      if (st.IsCancelled()) return st;
-      if (att != nullptr) {
-        att->code = st.code();
-        att->message = st.message();
-      }
-      if (opts.retry.ShouldRetry(st, attempt)) {
-        ctx.ChargeBackoff(opts.retry.BackoffSeconds(attempt));
-        ++attempt;
-        ++out.retries;
-        continue;
-      }
+    int attempts = 0;
+    auto res = RunQueryAttempts(db, q, &ctx, opts,
+                                journal != nullptr ? &attempt_log : nullptr,
+                                &attempts);
+    if (!res.ok() && res.status().IsCancelled()) return res.status();
+    out.retries += static_cast<size_t>(attempts - 1);
+    if (!res.ok()) {
       // Retries exhausted (or the error is not retryable): isolate the
       // query, censored at the timeout cost exactly like a timed-out query
       // — the run keeps going, mirroring how the paper keeps scoring an
@@ -383,8 +393,14 @@ Result<WorkloadResult> RunWorkload(Database* db,
       timing.failed = true;
       timing.seconds = timeout;
       ++out.failures;
-      out.failure_details.push_back(QueryFailure{k, attempt, std::move(st)});
-      break;
+      out.failure_details.push_back(QueryFailure{k, attempts, res.status()});
+    } else if (res->timed_out) {
+      // Timeout queries are run once (paper Section 4.1).
+      timing.timed_out = true;
+      timing.seconds = timeout;
+    } else {
+      total += res->sim_seconds;
+      ++runs;
     }
 
     // Extra repetitions (warm-cache averaging) re-run a query that already
@@ -395,17 +411,17 @@ Result<WorkloadResult> RunWorkload(Database* db,
       scope.set_suppressed(true);
       for (int rep = 1; rep < std::max(1, opts.repetitions); ++rep) {
         ExecContext rep_ctx = db->MakeSessionContext(db->buffer_pool(), cost);
-        auto res = RunQueryWithOptions(db, q, &rep_ctx, opts);
-        if (!res.ok()) {
+        auto rep_res = RunQueryWithOptions(db, q, &rep_ctx, opts);
+        if (!rep_res.ok()) {
           scope.set_suppressed(false);
-          return res.status();
+          return rep_res.status();
         }
-        if (res->timed_out) {
+        if (rep_res->timed_out) {
           timing.timed_out = true;
           timing.seconds = timeout;
           break;
         }
-        total += res->sim_seconds;
+        total += rep_res->sim_seconds;
         ++runs;
       }
       scope.set_suppressed(false);
@@ -419,32 +435,21 @@ Result<WorkloadResult> RunWorkload(Database* db,
     out.total_clamped_seconds += std::min(timing.seconds, timeout);
     out.timings.push_back(timing);
 
-    if (journal != nullptr) {
-      // Pool movement is sampled before estimate collection: planning does
-      // not touch the pool, and the resume replay (which uses the journaled
-      // estimate instead of re-planning) must see the same delta.
-      const BufferPoolStats pool_after = db->buffer_pool()->stats();
-      rec.query_index = static_cast<uint32_t>(k);
-      rec.seconds = timing.seconds;
-      rec.timed_out = timing.timed_out;
-      rec.failed = timing.failed;
-      rec.attempts = static_cast<uint32_t>(attempt);
-      rec.pool_hit_delta = pool_after.hits - pool_before.hits;
-      rec.pool_miss_delta = pool_after.misses - pool_before.misses;
-    }
-
+    const BufferPoolStats pool_after = db->buffer_pool()->stats();
+    double estimate = 0.0;
     if (opts.collect_estimates) {
       auto est = db->Estimate(q);
       if (!est.ok()) return est.status();
-      out.estimates.push_back(*est);
-      if (journal != nullptr) {
-        rec.has_estimate = true;
-        rec.estimate = *est;
-      }
+      estimate = *est;
+      out.estimates.push_back(estimate);
     }
 
     // The durability point: once this returns, query k survives any crash.
-    if (journal != nullptr) TB_RETURN_IF_ERROR(journal->Append(rec));
+    if (journal != nullptr) {
+      TB_RETURN_IF_ERROR(journal->Append(
+          MakeQueryRecord(k, timing, std::move(attempt_log), pool_before,
+                          pool_after, opts, estimate)));
+    }
   }
   return out;
 }
@@ -508,10 +513,6 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
                     static_cast<double>(db->options().buffer_pool_pages) *
                     std::max(cost.page_io_seconds, cost.random_io_seconds);
 
-  double record_ms = 0.0, replay_ms = 0.0;
-  uint64_t trace_events = 0;
-  const bool phase_timing = std::getenv("TABBENCH_PHASE_TIMING") != nullptr;
-
   // Batched so at most `window` queries' full traces are alive at once.
   for (size_t base = start_index; base < sql.size(); base += window) {
     const size_t count = std::min(window, sql.size() - base);
@@ -521,7 +522,6 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
     // against a private cold pool with the timeout off, capturing one
     // charge trace per attempt. Traces are pool-independent, so one
     // recording serves the replay and all repetitions.
-    auto t0 = std::chrono::steady_clock::now();
     ParallelFor(
         par.pool, count,
         [&](size_t i) {
@@ -539,21 +539,9 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
           ctx.set_cancellation_token(par.cancel);
           ctx.set_enforce_timeout(false);
           ctx.set_record_budget(record_budget);
-          for (int attempt = 1;; ++attempt) {
-            r.attempts.emplace_back();
-            RecordedAttempt& att = r.attempts.back();
-            ctx.set_trace(&att.trace);
-            auto res = RunQueryWithOptions(db, q, &ctx, opts);
-            ctx.set_trace(nullptr);
-            DropStaleLatchedFault();
-            if (res.ok()) {
-              att.timed_out = res->timed_out;
-              break;
-            }
-            att.status = res.status();
-            if (!opts.retry.ShouldRetry(att.status, attempt)) break;
-            ctx.ChargeBackoff(opts.retry.BackoffSeconds(attempt));
-          }
+          // The outcome lives in the attempt log; the replay decides.
+          int attempts = 0;
+          (void)RunQueryAttempts(db, q, &ctx, opts, &r.attempts, &attempts);
           if (opts.collect_estimates) {
             auto est = db->Estimate(q);
             if (est.ok()) {
@@ -564,11 +552,6 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
           }
         },
         [&](size_t i, Status s) { rec[i].spawn_status = std::move(s); });
-    auto t1 = std::chrono::steady_clock::now();
-    record_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto& r : rec) {
-      for (const auto& att : r.attempts) trace_events += att.trace.size();
-    }
 
     // Replay phase (sequential): walk each query's attempts in workload
     // order through the shared pool via the shared replay walk (the same
@@ -576,14 +559,9 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
     for (size_t i = 0; i < count; ++i) {
       RecordedQuery& r = rec[i];
       if (!r.spawn_status.ok()) return r.spawn_status;
-      std::vector<AttemptView> views;
-      views.reserve(r.attempts.size());
-      for (const auto& att : r.attempts) {
-        views.push_back({&att.trace, att.status, att.timed_out});
-      }
       const BufferPoolStats pool_before = db->buffer_pool()->stats();
-      auto rq = ReplayQueryAttempts(views, db->buffer_pool(), cost,
-                                    opts.retry, opts.repetitions);
+      auto rq = ReplayQueryAttempts(r.attempts, db, cost, opts.retry,
+                                    opts.repetitions);
       if (!rq.ok()) return rq.status();
       FoldIntoResult(*rq, base + i, timeout, &out);
 
@@ -593,40 +571,14 @@ Result<WorkloadResult> RunWorkloadParallel(Database* db,
       }
 
       if (journal != nullptr) {
-        const BufferPoolStats pool_after = db->buffer_pool()->stats();
-        JournalQueryRecord jrec;
-        jrec.query_index = static_cast<uint32_t>(base + i);
-        jrec.seconds = rq->timing.seconds;
-        jrec.timed_out = rq->timing.timed_out;
-        jrec.failed = rq->timing.failed;
-        jrec.attempts = static_cast<uint32_t>(rq->attempts_consumed);
-        jrec.has_estimate = opts.collect_estimates;
-        jrec.estimate = opts.collect_estimates ? r.estimate : 0.0;
-        jrec.pool_hit_delta = pool_after.hits - pool_before.hits;
-        jrec.pool_miss_delta = pool_after.misses - pool_before.misses;
         // Only the attempts the serial walk consumed: anything recorded
         // past a timeout trip never happened in serial semantics.
-        jrec.attempt_log.reserve(rq->attempts_consumed);
-        for (size_t a = 0; a < rq->attempts_consumed; ++a) {
-          RecordedAttempt& att = r.attempts[a];
-          JournalAttempt ja;
-          ja.code = att.status.code();
-          ja.message = att.status.message();
-          ja.timed_out = att.timed_out;
-          ja.trace = std::move(att.trace);  // batch slot is done with it
-          jrec.attempt_log.push_back(std::move(ja));
-        }
-        TB_RETURN_IF_ERROR(journal->Append(jrec));
+        r.attempts.resize(rq->attempts_consumed);
+        TB_RETURN_IF_ERROR(journal->Append(MakeQueryRecord(
+            base + i, rq->timing, std::move(r.attempts), pool_before,
+            db->buffer_pool()->stats(), opts, r.estimate)));
       }
     }
-    auto t2 = std::chrono::steady_clock::now();
-    replay_ms += std::chrono::duration<double, std::milli>(t2 - t1).count();
-  }
-  if (phase_timing) {
-    std::fprintf(stderr,
-                 "[phase] record %.1f ms, replay %.1f ms, %llu events\n",
-                 record_ms, replay_ms,
-                 static_cast<unsigned long long>(trace_events));
   }
   return out;
 }

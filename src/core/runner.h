@@ -136,7 +136,7 @@ struct ParallelOptions {
   /// parallel front-end to its sequential twin (handy for A/B runs).
   ThreadPool* pool = nullptr;
   /// Queries traced in flight per batch of RunWorkloadParallel; bounds
-  /// peak trace memory. 0 picks 4x the pool width.
+  /// peak trace memory. 0 picks max(4 x pool width, 8).
   size_t window = 0;
   /// Cancels the whole run (the Result carries Status::Cancelled).
   CancellationToken cancel;
@@ -147,7 +147,7 @@ struct ParallelOptions {
 ///
 /// Sequential timings depend on the shared pool's warm-cache evolution
 /// across queries, which naive parallelism scrambles. The key invariant
-/// (see TraceEvent in exec/exec_context.h) is that a query's *charge
+/// (see TraceEvent in util/trace_event.h) is that a query's *charge
 /// sequence* — which pages it touches, in what order, and every CPU/spill
 /// charge — does not depend on buffer state; only the hit/miss pricing
 /// does. So:
@@ -155,10 +155,11 @@ struct ParallelOptions {
 ///      each against a private cold session pool with timeout enforcement
 ///      off, recording full charge traces;
 ///   2. replay phase (sequential, cheap): the traces are replayed in
-///      workload order through the database's real pool — pure LRU walks,
-///      no query re-execution — re-pricing every touch against the exact
-///      pool state the sequential runner would have had, and re-applying
-///      the timeout at the recorded check points.
+///      workload order through the database's real pool with
+///      ExecContext::Apply — pure LRU walks, no query re-execution —
+///      re-pricing every touch against the exact pool state the sequential
+///      runner would have had, and re-applying the timeout at the recorded
+///      check points.
 /// The expensive work (planning, joins, aggregation) parallelizes; the
 /// order-sensitive part costs one LRU pass per query.
 Result<WorkloadResult> RunWorkloadParallel(Database* db,

@@ -2,71 +2,52 @@
 
 namespace tabbench {
 
-ReplayOutcome ReplayTrace(const AccessTrace& trace, BufferPool* pool,
-                          const CostParams& params, double start_seconds) {
-  ReplayOutcome out;
-  double time = start_seconds;
-  for (const TraceEvent& ev : trace) {
+Status ExecContext::Apply(const AccessTrace& trace, size_t from) {
+  for (size_t i = from; i < trace.size(); ++i) {
+    const TraceEvent& ev = trace[i];
     switch (ev.kind) {
       case TraceEvent::Kind::kTouchSeq:
-        if (!pool->Touch(ev.arg)) {
-          ++out.pages_read;
-          time += params.page_io_seconds;
-        }
+        TouchPage(ev.arg);
         break;
       case TraceEvent::Kind::kTouchRandom:
-        if (!pool->Touch(ev.arg)) {
-          ++out.pages_read;
-          time += params.random_io_seconds;
-        }
+        TouchPageRandom(ev.arg);
         break;
       case TraceEvent::Kind::kIoPages:
-        out.pages_read += ev.arg;
-        time += static_cast<double>(ev.arg) * params.page_io_seconds;
+        ChargeIoPages(ev.arg);
         break;
       case TraceEvent::Kind::kTuples:
-        time += static_cast<double>(ev.arg) * params.cpu_tuple_seconds;
+        ChargeTuples(ev.arg);
         break;
       case TraceEvent::Kind::kHashOps:
-        time += static_cast<double>(ev.arg) * params.cpu_hash_seconds;
+        ChargeHashOps(ev.arg);
         break;
       case TraceEvent::Kind::kTimeoutCheck:
-        if (time > params.timeout_seconds) {
-          // A live run aborts at this check: the timing is clamped and no
-          // further page is touched, leaving the pool in this exact state.
-          out.sim_seconds = params.timeout_seconds;
-          out.timed_out = true;
-          return out;
-        }
+        TB_RETURN_IF_ERROR(CheckTimeout());
         break;
       case TraceEvent::Kind::kUnitTuplesChecked:
-        // The executor's per-tuple loop: the same add-then-compare the live
-        // run performed, repetition by repetition, so the replay trips (or
-        // doesn't) at exactly the same tuple. 1.0 * c == c exactly, so the
-        // unit charge is the plain parameter.
+        // The executor's per-tuple loop, repetition by repetition, so the
+        // replay trips (or doesn't) at exactly the same tuple.
         for (uint64_t k = 0; k < ev.arg; ++k) {
-          time += params.cpu_tuple_seconds;
-          if (time > params.timeout_seconds) {
-            out.sim_seconds = params.timeout_seconds;
-            out.timed_out = true;
-            return out;
-          }
+          ChargeTuples(1);
+          TB_RETURN_IF_ERROR(CheckTimeout());
         }
         break;
       case TraceEvent::Kind::kUnitHashChecked:
         for (uint64_t k = 0; k < ev.arg; ++k) {
-          time += params.cpu_hash_seconds;
-          if (time > params.timeout_seconds) {
-            out.sim_seconds = params.timeout_seconds;
-            out.timed_out = true;
-            return out;
-          }
+          ChargeHashOps(1);
+          TB_RETURN_IF_ERROR(CheckTimeout());
         }
         break;
     }
   }
-  out.sim_seconds = time;
-  return out;
+  return Status::OK();
+}
+
+Status ExecContext::Interruption() const {
+  if (cancel_.cancelled()) return Status::Cancelled("query cancelled");
+  if (TimedOut()) return Status::Timeout("query exceeded timeout");
+  if (OverBudget()) return Status::Timeout("record budget exceeded");
+  return FaultRegistry::TakePending();
 }
 
 }  // namespace tabbench

@@ -47,28 +47,42 @@ struct CostParams {
 
 /// TraceEvent / AccessTrace live in util/trace_event.h (the run journal
 /// serializes them from below this layer); ExecContext records them and
-/// ReplayTrace consumes them here.
+/// ExecContext::Apply replays them.
 
-/// Replays a recorded trace against `pool`, applying the same charges in
-/// the same order (and the same floating-point operation shapes) the live
-/// executor would, and aborting at the first recorded timeout check whose
-/// accumulated simulated time exceeds `params.timeout_seconds`. The pool is
-/// left exactly as a live (timeout-enforced) execution would leave it.
-struct ReplayOutcome {
-  double sim_seconds = 0.0;  // clamped to the timeout when timed_out
-  uint64_t pages_read = 0;
-  bool timed_out = false;
-};
-/// `start_seconds` seeds the replay clock: a retried attempt resumes the
-/// query's cumulative simulated time (prior attempts + backoff charges), and
-/// the replay must apply its FP additions to that same running value to stay
-/// bit-identical with the serial run. The timeout compares against the
-/// cumulative clock, so it bounds the whole retry loop, not one attempt.
-ReplayOutcome ReplayTrace(const AccessTrace& trace, BufferPool* pool,
-                          const CostParams& params, double start_seconds);
-inline ReplayOutcome ReplayTrace(const AccessTrace& trace, BufferPool* pool,
-                                 const CostParams& params) {
-  return ReplayTrace(trace, pool, params, 0.0);
+/// Appends one CheckTimeout() to a trace under construction. Recording
+/// contexts and the vectorized engine's trace assembly both go through
+/// here, so there is one coalescing rule. Two rewrites keep traces small
+/// without changing what a replay computes:
+///  - a check right after a single-unit tuple/hash charge folds the pair
+///    into a counted kUnitTuplesChecked/kUnitHashChecked event (the
+///    executor charges per tuple, so these runs dominate trace volume);
+///  - consecutive checks with no intervening charge collapse — and a
+///    coalesced event already ends on a check, so one directly after it
+///    is dropped too. Comparisons repeat bit-identically; no FP state
+///    changes between them.
+inline void AppendCheck(AccessTrace* trace) {
+  if (!trace->empty()) {
+    TraceEvent& back = trace->back();
+    if (back.kind == TraceEvent::Kind::kTimeoutCheck ||
+        back.kind == TraceEvent::Kind::kUnitTuplesChecked ||
+        back.kind == TraceEvent::Kind::kUnitHashChecked) {
+      return;
+    }
+    if (back.arg == 1 && (back.kind == TraceEvent::Kind::kTuples ||
+                          back.kind == TraceEvent::Kind::kHashOps)) {
+      TraceEvent::Kind merged = back.kind == TraceEvent::Kind::kTuples
+                                    ? TraceEvent::Kind::kUnitTuplesChecked
+                                    : TraceEvent::Kind::kUnitHashChecked;
+      trace->pop_back();
+      if (!trace->empty() && trace->back().kind == merged) {
+        ++trace->back().arg;
+      } else {
+        trace->push_back({merged, 1});
+      }
+      return;
+    }
+  }
+  trace->push_back({TraceEvent::Kind::kTimeoutCheck, 0});
 }
 
 /// Per-query execution state: routes every page access through the buffer
@@ -133,24 +147,32 @@ class ExecContext {
   /// Timeout is tested before the latched fault, so a query that would
   /// time out anyway reports the timeout in serial and replayed runs alike.
   Status CheckTimeout() const {
-    if (trace_) RecordCheck();
-    if (cancel_.cancelled()) return Status::Cancelled("query cancelled");
-    if (TimedOut()) return Status::Timeout("query exceeded timeout");
-    if (record_budget_ > 0.0 && sim_time_ > record_budget_) {
-      return Status::Timeout("record budget exceeded");
-    }
-    if (FaultInjectionArmed()) {
-      Status injected = FaultRegistry::TakePending();
-      if (!injected.ok()) return injected;
+    if (trace_) AppendCheck(trace_);
+    if (cancel_.cancelled() || TimedOut() || OverBudget() ||
+        FaultInjectionArmed()) {
+      return Interruption();
     }
     return Status::OK();
   }
 
   /// Advances simulated time by a retry backoff delay. Deliberately NOT a
-  /// trace event: the parallel runner re-applies backoff at attempt
-  /// boundaries via ReplayTrace's start_seconds, so recording it here would
+  /// trace event: a replay charges the backoff between attempts itself,
+  /// exactly where the live retry loop does, so recording it here would
   /// double-charge the replay.
   void ChargeBackoff(double seconds) { sim_time_ += seconds; }
+
+  /// Replays trace[from..) through this context's live charge methods
+  /// (TouchPage, ChargeTuples, CheckTimeout, ...), so the clock, the pool,
+  /// the page/tuple counters and — when this context records — the
+  /// re-recorded trace end exactly as the executor that recorded the trace
+  /// left them, floating-point add order included. Stops at the first
+  /// CheckTimeout that fails and returns its status (Timeout, Cancelled, or
+  /// a fault latched in the current FaultScope), leaving the context as a
+  /// live aborting run would. This is the one interpreter of recorded
+  /// charges: the parallel runner's replay, journal resume, and the
+  /// vectorized engine's apply step and doomed-query gate all call it
+  /// (the runner's walk and the gate through ApplyIsolated below).
+  Status Apply(const AccessTrace& trace, size_t from = 0);
 
   /// Attaches a cooperative cancellation token; CheckTimeout() fails with
   /// Cancelled once it is revoked.
@@ -188,39 +210,15 @@ class ExecContext {
   BufferPool* pool() const { return pool_; }
 
  private:
-  /// Trace bookkeeping for CheckTimeout(). Two rewrites keep traces small
-  /// without changing what a replay computes:
-  ///  - a check right after a single-unit tuple/hash charge folds the pair
-  ///    into a counted kUnitTuplesChecked/kUnitHashChecked event (the
-  ///    executor charges per tuple, so these runs dominate trace volume);
-  ///  - consecutive checks with no intervening charge collapse — and a
-  ///    coalesced event already ends on a check, so one directly after it
-  ///    is dropped too. Comparisons repeat bit-identically; no FP state
-  ///    changes between them.
-  void RecordCheck() const {
-    if (!trace_->empty()) {
-      TraceEvent& back = trace_->back();
-      if (back.kind == TraceEvent::Kind::kTimeoutCheck ||
-          back.kind == TraceEvent::Kind::kUnitTuplesChecked ||
-          back.kind == TraceEvent::Kind::kUnitHashChecked) {
-        return;
-      }
-      if (back.arg == 1 && (back.kind == TraceEvent::Kind::kTuples ||
-                            back.kind == TraceEvent::Kind::kHashOps)) {
-        TraceEvent::Kind merged = back.kind == TraceEvent::Kind::kTuples
-                                      ? TraceEvent::Kind::kUnitTuplesChecked
-                                      : TraceEvent::Kind::kUnitHashChecked;
-        trace_->pop_back();
-        if (!trace_->empty() && trace_->back().kind == merged) {
-          ++trace_->back().arg;
-        } else {
-          trace_->push_back({merged, 1});
-        }
-        return;
-      }
-    }
-    trace_->push_back({TraceEvent::Kind::kTimeoutCheck, 0});
+  bool OverBudget() const {
+    return record_budget_ > 0.0 && sim_time_ > record_budget_;
   }
+
+  /// CheckTimeout's slow path, out of line so the per-tuple fast path stays
+  /// small enough to inline: the first condition that holds, in priority
+  /// order (cancellation, timeout, record budget, latched fault), or OK
+  /// when fault injection is armed but nothing is latched.
+  Status Interruption() const;
 
   PageStore* store_;
   BufferPool* pool_;
@@ -233,6 +231,18 @@ class ExecContext {
   uint64_t pages_read_ = 0;
   uint64_t tuples_ = 0;
 };
+
+/// ctx->Apply(trace, from) under a FaultScope of its own, so the replay
+/// never takes a fault latched in the caller's scope: that fault still
+/// surfaces at the owning context's next CheckTimeout. The runner's replay
+/// walk (whose recorded statuses already carry every fault) and the
+/// vectorized engine's doomed-query gate (which runs inside the query's
+/// scope) replay through here.
+inline Status ApplyIsolated(ExecContext* ctx, const AccessTrace& trace,
+                            size_t from = 0) {
+  FaultScope isolate(0);
+  return ctx->Apply(trace, from);
+}
 
 }  // namespace tabbench
 

@@ -3,43 +3,18 @@
 namespace tabbench {
 namespace vec {
 
-void AppendCheck(AccessTrace* dst) {
-  if (!dst->empty()) {
-    TraceEvent& back = dst->back();
-    if (back.kind == TraceEvent::Kind::kTimeoutCheck ||
-        back.kind == TraceEvent::Kind::kUnitTuplesChecked ||
-        back.kind == TraceEvent::Kind::kUnitHashChecked) {
-      return;
-    }
-    if (back.arg == 1 && (back.kind == TraceEvent::Kind::kTuples ||
-                          back.kind == TraceEvent::Kind::kHashOps)) {
-      TraceEvent::Kind merged = back.kind == TraceEvent::Kind::kTuples
-                                    ? TraceEvent::Kind::kUnitTuplesChecked
-                                    : TraceEvent::Kind::kUnitHashChecked;
-      dst->pop_back();
-      if (!dst->empty() && dst->back().kind == merged) {
-        ++dst->back().arg;
-      } else {
-        dst->push_back({merged, 1});
-      }
-      return;
-    }
-  }
-  dst->push_back({TraceEvent::Kind::kTimeoutCheck, 0});
-}
-
 void AppendRecordedEvent(AccessTrace* dst, const TraceEvent& ev) {
   switch (ev.kind) {
     case TraceEvent::Kind::kTimeoutCheck:
       // A fragment-leading bare check meets the tail of the previous
-      // fragment for the first time here; RecordCheck's rules apply.
+      // fragment for the first time here; AppendCheck's rules apply.
       AppendCheck(dst);
       return;
     case TraceEvent::Kind::kUnitTuplesChecked:
     case TraceEvent::Kind::kUnitHashChecked:
       // A fragment-leading unit run would have merged into a same-kind run
       // under continuous recording; any other tail takes a plain push
-      // (RecordCheck never pops through a completed unit run).
+      // (AppendCheck never pops through a completed unit run).
       if (!dst->empty() && dst->back().kind == ev.kind) {
         dst->back().arg += ev.arg;
         return;
@@ -57,81 +32,6 @@ void AppendCheckedUnitTuples(AccessTrace* dst, uint64_t n) {
     AppendCharge(dst, TraceEvent::Kind::kTuples, 1);
     AppendCheck(dst);
   }
-}
-
-double IncrementalReplay::Advance(const AccessTrace& trace,
-                                  const CostParams& params) {
-  for (; pos_ < trace.size(); ++pos_) {
-    const TraceEvent& ev = trace[pos_];
-    switch (ev.kind) {
-      case TraceEvent::Kind::kTouchSeq:
-        if (!pool_.Touch(ev.arg)) time_ += params.page_io_seconds;
-        break;
-      case TraceEvent::Kind::kTouchRandom:
-        if (!pool_.Touch(ev.arg)) time_ += params.random_io_seconds;
-        break;
-      case TraceEvent::Kind::kIoPages:
-        time_ += static_cast<double>(ev.arg) * params.page_io_seconds;
-        break;
-      case TraceEvent::Kind::kTuples:
-        time_ += static_cast<double>(ev.arg) * params.cpu_tuple_seconds;
-        break;
-      case TraceEvent::Kind::kHashOps:
-        time_ += static_cast<double>(ev.arg) * params.cpu_hash_seconds;
-        break;
-      case TraceEvent::Kind::kTimeoutCheck:
-        break;
-      case TraceEvent::Kind::kUnitTuplesChecked:
-        time_ += static_cast<double>(ev.arg) * params.cpu_tuple_seconds;
-        break;
-      case TraceEvent::Kind::kUnitHashChecked:
-        time_ += static_cast<double>(ev.arg) * params.cpu_hash_seconds;
-        break;
-    }
-  }
-  return time_;
-}
-
-Status ApplyTraceToContext(const AccessTrace& trace, ExecContext* ctx) {
-  for (const TraceEvent& ev : trace) {
-    switch (ev.kind) {
-      case TraceEvent::Kind::kTouchSeq:
-        ctx->TouchPage(ev.arg);
-        break;
-      case TraceEvent::Kind::kTouchRandom:
-        ctx->TouchPageRandom(ev.arg);
-        break;
-      case TraceEvent::Kind::kIoPages:
-        ctx->ChargeIoPages(ev.arg);
-        break;
-      case TraceEvent::Kind::kTuples:
-        ctx->ChargeTuples(ev.arg);
-        break;
-      case TraceEvent::Kind::kHashOps:
-        ctx->ChargeHashOps(ev.arg);
-        break;
-      case TraceEvent::Kind::kTimeoutCheck: {
-        Status s = ctx->CheckTimeout();
-        if (!s.ok()) return s;
-        break;
-      }
-      case TraceEvent::Kind::kUnitTuplesChecked:
-        for (uint64_t k = 0; k < ev.arg; ++k) {
-          ctx->ChargeTuples(1);
-          Status s = ctx->CheckTimeout();
-          if (!s.ok()) return s;
-        }
-        break;
-      case TraceEvent::Kind::kUnitHashChecked:
-        for (uint64_t k = 0; k < ev.arg; ++k) {
-          ctx->ChargeHashOps(1);
-          Status s = ctx->CheckTimeout();
-          if (!s.ok()) return s;
-        }
-        break;
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace vec

@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "exec/exec_context.h"
-#include "storage/buffer_pool.h"
-#include "util/status.h"
+#include "storage/page_store.h"
 #include "util/trace_event.h"
 
 namespace tabbench {
@@ -17,19 +16,21 @@ namespace vec {
 /// Morsel workers execute through private *recording* ExecContexts (scratch
 /// pool, timeout enforcement off), calling the same charge methods in the
 /// same per-row order the Volcano operators would — so each worker's trace
-/// fragment is coalesced by ExecContext::RecordCheck itself. Fragments are
-/// then concatenated in canonical morsel order; AppendRecordedEvent below
-/// re-applies exactly the merges RecordCheck would have performed across
-/// the fragment boundary, so the concatenation equals the trace a single
-/// continuous recording would have produced. Finally ApplyTraceToContext
-/// walks the canonical trace through the caller's real ExecContext,
-/// reproducing the serial executor's floating-point operation shapes, pool
-/// state, counters, and timeout/cancellation semantics bit for bit.
+/// fragment is coalesced by AppendCheck (exec/exec_context.h) as it is
+/// recorded. Fragments are then concatenated in canonical morsel order;
+/// AppendRecordedEvent below re-applies exactly the merges AppendCheck would
+/// have performed across the fragment boundary, so the concatenation equals
+/// the trace a single continuous recording would have produced. Finally
+/// ExecContext::Apply replays the canonical trace through the caller's real
+/// context, reproducing the serial executor's floating-point operation
+/// shapes, pool state, counters, and timeout/cancellation semantics bit for
+/// bit. The doomed-query gate is the same Apply, run on a context over its
+/// own cold pool with timeout enforcement off.
 ///
 /// Charges that depend on cross-morsel state (hash spill byte counters,
 /// first-occurrence group inserts) cannot be recorded locally. Workers
 /// leave a sentinel event in the fragment instead — kTuples with arg 0, a
-/// shape no live charge produces — which (a) terminates RecordCheck
+/// shape no live charge produces — which (a) terminates AppendCheck
 /// coalescing runs at the right spot and (b) is replaced during assembly by
 /// the real charge block, computed sequentially in canonical order.
 inline constexpr TraceEvent kSinkSentinel{TraceEvent::Kind::kTuples, 0};
@@ -39,15 +40,14 @@ inline bool IsSinkSentinel(const TraceEvent& ev) {
 }
 
 /// Appends one worker-recorded event onto `dst`, merging across the
-/// boundary exactly as ExecContext::RecordCheck would have if recording had
-/// been continuous. Only the first events of a fragment can interact with
+/// boundary exactly as AppendCheck would have if recording had been
+/// continuous. Only the first events of a fragment can interact with
 /// `dst`'s tail; every later event was already coalesced by the worker.
 void AppendRecordedEvent(AccessTrace* dst, const TraceEvent& ev);
 
 /// Trace-building primitives for the sequential assembly walk. These mirror
-/// ExecContext's recording (RecordCheck for checks, plain pushes for
+/// ExecContext's recording (AppendCheck for checks, plain pushes for
 /// charges) without touching a pool or a clock.
-void AppendCheck(AccessTrace* dst);
 inline void AppendCharge(AccessTrace* dst, TraceEvent::Kind kind,
                          uint64_t arg) {
   dst->push_back({kind, arg});
@@ -83,37 +83,6 @@ class SpillMirror {
   size_t bytes_ = 0;
   uint64_t spilled_ = 0;
 };
-
-/// Incremental ReplayTrace over a scratch cold pool, used to detect doomed
-/// queries between pipelines: once the cold-replay clock passes
-/// `limit + pool_capacity * max_io` the apply step is guaranteed to trip
-/// its timeout within the already-assembled prefix (same argument as
-/// ExecContext::set_record_budget), so later pipelines can be skipped.
-class IncrementalReplay {
- public:
-  IncrementalReplay(size_t pool_capacity, double start_seconds)
-      : pool_(pool_capacity), time_(start_seconds) {}
-
-  /// Replays trace[pos..) where pos is where the previous call stopped.
-  /// Returns the clock after the new events.
-  double Advance(const AccessTrace& trace, const CostParams& params);
-
-  double time() const { return time_; }
-
- private:
-  BufferPool pool_;
-  double time_;
-  size_t pos_ = 0;
-};
-
-/// Walks the canonical trace through `ctx`, performing each recorded charge
-/// with the live methods (TouchPage, ChargeTuples, CheckTimeout, ...) so
-/// simulated time, the buffer pool, page/tuple counters, and — when `ctx`
-/// itself records a trace — the re-recorded trace are all exactly what the
-/// Volcano executor would have produced. Stops at the first CheckTimeout
-/// that fails and returns its status (Timeout / Cancelled / injected
-/// fault), leaving `ctx` as a live aborting execution would.
-Status ApplyTraceToContext(const AccessTrace& trace, ExecContext* ctx);
 
 }  // namespace vec
 }  // namespace tabbench

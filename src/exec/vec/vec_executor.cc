@@ -145,10 +145,15 @@ class VecExecutor {
       : vplan_(vplan),
         ctx_(ctx),
         options_(options),
-        replay_(ctx->pool()->capacity(), ctx->sim_time()) {
+        gate_pool_(ctx->pool()->capacity()),
+        gate_ctx_(ctx->store(), &gate_pool_, ctx->params()) {
     // Doomed-query gate (see ExecContext::set_record_budget): once the
     // canonical cold replay passes limit + capacity * max_io, the apply
-    // step is guaranteed to abort inside the already-assembled prefix.
+    // step is guaranteed to abort inside the already-assembled prefix. The
+    // cold replay starts where the query's clock stands (IN-set
+    // materialization has already charged it) and never enforces.
+    gate_ctx_.set_enforce_timeout(false);
+    gate_ctx_.ChargeBackoff(ctx->sim_time());
     double limit = 0.0;
     if (ctx->enforce_timeout()) limit = ctx->params().timeout_seconds;
     if (ctx->record_budget() > 0.0 &&
@@ -176,7 +181,7 @@ class VecExecutor {
       // the prefix's last recorded check.
       AppendCheck(&trace_);
     }
-    Status applied = ApplyTraceToContext(trace_, ctx_);
+    Status applied = ctx_->Apply(trace_);
     if (!applied.ok()) {
       if (!applied.IsTimeout()) return applied;
       return FinishQuery(*ctx_, /*timed_out=*/true, {});
@@ -204,7 +209,7 @@ class VecExecutor {
     sopt.pool = options_.pool;
     sopt.max_helpers = options_.max_parallelism;
     sopt.cancel = ctx_->cancellation_token();
-    if (gate_ > 0.0) sopt.abort_seconds = gate_ - replay_.time() + 1.0;
+    if (gate_ > 0.0) sopt.abort_seconds = gate_ - gate_ctx_.sim_time() + 1.0;
     Status error;
     bool cancelled = false;
     size_t completed = MorselScheduler::Run(
@@ -228,11 +233,7 @@ class VecExecutor {
       AssembleFragment(p, outs[i], &spill);
       if (gate_ > 0.0) {
         pending_upper_ += outs[i].charge_upper;
-        if (replay_.time() + pending_upper_ > gate_) {
-          replay_.Advance(trace_, ctx_->params());
-          pending_upper_ = 0.0;
-          if (replay_.time() > gate_) doomed_ = true;
-        }
+        AdvanceGate();
       }
     }
     if (doomed_) return Status::OK();
@@ -282,12 +283,24 @@ class VecExecutor {
         EmitAggregateOutput(p);
         break;
     }
-    if (gate_ > 0.0 && replay_.time() + pending_upper_ > gate_) {
-      replay_.Advance(trace_, ctx_->params());
-      pending_upper_ = 0.0;
-      if (replay_.time() > gate_) doomed_ = true;
-    }
+    if (gate_ > 0.0) AdvanceGate();
     return Status::OK();
+  }
+
+  /// Once the assembled-but-unreplayed upper bound could carry the cold
+  /// clock past the gate, replays the trace assembled since the last call
+  /// on the gate's cold context and marks the query doomed if its clock did
+  /// pass. Coalescing may still grow the last replayed event; the gate then
+  /// undercounts, which only delays the cut. A fault latched by this
+  /// query's morsels must surface in the real apply, not here, hence
+  /// ApplyIsolated.
+  void AdvanceGate() {
+    if (gate_ctx_.sim_time() + pending_upper_ <= gate_) return;
+    // Enforcement off, no token, no fault in scope: no check can fail.
+    (void)ApplyIsolated(&gate_ctx_, trace_, gate_pos_);
+    gate_pos_ = trace_.size();
+    pending_upper_ = 0.0;
+    if (gate_ctx_.sim_time() > gate_) doomed_ = true;
   }
 
   // --------------------------------------------------------- morsel (worker)
@@ -698,7 +711,9 @@ class VecExecutor {
   const VecPlan& vplan_;
   ExecContext* ctx_;
   VecExecOptions options_;
-  IncrementalReplay replay_;
+  BufferPool gate_pool_;
+  ExecContext gate_ctx_;       // the gate's cold replay of trace_[0, gate_pos_)
+  size_t gate_pos_ = 0;
   double gate_ = 0.0;          // 0 = no timeout/budget to race against
   double pending_upper_ = 0.0;  // assembled-but-not-replayed upper bound
   bool doomed_ = false;

@@ -86,7 +86,7 @@ inline bool FaultInjectionArmed() {
 /// active, every point's hit index counts *within the scope*, and
 /// probability decisions mix in the scope seed. Because a query's sequence
 /// of storage touches is a pure function of plan and data (the trace
-/// invariant, exec/exec_context.h), giving query k the scope seed k makes
+/// invariant, util/trace_event.h), giving query k the scope seed k makes
 /// its fault schedule identical whether the workload runs serially or on a
 /// parallel worker — the bit-identity contract of RunWorkloadParallel.
 ///

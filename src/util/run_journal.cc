@@ -222,7 +222,12 @@ bool DecodeQueryRecord(const std::string& payload, JournalQueryRecord* r) {
     a.trace.reserve(n_events);
     for (uint64_t e = 0; e < n_events; ++e) {
       TraceEvent ev;
-      ev.kind = static_cast<TraceEvent::Kind>(d.U8());
+      const uint8_t kind = d.U8();
+      // An unknown kind has no charge a replay could apply: corruption.
+      if (kind > static_cast<uint8_t>(TraceEvent::Kind::kUnitHashChecked)) {
+        return false;
+      }
+      ev.kind = static_cast<TraceEvent::Kind>(kind);
       ev.arg = d.U64();
       a.trace.push_back(ev);
     }

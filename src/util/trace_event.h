@@ -18,8 +18,8 @@ namespace tabbench {
 /// replaying the journaled traces instead of re-executing queries.
 ///
 /// Lives in util (below exec, where ExecContext records these and
-/// ReplayTrace consumes them) so the journal can serialize traces without
-/// inverting the layering.
+/// ExecContext::Apply replays them) so the journal can serialize traces
+/// without inverting the layering.
 struct TraceEvent {
   enum class Kind : uint8_t {
     kTouchSeq,      // TouchPage(arg)

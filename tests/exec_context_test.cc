@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/configurations.h"
 #include "exec/exec_context.h"
+#include "exec/plan_executor.h"
 #include "test_util.h"
 
 namespace tabbench {
@@ -117,11 +120,26 @@ TEST(ExecContextTest, TraceCoalescesPerTupleChargeCheckPairs) {
   EXPECT_EQ(trace[3].kind, TraceEvent::Kind::kUnitHashChecked);
   EXPECT_EQ(trace[3].arg, 1u);
 
-  // Replay reproduces the live clock exactly (same FP operations).
+  // Applying the trace to a fresh recording context reproduces the live
+  // clock bit for bit (same FP operations), the same counters, and
+  // re-records the identical trace.
   BufferPool replay_pool(4);
-  ReplayOutcome ro = ReplayTrace(trace, &replay_pool, TestParams());
-  EXPECT_EQ(ro.sim_seconds, ctx.sim_time());
-  EXPECT_FALSE(ro.timed_out);
+  ExecContext replay(&store, &replay_pool, TestParams());
+  AccessTrace rerecorded;
+  replay.set_trace(&rerecorded);
+  TB_ASSERT_OK(replay.Apply(trace));
+  uint64_t live_bits, replay_bits;
+  const double live_time = ctx.sim_time(), replay_time = replay.sim_time();
+  std::memcpy(&live_bits, &live_time, sizeof(live_bits));
+  std::memcpy(&replay_bits, &replay_time, sizeof(replay_bits));
+  EXPECT_EQ(replay_bits, live_bits);
+  EXPECT_EQ(replay.pages_read(), ctx.pages_read());
+  EXPECT_EQ(replay.tuples_processed(), ctx.tuples_processed());
+  ASSERT_EQ(rerecorded.size(), trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(rerecorded[i].kind, trace[i].kind) << "event " << i;
+    EXPECT_EQ(rerecorded[i].arg, trace[i].arg) << "event " << i;
+  }
 }
 
 TEST(ExecContextTest, ReplayAbortsMidCoalescedRunAtTheExactTuple) {
@@ -143,9 +161,12 @@ TEST(ExecContextTest, ReplayAbortsMidCoalescedRunAtTheExactTuple) {
 
   // The live enforced run would trip at tuple 11; the replay must too.
   BufferPool replay_pool(4);
-  ReplayOutcome ro = ReplayTrace(trace, &replay_pool, p);
-  EXPECT_TRUE(ro.timed_out);
-  EXPECT_EQ(ro.sim_seconds, p.timeout_seconds);
+  ExecContext replay(&store, &replay_pool, p);
+  Status applied = replay.Apply(trace);
+  EXPECT_TRUE(applied.IsTimeout());
+  EXPECT_EQ(FinishQuery(replay, applied.IsTimeout(), {}).sim_seconds,
+            p.timeout_seconds);
+  EXPECT_EQ(replay.tuples_processed(), 11u);
 
   ExecContext live(&store, &pool, p);
   int tuples = 0;

@@ -392,6 +392,24 @@ TEST(RunJournalTest, MidFileCorruptionIsDataLossWithOffset) {
   std::remove(path.c_str());
 }
 
+TEST(RunJournalTest, UnknownTraceEventKindIsDataLoss) {
+  // A well-framed record (valid CRC) whose trace holds a kind no replay
+  // can apply must not load: resuming would silently drop the event.
+  std::string path = TempPath("journal_unknown_kind.tbj");
+  {
+    auto writer = RunJournalWriter::Create(path, SampleHeader());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    JournalQueryRecord rec = SampleRecord(0);
+    rec.attempt_log[1].trace.push_back(
+        {static_cast<TraceEvent::Kind>(200), 3});
+    TB_ASSERT_OK((*writer)->Append(rec));
+  }
+  auto loaded = LoadRunJournal(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsDataLoss()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(RunJournalTest, HeaderlessOrMissingFileIsRejected) {
   EXPECT_FALSE(LoadRunJournal("/nonexistent/nowhere.tbj").ok());
   std::string path = TempPath("journal_empty.tbj");

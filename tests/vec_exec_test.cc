@@ -11,6 +11,7 @@
 #include "core/runner.h"
 #include "core/sampling.h"
 #include "core/tpch_families.h"
+#include "exec/exec_context.h"
 #include "exec/vec/vec_executor.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
@@ -305,6 +306,42 @@ TEST(VecExecTest, ProbabilisticMorselFaultPartiallyCensors) {
 }
 
 // ------------------------------------------------------------ edge cases
+
+TEST(VecExecTest, GateReplayNeverTakesALatchedFault) {
+  // The doomed-query gate replays inside the query's FaultScope. A fault a
+  // morsel latched there must survive the gate's replay and surface at the
+  // owning context's next safe point, exactly as without the gate.
+  FaultGuard guard;
+  FaultSpec spec;
+  spec.point = "storage.page_read";
+  spec.code = Status::Code::kUnavailable;
+  spec.trigger = FaultSpec::Trigger::kOnce;
+  ASSERT_TRUE(FaultRegistry::Global().Arm(spec).ok());
+
+  CostParams params;
+  PageStore store;
+  BufferPool pool(4);
+  FaultScope scope(7);
+  ExecContext owner(&store, &pool, params);
+  FaultRegistry::Global().Trigger("storage.page_read");  // latches
+
+  // Every kind of abort point the gate's replay meets.
+  const AccessTrace trace = {{TraceEvent::Kind::kTouchSeq, 1},
+                             {TraceEvent::Kind::kTimeoutCheck, 0},
+                             {TraceEvent::Kind::kUnitTuplesChecked, 3},
+                             {TraceEvent::Kind::kUnitHashChecked, 2}};
+  BufferPool gate_pool(pool.capacity());
+  ExecContext gate(&store, &gate_pool, params);
+  gate.set_enforce_timeout(false);
+  TB_ASSERT_OK(ApplyIsolated(&gate, trace));
+  EXPECT_EQ(gate.tuples_processed(), 3u);
+  EXPECT_EQ(gate.pages_read(), 1u);
+
+  Status surfaced = owner.CheckTimeout();
+  EXPECT_EQ(surfaced.code(), Status::Code::kUnavailable)
+      << surfaced.ToString();
+  TB_ASSERT_OK(owner.CheckTimeout());  // taken exactly once
+}
 
 TEST(VecExecTest, EmptyTableScanAndScalarAggregate) {
   Database db;

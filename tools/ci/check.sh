@@ -250,12 +250,15 @@ step "tabbench_analyze --fault-coverage (ratchet vs fault_layers.txt)"
 # The util/journal layer does the repo's pointer-and-bit arithmetic (CRC32C
 # tables, varint packing, Zipf sampling, journal framing); run those suites
 # with every UB report turned into an abort (-fno-sanitize-recover=all).
+# Journal resume decodes traces and runs them through ExecContext::Apply,
+# so the trace interpreter's suite (ExecContextTest) rides along.
 step "util/journal suites under TABBENCH_SANITIZE=undefined"
 UBSAN_DIR="${ROOT}/build-ubsan"
 cmake -B "${UBSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=undefined
 cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 "${UBSAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
-'Crc32cTest.*:CrcTrailerTest.*:JournalResumeTest.*:ReportIoTest.*'\
+'Crc32cTest.*:CrcTrailerTest.*:ExecContextTest.*:JournalResumeTest.*'\
+':ReportIoTest.*'\
 ':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:StatusTest.*'\
 ':StringsTest.*:ZipfTest.*'
 
