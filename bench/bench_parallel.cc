@@ -1,7 +1,7 @@
 // Wall-clock ablation for the concurrent execution layers: runs the same
 // NREF2J workload (a) through the sequential runner, (b) through
 // RunWorkloadParallel at increasing worker counts (inter-query parallelism,
-// src/service/), and (c) query-at-a-time on the morsel-driven vectorized
+// util/thread_pool.h), and (c) query-at-a-time on the morsel-driven vectorized
 // engine at increasing helper budgets (intra-query parallelism,
 // src/exec/vec/). Every mode's simulated results must be bit-identical to
 // the sequential run (the trace-record/replay determinism contract,

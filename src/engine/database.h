@@ -175,8 +175,7 @@ class Database : public ObjectResolver {
   /// read-only with respect to the database: many threads may call this
   /// concurrently — each with its own context — as long as no DDL,
   /// configuration change, or insert runs at the same time. This is the
-  /// execution path of the concurrent WorkloadService (src/service/) and of
-  /// the parallel workload runners (src/core/runner.h).
+  /// execution path of the parallel workload runners (src/core/runner.h).
   Result<QueryResult> RunWithContext(const std::string& sql,
                                      ExecContext* ctx) const;
 

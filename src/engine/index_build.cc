@@ -234,66 +234,4 @@ Status OnlineIndexBuild::Abort() {
   return EnterState(IndexBuildState::kAborted);
 }
 
-Result<ShadowIndexBuildResult> ShadowIndexBuild(const Database& db,
-                                                const IndexDef& def,
-                                                ExecContext* ctx) {
-  double start = ctx->sim_time();
-  Database::IndexKeySpec spec;
-  TB_ASSIGN_OR_RETURN(spec, db.ResolveIndexKey(def));
-  const HeapTable* heap = db.FindHeap(def.target);
-  if (heap == nullptr) return Status::NotFound("index target " + def.target);
-
-  std::vector<std::pair<IndexKey, Rid>> entries;
-  entries.reserve(heap->num_rows());
-  auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
-  Tuple t;
-  Rid rid;
-  uint64_t seen = 0;
-  while (cursor.Next(&t, &rid)) {
-    ctx->ChargeTuples(1);
-    // Shadow builds run as cancellable background jobs: poll so a watchdog
-    // cancel or shard kill tears the scan down promptly.
-    if ((++seen & 0x3ff) == 0) TB_RETURN_IF_ERROR(ctx->CheckTimeout());
-    IndexKey key;
-    key.reserve(spec.key_cols.size());
-    for (int pos : spec.key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
-    entries.emplace_back(std::move(key), rid);
-  }
-
-  double n = static_cast<double>(entries.size());
-  if (n > 1) {
-    ctx->ChargeHashOps(static_cast<uint64_t>(n * std::log2(n)));
-    double bytes = n * (spec.key_width + 8.0);
-    double pages = bytes / static_cast<double>(kPageSize);
-    if (pages > static_cast<double>(ctx->params().work_mem_pages)) {
-      ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              int c = CompareKeys(a.first, b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
-
-  // Private store: the shadow tree never touches the database's pages, so
-  // a cancelled or killed job leaves no trace to clean up.
-  PageStore shadow_store;
-  ShadowIndexBuildResult out;
-  out.entries = static_cast<uint64_t>(entries.size());
-  {
-    BTree tree(def.name + ".shadow", def.columns.size(),
-               static_cast<size_t>(std::max(4.0, spec.key_width)),
-               &shadow_store);
-    tree.BulkBuild(std::move(entries));
-    ctx->ChargeIoPages(tree.num_pages());
-    out.pages = tree.num_pages();
-    out.height = tree.height();
-    out.fingerprint = tree.Fingerprint();
-    tree.Drop();
-  }
-  out.sim_seconds = ctx->sim_time() - start;
-  return out;
-}
-
 }  // namespace tabbench

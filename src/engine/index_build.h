@@ -10,7 +10,6 @@
 
 #include "engine/database.h"
 #include "storage/btree.h"
-#include "storage/page_store.h"
 
 namespace tabbench {
 
@@ -139,26 +138,6 @@ class OnlineIndexBuild {
   size_t side_log_applied_ = 0;
   std::unique_ptr<BTree> tree_;
 };
-
-/// Result of a what-if (shadow) index build: the real scan + sort work
-/// charged to `ctx`, building into a private PageStore that is freed on
-/// return — nothing installs. This is the crash-safe "semi-automatic
-/// tuning" primitive: the service runs these as background jobs under
-/// admission control, and a killed shard just reruns the job elsewhere.
-struct ShadowIndexBuildResult {
-  uint64_t entries = 0;
-  uint64_t pages = 0;
-  uint64_t height = 0;
-  /// Content+shape fingerprint (BTree::Fingerprint): two shadow builds of
-  /// the same definition over the same data agree bit for bit, which is
-  /// what the deterministic-replay chaos audit compares across failovers.
-  uint64_t fingerprint = 0;
-  double sim_seconds = 0.0;
-};
-
-Result<ShadowIndexBuildResult> ShadowIndexBuild(const Database& db,
-                                                const IndexDef& def,
-                                                ExecContext* ctx);
 
 }  // namespace tabbench
 

@@ -90,9 +90,10 @@ inline void AppendCheck(AccessTrace* trace) {
 ///
 /// Concurrency contract: an ExecContext (and the BufferPool it routes to)
 /// belongs to one thread at a time. Concurrent query execution gives every
-/// session its *own* context + pool view over the shared read-only storage
-/// (see src/service/session.h); the engine's shared pool is only ever
-/// advanced single-threaded.
+/// worker its *own* context + private pool over the shared read-only
+/// storage (Database::MakeSessionContext, used by the parallel runners in
+/// src/core/runner.cc); the engine's shared pool is only ever advanced
+/// single-threaded.
 class ExecContext {
  public:
   ExecContext(PageStore* store, BufferPool* pool, CostParams params)

@@ -45,10 +45,6 @@ struct QueryResult {
   uint64_t pages_read = 0;
   uint64_t tuples_processed = 0;
   bool timed_out = false;
-  /// Set by failure-isolating callers (WorkloadService) when the query's
-  /// retries were exhausted and the result is a censored placeholder at the
-  /// timeout cost; the executor itself never sets it.
-  bool failed = false;
 };
 
 /// The outcome of a query that stopped with `ctx`'s charges. A timed-out

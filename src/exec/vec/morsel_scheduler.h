@@ -25,12 +25,12 @@ struct MorselReport {
 /// `pool` steal from the same cursor. Helpers are pure acceleration —
 /// Submit() bouncing off the pool's admission control (queue full, unrelated
 /// load) just means fewer helpers, never deadlock and never a changed
-/// result, so intra-query parallelism respects the service's admission
+/// result, so intra-query parallelism respects the pool's admission
 /// control by construction.
 ///
 /// Stop conditions, checked before every claim:
 ///  - `cancel` revoked → no new morsels are dispatched; in-flight morsels
-///    drain before Run returns (the Session force-cancel contract);
+///    drain before Run returns;
 ///  - a morsel returned an error → same drain, and the error of the
 ///    *lowest* morsel index is returned (deterministic under any
 ///    interleaving);

@@ -32,8 +32,8 @@ struct BufferPoolStats {
 /// main memory of the computers utilized" (Section 3.2.1).
 ///
 /// Not internally synchronized: a pool is a single-threaded object. The
-/// concurrent service layer gives every session its own pool view
-/// (src/service/session.h) rather than locking this hot path.
+/// parallel runners give every worker its own private pool
+/// (Database::MakeSessionContext) rather than locking this hot path.
 class BufferPool {
  public:
   explicit BufferPool(size_t capacity_pages);

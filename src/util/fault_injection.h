@@ -41,7 +41,6 @@ namespace tabbench {
 ///                          helper threads carry no scope, so schedules
 ///                          stay attempt-granular under parallelism)
 ///   util.task_spawn        ThreadPool::Submit (direct)
-///   service.session_execute Session::Execute entry (direct)
 ///
 /// *Direct* points return the injected Status from a Status/Result-returning
 /// function. *Latched* points sit in functions that cannot propagate a
@@ -81,10 +80,10 @@ inline bool FaultInjectionArmed() {
   return g_fault_points_armed.load(std::memory_order_relaxed) != 0;
 }
 
-/// Scopes fault decisions to one logical unit of work (one workload query,
-/// one service job) on the current thread, RAII-nested. While a scope is
-/// active, every point's hit index counts *within the scope*, and
-/// probability decisions mix in the scope seed. Because a query's sequence
+/// Scopes fault decisions to one logical unit of work (one workload query)
+/// on the current thread, RAII-nested. While a scope is active, every
+/// point's hit index counts *within the scope*, and probability decisions
+/// mix in the scope seed. Because a query's sequence
 /// of storage touches is a pure function of plan and data (the trace
 /// invariant, util/trace_event.h), giving query k the scope seed k makes
 /// its fault schedule identical whether the workload runs serially or on a
@@ -180,9 +179,9 @@ class FaultRegistry {
 };
 
 /// Drops a fault latched after an attempt's last safe point so it cannot
-/// leak into the next attempt or repetition. The serial runner, the
-/// parallel record phase, and the service retry loop all call this at the
-/// same attempt boundaries, keeping their fault schedules aligned.
+/// leak into the next attempt or repetition. The serial runner and the
+/// parallel record phase both call this at the same attempt boundaries,
+/// keeping their fault schedules aligned.
 inline void DropStaleLatchedFault() {
   if (FaultInjectionArmed()) (void)FaultRegistry::TakePending();
 }

@@ -1,7 +1,6 @@
 #include "util/retry.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "util/rng.h"
 
@@ -23,38 +22,6 @@ double RetryPolicy::BackoffSeconds(int attempt) const {
     delay *= factor;
   }
   return std::max(delay, 0.0);
-}
-
-Status SleepWithCancellation(
-    double seconds, const CancellationToken& cancel,
-    std::optional<std::chrono::steady_clock::time_point> deadline) {
-  // ceil, not duration_cast: truncating the conversion shortens every sleep
-  // by up to one clock tick, so a caller requesting a sub-millisecond
-  // backoff was charged *less* than it asked for (and a zero-duration
-  // conversion skipped the sleep entirely). Rounding up guarantees the full
-  // requested duration elapses before OK.
-  auto wake = std::chrono::steady_clock::now() +
-              std::chrono::ceil<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(std::max(seconds, 0.0)));
-  // The cancel/deadline checks lead the loop, so even a zero or sub-slice
-  // request performs at least one of each before returning.
-  while (true) {
-    if (cancel.cancelled()) {
-      return Status::Cancelled("cancelled during retry backoff");
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (deadline.has_value() && now >= *deadline) {
-      return Status::Timeout("deadline expired during retry backoff");
-    }
-    if (now >= wake) return Status::OK();
-    // sleep_until an absolute point (never a computed slice, which rounds
-    // to zero for sub-millisecond remainders and turns the loop into a
-    // busy spin): the next poll tick, capped by wake and the deadline.
-    auto next = now + std::chrono::milliseconds(1);
-    if (next > wake) next = wake;
-    if (deadline.has_value() && next > *deadline) next = *deadline;
-    std::this_thread::sleep_until(next);
-  }
 }
 
 }  // namespace tabbench

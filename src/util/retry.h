@@ -1,26 +1,18 @@
 #ifndef TABBENCH_UTIL_RETRY_H_
 #define TABBENCH_UTIL_RETRY_H_
 
-#include <chrono>
 #include <cstdint>
-#include <optional>
 
-#include "util/cancellation.h"
 #include "util/status.h"
 
 namespace tabbench {
 
 /// Exponential backoff with deterministic jitter for transient errors
-/// (Status::IsTransient(): kUnavailable, kResourceExhausted). Two distinct
-/// clocks consume these delays:
-///
-///  * the *simulated* clock of the cost model — the runner charges the
-///    backoff into a query's sim time (ExecContext::ChargeBackoff), so a
-///    retried query pays for its retries in the CFC exactly like the paper
-///    charges timed-out queries their timeout;
-///  * the *wall* clock of the service — WorkloadService sleeps for real
-///    between attempts via SleepWithCancellation below, staying cancel- and
-///    deadline-aware.
+/// (Status::IsTransient(): kUnavailable, kResourceExhausted). The delays
+/// are simulated, never slept: the runner charges each backoff into the
+/// query's sim time (ExecContext::ChargeBackoff), so a retried query pays
+/// for its retries in the CFC exactly like the paper charges timed-out
+/// queries their timeout.
 ///
 /// Jitter is seeded, not sampled from global entropy: BackoffSeconds is a
 /// pure function of (policy, attempt), so a retried run reproduces the same
@@ -58,19 +50,6 @@ struct RetryPolicy {
     return status.IsTransient() && attempt < max_attempts;
   }
 };
-
-/// Sleeps `seconds` of wall-clock time, waking early when `cancel` fires
-/// (returns kCancelled) or `deadline` passes (returns kTimeout); OK after a
-/// full sleep. Polls in ~1ms slices: CancellationToken is a bare atomic
-/// flag with no condition variable, and at backoff scale (tens of
-/// milliseconds and up) a 1ms response beats the complexity of adding one.
-/// This is the one sanctioned real-sleep site in the library — the
-/// tabbench-raw-sleep rule flags std::this_thread::sleep_for anywhere
-/// else under src/.
-Status SleepWithCancellation(
-    double seconds, const CancellationToken& cancel,
-    std::optional<std::chrono::steady_clock::time_point> deadline =
-        std::nullopt);
 
 }  // namespace tabbench
 

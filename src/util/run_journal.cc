@@ -19,7 +19,9 @@ namespace {
 // header with a query record even if a file is truncated and re-appended.
 constexpr uint8_t kHeaderRecord = 0;
 constexpr uint8_t kQueryRecord = 1;
-constexpr uint8_t kEventRecord = 2;  // service routing/health decisions
+// Tag 2 framed service routing events, which are no longer written. The
+// loader skips such frames so old journals load; never reuse the tag.
+constexpr uint8_t kRetiredEventRecord = 2;
 constexpr uint8_t kIndexBuildRecord = 3;  // online index-build transitions
 constexpr uint32_t kJournalVersion = 1;
 constexpr char kMagic[8] = {'t', 'b', 'j', 'o', 'u', 'r', 'n', 'l'};
@@ -194,7 +196,6 @@ std::string EncodeQueryRecord(const JournalQueryRecord& r) {
       PutU64(&out, e.arg);
     }
   }
-  PutU32(&out, r.shard_id);  // optional trailer; absent in old journals
   return out;
 }
 
@@ -233,34 +234,9 @@ bool DecodeQueryRecord(const std::string& payload, JournalQueryRecord* r) {
     }
     r->attempt_log.push_back(std::move(a));
   }
-  // Optional trailer, absent in journals written before shards existed:
-  // those decode to shard 0 (the unsharded writer id) and still pass ok()
-  // because the conditional read consumes exactly the remaining bytes.
-  if (d.remaining() >= 4) r->shard_id = d.U32();
-  return d.ok();
-}
-
-std::string EncodeEvent(const JournalServiceEvent& e) {
-  std::string out;
-  PutU8(&out, kEventRecord);
-  PutU64(&out, e.sequence);
-  PutDouble(&out, e.clock_seconds);
-  PutU32(&out, e.shard_id);
-  PutU64(&out, e.domain);
-  PutString(&out, e.kind);
-  PutString(&out, e.detail);
-  return out;
-}
-
-bool DecodeEvent(const std::string& payload, JournalServiceEvent* e) {
-  Decoder d(payload.data(), payload.size());
-  if (d.U8() != kEventRecord) return false;
-  e->sequence = d.U64();
-  e->clock_seconds = d.Double();
-  e->shard_id = d.U32();
-  e->domain = d.U64();
-  e->kind = d.String();
-  e->detail = d.String();
+  // Journals written while records carried a 4-byte shard-id trailer still
+  // load: the trailer is read and ignored. Any other leftover fails ok().
+  if (d.remaining() == 4) d.U32();
   return d.ok();
 }
 
@@ -377,14 +353,9 @@ Result<RunJournal> LoadRunJournal(const std::string& path) {
       }
       have_header = true;
     } else if (!payload.empty() &&
-               static_cast<uint8_t>(payload[0]) == kEventRecord) {
-      JournalServiceEvent event;
-      if (!DecodeEvent(payload, &event)) {
-        return Status::DataLoss(
-            "run journal event undecodable at offset " + std::to_string(off) +
-            ": " + path);
-      }
-      journal.events.push_back(std::move(event));
+               static_cast<uint8_t>(payload[0]) == kRetiredEventRecord) {
+      // A retired service-event frame: checksummed above, carries nothing
+      // a run replays.
     } else if (!payload.empty() &&
                static_cast<uint8_t>(payload[0]) == kIndexBuildRecord) {
       JournalIndexBuildRecord rec;
@@ -453,17 +424,6 @@ RunJournalWriter::~RunJournalWriter() {
   MutexLock lock(&mu_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-}
-
-Status RunJournalWriter::Append(const JournalServiceEvent& event) {
-  std::string frame = Frame(EncodeEvent(event));
-  MutexLock lock(&mu_);
-  if (fd_ < 0) return Status::Internal("run journal writer is closed");
-  // Same total-order-plus-durability contract as query records; event
-  // appends share the mutex so the decision audit trail interleaves with
-  // outcomes in commit order.
-  // NOLINTNEXTLINE(tabbench-blocking-under-lock)
-  return WriteAndSync(fd_, frame);
 }
 
 Status RunJournalWriter::Append(const JournalIndexBuildRecord& rec) {

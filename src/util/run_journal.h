@@ -16,10 +16,10 @@
 namespace tabbench {
 
 /// Durable run journal: the crash-recovery substrate for multi-hour
-/// benchmark campaigns. The runners (core/runner) and the WorkloadService
-/// append one record per *completed* query — outcome, attempt log, and the
-/// per-attempt charge traces — and fsync before moving on, so a process
-/// death at any point loses at most the query in flight. Resume replays the
+/// benchmark campaigns. The runners (core/runner) append one record per
+/// *completed* query — outcome, attempt log, and the per-attempt charge
+/// traces — and fsync before moving on, so a process death at any point
+/// loses at most the query in flight. Resume replays the
 /// journaled traces through the buffer pool (the same trace-replay
 /// machinery RunWorkloadParallel is built on), restoring the simulated
 /// clock and pool state bit for bit, then continues live from the first
@@ -32,7 +32,10 @@ namespace tabbench {
 /// little-endian, CRC masked (util/crc32c.h) so payloads that embed their
 /// own checksums stay fully protected. Frame 0 is the header (workload SQL,
 /// run options fingerprint, free-form metadata); every later frame is one
-/// query record. A torn tail — a frame cut short by a crash, or a final
+/// query record or one index-build transition, told apart by the payload's
+/// leading type byte. Tag 2 is retired: it once framed service routing
+/// events, and the loader still checksums and skips such frames so old
+/// journals load. A torn tail — a frame cut short by a crash, or a final
 /// frame whose checksum fails — is silently dropped on load and truncated
 /// on append-open, exactly like a WAL recovery. A checksum mismatch
 /// *before* the final frame is real corruption and surfaces as kDataLoss
@@ -67,25 +70,6 @@ struct JournalQueryRecord {
   uint64_t pool_hit_delta = 0;
   uint64_t pool_miss_delta = 0;
   std::vector<JournalAttempt> attempt_log;
-  /// Worker shard that served this query (sharded WorkloadService /
-  /// ShardRouter); 0 for unsharded writers. Encoded as an optional trailer
-  /// on the record payload so journals written before the field existed
-  /// still load (they read back as shard 0).
-  uint32_t shard_id = 0;
-};
-
-/// One routing / health decision of the sharded serving layer: quarantines,
-/// re-routes, probe admissions, re-admissions. Journaled alongside query
-/// outcomes so a post-hoc audit can reconstruct *why* a domain's queries
-/// moved between shards, not just where they ran. Old journals simply have
-/// no event frames; old readers never see them (the frame type is new).
-struct JournalServiceEvent {
-  uint64_t sequence = 0;        // writer-wide monotone decision ordinal
-  double clock_seconds = 0.0;   // router clock when the decision was made
-  uint32_t shard_id = 0;        // shard the decision concerns
-  uint64_t domain = 0;          // affected session domain (0 = shard-wide)
-  std::string kind;             // "quarantine", "reroute", "readmit", ...
-  std::string detail;           // free-form human-readable context
 };
 
 /// One state transition of an online index build (or drop) running inside a
@@ -129,9 +113,6 @@ struct JournalHeader {
 struct RunJournal {
   JournalHeader header;
   std::vector<JournalQueryRecord> records;
-  /// Service-layer decision events, in append order (sharded serving only;
-  /// empty for runner journals and journals predating the frame type).
-  std::vector<JournalServiceEvent> events;
   /// Online index-build/drop transitions, in append order (mutation
   /// workloads only; empty for journals predating the frame type). Their
   /// position among the query records is recoverable from each record's
@@ -147,9 +128,9 @@ struct RunJournal {
 /// mismatch anywhere before the final frame is kDataLoss with the offset.
 Result<RunJournal> LoadRunJournal(const std::string& path);
 
-/// Append-side handle. Internally synchronized: the service's workers share
-/// one writer, and per-record framing means concurrent appends interleave
-/// whole records, never bytes.
+/// Append-side handle. Internally synchronized: per-record framing under
+/// one mutex means appends from several threads interleave whole records,
+/// never bytes.
 class RunJournalWriter {
  public:
   /// Starts a fresh journal at `path` (truncating any existing file),
@@ -172,11 +153,6 @@ class RunJournalWriter {
   /// Serializes, frames, writes, and fsyncs one record — the durability
   /// point: once Append returns OK the record survives any crash.
   Status Append(const JournalQueryRecord& rec);
-
-  /// Same durability contract for a service decision event. Events and
-  /// query records share one total append order (the writer's mutex), so
-  /// the audit trail reflects the order decisions actually committed.
-  Status Append(const JournalServiceEvent& event);
 
   /// Same durability contract for an index-build state transition. Counts
   /// toward the crash hook below like a query record does, so the

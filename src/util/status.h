@@ -32,8 +32,9 @@ class [[nodiscard]] Status {
     /// The caller revoked the work via a CancellationToken before it
     /// finished. Like kTimeout this is a cooperative, expected outcome.
     kCancelled,
-    /// The service cannot accept the request right now (admission control:
-    /// the job queue is full or the service is shutting down). Retryable.
+    /// The request cannot be accepted right now (admission control: a
+    /// thread pool's job queue is full or it is shutting down, or an
+    /// injected transient fault). Retryable.
     kUnavailable,
     /// Durable data failed an integrity check: a checksum mismatch in a
     /// saved workload, report, or run journal. Unlike kInternal this points

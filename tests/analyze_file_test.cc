@@ -84,24 +84,25 @@ TEST(LintNakedNew, IdentifiersContainingNewAreFine) {
 // -------------------------------------------------------------- raw-sleep
 
 TEST(LintRawSleep, FiresOnThisThreadSleepsInSrc) {
+  // No file under src/ is exempt, util/retry.cc included: backoff is
+  // charged to the simulated clock, never slept.
   auto findings = RunAnalyze({{"src/util/thread_pool.cc",
                         "std::this_thread::sleep_for(10ms);\n"
-                        "std::this_thread::sleep_until(deadline);\n"}});
-  EXPECT_EQ(CountRule(findings, "tabbench-raw-sleep"), 2u);
+                        "std::this_thread::sleep_until(deadline);\n"},
+                       {"src/util/retry.cc",
+                        "std::this_thread::sleep_for(slice);\n"}});
+  EXPECT_EQ(CountRule(findings, "tabbench-raw-sleep"), 3u);
 }
 
-TEST(LintRawSleep, RetryHelperAndTestsAreExempt) {
-  // src/util/retry.cc is the one sanctioned raw-sleep site (the poll-slice
-  // loop inside SleepWithCancellation); tests may sleep deliberately.
-  auto findings = RunAnalyze({{"src/util/retry.cc",
-                        "std::this_thread::sleep_for(slice);\n"},
-                       {"tests/service_test.cc",
+TEST(LintRawSleep, TestsAreExempt) {
+  // Tests may sleep deliberately.
+  auto findings = RunAnalyze({{"tests/concurrency_test.cc",
                         "std::this_thread::sleep_for(50ms);\n"}});
   EXPECT_EQ(CountRule(findings, "tabbench-raw-sleep"), 0u);
 }
 
 TEST(LintRawSleep, NolintEscapeHatch) {
-  auto findings = RunAnalyze({{"src/service/session.cc",
+  auto findings = RunAnalyze({{"src/core/runner.cc",
                         "std::this_thread::sleep_for(10ms);"
                         "  // NOLINT(tabbench-raw-sleep)\n"}});
   EXPECT_EQ(CountRule(findings, "tabbench-raw-sleep"), 0u);
@@ -109,12 +110,12 @@ TEST(LintRawSleep, NolintEscapeHatch) {
 
 // --------------------------------------------------------- unsynced-write
 
-TEST(LintUnsyncedWrite, FiresOnDirectWritesInCoreAndService) {
+TEST(LintUnsyncedWrite, FiresOnDirectWritesInCore) {
   auto findings = RunAnalyze(
       {{"src/core/report.cc",
         "std::ofstream out(path);\n"
         "std::fstream rw(path, std::ios::out);\n"},
-       {"src/service/workload_service.cc",
+       {"src/core/runner.cc",
         "FILE* f = fopen(path.c_str(), \"wb\");\n"
         "FILE* g = fopen(path.c_str(), \"a\");\n"}});
   EXPECT_EQ(CountRule(findings, "tabbench-unsynced-write"), 4u);

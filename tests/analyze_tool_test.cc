@@ -52,8 +52,8 @@ const Finding* FindRule(const std::vector<Finding>& findings,
 }
 
 // A four-layer spec mirroring the real layers.txt shape, small enough for
-// fixtures: util < core < engine < service, and core must never reach
-// service even if someone reorders the list.
+// fixtures: util < core < engine < app, and core must never reach app
+// even if someone reorders the list.
 Options LayeredOpts() {
   Options opts;
   std::string err;
@@ -62,8 +62,8 @@ Options LayeredOpts() {
       "layer util: src/util\n"
       "layer core: src/core\n"
       "layer engine: src/engine\n"
-      "layer service: src/service\n"
-      "forbid core -> service\n",
+      "layer app: src/app\n"
+      "forbid core -> app\n",
       &opts.layers, &err);
   EXPECT_TRUE(ok) << err;
   return opts;
@@ -84,21 +84,21 @@ TEST(AnalyzeLayering, DownwardDagIsQuiet) {
         "#include \"util/rng.h\"\n"
         "int Db();\n"
         "#endif  // TABBENCH_ENGINE_DB_H_\n"},
-       {"src/service/svc.h",
-        "#ifndef TABBENCH_SERVICE_SVC_H_\n"
-        "#define TABBENCH_SERVICE_SVC_H_\n"
+       {"src/app/svc.h",
+        "#ifndef TABBENCH_APP_SVC_H_\n"
+        "#define TABBENCH_APP_SVC_H_\n"
         "#include \"engine/db.h\"\n"
         "int Svc();\n"
-        "#endif  // TABBENCH_SERVICE_SVC_H_\n"}},
+        "#endif  // TABBENCH_APP_SVC_H_\n"}},
       LayeredOpts());
   EXPECT_TRUE(findings.empty()) << ToText(findings);
 }
 
 TEST(AnalyzeLayering, UpwardIncludeFiresAtTheIncludeLine) {
-  auto findings = RunAnalyze({{"src/service/svc.h", "int Svc();\n"},
+  auto findings = RunAnalyze({{"src/app/svc.h", "int Svc();\n"},
                        {"src/util/rng.h",
                         "// helper\n"
-                        "#include \"service/svc.h\"\n"
+                        "#include \"app/svc.h\"\n"
                         "int Rng();\n"}},
                       LayeredOpts());
   ASSERT_EQ(CountRule(findings, "tabbench-layering"), 1u)
@@ -112,9 +112,9 @@ TEST(AnalyzeLayering, UpwardIncludeFiresAtTheIncludeLine) {
 }
 
 TEST(AnalyzeLayering, ForbiddenEdgeFiresEvenThoughUpwardAnyway) {
-  auto findings = RunAnalyze({{"src/service/api.h", "int Api();\n"},
+  auto findings = RunAnalyze({{"src/app/api.h", "int Api();\n"},
                        {"src/core/bad.h",
-                        "#include \"service/api.h\"\n"
+                        "#include \"app/api.h\"\n"
                         "int Bad();\n"}},
                       LayeredOpts());
   ASSERT_EQ(CountRule(findings, "tabbench-layering"), 1u)
@@ -125,17 +125,17 @@ TEST(AnalyzeLayering, ForbiddenEdgeFiresEvenThoughUpwardAnyway) {
   EXPECT_NE(f->message.find("must never include"), std::string::npos)
       << f->message;
   ASSERT_EQ(f->related.size(), 1u);
-  EXPECT_EQ(f->related[0].file, "src/service/api.h");
+  EXPECT_EQ(f->related[0].file, "src/app/api.h");
 }
 
 TEST(AnalyzeLayering, FilesOutsideEveryLayerAreExempt) {
-  auto findings = RunAnalyze({{"src/service/svc.h",
-                        "#ifndef TABBENCH_SERVICE_SVC_H_\n"
-                        "#define TABBENCH_SERVICE_SVC_H_\n"
+  auto findings = RunAnalyze({{"src/app/svc.h",
+                        "#ifndef TABBENCH_APP_SVC_H_\n"
+                        "#define TABBENCH_APP_SVC_H_\n"
                         "int Svc();\n"
-                        "#endif  // TABBENCH_SERVICE_SVC_H_\n"},
+                        "#endif  // TABBENCH_APP_SVC_H_\n"},
                        {"tests/x_test.cc",
-                        "#include \"service/svc.h\"\nint T();\n"}},
+                        "#include \"app/svc.h\"\nint T();\n"}},
                       LayeredOpts());
   EXPECT_TRUE(findings.empty()) << ToText(findings);
 }
@@ -1056,7 +1056,7 @@ TEST(AnalyzeCancellation, PolledLoopAndOutOfScopeFilesAreQuiet) {
 }
 
 TEST(AnalyzeCancellation, PollInsideACalleeCountsTransitively) {
-  auto findings = RunAnalyze({{"src/service/drive.cc",
+  auto findings = RunAnalyze({{"src/core/runner.cc",
                         "namespace tabbench {\n"
                         "bool ShouldStop(const CancellationToken& t) {\n"
                         "  return t.cancelled();\n"
@@ -1138,7 +1138,7 @@ TEST(AnalyzeFaultCoverage, CountsSitesPerLayerStructured) {
       LayeredOpts().layers);
   EXPECT_EQ(counts.at("util"), 2u);
   EXPECT_EQ(counts.at("engine"), 0u);
-  EXPECT_EQ(counts.at("service"), 0u);
+  EXPECT_EQ(counts.at("app"), 0u);
 }
 
 TEST(AnalyzeFaultCoverage, RatchetHoldsAndTripsOnRegression) {
@@ -1160,9 +1160,9 @@ TEST(AnalyzeFaultCoverage, RatchetHoldsAndTripsOnRegression) {
                   .empty());
   // A layer whose sites dropped below its floor trips the ratchet ...
   auto violations = tabbench_analyze::CheckFaultCoverage(
-      files, layers, "util 1\nservice 1\n");
+      files, layers, "util 1\napp 1\n");
   ASSERT_EQ(violations.size(), 1u);
-  EXPECT_NE(violations[0].find("'service'"), std::string::npos)
+  EXPECT_NE(violations[0].find("'app'"), std::string::npos)
       << violations[0];
   // ... and so does a floor entry naming a layer that no longer exists.
   violations = tabbench_analyze::CheckFaultCoverage(files, layers,
@@ -1901,7 +1901,7 @@ TEST(AnalyzeFaultNaming, LayerMismatchAndFormatViolationsTrip) {
       {"src/util/file.cc",
        "namespace tabbench {\n"
        "int Read() {\n"
-       "  TB_FAULT_POINT(\"service.read\");\n"
+       "  TB_FAULT_POINT(\"app.read\");\n"
        "  TB_FAULT_POINT(\"BadName\");\n"
        "  TB_FAULT_POINT(\"util.read\");\n"
        "  return 0;\n"
@@ -1910,7 +1910,7 @@ TEST(AnalyzeFaultNaming, LayerMismatchAndFormatViolationsTrip) {
   const auto violations = tabbench_analyze::CheckFaultCoverage(
       files, LayeredOpts().layers, "util 3\n");
   ASSERT_EQ(violations.size(), 2u) << (violations.empty() ? "" : violations[0]);
-  EXPECT_NE(violations[0].find("service.read"), std::string::npos)
+  EXPECT_NE(violations[0].find("app.read"), std::string::npos)
       << violations[0];
   EXPECT_NE(violations[1].find("BadName"), std::string::npos) << violations[1];
   // The human-readable report surfaces the same list.
@@ -2064,23 +2064,32 @@ TEST(AnalyzeAcceptance, ManualLockingSurfacesReleaseOnPath) {
   EXPECT_FALSE(DiffBaseline(findings, {}).fresh.empty());
 }
 
-TEST(AnalyzeAcceptance, RealWorkloadServiceIsClean) {
-  auto findings = RunAnalyze({{"src/service/workload_service.cc",
-                               ReadRealFile("src/service/workload_service.cc")}},
-                             RealProtoOpts());
+TEST(AnalyzeAcceptance, RealRunnerAndMorselSchedulerAreClean) {
+  // Together these carry a lock, a cancellation-polled claim loop, the
+  // runners' retry loop and their journal appends: every path-sensitive
+  // pass has real material to walk here.
+  auto findings = RunAnalyze(
+      {{"src/core/runner.cc", ReadRealFile("src/core/runner.cc")},
+       {"src/exec/vec/morsel_scheduler.cc",
+        ReadRealFile("src/exec/vec/morsel_scheduler.cc")}},
+      RealProtoOpts());
   EXPECT_TRUE(findings.empty()) << ToText(findings);
 }
 
-TEST(AnalyzeAcceptance, DroppingTheSleepCheckSurfacesErrorPath) {
-  const std::string orig = ReadRealFile("src/service/workload_service.cc");
-  std::string unchecked =
-      ReplaceAll(orig, "if (!slept.ok()) return slept;", ";");
-  unchecked = ReplaceAll(unchecked, "Status slept = SleepWithCancellation",
-                         "(void)SleepWithCancellation");
+TEST(AnalyzeAcceptance, DroppingAnErrorReturnSurfacesErrorPath) {
+  // The early return in EstimateWorkload (and HypotheticalWorkload) is
+  // what keeps `*est` off the path where !est.ok() holds. Delete it and
+  // the dereference becomes the guarded statement of the error branch.
+  const std::string orig = ReadRealFile("src/core/runner.cc");
+  const std::string unchecked =
+      ReplaceAll(orig,
+                 "if (!est.ok()) return est.status();\n"
+                 "    out.push_back(*est);",
+                 "if (!est.ok())\n"
+                 "    out.push_back(*est);");
   ASSERT_NE(unchecked, orig);
   auto findings =
-      RunAnalyze({{"src/service/workload_service.cc", unchecked}},
-                 RealProtoOpts());
+      RunAnalyze({{"src/core/runner.cc", unchecked}}, RealProtoOpts());
   EXPECT_GE(CountRule(findings, "tabbench-error-path"), 1u)
       << ToText(findings);
   EXPECT_FALSE(DiffBaseline(findings, {}).fresh.empty());

@@ -21,7 +21,6 @@
 #include "util/rng.h"
 #include "util/run_journal.h"
 #include "util/thread_pool.h"
-#include "service/workload_service.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/retry.h"
@@ -400,45 +399,6 @@ TEST_F(ChaosRunnerTest, CancellationStillAbortsUnderFaults) {
   auto r = RunWorkloadParallel(db(), sql_, par, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-}
-
-// ----------------------------------------------------------- service chaos
-
-TEST_F(ChaosRunnerTest, ServiceFloodUnderFaultsAllFuturesResolve) {
-  FaultGuard guard;
-  // TSan workhorse for the chaos label: concurrent jobs with mid-query
-  // latched faults and retrying transient errors. Every future must
-  // resolve — no hangs, no leaks, no unfulfilled promises.
-  TB_ASSERT_OK(FaultRegistry::Global().ArmFromString(
-      "storage.heap_scan=unavailable@prob:0.25:17; "
-      "service.session_execute=unavailable@prob:0.15:31"));
-  ServiceOptions so;
-  so.workers = 4;
-  so.max_in_flight = 0;
-  WorkloadService service(db(), so);
-  JobOptions jo;
-  jo.retry = RetryPolicy::WithAttempts(2);
-  jo.retry.initial_backoff_seconds = 1e-4;
-
-  std::vector<std::future<Result<QueryResult>>> futs;
-  for (int i = 0; i < 48; ++i) {
-    futs.push_back(service.SubmitQuery(sql_[static_cast<size_t>(i) %
-                                            sql_.size()],
-                                       jo));
-  }
-  size_t ok = 0, failed = 0;
-  for (auto& f : futs) {
-    auto r = f.get();
-    if (r.ok()) {
-      ++ok;
-    } else {
-      EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
-      ++failed;
-    }
-  }
-  EXPECT_EQ(ok + failed, futs.size());
-  auto stats = service.stats();
-  EXPECT_EQ(stats.completed, futs.size());
 }
 
 // -------------------------------------------------------------- kill-resume

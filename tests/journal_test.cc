@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.h"
@@ -168,8 +169,34 @@ JournalQueryRecord SampleRecord(uint32_t index) {
   second.trace = {{TraceEvent::Kind::kTouchRandom, 5},
                   {TraceEvent::Kind::kUnitTuplesChecked, 64}};
   rec.attempt_log = {first, second};
-  rec.shard_id = 7 + index;
   return rec;
+}
+
+void ExpectSameRecord(const JournalQueryRecord& got,
+                      const JournalQueryRecord& want) {
+  EXPECT_EQ(got.query_index, want.query_index);
+  EXPECT_EQ(got.seconds, want.seconds);
+  EXPECT_EQ(got.timed_out, want.timed_out);
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.has_estimate, want.has_estimate);
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.pool_hit_delta, want.pool_hit_delta);
+  EXPECT_EQ(got.pool_miss_delta, want.pool_miss_delta);
+  ASSERT_EQ(got.attempt_log.size(), want.attempt_log.size());
+  for (size_t a = 0; a < want.attempt_log.size(); ++a) {
+    EXPECT_EQ(got.attempt_log[a].code, want.attempt_log[a].code);
+    EXPECT_EQ(got.attempt_log[a].message, want.attempt_log[a].message);
+    EXPECT_EQ(got.attempt_log[a].timed_out, want.attempt_log[a].timed_out);
+    ASSERT_EQ(got.attempt_log[a].trace.size(),
+              want.attempt_log[a].trace.size());
+    for (size_t e = 0; e < want.attempt_log[a].trace.size(); ++e) {
+      EXPECT_EQ(got.attempt_log[a].trace[e].kind,
+                want.attempt_log[a].trace[e].kind);
+      EXPECT_EQ(got.attempt_log[a].trace[e].arg,
+                want.attempt_log[a].trace[e].arg);
+    }
+  }
 }
 
 TEST(RunJournalTest, HeaderAndRecordsRoundTrip) {
@@ -197,116 +224,127 @@ TEST(RunJournalTest, HeaderAndRecordsRoundTrip) {
 
   ASSERT_EQ(loaded->records.size(), 2u);
   for (uint32_t i = 0; i < 2; ++i) {
-    const JournalQueryRecord want = SampleRecord(i);
-    const JournalQueryRecord& got = loaded->records[i];
-    EXPECT_EQ(got.query_index, want.query_index);
-    EXPECT_EQ(got.seconds, want.seconds);
-    EXPECT_EQ(got.timed_out, want.timed_out);
-    EXPECT_EQ(got.failed, want.failed);
-    EXPECT_EQ(got.attempts, want.attempts);
-    EXPECT_EQ(got.has_estimate, want.has_estimate);
-    EXPECT_EQ(got.estimate, want.estimate);
-    EXPECT_EQ(got.pool_hit_delta, want.pool_hit_delta);
-    EXPECT_EQ(got.pool_miss_delta, want.pool_miss_delta);
-    ASSERT_EQ(got.attempt_log.size(), want.attempt_log.size());
-    for (size_t a = 0; a < want.attempt_log.size(); ++a) {
-      EXPECT_EQ(got.attempt_log[a].code, want.attempt_log[a].code);
-      EXPECT_EQ(got.attempt_log[a].message, want.attempt_log[a].message);
-      EXPECT_EQ(got.attempt_log[a].timed_out, want.attempt_log[a].timed_out);
-      ASSERT_EQ(got.attempt_log[a].trace.size(),
-                want.attempt_log[a].trace.size());
-      for (size_t e = 0; e < want.attempt_log[a].trace.size(); ++e) {
-        EXPECT_EQ(got.attempt_log[a].trace[e].kind,
-                  want.attempt_log[a].trace[e].kind);
-        EXPECT_EQ(got.attempt_log[a].trace[e].arg,
-                  want.attempt_log[a].trace[e].arg);
-      }
-    }
-    EXPECT_EQ(got.shard_id, want.shard_id);
+    ExpectSameRecord(loaded->records[i], SampleRecord(i));
   }
   EXPECT_EQ(loaded->valid_bytes, Slurp(path).size());
   std::remove(path.c_str());
 }
 
-TEST(RunJournalTest, PreShardJournalsLoadWithShardZero) {
-  // The shard id rides as a 4-byte trailer on the record payload. Strip the
-  // trailer off a freshly written record — byte-for-byte what a journal
-  // written before the field existed holds — and the record must still load,
-  // reading back as shard 0 (the unsharded marker).
-  std::string path = TempPath("journal_preshard.tbj");
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// [u32 len][u32 masked crc32c][payload], as RunJournalWriter frames it.
+std::string FrameBytes(const std::string& payload) {
+  std::string out;
+  PutLe(&out, payload.size(), 4);
+  PutLe(&out, MaskCrc32c(Crc32c(payload)), 4);
+  return out + payload;
+}
+
+/// Splits a journal file into its frame payloads.
+std::vector<std::string> FramePayloads(const std::string& bytes) {
+  std::vector<std::string> payloads;
+  size_t off = 0;
+  while (off + 8 <= bytes.size()) {
+    uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + off, sizeof(len));
+    payloads.push_back(bytes.substr(off + 8, len));
+    off += 8 + len;
+  }
+  return payloads;
+}
+
+/// Writes `bytes` over the journal at `path`.
+void Overwrite(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Header frame plus SampleRecord(0) and SampleRecord(1), one payload each.
+std::vector<std::string> SamplePayloads(const std::string& path) {
   {
     auto writer = RunJournalWriter::Create(path, SampleHeader());
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    TB_ASSERT_OK((*writer)->Append(SampleRecord(0)));
+    EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+    if (!writer.ok()) return {};
+    EXPECT_TRUE((*writer)->Append(SampleRecord(0)).ok());
+    EXPECT_TRUE((*writer)->Append(SampleRecord(1)).ok());
   }
-  std::string bytes = Slurp(path);
-  uint32_t header_len = 0;
-  std::memcpy(&header_len, bytes.data(), sizeof(header_len));
-  const size_t record_off = 8 + header_len;
-  uint32_t record_len = 0;
-  std::memcpy(&record_len, bytes.data() + record_off, sizeof(record_len));
-  ASSERT_GT(record_len, 4u);
-  std::string payload = bytes.substr(record_off + 8, record_len);
-  payload.resize(payload.size() - 4);  // drop the shard-id trailer
-  const uint32_t new_len = static_cast<uint32_t>(payload.size());
-  const uint32_t new_crc = MaskCrc32c(Crc32c(payload));
-  std::string rebuilt = bytes.substr(0, record_off);
-  rebuilt.append(reinterpret_cast<const char*>(&new_len), 4);
-  rebuilt.append(reinterpret_cast<const char*>(&new_crc), 4);
-  rebuilt.append(payload);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(rebuilt.data(), static_cast<std::streamsize>(rebuilt.size()));
-  }
+  return FramePayloads(Slurp(path));
+}
 
+TEST(RunJournalTest, PreShardJournalsLoadWithShardZero) {
+  // Sharded journals carried a 4-byte shard-id trailer on each query
+  // record; journals from before and after that format carry none. Mix a
+  // record with the trailer and one without in a hand-built journal: both
+  // load intact, the shard id dropped.
+  std::string path = TempPath("journal_preshard.tbj");
+  const std::vector<std::string> payloads = SamplePayloads(path);
+  ASSERT_EQ(payloads.size(), 3u);
+  std::string with_trailer = payloads[1];
+  PutLe(&with_trailer, /*shard_id=*/7, 4);
+  const std::string older = FrameBytes(payloads[0]) +
+                            FrameBytes(with_trailer) +
+                            FrameBytes(payloads[2]);
+  Overwrite(path, older);
   auto loaded = LoadRunJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->records.size(), 1u);
-  const JournalQueryRecord want = SampleRecord(0);
-  EXPECT_EQ(loaded->records[0].shard_id, 0u);  // trailer absent -> unsharded
-  EXPECT_EQ(loaded->records[0].query_index, want.query_index);
-  EXPECT_EQ(loaded->records[0].seconds, want.seconds);
-  EXPECT_EQ(loaded->records[0].attempts, want.attempts);
-  ASSERT_EQ(loaded->records[0].attempt_log.size(), want.attempt_log.size());
+  ASSERT_EQ(loaded->records.size(), 2u);
+  ExpectSameRecord(loaded->records[0], SampleRecord(0));
+  ExpectSameRecord(loaded->records[1], SampleRecord(1));
+  EXPECT_EQ(loaded->valid_bytes, older.size());
+
+  // Only a whole 4-byte trailer is tolerated: any other leftover is still
+  // an undecodable record.
+  std::string short_trailer = payloads[1];
+  PutLe(&short_trailer, 7, 2);
+  Overwrite(path, FrameBytes(payloads[0]) + FrameBytes(short_trailer));
+  auto rejected = LoadRunJournal(path);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsDataLoss()) << rejected.status().ToString();
   std::remove(path.c_str());
 }
 
 TEST(RunJournalTest, ServiceEventsRoundTripAlongsideRecords) {
+  // Journals once interleaved service routing events (frame tag 2) with
+  // query records. Rebuild that byte format by hand: an event frame on
+  // either side of a record. The event frames are CRC-checked and
+  // skipped; the records around them load intact.
   std::string path = TempPath("journal_events.tbj");
-  JournalServiceEvent kill;
-  kill.sequence = 4;
-  kill.clock_seconds = 1.25;
-  kill.shard_id = 2;
-  kill.kind = "kill";
-  kill.detail = "chaos kill";
-  JournalServiceEvent reroute;
-  reroute.sequence = 5;
-  reroute.clock_seconds = 1.5;
-  reroute.shard_id = 1;
-  reroute.domain = 42;
-  reroute.kind = "reroute";
-  reroute.detail = "shard 2 not serving; domain moved";
-  {
-    auto writer = RunJournalWriter::Create(path, SampleHeader());
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    TB_ASSERT_OK((*writer)->Append(kill));
-    TB_ASSERT_OK((*writer)->Append(SampleRecord(0)));
-    TB_ASSERT_OK((*writer)->Append(reroute));
+  const std::vector<std::string> payloads = SamplePayloads(path);
+  ASSERT_EQ(payloads.size(), 3u);
+  std::string event;
+  PutLe(&event, 2, 1);                      // the retired event tag
+  PutLe(&event, 4, 8);                      // sequence
+  PutLe(&event, 0x3ff4000000000000ull, 8);  // clock_seconds = 1.25
+  PutLe(&event, 2, 4);                      // shard_id
+  PutLe(&event, 42, 8);                     // domain
+  for (std::string_view text : {"reroute", "shard 2 not serving"}) {
+    PutLe(&event, text.size(), 4);          // kind, then detail
+    event.append(text);
   }
+  const std::string older = FrameBytes(payloads[0]) + FrameBytes(event) +
+                            FrameBytes(payloads[1]) + FrameBytes(event) +
+                            FrameBytes(payloads[2]);
+  Overwrite(path, older);
   auto loaded = LoadRunJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->records.size(), 1u);
-  ASSERT_EQ(loaded->events.size(), 2u);
-  EXPECT_EQ(loaded->events[0].sequence, kill.sequence);
-  EXPECT_EQ(loaded->events[0].clock_seconds, kill.clock_seconds);
-  EXPECT_EQ(loaded->events[0].shard_id, kill.shard_id);
-  EXPECT_EQ(loaded->events[0].domain, 0u);
-  EXPECT_EQ(loaded->events[0].kind, kill.kind);
-  EXPECT_EQ(loaded->events[0].detail, kill.detail);
-  EXPECT_EQ(loaded->events[1].sequence, reroute.sequence);
-  EXPECT_EQ(loaded->events[1].shard_id, reroute.shard_id);
-  EXPECT_EQ(loaded->events[1].domain, reroute.domain);
-  EXPECT_EQ(loaded->events[1].kind, reroute.kind);
+  ASSERT_EQ(loaded->records.size(), 2u);
+  ExpectSameRecord(loaded->records[0], SampleRecord(0));
+  ExpectSameRecord(loaded->records[1], SampleRecord(1));
+  EXPECT_TRUE(loaded->index_builds.empty());
+  EXPECT_EQ(loaded->valid_bytes, older.size());
+
+  // A corrupted event frame mid-file is data loss, like any other frame.
+  std::string bad = FrameBytes(payloads[0]) + FrameBytes(event) +
+                    FrameBytes(payloads[1]);
+  bad[FrameBytes(payloads[0]).size() + 8 + 3] ^= 0x5a;
+  Overwrite(path, bad);
+  auto rejected = LoadRunJournal(path);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsDataLoss()) << rejected.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <set>
 
-#include "util/cancellation.h"
 #include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -342,46 +340,6 @@ TEST(RetryTest, ShouldRetryHonorsTransienceAndAttemptCap) {
   EXPECT_FALSE(p.ShouldRetry(Status::Timeout("x"), 1));
   EXPECT_FALSE(p.ShouldRetry(Status::Cancelled("x"), 1));
   EXPECT_FALSE(p.ShouldRetry(Status::OK(), 1));
-}
-
-TEST(RetryTest, SleepWithCancellationCompletesWhenUninterrupted) {
-  CancellationToken cancel;
-  EXPECT_TRUE(SleepWithCancellation(0.001, cancel).ok());
-}
-
-TEST(RetryTest, SleepWithCancellationReturnsCancelledImmediately) {
-  CancellationToken cancel;
-  cancel.RequestCancel();
-  Status st = SleepWithCancellation(60.0, cancel);
-  EXPECT_TRUE(st.IsCancelled());
-}
-
-TEST(RetryTest, SleepWithCancellationHonorsExpiredDeadline) {
-  CancellationToken cancel;
-  auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  Status st = SleepWithCancellation(60.0, cancel, past);
-  EXPECT_TRUE(st.IsTimeout());
-}
-
-TEST(RetryTest, SleepWithCancellationSubMillisecondStillChecksCancel) {
-  // Regression test: the old implementation rounded the duration down to
-  // whole milliseconds, so a sub-ms sleep (tiny test backoffs) skipped its
-  // cancellation check entirely. Every duration — even zero — must observe
-  // an already-cancelled token.
-  CancellationToken cancel;
-  cancel.RequestCancel();
-  EXPECT_TRUE(SleepWithCancellation(0.0001, cancel).IsCancelled());
-  EXPECT_TRUE(SleepWithCancellation(0.0, cancel).IsCancelled());
-}
-
-TEST(RetryTest, SleepWithCancellationSubMillisecondChargesFullDuration) {
-  // And the flip side of the same bug: a 0.9ms sleep used to truncate to a
-  // zero-length wait, returning immediately. The full duration must elapse.
-  CancellationToken cancel;
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(SleepWithCancellation(0.0009, cancel).ok());
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(elapsed, std::chrono::microseconds(900));
 }
 
 }  // namespace

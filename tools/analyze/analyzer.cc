@@ -18,14 +18,14 @@ const std::vector<RuleInfo>& Rules() {
        "A naked new or delete; ownership goes through "
        "make_unique/unique_ptr."},
       {"tabbench-raw-sleep",
-       "A raw this_thread sleep in src/, which cannot be cancelled; delays "
-       "go through util/retry.h SleepWithCancellation."},
+       "A raw this_thread sleep in src/, which cannot be cancelled; "
+       "backoff is charged to the simulated clock instead."},
       {"tabbench-float-equal",
        "A float-literal ==/!= comparison in cost/CFC code; compare with a "
        "tolerance."},
       {"tabbench-unsynced-write",
-       "A direct ofstream/fopen write in src/core or src/service; durable "
-       "artifacts go through AtomicWriteFile or the run journal."},
+       "A direct ofstream/fopen write in src/core; durable artifacts go "
+       "through AtomicWriteFile or the run journal."},
       {"tabbench-unchecked-status",
        "A discarded call to a Status/Result-returning function "
        "(compile-time twin: [[nodiscard]] in util/status.h)."},
@@ -79,8 +79,8 @@ const std::vector<RuleInfo>& Rules() {
        "held, stalling every waiter on that mutex."},
       {"tabbench-cancellation-poll",
        "An unbounded loop in a worker surface (src/exec/vec, "
-       "src/core/runner.cc, src/service) never reaches a cancellation or "
-       "watchdog poll on any path; it cannot be cancelled once wedged."},
+       "src/core/runner.cc) never reaches a cancellation or watchdog poll "
+       "on any path; it cannot be cancelled once wedged."},
       {"tabbench-durability-ordering",
        "A commit/externalization op of a protocol declared in "
        "tools/analyze/protocols.txt is reachable on some CFG path before "

@@ -22,10 +22,9 @@
 ///                       system_clock::now() in src/core, src/engine,
 ///                       src/exec/vec (randomness flows through util/rng.h);
 ///   naked-new         — no naked new/delete;
-///   raw-sleep         — no this_thread sleeps in src/ outside
-///                       src/util/retry.cc;
+///   raw-sleep         — no this_thread sleeps anywhere in src/;
 ///   float-equal       — no float-literal ==/!= in cost/CFC files;
-///   unsynced-write    — no ofstream/fopen writes in src/core|src/service;
+///   unsynced-write    — no ofstream/fopen writes in src/core;
 ///   unchecked-status  — no discarded call to a function declared (anywhere
 ///                       in the file set) as returning Status/Result;
 ///   unordered-iter    — no range-for over an unordered container declared
@@ -71,9 +70,9 @@
 ///                          mutex is held.
 ///   7. cancellation-poll — unbounded loops (for(;;)/while(true)) in the
 ///                          worker-loop surfaces (src/exec/vec/,
-///                          src/core/runner.cc, src/service/) must reach
-///                          a cancellation/stop/watchdog poll, directly
-///                          or through a callee.
+///                          src/core/runner.cc) must reach a
+///                          cancellation/stop/watchdog poll, directly or
+///                          through a callee.
 ///
 /// Passes 8–10 are *path-sensitive*: they run on per-function control-flow
 /// graphs recovered from the token stream (cfg.h) with a forward dataflow
@@ -176,7 +175,7 @@ struct LayerSpec {
 ///   # comment
 ///   layer util: src/util
 ///   layer tuning: src/core src/advisor
-///   forbid tuning -> service
+///   forbid exec_vec -> tuning
 ///
 /// Returns false and sets *error on malformed input (unknown directive,
 /// forbid naming an undeclared layer, duplicate layer name).

@@ -1482,10 +1482,9 @@ void RunBlockingPass(const Model& model, std::vector<Finding>* findings) {
 
 namespace {
 
-/// The worker loops whose liveness the watchdog depends on.
+/// The worker loops a cancelled run depends on to wind down.
 bool InCancellationScope(const std::string& path) {
   return path.rfind("src/exec/vec/", 0) == 0 ||
-         path.rfind("src/service/", 0) == 0 ||
          path == "src/core/runner.cc";
 }
 

@@ -124,26 +124,24 @@ void CheckNakedNew(const ParsedFile& pf, std::vector<Finding>* findings) {
 // Rule: tabbench-raw-sleep
 //
 // Waiting in product code must stay cancellation- and deadline-aware: a raw
-// std::this_thread sleep cannot be interrupted, so a cancelled job (or an
-// expired wall budget) would hang for the whole delay. All blocking delays
-// go through util/retry.h's SleepWithCancellation; its implementation in
-// src/util/retry.cc is the one sanctioned raw-sleep site (it sleeps in
-// ~1ms poll slices between cancellation checks).
+// std::this_thread sleep cannot be interrupted, so a cancelled job would
+// hang for the whole delay. Product code has no sanctioned sleep: retry
+// backoff is charged to the simulated clock (ExecContext::ChargeBackoff),
+// and threads that wait block on a condition variable.
 // ---------------------------------------------------------------------------
 
 void CheckRawSleep(const ParsedFile& pf, std::vector<Finding>* findings) {
   const std::string p = NormalizedPath(pf);
   if (!StartsWith(p, "src/")) return;  // tests/bench may sleep deliberately
-  if (p == "src/util/retry.cc") return;  // the sanctioned poll-slice sleep
   static const std::regex kSleep(
       R"(\bthis_thread\s*::\s*sleep_(for|until)\s*\()");
   for (size_t ln = 0; ln < pf.code_lines.size(); ++ln) {
     if (Contains(pf.code_lines[ln], "sleep_") &&
         std::regex_search(pf.code_lines[ln], kSleep)) {
       Report(pf, ln + 1, "tabbench-raw-sleep",
-             "raw this_thread sleep cannot be cancelled; use "
-             "SleepWithCancellation from util/retry.h so delays stay "
-             "cancellation- and deadline-aware",
+             "raw this_thread sleep cannot be cancelled; charge simulated "
+             "time (ExecContext::ChargeBackoff) or wait on a condition "
+             "variable",
              findings);
     }
   }
@@ -179,8 +177,8 @@ void CheckFloatEqual(const ParsedFile& pf, std::vector<Finding>* findings) {
 // ---------------------------------------------------------------------------
 // Rule: tabbench-unsynced-write
 //
-// Benchmark artifacts must survive a crash: src/core and src/service write
-// results through util/file_util.h (AtomicWriteFile: temp file + rename,
+// Benchmark artifacts must survive a crash: src/core writes results
+// through util/file_util.h (AtomicWriteFile: temp file + rename,
 // crc32c trailer) or the fsync'd run journal (util/run_journal.h). A direct
 // std::ofstream — or C stdio opened for writing — bypasses both: a SIGKILL
 // mid-write leaves a torn, checksum-less file that the resume machinery
@@ -190,7 +188,7 @@ void CheckFloatEqual(const ParsedFile& pf, std::vector<Finding>* findings) {
 void CheckUnsyncedWrite(const ParsedFile& pf,
                         std::vector<Finding>* findings) {
   const std::string p = NormalizedPath(pf);
-  if (!StartsWith(p, "src/core/") && !StartsWith(p, "src/service/")) return;
+  if (!StartsWith(p, "src/core/")) return;
   static const std::regex kOfstream(
       R"(\b(?:std\s*::\s*)?(?:ofstream|fstream)\b)");
   static const std::regex kPreprocessor(R"(^\s*#)");
@@ -199,7 +197,7 @@ void CheckUnsyncedWrite(const ParsedFile& pf,
     if (std::regex_search(pf.code_lines[ln], kPreprocessor)) continue;
     if (std::regex_search(pf.code_lines[ln], kOfstream)) {
       Report(pf, ln + 1, "tabbench-unsynced-write",
-             "direct ofstream/fstream in src/core|src/service bypasses the "
+             "direct ofstream/fstream in src/core bypasses the "
              "durable write paths; save artifacts via AtomicWriteFile "
              "(util/file_util.h, crc32c trailer) or append to the fsync'd "
              "run journal (util/run_journal.h)",
@@ -213,7 +211,7 @@ void CheckUnsyncedWrite(const ParsedFile& pf,
   for (size_t ln = 0; ln < pf.raw_lines.size(); ++ln) {
     if (std::regex_search(pf.raw_lines[ln], kFopenWrite)) {
       Report(pf, ln + 1, "tabbench-unsynced-write",
-             "fopen for writing in src/core|src/service bypasses the "
+             "fopen for writing in src/core bypasses the "
              "durable write paths; use AtomicWriteFile or the run journal",
              findings);
     }

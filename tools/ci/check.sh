@@ -37,7 +37,7 @@ step "ctest -L chaos (TABBENCH_FAULTS armed)"
 TABBENCH_FAULTS="storage.heap_scan=unavailable@prob:0.01:7" \
   ctest --test-dir "${BUILD_DIR}" -L chaos --output-on-failure -j "${JOBS}"
 
-# Chaos under TSan: the fault registry, retry sleeps, and failure
+# Chaos under TSan: the fault registry, retry backoff, and failure
 # isolation all run on worker threads; prove them race-free. Works under
 # both GCC and Clang (-fsanitize=thread).
 step "ctest -L chaos under TABBENCH_SANITIZE=thread"
@@ -54,14 +54,6 @@ step "ctest -L vectorized under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_vec_tests
 ctest --test-dir "${TSAN_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
 
-# The sharded serving suite under TSan: router dispatchers, shard health
-# transitions, the watchdog force-cancel race, and the chaos kill/re-route
-# path all cross threads; `-L shard` is the same suite the overload stage
-# below leans on, so prove it race-free before trusting its numbers.
-step "ctest -L shard under TABBENCH_SANITIZE=thread"
-cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_shard_tests
-ctest --test-dir "${TSAN_DIR}" -L shard --output-on-failure -j "${JOBS}"
-
 # The mutation suite under TSan: B+-tree and heap mutations take the tree
 # and stats locks from workload threads, and the online index-build side
 # log is fed by writer threads while the build step drains it — the exact
@@ -72,13 +64,13 @@ step "ctest -L mutation under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_mutation_tests
 ctest --test-dir "${TSAN_DIR}" -L mutation --output-on-failure -j "${JOBS}"
 
-# The concurrency suite under TSan: thread pool, sessions, the workload
-# service, the parallel runners, and the advisors' parallel candidate
-# evaluation, whose eval_pool workers each write their unit's row of the
-# shared trial-cost memo. The shard and vectorized binaries built above
-# carry the label too and run again here.
+# The concurrency suite under TSan: the thread pool, the B-tree stats cache
+# and IN-set memo under concurrent readers, the parallel runners, and the
+# advisors' parallel candidate evaluation, whose eval_pool workers each
+# write their unit's row of the shared trial-cost memo. The vectorized
+# binary built above carries the label too and runs again here.
 step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
-cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_service_tests
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_concurrency_tests
 ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
 
 # ------------------------------------------------------------ perfbench
@@ -139,37 +131,6 @@ TABBENCH_WORKLOAD=8 \
   "${BUILD_DIR}/BENCH_parallel.json" \
   "${BUILD_DIR}/BENCH_insertions.json"
 echo "BENCH artifact: ${BUILD_DIR}/BENCH_insertions.json"
-
-# ------------------------------------------------------------- overload
-# Open-loop overload smoke for the sharded serving layer: a short sweep
-# (sized to stay under a minute) that still crosses saturation, emitting
-# the BENCH_service_overload.json saturation record; then the same sweep
-# in chaos mode, where the harness kills a shard mid-run and audits the
-# router journal for the no-lost-admitted-job invariant. The schema gate
-# validates the artifact both alone and cross-file with BENCH_parallel.json
-# so a benchmark name collision across artifacts fails here, not in a
-# later trajectory diff.
-step "overload smoke: BENCH_service_overload.json (emit + schema-check)"
-OV_DIR="$(mktemp -d)"   # the harness writes its router journal under cwd
-( cd "${OV_DIR}" &&
-  TABBENCH_LOAD_SHARDS=2 TABBENCH_LOAD_SHARD_WORKERS=2 \
-  TABBENCH_LOAD_QPS=100 TABBENCH_LOAD_STEPS=3 TABBENCH_LOAD_ARRIVALS=60 \
-    "${BUILD_DIR}/bench/bench_service_load" \
-    --bench-json "${BUILD_DIR}/BENCH_service_overload.json" )
-"${BUILD_DIR}/bench/bench_json_check" \
-  "${BUILD_DIR}/BENCH_service_overload.json"
-"${BUILD_DIR}/bench/bench_json_check" \
-  "${BUILD_DIR}/BENCH_parallel.json" \
-  "${BUILD_DIR}/BENCH_service_overload.json"
-
-step "overload smoke: chaos mode (shard kill + journal audit)"
-( cd "${OV_DIR}" &&
-  TABBENCH_LOAD_SHARDS=2 TABBENCH_LOAD_SHARD_WORKERS=2 \
-  TABBENCH_LOAD_QPS=100 TABBENCH_LOAD_STEPS=3 TABBENCH_LOAD_ARRIVALS=60 \
-  TABBENCH_LOAD_CHAOS=1 \
-    "${BUILD_DIR}/bench/bench_service_load" )
-rm -rf "${OV_DIR}"
-echo "BENCH artifact: ${BUILD_DIR}/BENCH_service_overload.json"
 
 # ------------------------------------------------------------ kill-resume
 # Crash-safety proof at the process level, via the CLI rather than gtest:
@@ -272,9 +233,11 @@ if command -v clang++ >/dev/null 2>&1; then
   cmake -B "${TSA_DIR}" -S "${ROOT}" \
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_C_COMPILER=clang
-  # The annotated surfaces: the service layer and the B-tree stats cache.
+  # The annotated surfaces: the thread pool, fault registry and run journal
+  # (util), the B-tree stats cache (storage), the IN-set memo (exec), and
+  # the morsel scheduler (exec_vec).
   cmake --build "${TSA_DIR}" -j "${JOBS}" \
-    --target tb_service tb_storage
+    --target tb_util tb_storage tb_exec tb_exec_vec
 else
   step "clang++ not found — skipping -Wthread-safety build"
 fi
