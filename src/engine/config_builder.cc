@@ -261,6 +261,7 @@ Status Database::BuildView(const ViewDef& def, ExecContext* ctx,
     auto more = root->Next(&t);
     if (!more.ok()) return more.status();
     if (!*more) break;
+    TB_RETURN_IF_ERROR(bv->heap->CheckRecordFits(t));
     bv->heap->Append(t);
   }
   ctx->ChargeIoPages(bv->heap->num_pages());  // writing the view out

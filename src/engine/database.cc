@@ -33,6 +33,7 @@ Status Database::Insert(const std::string& table, Tuple row) {
         StrFormat("arity mismatch inserting into %s: got %zu want %zu",
                   table.c_str(), row.size(), def->num_columns()));
   }
+  TB_RETURN_IF_ERROR(it->second->CheckRecordFits(row));
   it->second->Append(row);
   return Status::OK();
 }
@@ -89,6 +90,7 @@ Result<double> Database::TimedInsert(const std::string& table, Tuple row,
                   table.c_str(), row.size(), def->num_columns()));
   }
   HeapTable* heap = it->second.get();
+  TB_RETURN_IF_ERROR(heap->CheckRecordFits(row));
   ExecContext ctx(&store_, &pool_, options_.cost);
   // Single-row DML is random I/O throughout.
   PageTouchFn touch = [&ctx](PageId id) { ctx.TouchPageRandom(id); };
@@ -177,6 +179,9 @@ Result<double> Database::TimedUpdate(const std::string& table, const Rid& rid,
                   table.c_str(), new_row.size(), def->num_columns()));
   }
   HeapTable* heap = it->second.get();
+  // Before the tombstone: a row too large to re-append must leave the old
+  // one live and its index entries in place.
+  TB_RETURN_IF_ERROR(heap->CheckRecordFits(new_row));
   ExecContext ctx(&store_, &pool_, options_.cost);
   PageTouchFn touch = [&ctx](PageId id) { ctx.TouchPageRandom(id); };
 

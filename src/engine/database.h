@@ -76,7 +76,8 @@ class Database : public ObjectResolver {
 
   // ------------------------------------------------------------- schema/load
   Status CreateTable(const TableDef& def);
-  /// Bulk append during initial load (not timed).
+  /// Bulk append during initial load (not timed). InvalidArgument for a
+  /// wrong arity or a row too large for a heap page.
   Status Insert(const std::string& table, Tuple row);
   /// Creates the automatic primary-key indexes (the P configuration's only
   /// indexes) and collects statistics. Call once after loading.
@@ -85,7 +86,8 @@ class Database : public ObjectResolver {
   /// Timed single-row insert: appends to the heap and maintains every index
   /// on the table, charging I/O/CPU to a fresh context sharing the buffer
   /// pool. Returns simulated seconds (the Section 4.4 experiment). `rid`
-  /// (optional) receives the new row's address.
+  /// (optional) receives the new row's address. A row too large for a heap
+  /// page is InvalidArgument, before anything is touched.
   Result<double> TimedInsert(const std::string& table, Tuple row,
                              Rid* rid = nullptr);
 
@@ -98,7 +100,9 @@ class Database : public ObjectResolver {
   /// append-only), with every index entry moved from the old (key, rid) to
   /// the new. `new_rid` (optional) receives the row's new address — updates
   /// physically relocate rows, which is what decays index clustering under
-  /// churn. Same clock contract as TimedInsert.
+  /// churn. Same clock contract as TimedInsert. A new row too large for a
+  /// heap page is InvalidArgument, checked before the old row is
+  /// tombstoned, so the row stays live with its index entries intact.
   Result<double> TimedUpdate(const std::string& table, const Rid& rid,
                              Tuple new_row, Rid* new_rid = nullptr);
 

@@ -118,9 +118,12 @@ Result<InSet> MaterializeInSet(const InSetSpec& spec,
     }
   } else {
     size_t pos = static_cast<size_t>(spec.column_pos);
+    // Only the counted column is read, so only it is decoded.
+    std::vector<uint8_t> cols(heap->codec().types().size(), 0);
+    cols[pos] = 1;
     auto cursor = heap->Scan(touch);
     Tuple t;
-    while (cursor.Next(&t, nullptr)) {
+    while (cursor.NextColumns(&t, cols)) {
       ++script.back().rows;
       TB_RETURN_IF_ERROR(ChargeRow(ctx));
       counts[t.at(pos)] += 1;

@@ -7,17 +7,36 @@
 
 namespace tabbench {
 
-bool CompiledPred::Eval(const Tuple& t) const {
-  switch (kind) {
+namespace {
+
+/// CompiledPred semantics over any row layout: `at(pos)` yields the value
+/// at output position `pos`.
+template <typename AtFn>
+bool EvalAt(const CompiledPred& p, const AtFn& at) {
+  switch (p.kind) {
     case ResidualPred::Kind::kColEqLit:
-      return t.at(static_cast<size_t>(pos_a)) == literal;
+      return at(p.pos_a) == p.literal;
     case ResidualPred::Kind::kColEqCol:
-      return t.at(static_cast<size_t>(pos_a)) ==
-             t.at(static_cast<size_t>(pos_b));
+      return at(p.pos_a) == at(p.pos_b);
     case ResidualPred::Kind::kInSet:
-      return in_set->count(t.at(static_cast<size_t>(pos_a))) > 0;
+      return p.in_set->count(at(p.pos_a)) > 0;
   }
   return false;
+}
+
+}  // namespace
+
+bool CompiledPred::Eval(const Tuple& t) const {
+  return EvalAt(*this, [&t](int pos) -> const Value& {
+    return t.at(static_cast<size_t>(pos));
+  });
+}
+
+bool CompiledPred::EvalJoined(const Tuple& left, const Tuple& right) const {
+  return EvalAt(*this, [&left, &right](int pos) -> const Value& {
+    size_t p = static_cast<size_t>(pos);
+    return p < left.size() ? left.at(p) : right.at(p - left.size());
+  });
 }
 
 namespace {
@@ -92,6 +111,16 @@ bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t) {
   return true;
 }
 
+/// EvalPreds on a join row before it is built: only rows that pass are
+/// concatenated.
+bool EvalJoinedPreds(const std::vector<CompiledPred>& preds, const Tuple& left,
+                     const Tuple& right) {
+  for (const auto& p : preds) {
+    if (!p.EvalJoined(left, right)) return false;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- SeqScan
 
 class SeqScanOp : public Operator {
@@ -101,17 +130,28 @@ class SeqScanOp : public Operator {
       : heap_(heap),
         preds_(std::move(preds)),
         ctx_(ctx),
-        cursor_(heap->Scan([ctx](PageId id) { ctx->TouchPage(id); })) {}
+        cursor_(heap->Scan([ctx](PageId id) { ctx->TouchPage(id); })) {
+    if (preds_.empty()) return;
+    pred_cols_.assign(heap->codec().types().size(), 0);
+    for (const auto& p : preds_) {
+      pred_cols_[static_cast<size_t>(p.pos_a)] = 1;
+      if (p.pos_b >= 0) pred_cols_[static_cast<size_t>(p.pos_b)] = 1;
+    }
+  }
 
   Status Open() override { return Status::OK(); }
 
+  // Rows decode straight into *out and are filtered there; with residual
+  // predicates only their columns are decoded until a row passes, so a
+  // rejected row costs neither the copy of the rest of its values nor any
+  // allocation, and is simply overwritten by the next.
   Result<bool> NextImpl(Tuple* out) override {
-    Tuple t;
-    while (cursor_.Next(&t, nullptr)) {
+    while (pred_cols_.empty() ? cursor_.Next(out, nullptr)
+                              : cursor_.NextColumns(out, pred_cols_)) {
       ctx_->ChargeTuples(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      if (EvalPreds(preds_, t)) {
-        *out = std::move(t);
+      if (EvalPreds(preds_, *out)) {
+        if (!pred_cols_.empty()) cursor_.DecodeRow(out);
         return true;
       }
     }
@@ -124,6 +164,8 @@ class SeqScanOp : public Operator {
   std::vector<CompiledPred> preds_;
   ExecContext* ctx_;
   HeapTable::Cursor cursor_;
+  /// Columns the residual predicates read (empty without predicates).
+  std::vector<uint8_t> pred_cols_;
 };
 
 // -------------------------------------------------------------- IndexScan
@@ -136,7 +178,8 @@ class IndexScanOp : public Operator {
         prefix_(std::move(prefix)),
         index_only_(index_only),
         preds_(std::move(preds)),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {}
 
   Status Open() override {
     if (prefix_.empty()) {
@@ -145,32 +188,23 @@ class IndexScanOp : public Operator {
           [this](PageId id) { ctx_->TouchPage(id); });
     } else {
       // Probe: descent and leaf reads are random I/O.
-      iter_ = index_->btree->SeekPrefix(
-          prefix_, [this](PageId id) { ctx_->TouchPageRandom(id); });
+      iter_ = index_->btree->SeekPrefix(prefix_, touch_random_);
     }
     return Status::OK();
   }
 
+  // Like SeqScan, rows land in *out (heap fetches decode there; an
+  // index-only row is the key) and are filtered in place.
   Result<bool> NextImpl(Tuple* out) override {
-    IndexKey key;
     Rid rid;
-    while (iter_.Next(&key, &rid)) {
+    while (iter_.Next(index_only_ ? out->mutable_values() : nullptr, &rid)) {
       ctx_->ChargeTuples(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      Tuple t;
-      if (index_only_) {
-        t = Tuple(std::move(key));
-      } else {
-        auto fetched = index_->heap->Fetch(
-            rid, [this](PageId id) { ctx_->TouchPageRandom(id); });
-        if (!fetched.ok()) return fetched.status();
+      if (!index_only_) {
+        TB_RETURN_IF_ERROR(index_->heap->FetchInto(rid, touch_random_, out));
         ctx_->ChargeTuples(1);
-        t = fetched.TakeValue();
       }
-      if (EvalPreds(preds_, t)) {
-        *out = std::move(t);
-        return true;
-      }
+      if (EvalPreds(preds_, *out)) return true;
     }
     TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
     return false;
@@ -182,6 +216,7 @@ class IndexScanOp : public Operator {
   bool index_only_;
   std::vector<CompiledPred> preds_;
   ExecContext* ctx_;
+  PageTouchFn touch_random_;  // probes and heap fetches: random I/O
   BTree::Iterator iter_;
 };
 
@@ -190,14 +225,18 @@ class IndexScanOp : public Operator {
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(std::unique_ptr<Operator> build, std::unique_ptr<Operator> probe,
-             std::vector<std::pair<int, int>> key_pos,
+             const std::vector<std::pair<int, int>>& key_pos,
              std::vector<CompiledPred> preds, ExecContext* ctx)
       : build_(std::move(build)),
         probe_(std::move(probe)),
-        key_pos_(std::move(key_pos)),
         preds_(std::move(preds)),
         ctx_(ctx),
-        spill_(ctx) {}
+        spill_(ctx) {
+    for (const auto& [l, r] : key_pos) {
+      build_pos_.push_back(l);
+      probe_pos_.push_back(r);
+    }
+  }
 
   Status Open() override {
     TB_RETURN_IF_ERROR(build_->Open());
@@ -206,10 +245,10 @@ class HashJoinOp : public Operator {
       auto more = build_->Next(&t);
       if (!more.ok()) return more.status();
       if (!*more) break;
-      Tuple key = BuildKey(t, /*left=*/true);
+      key_.AssignProject(t, build_pos_);
       ctx_->ChargeHashOps(1);
       spill_.Add(t.ByteSize() + 24);
-      table_[std::move(key)].push_back(std::move(t));
+      table_[key_].push_back(std::move(t));
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
     }
     return probe_->Open();
@@ -218,12 +257,12 @@ class HashJoinOp : public Operator {
   Result<bool> NextImpl(Tuple* out) override {
     for (;;) {
       if (match_list_ != nullptr && match_idx_ < match_list_->size()) {
-        Tuple joined = Tuple::Concat((*match_list_)[match_idx_], probe_row_);
+        const Tuple& build_row = (*match_list_)[match_idx_];
         ++match_idx_;
         ctx_->ChargeTuples(1);
         TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-        if (EvalPreds(preds_, joined)) {
-          *out = std::move(joined);
+        if (EvalJoinedPreds(preds_, build_row, probe_row_)) {
+          out->AssignConcat(build_row, probe_row_);
           return true;
         }
         continue;
@@ -241,8 +280,8 @@ class HashJoinOp : public Operator {
         }
       }
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      Tuple key = BuildKey(probe_row_, /*left=*/false);
-      auto it = table_.find(key);
+      key_.AssignProject(probe_row_, probe_pos_);
+      auto it = table_.find(key_);
       if (it == table_.end()) {
         match_list_ = nullptr;
         continue;
@@ -253,23 +292,17 @@ class HashJoinOp : public Operator {
   }
 
  private:
-  Tuple BuildKey(const Tuple& t, bool left) const {
-    std::vector<Value> vals;
-    vals.reserve(key_pos_.size());
-    for (const auto& [l, r] : key_pos_) {
-      vals.push_back(t.at(static_cast<size_t>(left ? l : r)));
-    }
-    return Tuple(std::move(vals));
-  }
-
   std::unique_ptr<Operator> build_;
   std::unique_ptr<Operator> probe_;
-  std::vector<std::pair<int, int>> key_pos_;
+  /// Join-key positions in build and probe rows, pairwise.
+  std::vector<int> build_pos_;
+  std::vector<int> probe_pos_;
   std::vector<CompiledPred> preds_;
   ExecContext* ctx_;
   SpillTracker spill_;
   size_t probe_spill_bytes_ = 0;
   std::unordered_map<Tuple, std::vector<Tuple>, TupleHash> table_;
+  Tuple key_;  // reused join-key buffer
   Tuple probe_row_;
   const std::vector<Tuple>* match_list_ = nullptr;
   size_t match_idx_ = 0;
@@ -289,31 +322,34 @@ class IndexNLJoinOp : public Operator {
         seek_outer_pos_(std::move(seek_outer_pos)),
         inner_index_only_(inner_index_only),
         preds_(std::move(preds)),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {
+    prefix_.resize(seek_.size());
+    for (size_t i = 0; i < seek_.size(); ++i) {
+      if (!seek_[i].from_outer) prefix_[i] = seek_[i].literal;
+    }
+  }
 
   Status Open() override { return outer_->Open(); }
 
+  // Inner rows are fetched into `inner_row_` (an index-only row is the key,
+  // read straight into it); a pair is concatenated into *out only once it
+  // passes the residual predicates.
   Result<bool> NextImpl(Tuple* out) override {
     for (;;) {
       if (have_iter_) {
-        IndexKey key;
         Rid rid;
-        while (iter_.Next(&key, &rid)) {
+        while (iter_.Next(
+            inner_index_only_ ? inner_row_.mutable_values() : nullptr, &rid)) {
           ctx_->ChargeTuples(1);
           TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-          Tuple inner_row;
-          if (inner_index_only_) {
-            inner_row = Tuple(std::move(key));
-          } else {
-            auto fetched = inner_->heap->Fetch(
-                rid, [this](PageId id) { ctx_->TouchPageRandom(id); });
-            if (!fetched.ok()) return fetched.status();
+          if (!inner_index_only_) {
+            TB_RETURN_IF_ERROR(
+                inner_->heap->FetchInto(rid, touch_random_, &inner_row_));
             ctx_->ChargeTuples(1);
-            inner_row = fetched.TakeValue();
           }
-          Tuple joined = Tuple::Concat(outer_row_, inner_row);
-          if (EvalPreds(preds_, joined)) {
-            *out = std::move(joined);
+          if (EvalJoinedPreds(preds_, outer_row_, inner_row_)) {
+            out->AssignConcat(outer_row_, inner_row_);
             return true;
           }
         }
@@ -323,20 +359,14 @@ class IndexNLJoinOp : public Operator {
       if (!more.ok()) return more.status();
       if (!*more) return false;
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      // Assemble the probe prefix: literals plus outer-row values.
-      IndexKey prefix;
-      prefix.reserve(seek_.size());
+      // The probe prefix: literals (set once) plus this outer row's values.
       size_t outer_i = 0;
-      for (const auto& part : seek_) {
-        if (part.from_outer) {
-          prefix.push_back(
-              outer_row_.at(static_cast<size_t>(seek_outer_pos_[outer_i++])));
-        } else {
-          prefix.push_back(part.literal);
-        }
+      for (size_t i = 0; i < seek_.size(); ++i) {
+        if (!seek_[i].from_outer) continue;
+        prefix_[i] =
+            outer_row_.at(static_cast<size_t>(seek_outer_pos_[outer_i++]));
       }
-      iter_ = inner_->btree->SeekPrefix(
-          prefix, [this](PageId id) { ctx_->TouchPageRandom(id); });
+      iter_ = inner_->btree->SeekPrefix(prefix_, touch_random_);
       have_iter_ = true;
     }
   }
@@ -349,9 +379,12 @@ class IndexNLJoinOp : public Operator {
   bool inner_index_only_;
   std::vector<CompiledPred> preds_;
   ExecContext* ctx_;
+  PageTouchFn touch_random_;  // probes and heap fetches: random I/O
+  IndexKey prefix_;
   Tuple outer_row_;
   BTree::Iterator iter_;
   bool have_iter_ = false;
+  Tuple inner_row_;
 };
 
 // ---------------------------------------------------------- HashAggregate
@@ -384,9 +417,8 @@ class HashAggregateOp : public Operator {
       if (!*more) break;
       ctx_->ChargeHashOps(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      Tuple key = t.Project(
-          std::vector<size_t>(group_pos_.begin(), group_pos_.end()));
-      auto [it, inserted] = groups_.try_emplace(std::move(key));
+      key_.AssignProject(t, group_pos_);
+      auto [it, inserted] = groups_.try_emplace(key_);
       GroupState& g = it->second;
       if (inserted) {
         g.distinct.resize(num_distinct_aggs);
@@ -461,6 +493,7 @@ class HashAggregateOp : public Operator {
   SpillTracker spill_;
   std::unordered_map<Tuple, GroupState, TupleHash> groups_;
   std::unordered_map<Tuple, GroupState, TupleHash>::iterator iter_;
+  Tuple key_;  // reused group-key buffer; copied only for a new group
 };
 
 // ---------------------------------------------------------------- Project
@@ -474,12 +507,11 @@ class ProjectOp : public Operator {
   Status Open() override { return child_->Open(); }
 
   Result<bool> NextImpl(Tuple* out) override {
-    Tuple t;
-    auto more = child_->Next(&t);
+    auto more = child_->Next(&row_);
     if (!more.ok()) return more.status();
     if (!*more) return false;
     ctx_->ChargeTuples(1);
-    *out = t.Project(positions_);
+    out->AssignProject(row_, positions_);
     return true;
   }
 
@@ -487,6 +519,7 @@ class ProjectOp : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<size_t> positions_;
   ExecContext* ctx_;
+  Tuple row_;  // reused child-row buffer
 };
 
 }  // namespace
@@ -544,8 +577,7 @@ Result<std::unique_ptr<Operator>> BuildOperator(const PlanNode& node,
         key_pos.emplace_back(lp, rp);
       }
       return reg(std::make_unique<HashJoinOp>(std::move(build),
-                                              std::move(probe),
-                                              std::move(key_pos),
+                                              std::move(probe), key_pos,
                                               std::move(preds), ctx));
     }
     case PlanNode::Kind::kIndexNLJoin: {

@@ -52,6 +52,8 @@ struct CompiledPred {
   const std::unordered_set<Value, ValueHash>* in_set = nullptr;
 
   bool Eval(const Tuple& t) const;
+  /// Eval on Concat(left, right), without building the concatenation.
+  bool EvalJoined(const Tuple& left, const Tuple& right) const;
 };
 
 /// Compiles a node's residual predicates against its output slot layout.

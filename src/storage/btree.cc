@@ -27,18 +27,6 @@ bool KeyHasPrefix(const IndexKey& key, const IndexKey& prefix) {
   return true;
 }
 
-struct BTree::Node {
-  PageId page_id = kInvalidPageId;
-  bool is_leaf = true;
-  // Leaf: keys_/rids_ are parallel entry arrays. Internal: keys_[i] is the
-  // smallest key reachable under children_[i+1]; children_.size() ==
-  // keys_.size() + 1.
-  std::vector<IndexKey> keys;
-  std::vector<Rid> rids;
-  std::vector<std::unique_ptr<Node>> children;
-  Node* next_leaf = nullptr;
-};
-
 BTree::BTree(std::string name, size_t num_key_columns, size_t key_width_bytes,
              PageStore* store)
     : name_(std::move(name)),
@@ -85,11 +73,12 @@ BTree::Node* BTree::FindLeaf(const IndexKey& prefix,
     // a run of equal keys straddles two leaves the separator equals the key,
     // and a non-strict comparison would skip the left part of the run. The
     // iterator walks rightward through the leaf chain from here.
-    size_t i = 0;
-    while (i < node->keys.size() && CompareKeys(node->keys[i], prefix) < 0) {
-      ++i;
-    }
-    node = node->children[i].get();
+    // Separators are sorted, so that child is the partition point of
+    // "separator < prefix" (a binary search, same child as a linear walk).
+    auto sep = std::partition_point(
+        node->keys.begin(), node->keys.end(),
+        [&prefix](const IndexKey& k) { return CompareKeys(k, prefix) < 0; });
+    node = node->children[static_cast<size_t>(sep - node->keys.begin())].get();
   }
 }
 
@@ -452,7 +441,7 @@ bool BTree::Iterator::Next(IndexKey* key, Rid* rid) {
           continue;
         }
       }
-      *key = k;
+      if (key != nullptr) *key = k;
       *rid = leaf->rids[idx_];
       ++idx_;
       return true;

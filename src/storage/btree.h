@@ -83,7 +83,8 @@ class BTree {
   /// the whole tree (full index scan, for index-only plans).
   class Iterator {
    public:
-    /// Advances; false at end. On true sets *key and *rid.
+    /// Advances; false at end. On true sets *rid and, unless `key` is
+    /// null, *key (callers that only fetch by Rid skip the key copy).
     bool Next(IndexKey* key, Rid* rid);
 
    private:
@@ -137,7 +138,20 @@ class BTree {
   uint64_t content_epoch() const { return epoch_.load(); }
 
  private:
-  struct Node;
+  /// Tests replay the descent against a reference walk of the nodes.
+  friend class BTreeTestPeer;
+
+  struct Node {
+    PageId page_id = kInvalidPageId;
+    bool is_leaf = true;
+    // Leaf: keys/rids are parallel entry arrays. Internal: keys[i] is the
+    // smallest key reachable under children[i+1]; children.size() ==
+    // keys.size() + 1.
+    std::vector<IndexKey> keys;
+    std::vector<Rid> rids;
+    std::vector<std::unique_ptr<Node>> children;
+    Node* next_leaf = nullptr;
+  };
 
   Node* FindLeaf(const IndexKey& prefix, const PageTouchFn& touch) const;
   Status InsertLocked(const IndexKey& key, const Rid& rid,

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 #include "util/fault_injection.h"
 
@@ -20,17 +21,29 @@ void PutRecord(Page* page, const std::vector<uint8_t>& rec) {
 HeapTable::HeapTable(std::string name, TupleCodec codec, PageStore* store)
     : name_(std::move(name)), codec_(std::move(codec)), store_(store) {}
 
+Status HeapTable::CheckRecordFits(const Tuple& t) const {
+  size_t bytes = codec_.EncodedSize(t);
+  if (bytes > kMaxRecordBytes) {
+    return Status::InvalidArgument(
+        "row of " + std::to_string(bytes) + " encoded bytes exceeds a page (" +
+        std::to_string(kMaxRecordBytes) + ") in " + name_);
+  }
+  return Status::OK();
+}
+
 Rid HeapTable::Append(const Tuple& t) {
   epoch_ = NextContentEpoch();
   std::vector<uint8_t> rec;
   codec_.Encode(t, &rec);
-  assert(rec.size() + 2 <= kPageSize && "record larger than a page");
+  assert(rec.size() <= kMaxRecordBytes && "record larger than a page");
   if (pages_.empty() ||
       store_->GetPage(pages_.back())->used + rec.size() + 2 > kPageSize) {
     pages_.push_back(store_->Allocate());
+    slot_offsets_.emplace_back();
   }
   Page* page = store_->GetPage(pages_.back());
   uint32_t slot = page->num_slots;
+  slot_offsets_.back().push_back(static_cast<uint16_t>(page->used));
   PutRecord(page, rec);
   ++num_rows_;
   total_bytes_ += rec.size();
@@ -38,6 +51,7 @@ Rid HeapTable::Append(const Tuple& t) {
 }
 
 Result<Rid> HeapTable::Insert(const Tuple& t, const PageTouchFn& touch) {
+  TB_RETURN_IF_ERROR(CheckRecordFits(t));
   epoch_ = NextContentEpoch();
   TB_FAULT_POINT("storage.heap_insert");
   Rid rid = Append(t);
@@ -81,7 +95,15 @@ Status HeapTable::Delete(const Rid& rid, const PageTouchFn& touch) {
   return Status::OK();
 }
 
-Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
+void HeapTable::DecodeSlot(const Page* page, size_t page_ordinal,
+                           size_t slot, Tuple* out) const {
+  // Skip the record's own length header.
+  size_t off = slot_offsets_[page_ordinal][slot] + 2u;
+  codec_.DecodeInto(page->data, &off, out);
+}
+
+Status HeapTable::FetchInto(const Rid& rid, const PageTouchFn& touch,
+                            Tuple* out) const {
   TB_FAULT_POINT("storage.heap_fetch");
   if (rid.page_ordinal >= pages_.size()) {
     return Status::NotFound("rid page out of range in " + name_);
@@ -95,59 +117,73 @@ Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
   if (rid.slot >= page->num_slots) {
     return Status::NotFound("rid slot out of range in " + name_);
   }
-  size_t off = 0;
-  for (uint32_t s = 0; s < rid.slot; ++s) {
-    uint16_t len;
-    std::memcpy(&len, page->data + off, 2);
-    off += 2 + len;
-  }
-  off += 2;  // skip the record's own length header
-  return codec_.Decode(page->data, &off);
+  DecodeSlot(page, rid.page_ordinal, rid.slot, out);
+  return Status::OK();
+}
+
+Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
+  Tuple t;
+  TB_RETURN_IF_ERROR(FetchInto(rid, touch, &t));
+  return t;
 }
 
 HeapTable::Cursor::Cursor(const HeapTable* table, PageTouchFn touch)
     : table_(table), touch_(std::move(touch)) {}
 
-bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
+bool HeapTable::Cursor::Advance() {
+  if (on_row_) {
+    ++slot_;
+    on_row_ = false;
+  }
   while (page_ordinal_ < table_->pages_.size()) {
     PageId pid = table_->pages_[page_ordinal_];
-    const Page* page = table_->store_->GetPage(pid);
+    page_ = table_->store_->GetPage(pid);
     if (slot_ == 0) {
       // Once per scanned page, like the I/O it models; latched because a
       // cursor cannot propagate Status.
       TB_FAULT_TRIGGER("storage.heap_scan");
       if (touch_) touch_(pid);
     }
-    if (slot_ < page->num_slots) {
-      if (table_->IsDeleted(page_ordinal_, slot_)) {
-        // Tombstone: still decode past the record bytes (records are
-        // back-to-back), but don't surface the row.
-        uint16_t len;
-        std::memcpy(&len, page->data + offset_, 2);
-        offset_ += 2u + len;
-        ++slot_;
-        continue;
+    for (; slot_ < page_->num_slots; ++slot_) {
+      // Tombstones keep their bytes but never surface.
+      if (!table_->IsDeleted(page_ordinal_, slot_)) {
+        on_row_ = true;
+        return true;
       }
-      offset_ += 2;  // record length header
-      *t = table_->codec_.Decode(page->data, &offset_);
-      if (rid != nullptr) {
-        *rid = Rid{static_cast<uint32_t>(page_ordinal_),
-                   static_cast<uint32_t>(slot_)};
-      }
-      ++slot_;
-      return true;
     }
     ++page_ordinal_;
     slot_ = 0;
-    offset_ = 0;
   }
   return false;
+}
+
+bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
+  if (!Advance()) return false;
+  DecodeRow(t);
+  if (rid != nullptr) {
+    *rid = Rid{static_cast<uint32_t>(page_ordinal_),
+               static_cast<uint32_t>(slot_)};
+  }
+  return true;
+}
+
+bool HeapTable::Cursor::NextColumns(Tuple* t,
+                                    const std::vector<uint8_t>& cols) {
+  if (!Advance()) return false;
+  size_t off = table_->slot_offsets_[page_ordinal_][slot_] + 2u;
+  table_->codec_.DecodeColumnsInto(page_->data, &off, cols, t);
+  return true;
+}
+
+void HeapTable::Cursor::DecodeRow(Tuple* t) const {
+  table_->DecodeSlot(page_, page_ordinal_, slot_, t);
 }
 
 void HeapTable::Drop() {
   epoch_ = NextContentEpoch();
   for (PageId pid : pages_) store_->Free(pid);
   pages_.clear();
+  slot_offsets_.clear();
   deleted_.clear();
   num_rows_ = 0;
   num_deleted_ = 0;

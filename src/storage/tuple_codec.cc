@@ -22,6 +22,52 @@ uint32_t GetU32(const uint8_t* p) {
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
   return v;
 }
+
+/// Decodes the row at data + *offset into `*out`, materializing column i
+/// only when want(i); skipped columns are stepped over.
+template <typename WantFn>
+void DecodeRow(const std::vector<TypeId>& types, const uint8_t* data,
+               size_t* offset, Tuple* out, const WantFn& want) {
+  std::vector<Value>& vals = *out->mutable_values();
+  vals.resize(types.size());
+  size_t off = *offset;
+  for (size_t i = 0; i < types.size(); ++i) {
+    uint8_t tag = data[off++];
+    if (!want(i)) {
+      if (tag == 0) continue;
+      off += types[i] == TypeId::kString ? 4 + GetU32(data + off) : 8;
+      continue;
+    }
+    Value& v = vals[i];
+    if (tag == 0) {
+      v.SetNull();
+      continue;
+    }
+    switch (types[i]) {
+      case TypeId::kInt:
+        v.SetInt(static_cast<int64_t>(GetU64(data + off)));
+        off += 8;
+        break;
+      case TypeId::kDouble: {
+        uint64_t bits = GetU64(data + off);
+        off += 8;
+        double d;
+        std::memcpy(&d, &bits, 8);
+        v.SetDouble(d);
+        break;
+      }
+      case TypeId::kString: {
+        uint32_t len = GetU32(data + off);
+        off += 4;
+        v.SetString(reinterpret_cast<const char*>(data + off), len);
+        off += len;
+        break;
+      }
+    }
+  }
+  *offset = off;
+}
+
 }  // namespace
 
 void TupleCodec::Encode(const Tuple& t, std::vector<uint8_t>* out) const {
@@ -54,41 +100,23 @@ void TupleCodec::Encode(const Tuple& t, std::vector<uint8_t>* out) const {
   }
 }
 
+void TupleCodec::DecodeInto(const uint8_t* data, size_t* offset,
+                            Tuple* out) const {
+  DecodeRow(types_, data, offset, out, [](size_t) { return true; });
+}
+
+void TupleCodec::DecodeColumnsInto(const uint8_t* data, size_t* offset,
+                                   const std::vector<uint8_t>& cols,
+                                   Tuple* out) const {
+  assert(cols.size() == types_.size());
+  DecodeRow(types_, data, offset, out,
+            [&cols](size_t i) { return cols[i] != 0; });
+}
+
 Tuple TupleCodec::Decode(const uint8_t* data, size_t* offset) const {
-  std::vector<Value> vals;
-  vals.reserve(types_.size());
-  size_t off = *offset;
-  for (TypeId t : types_) {
-    uint8_t tag = data[off++];
-    if (tag == 0) {
-      vals.emplace_back();
-      continue;
-    }
-    switch (t) {
-      case TypeId::kInt:
-        vals.emplace_back(static_cast<int64_t>(GetU64(data + off)));
-        off += 8;
-        break;
-      case TypeId::kDouble: {
-        uint64_t bits = GetU64(data + off);
-        off += 8;
-        double d;
-        std::memcpy(&d, &bits, 8);
-        vals.emplace_back(d);
-        break;
-      }
-      case TypeId::kString: {
-        uint32_t len = GetU32(data + off);
-        off += 4;
-        vals.emplace_back(
-            std::string(reinterpret_cast<const char*>(data + off), len));
-        off += len;
-        break;
-      }
-    }
-  }
-  *offset = off;
-  return Tuple(std::move(vals));
+  Tuple t;
+  DecodeInto(data, offset, &t);
+  return t;
 }
 
 size_t TupleCodec::EncodedSize(const Tuple& t) const {

@@ -1,5 +1,7 @@
 #include "types/tuple.h"
 
+#include <algorithm>
+
 namespace tabbench {
 
 Tuple Tuple::Concat(const Tuple& a, const Tuple& b) {
@@ -8,6 +10,13 @@ Tuple Tuple::Concat(const Tuple& a, const Tuple& b) {
   for (const auto& v : a.values()) out.push_back(v);
   for (const auto& v : b.values()) out.push_back(v);
   return Tuple(std::move(out));
+}
+
+void Tuple::AssignConcat(const Tuple& a, const Tuple& b) {
+  values_.resize(a.size() + b.size());
+  std::copy(a.values_.begin(), a.values_.end(), values_.begin());
+  std::copy(b.values_.begin(), b.values_.end(),
+            values_.begin() + static_cast<long>(a.size()));
 }
 
 Tuple Tuple::Project(const std::vector<size_t>& cols) const {

@@ -21,11 +21,29 @@ class Tuple {
 
   void Append(Value v) { values_.push_back(std::move(v)); }
 
+  /// The values themselves, for filling in place (a row decoded or an index
+  /// key read straight into a reused tuple).
+  std::vector<Value>* mutable_values() { return &values_; }
+
   /// Concatenation of two tuples (join output).
   static Tuple Concat(const Tuple& a, const Tuple& b);
 
+  /// Concat(a, b) written over `*this`, reusing its storage. `*this` must
+  /// not alias `a` or `b`.
+  void AssignConcat(const Tuple& a, const Tuple& b);
+
   /// Projection onto the given column positions.
   Tuple Project(const std::vector<size_t>& cols) const;
+
+  /// Project(cols) of `src` written over `*this`, reusing its storage.
+  /// `*this` must not alias `src`.
+  template <typename Pos>
+  void AssignProject(const Tuple& src, const std::vector<Pos>& cols) {
+    values_.resize(cols.size());
+    for (size_t i = 0; i < cols.size(); ++i) {
+      values_[i] = src.values_[static_cast<size_t>(cols[i])];
+    }
+  }
 
   bool operator==(const Tuple& o) const { return values_ == o.values_; }
 

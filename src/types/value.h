@@ -39,6 +39,21 @@ class Value {
   double as_double() const { return std::get<double>(v_); }
   const std::string& as_string() const { return std::get<std::string>(v_); }
 
+  /// In-place setters for decode buffers. Unlike assigning a fresh Value
+  /// they skip the variant's generic move, and SetString reuses the
+  /// string's capacity when the value already holds one, so a tuple decoded
+  /// into row after row stops allocating once its strings have grown.
+  void SetNull() { v_.emplace<Null>(); }
+  void SetInt(int64_t i) { v_ = i; }
+  void SetDouble(double d) { v_ = d; }
+  void SetString(const char* data, size_t len) {
+    if (auto* s = std::get_if<std::string>(&v_)) {
+      s->assign(data, len);
+    } else {
+      v_.emplace<std::string>(data, len);
+    }
+  }
+
   /// Three-way comparison: -1, 0, +1. NULL < any non-null; NULL == NULL
   /// (this is the *sort* order, used by indexes and group-by; SQL ternary
   /// logic is not needed for the benchmark's equality-only predicates).

@@ -11,6 +11,54 @@
 #include "util/rng.h"
 
 namespace tabbench {
+
+/// Walks a tree's nodes directly to model an equality probe the way the
+/// original linear separator scan did, so tests can pin the exact page
+/// sequence (simulated I/O) a probe reports.
+class BTreeTestPeer {
+ public:
+  /// Pages an equality probe for `key` touches, in order: the root-to-leaf
+  /// descent into the first child whose range can hold `key` (the last
+  /// separator strictly below it, found by a linear walk), then each further
+  /// leaf the iterator reaches while entries still equal `key`.
+  static std::vector<PageId> ReferenceProbeTouches(const BTree& tree,
+                                                   const IndexKey& key) {
+    std::vector<PageId> touches;
+    const BTree::Node* node = tree.root_.get();
+    for (;;) {
+      touches.push_back(node->page_id);
+      if (node->is_leaf) break;
+      size_t i = 0;
+      while (i < node->keys.size() && CompareKeys(node->keys[i], key) < 0) ++i;
+      node = node->children[i].get();
+    }
+    size_t idx = 0;
+    while (idx < node->keys.size() && CompareKeys(node->keys[idx], key) < 0) {
+      ++idx;
+    }
+    for (;;) {
+      for (; idx < node->keys.size(); ++idx) {
+        if (CompareKeys(node->keys[idx], key) > 0) return touches;
+      }
+      node = node->next_leaf;
+      if (node == nullptr) return touches;
+      touches.push_back(node->page_id);
+      idx = 0;
+    }
+  }
+
+  /// Pages of the leaf chain, left to right.
+  static std::vector<PageId> LeafPages(const BTree& tree) {
+    const BTree::Node* node = tree.root_.get();
+    while (!node->is_leaf) node = node->children.front().get();
+    std::vector<PageId> pages;
+    for (; node != nullptr; node = node->next_leaf) {
+      pages.push_back(node->page_id);
+    }
+    return pages;
+  }
+};
+
 namespace {
 
 IndexKey IKey(int64_t a) { return {Value(a)}; }
@@ -67,6 +115,28 @@ TEST(BTreeTest, InsertAndScanSorted) {
   EXPECT_EQ(i, keys.size());
 }
 
+/// Probes every key in [lo, hi] and checks the matches (key `v` must
+/// occur `count(v)` times) and the exact page sequence each probe reports.
+template <typename CountFn>
+void ExpectProbesMatchReference(const BTree& tree, int64_t lo, int64_t hi,
+                                CountFn count) {
+  for (int64_t v = lo; v <= hi; ++v) {
+    std::vector<PageId> touches;
+    auto it = tree.SeekPrefix(IKey(v),
+                              [&touches](PageId id) { touches.push_back(id); });
+    IndexKey k;
+    Rid r;
+    int64_t n = 0;
+    while (it.Next(&k, &r)) {
+      EXPECT_EQ(k[0].as_int(), v);
+      ++n;
+    }
+    EXPECT_EQ(n, count(v)) << "key " << v;
+    EXPECT_EQ(touches, BTreeTestPeer::ReferenceProbeTouches(tree, IKey(v)))
+        << "key " << v;
+  }
+}
+
 TEST(BTreeTest, SeekPrefixFindsAllDuplicates) {
   PageStore store;
   BTree tree("ix", 1, 8, &store);
@@ -79,17 +149,45 @@ TEST(BTreeTest, SeekPrefixFindsAllDuplicates) {
                       .ok());
     }
   }
-  for (int64_t v : {1, 13, 37, 60}) {
-    auto it = tree.SeekPrefix(IKey(v), nullptr);
+  ASSERT_GT(tree.height(), 1u);
+  ExpectProbesMatchReference(tree, 0, 61, [](int64_t v) {
+    return v >= 1 && v <= 60 ? v : int64_t{0};
+  });
+
+  // A bulk-built tree with the smallest fanout (8; leaves packed to 7), in
+  // which every duplicate run spans at least 3 leaves, so equal separators
+  // sit at every internal level.
+  const int64_t kRun = 25;
+  std::vector<std::pair<IndexKey, Rid>> entries;
+  for (int64_t v = 1; v <= 60; ++v) {
+    for (int64_t j = 0; j < kRun; ++j) {
+      entries.emplace_back(
+          IKey(v), Rid{static_cast<uint32_t>(v), static_cast<uint32_t>(j)});
+    }
+  }
+  BTree bulk("bulk", 1, /*key_width_bytes=*/4000, &store);
+  bulk.BulkBuild(entries);
+  ASSERT_EQ(bulk.leaf_fanout(), 8u);
+  ASSERT_GE(bulk.height(), 3u);
+  // Leaves per run: count the distinct leaves a full probe reaches.
+  auto probe_leaves = [&bulk](int64_t v) {
+    std::vector<PageId> leaves;
+    std::vector<PageId> chain = BTreeTestPeer::LeafPages(bulk);
+    auto it = bulk.SeekPrefix(IKey(v), [&](PageId id) {
+      if (std::find(chain.begin(), chain.end(), id) != chain.end()) {
+        leaves.push_back(id);
+      }
+    });
     IndexKey k;
     Rid r;
-    int64_t count = 0;
     while (it.Next(&k, &r)) {
-      EXPECT_EQ(k[0].as_int(), v);
-      ++count;
     }
-    EXPECT_EQ(count, v);
-  }
+    return leaves.size();
+  };
+  for (int64_t v = 1; v <= 60; ++v) EXPECT_GE(probe_leaves(v), 3u) << v;
+  ExpectProbesMatchReference(bulk, 0, 61, [kRun](int64_t v) {
+    return v >= 1 && v <= 60 ? kRun : int64_t{0};
+  });
 }
 
 TEST(BTreeTest, SeekPrefixMissingKeyYieldsNothing) {

@@ -207,6 +207,62 @@ TEST(EngineTest, TimedInsertVisibleToQueries) {
             before->rows[0].at(0).as_int() + 1);
 }
 
+// A row too large for a heap page is InvalidArgument on every write path,
+// before anything changes: an oversized update leaves the old row live and
+// every index entry (PK and secondary) pointing at it.
+TEST(EngineTest, OversizedRowsAreRejectedBeforeAnyChange) {
+  TinyDb tiny = TinyDb::Make(500, 5);
+  Database* db = tiny.db.get();
+  Configuration cfg;
+  cfg.name = "city";
+  cfg.indexes.push_back({"ix_city", "people", {"city"}, false});
+  ASSERT_TRUE(db->ApplyConfiguration(cfg).ok());
+  const HeapTable* heap = db->FindHeap("people");
+  ASSERT_NE(heap, nullptr);
+  auto cur = heap->Scan(nullptr);
+  Tuple row;
+  Rid rid;
+  ASSERT_TRUE(cur.Next(&row, &rid));
+  const uint64_t rows = heap->num_rows();
+  const uint64_t epoch = heap->content_epoch();
+  auto oversized = [&row] {
+    std::vector<Value> vals = row.values();
+    vals[2] = Value(std::string(9000, 'x'));  // city
+    return Tuple(std::move(vals));
+  };
+  auto index_has_row = [&](const std::string& index, size_t col) {
+    const IndexInfo* info = db->FindIndex(index);
+    EXPECT_NE(info, nullptr) << index;
+    if (info == nullptr) return false;
+    auto it = info->btree->SeekPrefix({row.at(col)}, nullptr);
+    Rid r;
+    while (it.Next(nullptr, &r)) {
+      if (r == rid) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(index_has_row("people_pk", 0));
+  ASSERT_TRUE(index_has_row("ix_city", 2));
+
+  EXPECT_EQ(db->TimedInsert("people", oversized()).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(db->TimedUpdate("people", rid, oversized()).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(db->Insert("people", oversized()).code(),
+            Status::Code::kInvalidArgument);
+
+  EXPECT_EQ(heap->num_rows(), rows);
+  EXPECT_EQ(heap->num_deleted(), 0u);
+  EXPECT_EQ(heap->content_epoch(), epoch);
+  EXPECT_TRUE(heap->IsLive(rid));
+  auto fetched = heap->Fetch(rid, nullptr);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(*fetched, row);
+  EXPECT_TRUE(index_has_row("people_pk", 0));
+  EXPECT_TRUE(index_has_row("ix_city", 2));
+  EXPECT_EQ(db->MutationsSinceStats("people"), 0u);
+}
+
 TEST(EngineTest, CollectStatisticsRefreshesCounts) {
   TinyDb tiny = TinyDb::Make(300, 5);
   Database* db = tiny.db.get();

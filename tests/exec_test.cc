@@ -11,6 +11,7 @@
 #include "engine/database.h"
 #include "engine/index_build.h"
 #include "exec/in_set.h"
+#include "exec/operators.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 
@@ -63,6 +64,41 @@ TEST_F(ExecTest, SeqScanFilterCount) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0].at(1).as_int(), expected);
+}
+
+// A scan decodes only its residual predicates' columns until a row passes:
+// a column-equality residual needs both of its columns decoded, and a
+// passing row comes out whole.
+TEST_F(ExecTest, SeqScanColumnEqualityResidualMatchesReference) {
+  std::vector<Tuple> expected;
+  for (const auto& r : ScanAll(*db(), "people")) {
+    if (r.at(1) == r.at(3)) expected.push_back(r);  // dept = score
+  }
+  ASSERT_FALSE(expected.empty());
+  PlanNode scan;
+  scan.kind = PlanNode::Kind::kSeqScan;
+  scan.object = "people";
+  for (int c = 0; c < 4; ++c) scan.output_cols.push_back(SlotRef{0, c});
+  ResidualPred eq;
+  eq.kind = ResidualPred::Kind::kColEqCol;
+  eq.a = SlotRef{0, 1};
+  eq.b = SlotRef{0, 3};
+  scan.residual.push_back(eq);
+  BufferPool pool(64);
+  ExecContext ctx = db()->MakeSessionContext(&pool, db()->options().cost);
+  InSets no_sets;
+  auto op = BuildOperator(scan, *db(), no_sets, &ctx);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  TB_ASSERT_OK((*op)->Open());
+  std::vector<Tuple> got;
+  Tuple t;
+  for (;;) {
+    auto more = (*op)->Next(&t);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    got.push_back(t);
+  }
+  EXPECT_EQ(RowsAsStrings(got), RowsAsStrings(expected));
 }
 
 TEST_F(ExecTest, EmptyFilterYieldsNoGroups) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "storage/buffer_pool.h"
 #include "storage/heap_table.h"
 #include "storage/page_store.h"
@@ -226,6 +229,70 @@ TEST_P(CodecFuzz, RandomRowsRoundTrip) {
   }
 }
 
+// One tuple decoded into row after row must always equal a fresh Decode:
+// string columns cycle long -> short -> NULL -> long (growing, shrinking,
+// dropping and re-creating their buffers) while the other columns flip
+// between NULL and present at random, and the buffer starts out with the
+// wrong arity and types. A column-selective decode into a second reused
+// tuple must match on the columns it selects and skip the whole row.
+TEST_P(CodecFuzz, DecodeIntoReusedTupleMatchesFreshDecode) {
+  Rng rng(GetParam());
+  TupleCodec codec({TypeId::kString, TypeId::kInt, TypeId::kString,
+                    TypeId::kDouble});
+  auto random_string = [&rng](size_t min_len, size_t max_len) {
+    std::string s(min_len + rng.Uniform(max_len - min_len + 1), ' ');
+    for (char& c : s) c = static_cast<char>('a' + rng.Uniform(26));
+    return s;
+  };
+  auto string_value = [&](int phase) {
+    switch (phase % 4) {
+      case 1:
+        return Value(random_string(0, 4));
+      case 2:
+        return Value();
+      default:
+        return Value(random_string(100, 300));
+    }
+  };
+  Tuple reused({Value(3.5), Value(std::string(500, 'z')), Value(),
+                Value(int64_t{7}), Value(std::string("extra")), Value()});
+  Tuple partial;
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<Value> vals;
+    vals.push_back(string_value(iter));
+    vals.push_back(rng.Bernoulli(0.3)
+                       ? Value()
+                       : Value(static_cast<int64_t>(rng.Next())));
+    vals.push_back(string_value(iter + static_cast<int>(rng.Uniform(4))));
+    vals.push_back(rng.Bernoulli(0.3) ? Value() : Value(rng.UniformDouble()));
+    Tuple t(std::move(vals));
+    std::vector<uint8_t> buf;
+    codec.Encode(t, &buf);
+    size_t fresh_off = 0;
+    Tuple fresh = codec.Decode(buf.data(), &fresh_off);
+    size_t off = 0;
+    codec.DecodeInto(buf.data(), &off, &reused);
+    ASSERT_EQ(reused, fresh) << "iter " << iter;
+    ASSERT_EQ(reused, t) << "iter " << iter;
+    EXPECT_EQ(off, fresh_off);
+    EXPECT_EQ(off, buf.size());
+    for (size_t i = 0; i < t.size(); ++i) {
+      EXPECT_EQ(reused.at(i).is_null(), t.at(i).is_null()) << iter << "/" << i;
+    }
+    std::vector<uint8_t> cols(t.size());
+    for (uint8_t& c : cols) c = rng.Bernoulli(0.5) ? 1 : 0;
+    size_t partial_off = 0;
+    codec.DecodeColumnsInto(buf.data(), &partial_off, cols, &partial);
+    EXPECT_EQ(partial_off, buf.size());
+    ASSERT_EQ(partial.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (cols[i] != 0) {
+        EXPECT_EQ(partial.at(i), t.at(i)) << iter << "/" << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(1, 2, 3, 4));
 
 // --------------------------------------------------------------- HeapTable
@@ -388,6 +455,134 @@ TEST(HeapTableTest, DeleteTombstonesAndScansSkip) {
     ++seen;
   }
   EXPECT_EQ(seen, 66);
+}
+
+// The slot directory must agree with the sequential record layout for
+// every rid: live rows fetch exactly what the cursor yields at that rid,
+// tombstones are NotFound, and the same holds after Drop and a re-append.
+TEST(HeapTableTest, FetchEveryRidMatchesScan) {
+  PageStore store;
+  HeapTable heap(
+      "t", TupleCodec({TypeId::kInt, TypeId::kString, TypeId::kDouble}),
+      &store);
+  Rng rng(11);
+  auto fill = [&](int64_t n, size_t max_len) {
+    std::vector<Rid> rids;
+    for (int64_t i = 0; i < n; ++i) {
+      Value s = rng.Bernoulli(0.1)
+                    ? Value()
+                    : Value(std::string(rng.Uniform(max_len + 1),
+                                      static_cast<char>('a' + i % 26)));
+      Value d = rng.Bernoulli(0.2) ? Value() : Value(rng.UniformDouble());
+      rids.push_back(
+          heap.Append(Tuple({Value(i), std::move(s), std::move(d)})));
+    }
+    return rids;
+  };
+  auto check_every_rid = [&](const std::vector<Rid>& rids) {
+    std::map<std::pair<uint32_t, uint32_t>, Tuple> scanned;
+    auto cur = heap.Scan(nullptr);
+    Tuple t;
+    Rid rid;
+    while (cur.Next(&t, &rid)) scanned[{rid.page_ordinal, rid.slot}] = t;
+    EXPECT_EQ(scanned.size(), heap.num_rows());
+    // A column-selective scan visits the same rows in the same order, with
+    // the same page touches; DecodeRow completes each row.
+    std::vector<PageId> touches, partial_touches;
+    auto full = heap.Scan([&](PageId id) { touches.push_back(id); });
+    auto part = heap.Scan([&](PageId id) { partial_touches.push_back(id); });
+    const std::vector<uint8_t> id_only = {1, 0, 0};
+    Tuple partial;
+    while (full.Next(&t, nullptr)) {
+      ASSERT_TRUE(part.NextColumns(&partial, id_only));
+      EXPECT_EQ(partial.at(0), t.at(0));
+      part.DecodeRow(&partial);
+      EXPECT_EQ(partial, t);
+    }
+    EXPECT_FALSE(part.NextColumns(&partial, id_only));
+    EXPECT_EQ(partial_touches, touches);
+    Tuple reused;
+    for (const Rid& r : rids) {
+      auto it = scanned.find({r.page_ordinal, r.slot});
+      auto fetched = heap.Fetch(r, nullptr);
+      Status into = heap.FetchInto(r, nullptr, &reused);
+      if (it == scanned.end()) {
+        EXPECT_FALSE(heap.IsLive(r));
+        EXPECT_TRUE(fetched.status().IsNotFound());
+        EXPECT_TRUE(into.IsNotFound());
+        continue;
+      }
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      EXPECT_EQ(*fetched, it->second);
+      TB_ASSERT_OK(into);
+      EXPECT_EQ(reused, it->second);
+    }
+  };
+
+  std::vector<Rid> rids = fill(3000, 200);
+  ASSERT_GT(heap.num_pages(), 10u);
+  for (size_t i = 0; i < rids.size(); i += 1 + rng.Uniform(5)) {
+    TB_ASSERT_OK(heap.Delete(rids[i], nullptr));
+  }
+  // Whole pages of tombstones, the first and last slot of pages included.
+  for (const Rid& r : rids) {
+    if (r.page_ordinal == 3 && heap.IsLive(r)) {
+      TB_ASSERT_OK(heap.Delete(r, nullptr));
+    }
+  }
+  ASSERT_GT(heap.num_deleted(), 0u);
+  check_every_rid(rids);
+
+  heap.Drop();
+  std::vector<Rid> again = fill(1500, 400);
+  for (size_t i = 0; i < again.size(); i += 7) {
+    TB_ASSERT_OK(heap.Delete(again[i], nullptr));
+  }
+  check_every_rid(again);
+  // Rids from before the Drop only resolve if the new layout reaches them.
+  for (const Rid& r : rids) {
+    if (r.page_ordinal >= heap.num_pages()) {
+      EXPECT_TRUE(heap.Fetch(r, nullptr).status().IsNotFound());
+    }
+  }
+}
+
+// A record must fit one page. An oversized row is rejected before any
+// change: no epoch renewal, no page, no touch. A row at exactly the limit
+// fills a fresh page.
+TEST(HeapTableTest, InsertRejectsOversizedRecord) {
+  PageStore store;
+  HeapTable heap("t", TupleCodec({TypeId::kInt, TypeId::kString}), &store);
+  heap.Append(Tuple({Value(int64_t{1}), Value(std::string("a"))}));
+  const uint64_t epoch = heap.content_epoch();
+  const size_t pages = store.allocated_pages();
+  size_t touches = 0;
+  auto count_touch = [&touches](PageId) { ++touches; };
+
+  Tuple huge({Value(int64_t{2}), Value(std::string(9000, 'x'))});
+  EXPECT_EQ(heap.CheckRecordFits(huge).code(), Status::Code::kInvalidArgument);
+  auto r = heap.Insert(huge, count_touch);
+  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(heap.content_epoch(), epoch);
+  EXPECT_EQ(store.allocated_pages(), pages);
+  EXPECT_EQ(heap.num_rows(), 1u);
+  EXPECT_EQ(touches, 0u);
+
+  // Encoded size: 1 + 8 (int) + 1 + 4 + n (string).
+  const size_t fit = HeapTable::kMaxRecordBytes - 14;
+  Tuple at_limit({Value(int64_t{3}), Value(std::string(fit, 'y'))});
+  Tuple over_limit({Value(int64_t{4}), Value(std::string(fit + 1, 'z'))});
+  TB_ASSERT_OK(heap.CheckRecordFits(at_limit));
+  EXPECT_EQ(heap.Insert(over_limit, count_touch).status().code(),
+            Status::Code::kInvalidArgument);
+  auto rid = heap.Insert(at_limit, count_touch);
+  ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+  EXPECT_EQ(rid->page_ordinal, 1u);
+  EXPECT_EQ(store.GetPage(heap.pages()[1])->used, kPageSize);
+  auto fetched = heap.Fetch(*rid, nullptr);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(*fetched, at_limit);
+  EXPECT_EQ(heap.num_rows(), 2u);
 }
 
 TEST(HeapTableTest, InsertAfterDeleteStaysAppendOnly) {

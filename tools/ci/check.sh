@@ -223,6 +223,22 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 ':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:StatusTest.*'\
 ':StringsTest.*:ZipfTest.*'
 
+# ----------------------------------------------------------------- asan
+# The read path decodes every row into a buffer its caller reuses (heap
+# cursor, FetchInto, join concat and key projection into operator-owned
+# tuples), and heap pages are written at offsets the slot directory
+# records; run the codec, heap, B+-tree and executor suites — plus the
+# oversized-record tests, whose rows would overflow a page if the size
+# check slipped — with AddressSanitizer, so a stale, overlapping or
+# out-of-page write fails here rather than corrupting rows silently.
+step "storage/exec suites under TABBENCH_SANITIZE=address"
+ASAN_DIR="${ROOT}/build-asan"
+cmake -B "${ASAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=address
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target tabbench_tests
+"${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
+'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
+':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'
+
 # -------------------------------------------------- thread-safety proof
 # The TB_GUARDED_BY/TB_REQUIRES annotations only carry weight under
 # Clang's -Wthread-safety analysis; GCC compiles them away. Gate this
