@@ -337,9 +337,10 @@ Result<PhysicalPlan> Database::Plan(const std::string& sql) const {
 }
 
 Result<double> Database::Estimate(const std::string& sql) const {
-  PhysicalPlan plan;
-  TB_ASSIGN_OR_RETURN(plan, Plan(sql));
-  return plan.est_cost;
+  BoundQuery q;
+  TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
+  ConfigView view = CurrentView();
+  return EstimateCost(q, view);
 }
 
 Result<double> Database::HypotheticalEstimate(

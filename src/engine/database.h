@@ -207,7 +207,8 @@ class Database : public ObjectResolver {
   };
   Result<AnalyzedRun> RunAnalyze(const std::string& sql);
 
-  /// E(q, C_current): the optimizer's estimate in the built configuration.
+  /// E(q, C_current): the optimizer's estimate in the built configuration,
+  /// bit-equal to Plan(sql)->est_cost but without building the plan tree.
   /// Concurrency-safe like Plan().
   Result<double> Estimate(const std::string& sql) const;
 

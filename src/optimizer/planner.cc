@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <set>
 
 #include "optimizer/cardinality.h"
@@ -30,10 +30,29 @@ struct InBinding {
   double selectivity = 1.0;
 };
 
+/// An index on a unit's object whose key columns the unit exposes.
+struct UnitIndex {
+  const PhysicalIndex* idx = nullptr;
+  std::vector<int> key_pos;  // unit column position of each key column
+  /// The unit's first literal filter on each key column, or -1.
+  std::vector<int> key_filter;
+  bool covering = false;
+};
+
+/// One access path of a unit, costed but not built. Every path yields the
+/// unit's `filtered_rows`: all unit predicates are applied by its end.
+struct AccessPath {
+  enum class Kind { kSeqScan, kIndexSeek, kIndexOnlyScan };
+  Kind kind = Kind::kSeqScan;
+  int index = -1;  // into UnitDesc::indexes for the index paths
+  double cost = 0;
+  double row_bytes = 64;
+};
+
 /// A scannable unit: one base relation occurrence, or a materialized view
 /// standing in for several joined occurrences.
 struct UnitDesc {
-  std::vector<int> rels;
+  uint64_t rel_mask = 0;  // the relation occurrences it covers
   std::string object;
   bool is_view = false;
   const PhysicalView* view = nullptr;
@@ -52,6 +71,10 @@ struct UnitDesc {
   std::vector<std::pair<SlotRef, SlotRef>> residual_joins;
   std::vector<SlotRef> needed;
   double filtered_rows = 0;
+  /// Usable indexes and access paths, costed once per unit: the sequential
+  /// scan, then per index its literal seek and its covering full scan.
+  std::vector<UnitIndex> indexes;
+  std::vector<AccessPath> paths;
 
   int ColumnPos(const std::string& name) const {
     for (size_t i = 0; i < col_names.size(); ++i) {
@@ -67,13 +90,56 @@ struct UnitDesc {
   }
 };
 
-/// A partially-built plan over a set of units.
-struct SubPlan {
-  std::unique_ptr<PlanNode> node;
+/// A query join with its estimates, computed once per query.
+struct JoinInfo {
+  SlotRef left, right;
+  double selectivity = 1.0;
+  double left_distinct = 1.0, right_distinct = 1.0;
+};
+
+/// A join oriented from the already-joined side (outer) to a unit (inner).
+struct OrientedJoin {
+  SlotRef outer, inner;
+  double inner_distinct = 1.0;
+};
+
+/// The cost-only state of a left-deep plan prefix.
+struct Acc {
   double rows = 0;
   double cost = kInf;
   double row_bytes = 64;
-  std::vector<int> rels;
+  uint64_t rels = 0;
+};
+
+/// How one join step attaches its unit: a hash join with one of the unit's
+/// access paths, or an index nested-loop join probing one of its indexes
+/// (the seek binding is a function of the step's inputs and is re-derived
+/// by the builder).
+struct JoinChoice {
+  bool index_nl = false;
+  int path = -1;           // hash join: into UnitDesc::paths
+  bool build_acc = false;  // hash join: the joined side is the build input
+  int index = -1;          // index NL join: into UnitDesc::indexes
+  double rows = 0;         // the step's output estimates
+  double cost = 0;
+};
+
+/// The cheapest left-deep order of one partition's units, with the choices
+/// the builder needs to make its tree.
+struct PartitionPlan {
+  std::vector<const UnitDesc*> units;  // in join order
+  int first_path = -1;
+  std::vector<JoinChoice> steps;  // steps[i] attaches units[i + 1]
+  Acc acc;
+  double total = kInf;  // E(q, C) of this partition's plan
+};
+
+/// The seek prefix an index offers an index NL join.
+struct SeekBinding {
+  double selectivity = 1.0;
+  size_t parts = 0;
+  bool used_outer = false;
+  uint64_t used_joins = 0;  // bit i: query join i bound a key column
 };
 
 struct ViewMatch {
@@ -82,39 +148,67 @@ struct ViewMatch {
   std::vector<int> rel_of_table;
 };
 
+/// Cost-first planning: the search costs every partition and join order on
+/// per-unit path costs and a `{rows, cost, row_bytes, rels}` accumulator,
+/// and the builder allocates plan nodes for the winner alone.
 class Planner {
  public:
   Planner(const BoundQuery& q, const ConfigView& view)
       : q_(q), view_(view), card_(view), cost_(view.params) {}
 
-  Result<PhysicalPlan> Run() {
+  /// Finds the cheapest plan; its E(q, C) is then `best_.total`.
+  Status Search() {
     TB_RETURN_IF_ERROR(Prepare());
 
-    PhysicalPlan best;
-    best.est_cost = kInf;
-
     // Unit partitions: all base units, or one view match replacing its rels.
-    std::vector<std::vector<UnitDesc>> partitions;
-    partitions.push_back(BaseUnits());
-    for (const auto& m : FindViewMatches()) {
-      partitions.push_back(PartitionWithView(m));
+    for (int r = 0; r < q_.num_relations(); ++r) {
+      base_units_.push_back(MakeBaseUnit(r));
     }
+    std::vector<ViewMatch> matches = FindViewMatches();
+    view_units_.reserve(matches.size());
+    for (const auto& m : matches) view_units_.push_back(MakeViewUnit(m));
 
-    for (auto& units : partitions) {
-      auto plan = PlanUnits(&units);
-      if (!plan.ok()) continue;
-      if (plan->est_cost < best.est_cost) best = std::move(*plan);
+    std::vector<const UnitDesc*> units;
+    for (const auto& u : base_units_) units.push_back(&u);
+    SearchPartition(units);
+    for (const auto& vu : view_units_) {
+      units.assign(1, &vu);
+      for (const auto& u : base_units_) {
+        if ((u.rel_mask & vu.rel_mask) == 0) units.push_back(&u);
+      }
+      SearchPartition(units);
     }
-    if (best.est_cost == kInf) {
+    if (best_.total == kInf) {
       return Status::Internal("no plan found for query");
     }
-    return best;
+    return Status::OK();
+  }
+
+  double EstimatedCost() const { return best_.total; }
+
+  /// Builds the tree of the plan Search() found.
+  PhysicalPlan Build() const {
+    const UnitDesc& first = *best_.units[0];
+    std::unique_ptr<PlanNode> node =
+        ScanNode(first, first.paths[static_cast<size_t>(best_.first_path)]);
+    uint64_t rels = first.rel_mask;
+    for (size_t i = 0; i < best_.steps.size(); ++i) {
+      const UnitDesc& u = *best_.units[i + 1];
+      node = JoinNode(std::move(node), rels, u, best_.steps[i]);
+      rels |= u.rel_mask;
+    }
+    return Finalize(std::move(node));
   }
 
  private:
   // ------------------------------------------------------------ preparation
 
   Status Prepare() {
+    // Relation and join sets travel as 64-bit masks.
+    if (q_.num_relations() > 64 || q_.joins.size() > 64) {
+      return Status::InvalidArgument(
+          "planner supports at most 64 relations and 64 joins");
+    }
     // Assign IN-set ids in q order and pick their evaluation strategy.
     for (const auto& p : q_.in_preds) {
       InSetSpec spec;
@@ -150,6 +244,18 @@ class Planner {
       in_specs_.push_back(std::move(spec));
     }
 
+    // Join selectivities and per-side distinct counts.
+    for (const auto& j : q_.joins) {
+      JoinInfo ji;
+      ji.left = SlotRef{j.left.rel, j.left.col};
+      ji.right = SlotRef{j.right.rel, j.right.col};
+      ji.selectivity = card_.JoinSelectivity(j.left.table, j.left.column,
+                                             j.right.table, j.right.column);
+      ji.left_distinct = card_.Distinct(j.left.table, j.left.column);
+      ji.right_distinct = card_.Distinct(j.right.table, j.right.column);
+      joins_.push_back(ji);
+    }
+
     // Needed slots per relation occurrence.
     needed_.resize(static_cast<size_t>(q_.num_relations()));
     auto add_needed = [&](const BoundColumn& c) {
@@ -173,20 +279,12 @@ class Planner {
     return Status::OK();
   }
 
-  // Base unit for each relation occurrence.
-  std::vector<UnitDesc> BaseUnits() const {
-    std::vector<UnitDesc> units;
-    for (int r = 0; r < q_.num_relations(); ++r) {
-      units.push_back(MakeBaseUnit(r));
-    }
-    return units;
-  }
-
+  // Base unit for relation occurrence `r`.
   UnitDesc MakeBaseUnit(int r) const {
     UnitDesc u;
     const std::string& table = q_.relations[static_cast<size_t>(r)];
     const TableDef* def = view_.catalog->FindTable(table);
-    u.rels = {r};
+    u.rel_mask = uint64_t{1} << r;
     u.object = table;
     u.base_rows = card_.TableRows(table);
     u.pages = card_.TablePages(table);
@@ -196,6 +294,7 @@ class Planner {
       u.col_names.push_back(def->columns[c].name);
     }
     FillUnitPredicates(&u);
+    CostPaths(&u);
     return u;
   }
 
@@ -225,16 +324,16 @@ class Planner {
       sel *= ib.selectivity;
       u->in_preds.push_back(ib);
     }
-    for (const auto& j : q_.joins) {
-      SlotRef ls{j.left.rel, j.left.col};
-      SlotRef rs{j.right.rel, j.right.col};
-      if (!u->Exposes(ls) || !u->Exposes(rs)) continue;
+    for (size_t i = 0; i < q_.joins.size(); ++i) {
+      const BoundJoin& j = q_.joins[i];
+      const JoinInfo& ji = joins_[i];
+      if (!u->Exposes(ji.left) || !u->Exposes(ji.right)) continue;
       if (u->is_view && ViewPreApplies(u->view->def, j)) continue;
-      u->residual_joins.emplace_back(ls, rs);
-      sel *= card_.JoinSelectivity(j.left.table, j.left.column,
-                                   j.right.table, j.right.column);
+      u->residual_joins.emplace_back(ji.left, ji.right);
+      sel *= ji.selectivity;
     }
-    for (int r : u->rels) {
+    for (int r = 0; r < q_.num_relations(); ++r) {
+      if (((u->rel_mask >> r) & 1) == 0) continue;
       for (const auto& s : needed_[static_cast<size_t>(r)]) {
         if (u->Exposes(s)) u->needed.push_back(s);
       }
@@ -389,20 +488,7 @@ class Planner {
           // Both sides covered; internal only if the view pre-applies this
           // exact predicate — otherwise it must run as a residual and needs
           // the column.
-          bool in_view_joins = false;
-          for (const auto& vj : vd.joins) {
-            auto is = [&](const BoundColumn& a, const std::string& table,
-                          const std::string& column) {
-              return a.table == table && a.column == column;
-            };
-            if ((is(j.left, vj.left_table, vj.left_column) &&
-                 is(j.right, vj.right_table, vj.right_column)) ||
-                (is(j.left, vj.right_table, vj.right_column) &&
-                 is(j.right, vj.left_table, vj.left_column))) {
-              in_view_joins = true;
-            }
-          }
-          if (!in_view_joins) needed_externally = true;
+          if (!ViewPreApplies(vd, j)) needed_externally = true;
         }
         if (!needed_externally) continue;
         const std::string& col =
@@ -413,14 +499,12 @@ class Planner {
     return true;
   }
 
-  std::vector<UnitDesc> PartitionWithView(const ViewMatch& m) const {
-    std::vector<UnitDesc> units;
+  UnitDesc MakeViewUnit(const ViewMatch& m) const {
     UnitDesc vu;
     vu.is_view = true;
     vu.view = m.view;
     vu.object = m.view->def.name;
-    vu.rels = m.rel_of_table;
-    std::sort(vu.rels.begin(), vu.rels.end());
+    for (int r : m.rel_of_table) vu.rel_mask |= uint64_t{1} << r;
     vu.base_rows = std::max(1.0, m.view->rows);
     vu.pages = std::max(1.0, m.view->pages);
     vu.row_bytes = 0;
@@ -435,21 +519,282 @@ class Planner {
     }
     vu.row_bytes = std::max(16.0, vu.row_bytes);
     FillUnitPredicates(&vu);
-    units.push_back(std::move(vu));
-    for (int r = 0; r < q_.num_relations(); ++r) {
-      bool covered = false;
-      for (int c : units[0].rels) {
-        if (c == r) covered = true;
-      }
-      if (!covered) units.push_back(MakeBaseUnit(r));
-    }
-    return units;
+    CostPaths(&vu);
+    return vu;
   }
 
   // ---------------------------------------------------------- access paths
 
-  /// Residual predicates for the unit, excluding filters whose slots appear
-  /// in `consumed_filters` (already used for an index seek).
+  /// Costs the unit's access paths: the sequential scan, then for each
+  /// index whose key columns the unit exposes, a seek on its leading
+  /// literal filters and, when covering, an index-only full scan.
+  void CostPaths(UnitDesc* u) const {
+    u->paths.push_back(AccessPath{AccessPath::Kind::kSeqScan, -1,
+                                  cost_.SeqScan(u->pages, u->base_rows),
+                                  u->row_bytes});
+    for (const PhysicalIndex* idx : view_.IndexesOn(u->object)) {
+      UnitIndex ix;
+      ix.idx = idx;
+      bool ok = true;
+      for (const auto& kc : idx->def.columns) {
+        int pos = u->ColumnPos(kc);
+        if (pos < 0) {
+          ok = false;
+          break;
+        }
+        ix.key_pos.push_back(pos);
+      }
+      if (!ok) continue;
+      ix.covering = idx->allow_index_only && Covers(*u, ix.key_pos);
+      for (int pos : ix.key_pos) {
+        const SlotRef& slot = u->layout[static_cast<size_t>(pos)];
+        int found = -1;
+        for (size_t f = 0; f < u->filters.size(); ++f) {
+          if (u->filters[f].slot == slot) {
+            found = static_cast<int>(f);
+            break;
+          }
+        }
+        ix.key_filter.push_back(found);
+      }
+      const int id = static_cast<int>(u->indexes.size());
+      u->indexes.push_back(std::move(ix));
+      const UnitIndex& added = u->indexes.back();
+
+      SeekBinding seek = BindSeek(*u, added, 0, nullptr, nullptr);
+      if (seek.parts > 0) {
+        double matching = std::max(1e-6, u->base_rows * seek.selectivity);
+        u->paths.push_back(
+            AccessPath{AccessPath::Kind::kIndexSeek, id,
+                       cost_.IndexProbe(*idx, matching, added.covering),
+                       u->row_bytes});
+      }
+      if (added.covering) {
+        u->paths.push_back(AccessPath{AccessPath::Kind::kIndexOnlyScan, id,
+                                      cost_.IndexOnlyScan(*idx),
+                                      std::max(16.0, u->row_bytes / 2.0)});
+      }
+    }
+  }
+
+  bool Covers(const UnitDesc& u, const std::vector<int>& key_pos) const {
+    for (const auto& need : u.needed) {
+      bool found = false;
+      for (int pos : key_pos) {
+        if (u.layout[static_cast<size_t>(pos)] == need) {
+          found = true;
+          break;
+        }
+      }
+      if (!found) return false;
+    }
+    return true;
+  }
+
+  // ------------------------------------------------------------------ joins
+
+  /// Orients query join `ji` from the joined rels `acc` to `unit`; false
+  /// when it does not connect them.
+  bool Connects(size_t ji, uint64_t acc, uint64_t unit,
+                OrientedJoin* out) const {
+    const JoinInfo& j = joins_[ji];
+    auto in = [](uint64_t mask, const SlotRef& s) {
+      return (mask >> s.rel) & 1;
+    };
+    if (in(acc, j.left) && in(unit, j.right)) {
+      *out = OrientedJoin{j.left, j.right, j.right_distinct};
+      return true;
+    }
+    if (in(acc, j.right) && in(unit, j.left)) {
+      *out = OrientedJoin{j.right, j.left, j.left_distinct};
+      return true;
+    }
+    return false;
+  }
+
+  /// Binds `ix`'s leading key columns for an index NL join from the joined
+  /// rels `acc` into `u`: each key column takes the first unused connecting
+  /// join whose inner column it is, else the unit's first literal filter on
+  /// it, and binding stops at the first column neither covers. With `acc`
+  /// empty this is the literal seek prefix of an index scan. With `node`
+  /// set, also appends the seek parts to it and the consumed filters'
+  /// columns to `consumed`.
+  SeekBinding BindSeek(const UnitDesc& u, const UnitIndex& ix, uint64_t acc,
+                       PlanNode* node,
+                       std::set<std::string>* consumed) const {
+    SeekBinding b;
+    for (size_t k = 0; k < ix.key_pos.size(); ++k) {
+      const SlotRef& slot = u.layout[static_cast<size_t>(ix.key_pos[k])];
+      // Prefer a join binding for this key column.
+      bool bound = false;
+      for (size_t ji = 0; ji < joins_.size(); ++ji) {
+        OrientedJoin j;
+        if ((b.used_joins >> ji) & 1) continue;
+        if (!Connects(ji, acc, u.rel_mask, &j) || !(j.inner == slot)) {
+          continue;
+        }
+        if (node != nullptr) {
+          SeekKeyPart part;
+          part.from_outer = true;
+          part.outer = j.outer;
+          node->seek.push_back(std::move(part));
+        }
+        b.used_joins |= uint64_t{1} << ji;
+        b.selectivity /= j.inner_distinct;
+        bound = true;
+        b.used_outer = true;
+        break;
+      }
+      if (!bound && ix.key_filter[k] >= 0) {
+        const FilterBinding& f =
+            u.filters[static_cast<size_t>(ix.key_filter[k])];
+        if (node != nullptr) {
+          SeekKeyPart part;
+          part.from_outer = false;
+          part.literal = f.literal;
+          node->seek.push_back(std::move(part));
+          consumed->insert(f.object_column);
+        }
+        b.selectivity *= f.selectivity;
+        bound = true;
+      }
+      if (!bound) break;
+      ++b.parts;
+    }
+    return b;
+  }
+
+  /// Extends `acc` with unit `u` by its cheapest join method; false when
+  /// none applies.
+  bool JoinStep(Acc* acc, const UnitDesc& u, JoinChoice* choice) const {
+    OrientedJoin j;
+    bool connected = false;
+    double rows = acc->rows * u.filtered_rows;
+    for (size_t ji = 0; ji < joins_.size(); ++ji) {
+      if (!Connects(ji, acc->rels, u.rel_mask, &j)) continue;
+      connected = true;
+      rows *= joins_[ji].selectivity;
+    }
+    const double out_rows = std::max(1e-6, rows);
+    double best = kInf;
+
+    // Option A: hash join (build on the smaller input).
+    const bool build_acc = acc->rows <= u.filtered_rows;
+    const double build_rows = build_acc ? acc->rows : u.filtered_rows;
+    const double probe_rows = build_acc ? u.filtered_rows : acc->rows;
+    for (size_t p = 0; p < u.paths.size(); ++p) {
+      const AccessPath& up = u.paths[p];
+      double build_bytes = build_acc ? acc->row_bytes : up.row_bytes;
+      double probe_bytes = build_acc ? up.row_bytes : acc->row_bytes;
+      bool spilled = cost_.WouldSpill(build_rows, build_bytes);
+      double cost = acc->cost + up.cost +
+                    cost_.HashBuild(build_rows, build_bytes) +
+                    cost_.HashProbe(probe_rows, out_rows, spilled,
+                                    probe_bytes);
+      if (cost >= best) continue;
+      best = cost;
+      *choice = JoinChoice{false, static_cast<int>(p), build_acc, -1,
+                           out_rows, cost};
+    }
+
+    // Option B: index nested-loop join (single-object inner with an index
+    // whose leading key columns are bound by join columns or literals).
+    if (connected) {
+      for (size_t i = 0; i < u.indexes.size(); ++i) {
+        const UnitIndex& ix = u.indexes[i];
+        SeekBinding b = BindSeek(u, ix, acc->rels, nullptr, nullptr);
+        if (!b.used_outer || b.parts == 0) continue;
+        double matching = std::max(1e-6, u.base_rows * b.selectivity);
+        double per_probe = cost_.IndexProbe(*ix.idx, matching, ix.covering);
+        double cost = acc->cost + acc->rows * per_probe;
+        if (cost >= best) continue;
+        best = cost;
+        *choice = JoinChoice{true, -1, false, static_cast<int>(i), out_rows,
+                             cost};
+      }
+    }
+
+    if (best == kInf) return false;
+    acc->rows = out_rows;
+    acc->cost = best;
+    acc->row_bytes += u.row_bytes;
+    acc->rels |= u.rel_mask;
+    return true;
+  }
+
+  // ----------------------------------------------------------- enumeration
+
+  /// Costs every left-deep order of `units` and keeps the partition's
+  /// cheapest plan in `best_` when its total beats the best so far.
+  void SearchPartition(const std::vector<const UnitDesc*>& units) {
+    const size_t n = units.size();
+    if (n == 0) return;
+    std::vector<size_t> perm(n);
+    for (size_t i = 0; i < n; ++i) perm[i] = i;
+    std::vector<JoinChoice> steps(n - 1);
+
+    PartitionPlan plan;
+    std::vector<size_t> best_perm;
+    do {
+      // Leftmost unit: cheapest access path.
+      const UnitDesc& first = *units[perm[0]];
+      Acc acc;
+      int first_path = -1;
+      for (size_t p = 0; p < first.paths.size(); ++p) {
+        if (first.paths[p].cost < acc.cost) {
+          acc.cost = first.paths[p].cost;
+          acc.row_bytes = first.paths[p].row_bytes;
+          first_path = static_cast<int>(p);
+        }
+      }
+      if (first_path < 0) continue;
+      acc.rows = first.filtered_rows;
+      acc.rels = first.rel_mask;
+      bool ok = true;
+      for (size_t i = 1; i < n && ok; ++i) {
+        ok = JoinStep(&acc, *units[perm[i]], &steps[i - 1]);
+      }
+      if (!ok || !(acc.cost < plan.acc.cost)) continue;
+      plan.acc = acc;
+      plan.first_path = first_path;
+      plan.steps = steps;
+      best_perm = perm;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+
+    if (plan.acc.cost == kInf) return;
+    plan.total = Finish(plan.acc).total;
+    if (!(plan.total < best_.total)) return;
+    for (size_t i : best_perm) plan.units.push_back(units[i]);
+    best_ = std::move(plan);
+  }
+
+  /// E(q, C) of a complete join (IN-set materializations and the root
+  /// operator added) and the root's output rows.
+  struct Finished {
+    double total = 0;
+    double rows = 0;
+  };
+  Finished Finish(const Acc& acc) const {
+    double total = acc.cost;
+    for (double c : in_set_costs_) total += c;
+    if (!q_.IsAggregate()) return Finished{total, acc.rows};
+    double groups = card_.GroupCount(q_.group_by, acc.rows);
+    bool has_distinct = false;
+    for (const auto& s : q_.select) {
+      if (s.kind == BoundSelectItem::Kind::kCountDistinct) {
+        has_distinct = true;
+      }
+    }
+    double key_bytes = 16.0 * static_cast<double>(q_.group_by.size());
+    total += cost_.Aggregate(acc.rows, groups, key_bytes,
+                             has_distinct ? acc.rows : 0.0);
+    return Finished{total, groups};
+  }
+
+  // --------------------------------------------------------------- builder
+
+  /// Residual predicates for the unit, excluding filters whose columns
+  /// appear in `consumed_filters` (already used for an index seek).
   std::vector<ResidualPred> UnitResiduals(
       const UnitDesc& u, const std::set<std::string>& consumed_filters) const {
     std::vector<ResidualPred> out;
@@ -478,416 +823,124 @@ class Planner {
     return out;
   }
 
-  /// All scan paths for a unit (used as the leftmost input or as a hash-join
-  /// input). Each option's `rows` reflects every unit predicate.
-  std::vector<SubPlan> UnitPaths(const UnitDesc& u) const {
-    std::vector<SubPlan> paths;
-
-    // 1. Sequential scan.
-    {
-      SubPlan p;
-      p.node = std::make_unique<PlanNode>();
-      p.node->kind = PlanNode::Kind::kSeqScan;
-      p.node->object = u.object;
-      p.node->is_view = u.is_view;
-      p.node->output_cols = u.layout;
-      p.node->residual = UnitResiduals(u, {});
-      p.rows = u.filtered_rows;
-      p.cost = cost_.SeqScan(u.pages, u.base_rows);
-      p.row_bytes = u.row_bytes;
-      p.rels = u.rels;
-      p.node->est_rows = p.rows;
-      p.node->est_cost = p.cost;
-      paths.push_back(std::move(p));
-    }
-
-    // 2. Index paths.
-    for (const PhysicalIndex* idx : view_.IndexesOn(u.object)) {
-      // Map key columns to unit positions; skip if any key column is
-      // unknown to the unit (cannot happen for base tables).
-      std::vector<int> key_pos;
-      bool ok = true;
-      for (const auto& kc : idx->def.columns) {
-        int pos = u.ColumnPos(kc);
-        if (pos < 0) {
-          ok = false;
-          break;
-        }
-        key_pos.push_back(pos);
-      }
-      if (!ok) continue;
-
-      bool covering = idx->allow_index_only && Covers(u, key_pos);
-
-      // 2a. Seek with leading literal filters.
-      std::vector<SeekKeyPart> seek;
-      std::set<std::string> consumed;
-      double seek_sel = 1.0;
-      for (int pos : key_pos) {
-        const FilterBinding* fb = nullptr;
-        for (const auto& f : u.filters) {
-          if (f.slot == u.layout[static_cast<size_t>(pos)]) {
-            fb = &f;
-            break;
-          }
-        }
-        if (fb == nullptr) break;
-        SeekKeyPart part;
-        part.from_outer = false;
-        part.literal = fb->literal;
-        seek.push_back(std::move(part));
-        consumed.insert(fb->object_column);
-        seek_sel *= fb->selectivity;
-      }
-      if (!seek.empty()) {
-        double matching = std::max(1e-6, u.base_rows * seek_sel);
-        SubPlan p;
-        p.node = std::make_unique<PlanNode>();
-        p.node->kind = PlanNode::Kind::kIndexScan;
-        p.node->object = u.object;
-        p.node->is_view = u.is_view;
-        p.node->index_name =
-            idx->physical_name.empty() ? idx->def.name : idx->physical_name;
-        p.node->seek = seek;
-        p.node->index_only = covering;
-        p.node->output_cols =
-            covering ? KeyLayout(u, key_pos) : u.layout;
-        p.node->residual = UnitResiduals(u, consumed);
-        p.rows = u.filtered_rows;  // all predicates applied by the end
-        p.cost = cost_.IndexProbe(*idx, matching, covering);
-        p.row_bytes = u.row_bytes;
-        p.rels = u.rels;
-        p.node->est_rows = p.rows;
-        p.node->est_cost = p.cost;
-        paths.push_back(std::move(p));
-      }
-
-      // 2b. Covering index-only full scan (no seekable filter needed).
-      if (covering) {
-        SubPlan p;
-        p.node = std::make_unique<PlanNode>();
-        p.node->kind = PlanNode::Kind::kIndexScan;
-        p.node->object = u.object;
-        p.node->is_view = u.is_view;
-        p.node->index_name =
-            idx->physical_name.empty() ? idx->def.name : idx->physical_name;
-        p.node->index_only = true;
-        p.node->output_cols = KeyLayout(u, key_pos);
-        p.node->residual = UnitResiduals(u, {});
-        p.rows = u.filtered_rows;
-        p.cost = cost_.IndexOnlyScan(*idx);
-        p.row_bytes = std::max(16.0, u.row_bytes / 2.0);
-        p.rels = u.rels;
-        p.node->est_rows = p.rows;
-        p.node->est_cost = p.cost;
-        paths.push_back(std::move(p));
-      }
-    }
-    return paths;
-  }
-
-  bool Covers(const UnitDesc& u, const std::vector<int>& key_pos) const {
-    for (const auto& need : u.needed) {
-      bool found = false;
-      for (int pos : key_pos) {
-        if (u.layout[static_cast<size_t>(pos)] == need) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    return true;
-  }
-
-  std::vector<SlotRef> KeyLayout(const UnitDesc& u,
-                                 const std::vector<int>& key_pos) const {
+  static std::vector<SlotRef> KeyLayout(const UnitDesc& u,
+                                        const UnitIndex& ix) {
     std::vector<SlotRef> out;
-    for (int pos : key_pos) out.push_back(u.layout[static_cast<size_t>(pos)]);
-    return out;
-  }
-
-  // ------------------------------------------------------------------ joins
-
-  /// Join predicates connecting `rels` (already joined) with unit `u`.
-  /// Returned with `left` on the already-joined side.
-  std::vector<BoundJoin> ConnectingJoins(const std::vector<int>& rels,
-                                         const UnitDesc& u) const {
-    auto in = [](const std::vector<int>& v, int r) {
-      return std::find(v.begin(), v.end(), r) != v.end();
-    };
-    std::vector<BoundJoin> out;
-    for (const auto& j : q_.joins) {
-      if (in(rels, j.left.rel) && in(u.rels, j.right.rel)) {
-        out.push_back(j);
-      } else if (in(rels, j.right.rel) && in(u.rels, j.left.rel)) {
-        out.push_back(BoundJoin{j.right, j.left});
-      }
+    for (int pos : ix.key_pos) {
+      out.push_back(u.layout[static_cast<size_t>(pos)]);
     }
     return out;
   }
 
-  double JoinOutputRows(double acc_rows, const UnitDesc& u,
-                        const std::vector<BoundJoin>& joins) const {
-    double rows = acc_rows * u.filtered_rows;
-    for (const auto& j : joins) {
-      rows *= card_.JoinSelectivity(j.left.table, j.left.column,
-                                    j.right.table, j.right.column);
-    }
-    return std::max(1e-6, rows);
+  static std::string IndexName(const PhysicalIndex& idx) {
+    return idx.physical_name.empty() ? idx.def.name : idx.physical_name;
   }
 
-  /// Extends `acc` with unit `u`; returns the cheapest join alternative.
-  Result<SubPlan> JoinStep(SubPlan acc, const UnitDesc& u) const {
-    std::vector<BoundJoin> joins = ConnectingJoins(acc.rels, u);
-    double out_rows = JoinOutputRows(acc.rows, u, joins);
-    double out_bytes = acc.row_bytes + u.row_bytes;
+  std::unique_ptr<PlanNode> ScanNode(const UnitDesc& u,
+                                     const AccessPath& path) const {
+    auto node = std::make_unique<PlanNode>();
+    node->object = u.object;
+    node->is_view = u.is_view;
+    node->est_rows = u.filtered_rows;
+    node->est_cost = path.cost;
+    if (path.kind == AccessPath::Kind::kSeqScan) {
+      node->kind = PlanNode::Kind::kSeqScan;
+      node->output_cols = u.layout;
+      node->residual = UnitResiduals(u, {});
+      return node;
+    }
+    const UnitIndex& ix = u.indexes[static_cast<size_t>(path.index)];
+    node->kind = PlanNode::Kind::kIndexScan;
+    node->index_name = IndexName(*ix.idx);
+    std::set<std::string> consumed;
+    if (path.kind == AccessPath::Kind::kIndexSeek) {
+      BindSeek(u, ix, 0, node.get(), &consumed);
+      node->index_only = ix.covering;
+    } else {
+      node->index_only = true;
+    }
+    node->output_cols = node->index_only ? KeyLayout(u, ix) : u.layout;
+    node->residual = UnitResiduals(u, consumed);
+    return node;
+  }
 
-    SubPlan best;
-    best.cost = kInf;
-
-    // Option A: hash join (build on the smaller input).
-    {
-      std::vector<SubPlan> unit_paths = UnitPaths(u);
-      for (auto& up : unit_paths) {
-        bool build_acc = acc.rows <= up.rows;
-        const SubPlan& build = build_acc ? acc : up;
-        const SubPlan& probe = build_acc ? up : acc;
-        bool spilled = cost_.WouldSpill(build.rows, build.row_bytes);
-        double cost = acc.cost + up.cost +
-                      cost_.HashBuild(build.rows, build.row_bytes) +
-                      cost_.HashProbe(probe.rows, out_rows, spilled,
-                                      probe.row_bytes);
-        if (cost >= best.cost) continue;
-
-        auto node = std::make_unique<PlanNode>();
-        node->kind = PlanNode::Kind::kHashJoin;
-        // Clone inputs: plans own their nodes, so deep-copy on demand.
-        node->children.push_back(ClonePlan(*(build_acc ? acc.node : up.node)));
-        node->children.push_back(ClonePlan(*(build_acc ? up.node : acc.node)));
-        for (const auto& j : joins) {
-          SlotRef accs{j.left.rel, j.left.col};
-          SlotRef us{j.right.rel, j.right.col};
-          if (build_acc) {
-            node->hash_keys.emplace_back(accs, us);
-          } else {
-            node->hash_keys.emplace_back(us, accs);
-          }
+  /// The node `choice` describes, joining `acc` (over rels `acc_rels`)
+  /// with unit `u`; `acc` moves in as a child.
+  std::unique_ptr<PlanNode> JoinNode(std::unique_ptr<PlanNode> acc,
+                                     uint64_t acc_rels, const UnitDesc& u,
+                                     const JoinChoice& choice) const {
+    auto node = std::make_unique<PlanNode>();
+    node->est_rows = choice.rows;
+    node->est_cost = choice.cost;
+    OrientedJoin j;
+    if (!choice.index_nl) {
+      node->kind = PlanNode::Kind::kHashJoin;
+      auto scan = ScanNode(u, u.paths[static_cast<size_t>(choice.path)]);
+      for (size_t ji = 0; ji < joins_.size(); ++ji) {
+        if (!Connects(ji, acc_rels, u.rel_mask, &j)) continue;
+        if (choice.build_acc) {
+          node->hash_keys.emplace_back(j.outer, j.inner);
+        } else {
+          node->hash_keys.emplace_back(j.inner, j.outer);
         }
-        node->output_cols = node->children[0]->output_cols;
-        node->output_cols.insert(node->output_cols.end(),
-                                 node->children[1]->output_cols.begin(),
-                                 node->children[1]->output_cols.end());
-        node->est_rows = out_rows;
-        node->est_cost = cost;
-        best.node = std::move(node);
-        best.rows = out_rows;
-        best.cost = cost;
-        best.row_bytes = out_bytes;
       }
-    }
-
-    // Option B: index nested-loop join (single-object inner with an index
-    // whose leading key columns are bound by join columns or literals).
-    if (!joins.empty()) {
-      for (const PhysicalIndex* idx : view_.IndexesOn(u.object)) {
-        std::vector<int> key_pos;
-        bool ok = true;
-        for (const auto& kc : idx->def.columns) {
-          int pos = u.ColumnPos(kc);
-          if (pos < 0) {
-            ok = false;
-            break;
-          }
-          key_pos.push_back(pos);
-        }
-        if (!ok) continue;
-
-        std::vector<SeekKeyPart> seek;
-        std::set<std::string> consumed;
-        std::set<size_t> used_joins;
-        double probe_sel = 1.0;
-        bool used_outer = false;
-        for (int pos : key_pos) {
-          const SlotRef& slot = u.layout[static_cast<size_t>(pos)];
-          // Prefer a join binding for this key column.
-          bool bound = false;
-          for (size_t ji = 0; ji < joins.size(); ++ji) {
-            if (used_joins.count(ji)) continue;
-            const auto& j = joins[ji];
-            if (SlotRef{j.right.rel, j.right.col} == slot) {
-              SeekKeyPart part;
-              part.from_outer = true;
-              part.outer = SlotRef{j.left.rel, j.left.col};
-              seek.push_back(std::move(part));
-              used_joins.insert(ji);
-              probe_sel /= card_.Distinct(j.right.table, j.right.column);
-              bound = true;
-              used_outer = true;
-              break;
-            }
-          }
-          if (!bound) {
-            for (const auto& f : u.filters) {
-              if (f.slot == slot) {
-                SeekKeyPart part;
-                part.from_outer = false;
-                part.literal = f.literal;
-                seek.push_back(std::move(part));
-                consumed.insert(f.object_column);
-                probe_sel *= f.selectivity;
-                bound = true;
-                break;
-              }
-            }
-          }
-          if (!bound) break;
-        }
-        if (!used_outer || seek.empty()) continue;
-
-        bool covering = idx->allow_index_only && Covers(u, key_pos);
-        double matching = std::max(1e-6, u.base_rows * probe_sel);
-        double per_probe = cost_.IndexProbe(*idx, matching, covering);
-        double cost = acc.cost + acc.rows * per_probe;
-        if (cost >= best.cost) continue;
-
-        auto node = std::make_unique<PlanNode>();
-        node->kind = PlanNode::Kind::kIndexNLJoin;
-        node->children.push_back(ClonePlan(*acc.node));
-        node->object = u.object;
-        node->is_view = u.is_view;
-        node->index_name =
-            idx->physical_name.empty() ? idx->def.name : idx->physical_name;
-        node->seek = seek;
-        node->index_only = covering;
-        node->output_cols = node->children[0]->output_cols;
-        std::vector<SlotRef> inner_cols =
-            covering ? KeyLayout(u, key_pos) : u.layout;
-        node->output_cols.insert(node->output_cols.end(), inner_cols.begin(),
-                                 inner_cols.end());
-        // Residuals: unit predicates not consumed by the seek, plus join
-        // predicates not used as seek columns.
-        node->residual = UnitResiduals(u, consumed);
-        for (size_t ji = 0; ji < joins.size(); ++ji) {
-          if (used_joins.count(ji)) continue;
-          ResidualPred p;
-          p.kind = ResidualPred::Kind::kColEqCol;
-          p.a = SlotRef{joins[ji].left.rel, joins[ji].left.col};
-          p.b = SlotRef{joins[ji].right.rel, joins[ji].right.col};
-          node->residual.push_back(std::move(p));
-        }
-        node->est_rows = out_rows;
-        node->est_cost = cost;
-        best.node = std::move(node);
-        best.rows = out_rows;
-        best.cost = cost;
-        best.row_bytes = out_bytes;
+      if (choice.build_acc) {
+        node->children.push_back(std::move(acc));
+        node->children.push_back(std::move(scan));
+      } else {
+        node->children.push_back(std::move(scan));
+        node->children.push_back(std::move(acc));
       }
+      node->output_cols = node->children[0]->output_cols;
+      node->output_cols.insert(node->output_cols.end(),
+                               node->children[1]->output_cols.begin(),
+                               node->children[1]->output_cols.end());
+      return node;
     }
 
-    if (best.cost == kInf) {
-      return Status::Internal("no join method applicable");
+    const UnitIndex& ix = u.indexes[static_cast<size_t>(choice.index)];
+    node->kind = PlanNode::Kind::kIndexNLJoin;
+    node->object = u.object;
+    node->is_view = u.is_view;
+    node->index_name = IndexName(*ix.idx);
+    node->index_only = ix.covering;
+    std::set<std::string> consumed;
+    SeekBinding b = BindSeek(u, ix, acc_rels, node.get(), &consumed);
+    node->output_cols = acc->output_cols;
+    std::vector<SlotRef> inner_cols = ix.covering ? KeyLayout(u, ix) : u.layout;
+    node->output_cols.insert(node->output_cols.end(), inner_cols.begin(),
+                             inner_cols.end());
+    node->children.push_back(std::move(acc));
+    // Residuals: unit predicates not consumed by the seek, plus join
+    // predicates not used as seek columns.
+    node->residual = UnitResiduals(u, consumed);
+    for (size_t ji = 0; ji < joins_.size(); ++ji) {
+      if ((b.used_joins >> ji) & 1) continue;
+      if (!Connects(ji, acc_rels, u.rel_mask, &j)) continue;
+      ResidualPred p;
+      p.kind = ResidualPred::Kind::kColEqCol;
+      p.a = j.outer;
+      p.b = j.inner;
+      node->residual.push_back(std::move(p));
     }
-    best.rels = acc.rels;
-    for (int r : u.rels) best.rels.push_back(r);
-    std::sort(best.rels.begin(), best.rels.end());
-    return best;
+    return node;
   }
 
-  static std::unique_ptr<PlanNode> ClonePlan(const PlanNode& n) {
-    auto out = std::make_unique<PlanNode>();
-    out->kind = n.kind;
-    out->output_cols = n.output_cols;
-    out->residual = n.residual;
-    out->object = n.object;
-    out->is_view = n.is_view;
-    out->index_name = n.index_name;
-    out->seek = n.seek;
-    out->index_only = n.index_only;
-    out->hash_keys = n.hash_keys;
-    out->select = n.select;
-    out->group_by = n.group_by;
-    out->est_rows = n.est_rows;
-    out->est_cost = n.est_cost;
-    for (const auto& c : n.children) out->children.push_back(ClonePlan(*c));
-    return out;
-  }
-
-  // ----------------------------------------------------------- enumeration
-
-  Result<PhysicalPlan> PlanUnits(std::vector<UnitDesc>* units) const {
-    const size_t n = units->size();
-    std::vector<size_t> perm(n);
-    for (size_t i = 0; i < n; ++i) perm[i] = i;
-
-    SubPlan best;
-    best.cost = kInf;
-    do {
-      auto plan = PlanPermutation(*units, perm);
-      if (!plan.ok()) continue;
-      if (plan->cost < best.cost) best = std::move(*plan);
-    } while (std::next_permutation(perm.begin(), perm.end()));
-
-    if (best.cost == kInf) {
-      return Status::Internal("no join order worked");
-    }
-    return Finalize(std::move(best));
-  }
-
-  Result<SubPlan> PlanPermutation(const std::vector<UnitDesc>& units,
-                                  const std::vector<size_t>& perm) const {
-    // Leftmost unit: cheapest access path.
-    std::vector<SubPlan> first = UnitPaths(units[perm[0]]);
-    SubPlan acc;
-    acc.cost = kInf;
-    for (auto& p : first) {
-      if (p.cost < acc.cost) acc = std::move(p);
-    }
-    if (acc.cost == kInf) return Status::Internal("no access path");
-    for (size_t i = 1; i < perm.size(); ++i) {
-      auto next = JoinStep(std::move(acc), units[perm[i]]);
-      if (!next.ok()) return next.status();
-      acc = std::move(*next);
-    }
-    return acc;
-  }
-
-  Result<PhysicalPlan> Finalize(SubPlan acc) const {
+  PhysicalPlan Finalize(std::unique_ptr<PlanNode> child) const {
     PhysicalPlan plan;
     plan.in_sets = in_specs_;
-    double total = acc.cost;
-    for (double c : in_set_costs_) total += c;
-
-    if (q_.IsAggregate()) {
-      auto root = std::make_unique<PlanNode>();
-      root->kind = PlanNode::Kind::kHashAggregate;
-      root->select = q_.select;
-      root->group_by = q_.group_by;
-      double groups = card_.GroupCount(q_.group_by, acc.rows);
-      bool has_distinct = false;
-      for (const auto& s : q_.select) {
-        if (s.kind == BoundSelectItem::Kind::kCountDistinct) {
-          has_distinct = true;
-        }
-      }
-      double key_bytes = 16.0 * static_cast<double>(q_.group_by.size());
-      total += cost_.Aggregate(acc.rows, groups, key_bytes,
-                               has_distinct ? acc.rows : 0.0);
-      root->est_rows = groups;
-      root->children.push_back(std::move(acc.node));
-      // Aggregate output: select-list shape; output_cols unused above root.
-      root->est_cost = total;
-      plan.root = std::move(root);
-    } else {
-      auto root = std::make_unique<PlanNode>();
-      root->kind = PlanNode::Kind::kProject;
-      root->select = q_.select;
-      root->est_rows = acc.rows;
-      root->est_cost = total;
-      root->children.push_back(std::move(acc.node));
-      plan.root = std::move(root);
-    }
-    plan.est_cost = total;
+    const Finished fin = Finish(best_.acc);
+    auto root = std::make_unique<PlanNode>();
+    root->kind = q_.IsAggregate() ? PlanNode::Kind::kHashAggregate
+                                  : PlanNode::Kind::kProject;
+    root->select = q_.select;
+    if (q_.IsAggregate()) root->group_by = q_.group_by;
+    // Aggregate output: select-list shape; output_cols unused above root.
+    root->est_rows = fin.rows;
+    root->est_cost = fin.total;
+    root->children.push_back(std::move(child));
+    plan.root = std::move(root);
+    plan.est_cost = fin.total;
     return plan;
   }
 
@@ -897,7 +950,11 @@ class Planner {
   CostModel cost_;
   std::vector<InSetSpec> in_specs_;
   std::vector<double> in_set_costs_;
+  std::vector<JoinInfo> joins_;
   std::vector<std::vector<SlotRef>> needed_;
+  std::vector<UnitDesc> base_units_;
+  std::vector<UnitDesc> view_units_;
+  PartitionPlan best_;
 };
 
 }  // namespace
@@ -907,13 +964,17 @@ Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view) {
     return Status::InvalidArgument("ConfigView missing catalog or stats");
   }
   Planner p(q, view);
-  return p.Run();
+  TB_RETURN_IF_ERROR(p.Search());
+  return p.Build();
 }
 
 Result<double> EstimateCost(const BoundQuery& q, const ConfigView& view) {
-  PhysicalPlan plan;
-  TB_ASSIGN_OR_RETURN(plan, PlanQuery(q, view));
-  return plan.est_cost;
+  if (view.catalog == nullptr || view.stats == nullptr) {
+    return Status::InvalidArgument("ConfigView missing catalog or stats");
+  }
+  Planner p(q, view);
+  TB_RETURN_IF_ERROR(p.Search());
+  return p.EstimatedCost();
 }
 
 }  // namespace tabbench

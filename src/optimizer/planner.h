@@ -19,11 +19,17 @@ namespace tabbench {
 /// a heap scan or an index-only walk of an index led by the subquery
 /// column.
 ///
+/// The search is cost-first: each unit's access paths are costed once, each
+/// join order is costed on a running {rows, cost, row_bytes, rels} state,
+/// and plan nodes are allocated for the winning plan alone. Queries with
+/// more than 64 FROM occurrences or 64 joins are rejected (InvalidArgument).
+///
 /// Returns the cheapest plan found together with its estimated cost
 /// E(q, C) in `PhysicalPlan::est_cost` (simulated seconds).
 Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view);
 
-/// Convenience: only the estimated cost E(q, C).
+/// Only the estimated cost E(q, C): the same search without the tree build,
+/// so the result bit-equals PlanQuery(q, view)->est_cost.
 Result<double> EstimateCost(const BoundQuery& q, const ConfigView& view);
 
 }  // namespace tabbench

@@ -27,6 +27,10 @@ Result<std::vector<Token>> Lex(const std::string& sql) {
   std::vector<Token> out;
   size_t i = 0;
   const size_t n = sql.size();
+  // The benchmark families average ~3.9 input bytes per token and never go
+  // below 3.2, so this is one allocation per statement; denser input (e.g.
+  // "a,b,c") still grows the vector as before.
+  out.reserve(n / 3 + 2);
   while (i < n) {
     char c = sql[i];
     if (std::isspace(static_cast<unsigned char>(c))) {

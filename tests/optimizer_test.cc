@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/configurations.h"
 #include "optimizer/cardinality.h"
@@ -144,6 +145,23 @@ TEST_F(OptimizerTest, PlansHaveFiniteCosts) {
   EXPECT_GT(plan->est_cost, 0.0);
   ASSERT_NE(plan->root, nullptr);
   EXPECT_EQ(plan->root->kind, PlanNode::Kind::kHashAggregate);
+}
+
+// The search carries relation and join sets as 64-bit masks, so a query
+// with more FROM occurrences is rejected up front (it could never finish
+// enumerating 65! join orders anyway), through both entry points.
+TEST_F(OptimizerTest, RejectsMoreThan64Relations) {
+  std::string sql = "SELECT COUNT(*) FROM people p0";
+  for (int i = 1; i <= 64; ++i) sql += ", people p" + std::to_string(i);
+  auto plan = db()->Plan(sql);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_TRUE(plan.status().IsInvalidArgument()) << plan.status().ToString();
+  EXPECT_NE(plan.status().ToString().find("at most 64 relations"),
+            std::string::npos)
+      << plan.status().ToString();
+  auto cost = db()->Estimate(sql);
+  ASSERT_FALSE(cost.ok());
+  EXPECT_EQ(cost.status().ToString(), plan.status().ToString());
 }
 
 TEST_F(OptimizerTest, PicksIndexForSelectiveFilterIn1C) {

@@ -28,6 +28,17 @@ fi
 step "ctest"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+# ---------------------------------------------------------------- golden
+# The plan-snapshot golden: every NREF2J/NREF3J query and the SkTH3J family,
+# planned on P, 1C and a System C recommendation, must reproduce
+# tests/golden/plan_snapshot.txt (EXPLAIN text, est_cost with %a, a digest
+# of each node's fields), and EstimateCost / Database::Estimate must
+# bit-equal the plan-building entry points. It ran in the full pass above;
+# the labelled re-run names the stage in the log. A re-baseline copies the
+# failing run's plan_snapshot.actual over the golden with a CHANGES.md line.
+step "ctest -L golden (plan snapshot)"
+ctest --test-dir "${BUILD_DIR}" -L golden --output-on-failure -j "${JOBS}"
+
 # ----------------------------------------------------------------- chaos
 # The chaos suite already ran above as part of the full ctest pass; run it
 # again with an env-armed fault schedule so the TABBENCH_FAULTS parsing
