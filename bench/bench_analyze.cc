@@ -1,14 +1,12 @@
 // Times tabbench_analyze's full-tree run: every .h/.cc/.cpp under the
 // repo through BuildModel plus every pass (the per-file rules, the
 // whole-program passes and the path-sensitive CFG passes), repeated
-// --iters times. The point of the
-// artifact is keeping the analyzer fast enough to sit in the inner CI
-// loop: queries_per_second reports files analyzed per second, and the
-// BENCH_analyze.json trajectory catches a pass whose cost quietly goes
-// superlinear.
+// --iters times, and prints seconds per run and files per second. The
+// point is keeping the analyzer fast enough to sit in the inner CI loop.
 //
-// Usage: bench_analyze [--root DIR] [--iters N] [--bench-json PATH]
+// Usage: bench_analyze [--root DIR] [--iters N]   (N a positive integer)
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "analyzer.h"
-#include "bench_support.h"
 
 namespace fs = std::filesystem;
 
@@ -59,10 +56,23 @@ bool ReadFile(const fs::path& path, std::string* out) {
   return true;
 }
 
+/// Parses a whole-string positive integer into *out.
+bool ParsePositive(const std::string& text, size_t* out) {
+  size_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v == 0) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string bench_json = tabbench::bench::TakeBenchJsonArg(&argc, argv);
+  auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--root DIR] [--iters N]\n", argv[0]);
+    return 2;
+  };
   std::string root = ".";
   size_t iters = 3;
   for (int i = 1; i < argc; ++i) {
@@ -70,15 +80,17 @@ int main(int argc, char** argv) {
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
     } else if (arg == "--iters" && i + 1 < argc) {
-      iters = static_cast<size_t>(std::stoul(argv[++i]));
+      if (!ParsePositive(argv[++i], &iters)) {
+        std::fprintf(stderr,
+                     "bench_analyze: --iters must be a positive integer, "
+                     "got '%s'\n",
+                     argv[i]);
+        return usage();
+      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--root DIR] [--iters N] [--bench-json PATH]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
-  if (iters == 0) iters = 1;
 
   std::vector<std::string> rel_files;
   for (const char* dir : {"src", "bench", "tests", "tools", "examples"}) {
@@ -136,21 +148,5 @@ int main(int argc, char** argv) {
       "runs (%.0f files/s)\n",
       files.size(), findings, per_run, iters, files_per_second);
 
-  if (!bench_json.empty()) {
-    tabbench::bench::BenchJsonReport report;
-    report.name = "analyze_full_tree";
-    report.queries_per_second = files_per_second;  // files analyzed per s
-    report.wall_seconds = per_run;
-    report.speedup_vs_serial = 1.0;
-    report.thread_count = 1;
-    const tabbench::Status st =
-        tabbench::bench::WriteBenchJsonReport(bench_json, report);
-    if (!st.ok()) {
-      std::fprintf(stderr, "bench-json write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", bench_json.c_str());
-  }
   return 0;
 }

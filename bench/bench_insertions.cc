@@ -6,17 +6,15 @@
 // query savings on 1C pay for its slower inserts until the insert volume
 // approaches 10% of the database (at 20 workload repetitions).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
 #include "bench_support.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tabbench;
   using namespace tabbench::bench;
-  const std::string bench_json = TakeBenchJsonArg(&argc, argv);
   auto db = MakeNrefDb();
   if (db == nullptr) return 1;
   std::printf("=== Section 4.4: insertions into neighboring_seq ===\n");
@@ -74,8 +72,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(kBatch));
   std::map<std::string, double> insert_cost;
   std::map<std::string, double> workload_time;
-  size_t timed_ops = 0;  // inserts + workload queries across all cases
-  const auto wall_start = std::chrono::steady_clock::now();
   for (auto& c : cases) {
     if (c.config.indexes.empty() && c.config.views.empty()) {
       if (!db->ResetToPrimary().ok()) return 1;
@@ -101,12 +97,7 @@ int main(int argc, char** argv) {
     workload_time[c.name] = run->total_clamped_seconds;
     std::printf("       workload lower bound: %.0fs (%zu timeouts)\n",
                 run->total_clamped_seconds, run->timeouts);
-    timed_ops += static_cast<size_t>(kBatch) + exp.workload().Sql().size();
   }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   (void)db->ResetToPrimary();
 
   std::printf("\ninsert ordering: P (%.4fs) < R (%.4fs) < 1C (%.4fs): %s\n",
@@ -137,22 +128,5 @@ int main(int argc, char** argv) {
                 "insert-faster than 1C on this sample)\n");
   }
 
-  if (!bench_json.empty()) {
-    BenchJsonReport report;
-    report.name = "insertions_nref_write_path";
-    report.wall_seconds = wall_seconds;
-    report.queries_per_second =
-        wall_seconds > 0.0 ? static_cast<double>(timed_ops) / wall_seconds
-                           : 0.0;
-    report.speedup_vs_serial = 1.0;
-    report.thread_count = 1;
-    Status st = WriteBenchJsonReport(bench_json, report);
-    if (!st.ok()) {
-      std::printf("bench-json write failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu timed ops in %.2fs wall)\n",
-                bench_json.c_str(), timed_ops, wall_seconds);
-  }
   return 0;
 }

@@ -5,10 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-
-#include "bench_support.h"
 #include "engine/database.h"
 #include "optimizer/planner.h"
 #include "sql/binder.h"
@@ -137,50 +133,4 @@ BENCHMARK(BM_ExecuteAggregate);
 }  // namespace
 }  // namespace tabbench
 
-// Custom main instead of BENCHMARK_MAIN(): `--bench-json <path>` is
-// stripped before google-benchmark parses flags, then the end-to-end
-// aggregate query's throughput is measured directly (single thread, so
-// speedup_vs_serial is 1 by definition) as this binary's perf-trajectory
-// point.
-int main(int argc, char** argv) {
-  const std::string bench_json =
-      tabbench::bench::TakeBenchJsonArg(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!bench_json.empty()) {
-    tabbench::Database* db = tabbench::SharedDb();
-    const std::string sql =
-        "SELECT t.b, COUNT(*) FROM t WHERE t.c = 's17' GROUP BY t.b";
-    constexpr int kReps = 20;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) {
-      auto res = db->Run(sql);
-      if (!res.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     res.status().ToString().c_str());
-        return 1;
-      }
-    }
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    tabbench::bench::BenchJsonReport report;
-    report.name = "microbench_execute_aggregate";
-    report.wall_seconds = wall;
-    report.queries_per_second = wall > 0.0 ? kReps / wall : 0.0;
-    report.speedup_vs_serial = 1.0;
-    report.thread_count = 1;
-    tabbench::Status st =
-        tabbench::bench::WriteBenchJsonReport(bench_json, report);
-    if (!st.ok()) {
-      std::fprintf(stderr, "bench-json write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%.0f queries/s)\n", bench_json.c_str(),
-                report.queries_per_second);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

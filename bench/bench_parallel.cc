@@ -8,13 +8,14 @@
 // src/core/runner.h) — only wall-clock may differ.
 //
 // Knobs: TABBENCH_SCALE, TABBENCH_WORKLOAD (bench_support.h), and
-// TABBENCH_WORKERS (max worker count to sweep to, default 8).
-// `--bench-json <path>` additionally writes the intra-query sweep's best
-// point as a BENCH_*.json perf-trajectory record (bench_support.h).
+// TABBENCH_WORKERS (max worker count to sweep to, default 8; an integer
+// from 1 to 256, anything else exits 2 before any work starts).
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "bench_support.h"
@@ -22,12 +23,40 @@
 #include "core/sampling.h"
 #include "util/thread_pool.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+// Each sweep step builds a ThreadPool of up to this many threads.
+constexpr size_t kMaxWorkers = 256;
+
+/// Parses a whole-string integer in [1, kMaxWorkers] into *out.
+bool ParseWorkers(const char* text, size_t* out) {
+  const char* end = text + std::strlen(text);
+  size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > kMaxWorkers) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+int main() {
   using namespace tabbench;
   using namespace tabbench::bench;
   using Clock = std::chrono::steady_clock;
 
-  const std::string bench_json = TakeBenchJsonArg(&argc, argv);
+  size_t max_workers = 8;
+  if (const char* w = std::getenv("TABBENCH_WORKERS")) {
+    if (!ParseWorkers(w, &max_workers)) {
+      std::fprintf(stderr,
+                   "bench_parallel: TABBENCH_WORKERS must be an integer "
+                   "from 1 to %zu, got '%s'\n",
+                   kMaxWorkers, w);
+      return 2;
+    }
+  }
 
   std::printf("=== Parallel workload execution: wall-time vs workers ===\n");
 
@@ -67,10 +96,6 @@ int main(int argc, char** argv) {
               "sequential", seq_ms, seq->timeouts,
               seq->total_clamped_seconds);
 
-  size_t max_workers = 8;
-  if (const char* w = std::getenv("TABBENCH_WORKERS")) {
-    max_workers = static_cast<size_t>(std::atoi(w));
-  }
   for (size_t workers = 1; workers <= max_workers; workers *= 2) {
     ThreadPool pool(workers);
     ParallelOptions par;
@@ -108,8 +133,6 @@ int main(int argc, char** argv) {
   // single-query speedup knob (a session's queries finish faster), where
   // the sweep above only improves whole-workload throughput.
   std::printf("\n=== Intra-query parallelism: vectorized engine ===\n");
-  double best_ms = 0.0;
-  size_t best_threads = 1;
   for (size_t workers = 1; workers <= max_workers; workers *= 2) {
     ThreadPool pool(workers);
     RunOptions vopts = opts;
@@ -141,29 +164,6 @@ int main(int argc, char** argv) {
                 workers, workers == 1 ? "" : "s", vec_ms, seq_ms / vec_ms,
                 identical ? "bit-identical" : "DIVERGED (bug!)");
     if (!identical) return 1;
-    if (best_ms == 0.0 || vec_ms < best_ms) {
-      best_ms = vec_ms;
-      best_threads = workers;
-    }
-  }
-
-  if (!bench_json.empty()) {
-    BenchJsonReport report;
-    report.name = "parallel_nref2j_vectorized";
-    report.wall_seconds = best_ms / 1e3;
-    report.queries_per_second =
-        best_ms > 0.0 ? static_cast<double>(sql.size()) / (best_ms / 1e3)
-                      : 0.0;
-    report.speedup_vs_serial = best_ms > 0.0 ? seq_ms / best_ms : 1.0;
-    report.thread_count = best_threads;
-    Status st = WriteBenchJsonReport(bench_json, report);
-    if (!st.ok()) {
-      std::printf("bench-json write failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (best: %zu threads, %.2fx vs serial Volcano)\n",
-                bench_json.c_str(), best_threads,
-                best_ms > 0.0 ? seq_ms / best_ms : 1.0);
   }
   return 0;
 }

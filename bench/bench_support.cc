@@ -1,14 +1,9 @@
 #include "bench_support.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 
 #include "core/goal.h"
-#include "util/file_util.h"
 #include "util/status.h"
 #include "util/strings.h"
 
@@ -167,238 +162,6 @@ std::string Table1Row(const std::string& label, uint64_t total_pages,
   double gib = bytes / (1024.0 * 1024.0 * 1024.0);
   return StrFormat("  %-14s %8.1f GB-equiv   build %8.0f min", label.c_str(),
                    gib, build_seconds / 60.0);
-}
-
-std::string TakeBenchJsonArg(int* argc, char** argv) {
-  for (int i = 1; i + 1 < *argc; ++i) {
-    if (std::string(argv[i]) == "--bench-json") {
-      std::string path = argv[i + 1];
-      for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
-      *argc -= 2;
-      return path;
-    }
-  }
-  return "";
-}
-
-namespace {
-
-/// First line of `path`, stripped of trailing whitespace; "" on any error.
-std::string ReadFirstLine(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  if (!in || !std::getline(in, line)) return "";
-  while (!line.empty() &&
-         (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
-    line.pop_back();
-  }
-  return line;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string GitRevision() {
-  std::string prefix;
-  for (int depth = 0; depth < 8; ++depth, prefix += "../") {
-    std::string head = ReadFirstLine(prefix + ".git/HEAD");
-    if (head.empty()) continue;
-    if (head.rfind("ref: ", 0) != 0) return head;  // detached HEAD
-    const std::string ref = head.substr(5);
-    std::string hash = ReadFirstLine(prefix + ".git/" + ref);
-    if (!hash.empty()) return hash;
-    // Loose ref missing: the ref may live in packed-refs
-    // ("<hash> <refname>" lines, '#' comments, '^' peel lines).
-    std::ifstream packed(prefix + ".git/packed-refs");
-    std::string line;
-    while (packed && std::getline(packed, line)) {
-      if (line.empty() || line[0] == '#' || line[0] == '^') continue;
-      const size_t sp = line.find(' ');
-      if (sp == std::string::npos) continue;
-      if (line.compare(sp + 1, std::string::npos, ref) == 0) {
-        return line.substr(0, sp);
-      }
-    }
-    return "unknown";
-  }
-  return "unknown";
-}
-
-Status WriteBenchJsonReport(const std::string& path, BenchJsonReport r) {
-  if (r.git_rev.empty()) r.git_rev = GitRevision();
-  std::string body = StrFormat(
-      "{\n"
-      "  \"name\": \"%s\",\n"
-      "  \"queries_per_second\": %.17g,\n"
-      "  \"wall_seconds\": %.17g,\n"
-      "  \"speedup_vs_serial\": %.17g,\n"
-      "  \"thread_count\": %zu,\n"
-      "  \"git_rev\": \"%s\"\n"
-      "}\n",
-      JsonEscape(r.name).c_str(), r.queries_per_second, r.wall_seconds,
-      r.speedup_vs_serial, r.thread_count, JsonEscape(r.git_rev).c_str());
-  return AtomicWriteFile(path, body);
-}
-
-namespace {
-
-/// Flat-object JSON scanner for ValidateBenchJsonFile: just enough grammar
-/// for the one shape WriteBenchJsonReport emits (string and number values,
-/// no nesting), with byte offsets in every error so a mangled artifact is
-/// debuggable from the CI log alone.
-struct FlatJsonValue {
-  bool is_string = false;
-  std::string str;
-  double num = 0.0;
-};
-
-Status ParseFlatJson(const std::string& text,
-                     std::map<std::string, FlatJsonValue>* out) {
-  size_t i = 0;
-  auto fail = [&](const std::string& why) {
-    return Status::InvalidArgument(
-        StrFormat("BENCH json offset %zu: %s", i, why.c_str()));
-  };
-  auto skip_ws = [&] {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\n' ||
-                               text[i] == '\t' || text[i] == '\r')) {
-      ++i;
-    }
-  };
-  auto parse_string = [&](std::string* s) {
-    if (i >= text.size() || text[i] != '"') return false;
-    ++i;
-    s->clear();
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) ++i;
-      s->push_back(text[i++]);
-    }
-    if (i >= text.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return fail("expected '\"key\"'");
-      if (out->count(key) != 0) return fail("duplicate key '" + key + "'");
-      skip_ws();
-      if (i >= text.size() || text[i] != ':') return fail("expected ':'");
-      ++i;
-      skip_ws();
-      FlatJsonValue v;
-      if (i < text.size() && text[i] == '"') {
-        v.is_string = true;
-        if (!parse_string(&v.str)) return fail("unterminated string");
-      } else {
-        char* end = nullptr;
-        v.num = std::strtod(text.c_str() + i, &end);
-        if (end == text.c_str() + i) return fail("expected a value");
-        i = static_cast<size_t>(end - text.c_str());
-      }
-      (*out)[key] = std::move(v);
-      skip_ws();
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < text.size() && text[i] == '}') {
-        ++i;
-        break;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-  skip_ws();
-  if (i != text.size()) return fail("trailing bytes after object");
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ValidateBenchJsonFile(const std::string& path) {
-  std::string unused;
-  return ValidateBenchJsonFile(path, &unused);
-}
-
-Status ValidateBenchJsonFile(const std::string& path, std::string* name) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::map<std::string, FlatJsonValue> obj;
-  Status st = ParseFlatJson(buf.str(), &obj);
-  if (!st.ok()) return st;
-  auto fail = [&](const std::string& why) {
-    return Status::InvalidArgument(path + ": " + why);
-  };
-  auto want_string = [&](const std::string& key, Status* out) {
-    auto it = obj.find(key);
-    if (it == obj.end()) {
-      *out = fail("missing key '" + key + "'");
-    } else if (!it->second.is_string || it->second.str.empty()) {
-      *out = fail("'" + key + "' must be a non-empty string");
-    }
-  };
-  auto want_number = [&](const std::string& key, Status* out) {
-    auto it = obj.find(key);
-    if (it == obj.end()) {
-      *out = fail("missing key '" + key + "'");
-    } else if (it->second.is_string || !std::isfinite(it->second.num) ||
-               it->second.num < 0.0) {
-      *out = fail("'" + key + "' must be a finite non-negative number");
-    }
-  };
-  st = Status::OK();
-  want_string("name", &st);
-  if (!st.ok()) return st;
-  want_number("queries_per_second", &st);
-  if (!st.ok()) return st;
-  want_number("wall_seconds", &st);
-  if (!st.ok()) return st;
-  want_number("speedup_vs_serial", &st);
-  if (!st.ok()) return st;
-  want_number("thread_count", &st);
-  if (!st.ok()) return st;
-  const double tc = obj["thread_count"].num;
-  if (tc < 1.0 || tc != std::floor(tc)) {
-    return fail("'thread_count' must be a positive integer");
-  }
-  want_string("git_rev", &st);
-  if (!st.ok()) return st;
-  if (obj.size() != 6) return fail("unexpected extra keys");
-  if (name != nullptr) *name = obj["name"].str;
-  return Status::OK();
-}
-
-Status ValidateBenchJsonSet(const std::vector<std::string>& paths) {
-  std::map<std::string, std::string> first_path;  // name -> earliest path
-  for (const std::string& path : paths) {
-    std::string name;
-    TB_RETURN_IF_ERROR(ValidateBenchJsonFile(path, &name));
-    auto ins = first_path.emplace(name, path);
-    if (!ins.second) {
-      return Status::InvalidArgument(
-          path + ": duplicate benchmark name '" + name +
-          "' (already reported by " + ins.first->second + ")");
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace bench

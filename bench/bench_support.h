@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "advisor/profiles.h"
 #include "core/benchmark_suite.h"
@@ -45,53 +44,6 @@ int RunCfcFigure(Database* db, QueryFamily family,
 /// Rendering of one configuration line of paper Table 1.
 std::string Table1Row(const std::string& label, uint64_t total_pages,
                       double build_seconds, double scale_inverse);
-
-/// One point of the repo's wall-clock perf trajectory. Benches that accept
-/// `--bench-json <path>` write one of these as a flat JSON object so runs
-/// on the same hardware can be diffed across commits:
-///   {"name": "...", "queries_per_second": n, "wall_seconds": n,
-///    "speedup_vs_serial": n, "thread_count": n, "git_rev": "..."}
-/// Speedups compare against the serial Volcano executor on the same
-/// workload in the same process; simulated costs are bit-identical by
-/// contract, so the trajectory tracks pure wall-clock engineering.
-struct BenchJsonReport {
-  std::string name;
-  double queries_per_second = 0.0;
-  double wall_seconds = 0.0;
-  double speedup_vs_serial = 1.0;
-  size_t thread_count = 1;
-  std::string git_rev;  // filled from the repo's .git when left empty
-};
-
-/// Strips one "--bench-json <path>" pair from argv (updating *argc) and
-/// returns the path, or "" when the flag is absent. Run before
-/// benchmark::Initialize so google-benchmark never sees the flag.
-std::string TakeBenchJsonArg(int* argc, char** argv);
-
-/// Commit hash from `.git/HEAD` (searched upward from the working
-/// directory, following one level of `ref:` indirection and falling back
-/// to packed-refs); "unknown" when no repository is found. No subprocess,
-/// no libgit: benches must stay runnable in minimal containers.
-std::string GitRevision();
-
-/// Writes the report atomically as JSON; fills `git_rev` if empty.
-Status WriteBenchJsonReport(const std::string& path, BenchJsonReport r);
-
-/// Schema check for CI: the file must be a flat JSON object holding
-/// exactly the BenchJsonReport fields with the right types (numbers
-/// finite, thread_count a positive integer, strings non-empty).
-Status ValidateBenchJsonFile(const std::string& path);
-
-/// As above, additionally returning the report's benchmark name on
-/// success — the key the trajectory tooling groups runs by.
-Status ValidateBenchJsonFile(const std::string& path, std::string* name);
-
-/// The bench_json_check gate over a whole artifact set: every file must
-/// pass ValidateBenchJsonFile, and no two files (nor one file listed
-/// twice) may report the same benchmark name — trajectory plots keyed by
-/// name would otherwise silently average two distinct runs. The error
-/// names both offending paths.
-Status ValidateBenchJsonSet(const std::vector<std::string>& paths);
 
 }  // namespace bench
 }  // namespace tabbench

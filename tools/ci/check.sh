@@ -107,41 +107,20 @@ echo "perfbench: correct, 0 failed"
 # ------------------------------------------------------------- vectorized
 # The morsel-driven vectorized engine: the golden suite proves simulated
 # costs bit-identical to the Volcano executor (ctest -L vectorized also ran
-# in the full pass above; -L scopes the re-run), then a small bench smoke
-# produces a BENCH_*.json perf-trajectory artifact and the schema gate
-# validates it — a malformed artifact fails here, not in a later diff.
+# in the full pass above; -L scopes the re-run). Then a small bench_parallel
+# run checks the same contract end to end: every inter-query worker count
+# and every vectorized helper budget must reproduce the sequential run's
+# simulated results bit for bit, or the binary exits 1.
 step "ctest -L vectorized"
 ctest --test-dir "${BUILD_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
 
-step "bench smoke: BENCH_parallel.json (emit + schema-check)"
-TABBENCH_WORKLOAD=8 TABBENCH_WORKERS=2 \
-  "${BUILD_DIR}/bench/bench_parallel" \
-  --bench-json "${BUILD_DIR}/BENCH_parallel.json"
-"${BUILD_DIR}/bench/bench_json_check" "${BUILD_DIR}/BENCH_parallel.json"
-# The gate must also reject a duplicated benchmark name (the same artifact
-# listed twice is the degenerate case) — otherwise trajectory plots keyed
-# by name would silently average two runs.
-if "${BUILD_DIR}/bench/bench_json_check" \
-    "${BUILD_DIR}/BENCH_parallel.json" \
-    "${BUILD_DIR}/BENCH_parallel.json" >/dev/null 2>&1; then
-  echo "bench_json_check failed to reject a duplicate benchmark name"
-  exit 1
-fi
-echo "BENCH artifact: ${BUILD_DIR}/BENCH_parallel.json"
+step "bench_parallel smoke (serial = parallel = vectorized, bit-identical)"
+TABBENCH_WORKLOAD=8 TABBENCH_WORKERS=2 "${BUILD_DIR}/bench/bench_parallel"
 
-# Write-path trajectory: the Section 4.4 insertion experiment emits
-# BENCH_insertions.json (per-insert costs under P/R/1C plus the workload
-# reruns drive queries_per_second). Validated alone and cross-file with
-# BENCH_parallel.json so a name collision across artifacts fails here.
-step "bench smoke: BENCH_insertions.json (emit + schema-check)"
-TABBENCH_WORKLOAD=8 \
-  "${BUILD_DIR}/bench/bench_insertions" \
-  --bench-json "${BUILD_DIR}/BENCH_insertions.json"
-"${BUILD_DIR}/bench/bench_json_check" "${BUILD_DIR}/BENCH_insertions.json"
-"${BUILD_DIR}/bench/bench_json_check" \
-  "${BUILD_DIR}/BENCH_parallel.json" \
-  "${BUILD_DIR}/BENCH_insertions.json"
-echo "BENCH artifact: ${BUILD_DIR}/BENCH_insertions.json"
+# The Section 4.4 write path (single-row inserts under P, R and 1C, then
+# the workload on each) must run to completion.
+step "bench_insertions smoke (write path under P, R, 1C)"
+TABBENCH_WORKLOAD=8 "${BUILD_DIR}/bench/bench_insertions"
 
 # ------------------------------------------------------------ kill-resume
 # Crash-safety proof at the process level, via the CLI rather than gtest:
@@ -195,18 +174,10 @@ step "tabbench_analyze (ratchet vs tools/analyze/baseline.json)"
   --strict-baseline --sarif "${BUILD_DIR}/analyze.sarif"
 echo "SARIF artifact: ${BUILD_DIR}/analyze.sarif"
 
-# Analyzer perf trajectory: the full-tree run (every pass) must stay
-# fast enough for the inner CI loop; BENCH_analyze.json goes through the
-# same schema gate as the engine benches, alone and cross-file, so a name
-# collision or malformed artifact fails here.
-step "bench smoke: BENCH_analyze.json (emit + schema-check)"
-"${BUILD_DIR}/bench/bench_analyze" --root "${ROOT}" --iters 2 \
-  --bench-json "${BUILD_DIR}/BENCH_analyze.json"
-"${BUILD_DIR}/bench/bench_json_check" "${BUILD_DIR}/BENCH_analyze.json"
-"${BUILD_DIR}/bench/bench_json_check" \
-  "${BUILD_DIR}/BENCH_parallel.json" \
-  "${BUILD_DIR}/BENCH_analyze.json"
-echo "BENCH artifact: ${BUILD_DIR}/BENCH_analyze.json"
+# The analyzer's full-tree timing run (every pass) must complete; its
+# seconds-per-run line lands in the log.
+step "bench_analyze smoke (full-tree analyzer timing)"
+"${BUILD_DIR}/bench/bench_analyze" --root "${ROOT}" --iters 2
 
 # Fault-injection coverage: which layers carry TB_FAULT_POINT sites and
 # which carry none — printed for review, then enforced as a ratchet: any
