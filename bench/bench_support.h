@@ -16,8 +16,11 @@ namespace tabbench {
 namespace bench {
 
 /// Environment knobs shared by every reproduction binary:
-///   TABBENCH_SCALE     data scale inverse (default 400 = 1/400 of paper)
-///   TABBENCH_WORKLOAD  queries per workload (default 100, as the paper)
+///   TABBENCH_SCALE     data scale inverse, a number >= 50 (default 400 =
+///                      1/400 of paper)
+///   TABBENCH_WORKLOAD  queries per workload, an integer >= 5 (default 100,
+///                      as the paper)
+/// A malformed or out-of-range value exits 2 with a message naming it.
 double ScaleInverse();
 size_t WorkloadSize();
 

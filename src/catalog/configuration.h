@@ -29,12 +29,16 @@ struct ViewColumn {
   std::string column;
   /// Name of the column inside the view ("<table>_<column>" by default).
   std::string view_name;
+
+  bool operator==(const ViewColumn&) const = default;
 };
 
 /// An equi-join predicate between two base tables of a view.
 struct ViewJoin {
   std::string left_table, left_column;
   std::string right_table, right_column;
+
+  bool operator==(const ViewJoin&) const = default;
 };
 
 /// Definition of a materialized view: the join of `tables` under the
@@ -49,6 +53,8 @@ struct ViewDef {
   std::vector<std::string> tables;
   std::vector<ViewJoin> joins;
   std::vector<ViewColumn> projection;
+
+  bool operator==(const ViewDef&) const = default;
 
   /// Index of the view column that exposes `table.column`, or -1.
   int ViewColumnIndex(const std::string& table,

@@ -67,6 +67,7 @@ Status Database::CollectStatistics() {
     stats_.tables[name] = CollectTableStats(*heap, cols);
   }
   stats_ready_ = true;
+  stats_epoch_ = NextContentEpoch();
   mutations_since_stats_.clear();
   return Status::OK();
 }
@@ -332,15 +333,13 @@ Result<Database::AnalyzedRun> Database::RunAnalyze(const std::string& sql) {
 Result<PhysicalPlan> Database::Plan(const std::string& sql) const {
   BoundQuery q;
   TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
-  ConfigView view = CurrentView();
-  return PlanQuery(q, view);
+  return PlanQuery(q, PlannerView()->view);
 }
 
 Result<double> Database::Estimate(const std::string& sql) const {
   BoundQuery q;
   TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
-  ConfigView view = CurrentView();
-  return EstimateCost(q, view);
+  return EstimateCost(q, PlannerView()->view);
 }
 
 Result<double> Database::HypotheticalEstimate(
@@ -348,15 +347,91 @@ Result<double> Database::HypotheticalEstimate(
     const HypotheticalRules& rules) const {
   BoundQuery q;
   TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
-  ConfigView base = CurrentView();
-  DatabaseStats degraded;
-  if (rules.uniform_value_assumption) {
-    degraded = DegradeToUniform(stats_);
-    base.stats = &degraded;
+  std::shared_ptr<const HypotheticalMemo> hyp;
+  TB_ASSIGN_OR_RETURN(hyp, HypotheticalView(hypothetical, rules));
+  return EstimateCost(q, hyp->view);
+}
+
+namespace {
+
+/// Equal on every field, names included (IndexDef::operator== ignores them,
+/// but a derived view carries them).
+bool SameConfiguration(const Configuration& a, const Configuration& b) {
+  auto same_index = [](const IndexDef& x, const IndexDef& y) {
+    return x == y && x.name == y.name && x.is_primary == y.is_primary;
+  };
+  return a.name == b.name && a.views == b.views &&
+         std::equal(a.indexes.begin(), a.indexes.end(), b.indexes.begin(),
+                    b.indexes.end(), same_index);
+}
+
+}  // namespace
+
+template <typename F>
+void Database::ForEachBuiltEpoch(F f) const {
+  for (const auto& bi : pk_indexes_) f(bi->btree->content_epoch());
+  for (const auto& bi : secondary_indexes_) f(bi->btree->content_epoch());
+  for (const auto& bv : views_) f(bv->heap->content_epoch());
+}
+
+std::shared_ptr<const Database::ViewMemo> Database::PlannerView() const {
+  std::shared_ptr<const ViewMemo> memo;
+  {
+    MutexLock lock(&memo_mu_);
+    memo = view_memo_;
   }
-  ConfigView hyp;
-  TB_ASSIGN_OR_RETURN(hyp, MakeHypotheticalView(hypothetical, base, rules));
-  return EstimateCost(q, hyp);
+  if (memo != nullptr && IsCurrent(*memo)) return memo;
+
+  auto fresh = std::make_shared<ViewMemo>();
+  fresh->view = CurrentView();
+  ForEachBuiltEpoch([&](uint64_t e) { fresh->epochs.push_back(e); });
+  fresh->stats_epoch = stats_epoch_;
+  MutexLock lock(&memo_mu_);
+  view_memo_ = fresh;
+  return fresh;
+}
+
+bool Database::IsCurrent(const ViewMemo& memo) const {
+  if (memo.stats_epoch != stats_epoch_) return false;
+  size_t i = 0;
+  bool same = true;
+  ForEachBuiltEpoch([&](uint64_t e) {
+    same = same && i < memo.epochs.size() && memo.epochs[i] == e;
+    ++i;
+  });
+  return same && i == memo.epochs.size();
+}
+
+Result<std::shared_ptr<const Database::HypotheticalMemo>>
+Database::HypotheticalView(const Configuration& config,
+                           const HypotheticalRules& rules) const {
+  const std::shared_ptr<const ViewMemo> base = PlannerView();
+  std::shared_ptr<const HypotheticalMemo> memo;
+  {
+    MutexLock lock(&memo_mu_);
+    memo = hypothetical_memo_;
+  }
+  if (memo != nullptr && memo->base == base && memo->rules == rules &&
+      SameConfiguration(memo->config, config)) {
+    return memo;
+  }
+  auto fresh = std::make_shared<HypotheticalMemo>();
+  fresh->config = config;
+  fresh->rules = rules;
+  fresh->base = base;
+  if (rules.uniform_value_assumption) {
+    fresh->degraded = DegradeToUniform(stats_);
+    ConfigView degraded_base = base->view;
+    degraded_base.stats = &fresh->degraded;
+    TB_ASSIGN_OR_RETURN(fresh->view,
+                        MakeHypotheticalView(config, degraded_base, rules));
+  } else {
+    TB_ASSIGN_OR_RETURN(fresh->view,
+                        MakeHypotheticalView(config, base->view, rules));
+  }
+  MutexLock lock(&memo_mu_);
+  hypothetical_memo_ = fresh;
+  return std::shared_ptr<const HypotheticalMemo>(std::move(fresh));
 }
 
 ConfigView Database::CurrentView() const {

@@ -21,7 +21,9 @@
 #include "storage/heap_table.h"
 #include "storage/page_store.h"
 #include "stats/table_stats.h"
+#include "util/mutex.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace tabbench {
 
@@ -195,7 +197,9 @@ class Database : public ObjectResolver {
 
   /// Optimizes only; returns the chosen plan with E(q, C_current).
   /// Read-only and safe to call concurrently (planning consults only the
-  /// catalog, statistics, and built-structure metadata).
+  /// catalog, statistics, and built-structure metadata). Plans against the
+  /// memoized view of the built configuration, as do Estimate,
+  /// HypotheticalEstimate and every Run* entry point.
   Result<PhysicalPlan> Plan(const std::string& sql) const;
 
   /// EXPLAIN ANALYZE: executes and returns both the result and the plan
@@ -214,13 +218,14 @@ class Database : public ObjectResolver {
 
   /// H(q, C_h, C_current): what-if estimate of a configuration that is NOT
   /// built, derived per `rules` (Section 5 of the paper). Concurrency-safe
-  /// like Plan().
+  /// like Plan(). The derived view of the last (C_h, rules) pair asked for
+  /// is memoized until it or the built configuration changes.
   Result<double> HypotheticalEstimate(const std::string& sql,
                                       const Configuration& hypothetical,
                                       const HypotheticalRules& rules) const;
 
   /// Planner view of the currently built configuration, with measured
-  /// index/view statistics.
+  /// index/view statistics, built afresh on every call.
   ConfigView CurrentView() const;
 
   // ----------------------------------------------------------------- plumbing
@@ -253,6 +258,8 @@ class Database : public ObjectResolver {
   /// The online build drives private pieces directly: it allocates its tree
   /// in store_ and extracts keys with ExtractKey for its side log.
   friend class OnlineIndexBuild;
+  /// Tests check which calls hit the planner memos.
+  friend class DatabaseTestPeer;
 
   struct BuiltIndex {
     IndexDef def;
@@ -270,6 +277,47 @@ class Database : public ObjectResolver {
   Status BuildView(const ViewDef& def, ExecContext* ctx,
                    std::vector<std::unique_ptr<BuiltView>>* out);
   Result<const HeapTable*> GetHeap(const std::string& name) const;
+
+  /// CurrentView(), kept for every planning call until something it
+  /// reflects changes. Valid while stats_epoch_ and the content epoch of
+  /// every built B-tree (PK, then secondary) and view heap, in order, equal
+  /// the ones recorded when it was built. Epochs are renewed by every
+  /// mutator and never reused (storage/page_store.h), so a write, a
+  /// statistics pass, or any change to the set of built objects fails the
+  /// check without any mutation path invalidating the memo. Immutable once
+  /// stored.
+  struct ViewMemo {
+    ConfigView view;
+    std::vector<uint64_t> epochs;
+    uint64_t stats_epoch = 0;
+  };
+  /// MakeHypotheticalView(config, base->view, rules), for one (config,
+  /// rules, base) at a time; holding `base` keeps its address from being
+  /// reused by a later ViewMemo. The configuration is compared on its full
+  /// content, names included (IndexDef::operator== ignores them, but the
+  /// derived view carries them). `degraded` holds the uniform-value stats
+  /// the view points at when the rules ask for them. Immutable once stored.
+  struct HypotheticalMemo {
+    Configuration config;
+    HypotheticalRules rules;
+    std::shared_ptr<const ViewMemo> base;
+    DatabaseStats degraded;
+    ConfigView view;
+  };
+  /// The memoized view of the built configuration, rebuilt first if stale.
+  /// Like InSetMemo, the lock guards only the memo slot: checks and builds
+  /// run outside it, and two threads that miss at once store equal views.
+  std::shared_ptr<const ViewMemo> PlannerView() const TB_EXCLUDES(memo_mu_);
+  bool IsCurrent(const ViewMemo& memo) const;
+  /// Calls `f` with the content epoch of each built B-tree (PK, then
+  /// secondary) and view heap, in order.
+  template <typename F>
+  void ForEachBuiltEpoch(F f) const;
+  /// The memoized view of `config` derived per `rules`; a derivation error
+  /// is returned, not memoized.
+  Result<std::shared_ptr<const HypotheticalMemo>> HypotheticalView(
+      const Configuration& config, const HypotheticalRules& rules) const
+      TB_EXCLUDES(memo_mu_);
   const BuiltIndex* FindBuiltIndex(const std::string& name) const;
 
   /// Extracts this index's key from a full heap row.
@@ -299,6 +347,14 @@ class Database : public ObjectResolver {
   std::vector<std::unique_ptr<BuiltView>> views_;
   Configuration current_config_;
   mutable InSetMemo in_set_memo_;
+  /// Content epoch (NextContentEpoch) of stats_, renewed by every
+  /// CollectStatistics.
+  uint64_t stats_epoch_ = 0;
+
+  mutable Mutex memo_mu_;
+  mutable std::shared_ptr<const ViewMemo> view_memo_ TB_GUARDED_BY(memo_mu_);
+  mutable std::shared_ptr<const HypotheticalMemo> hypothetical_memo_
+      TB_GUARDED_BY(memo_mu_);
 };
 
 }  // namespace tabbench

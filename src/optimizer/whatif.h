@@ -35,6 +35,8 @@ struct HypotheticalRules {
   /// mechanism behind the paper's Fig 8 (skewed) vs Fig 9 (uniform)
   /// recommender-quality contrast.
   bool uniform_value_assumption = false;
+
+  bool operator==(const HypotheticalRules&) const = default;
 };
 
 /// Statistics with value-distribution detail removed (no MCVs, no

@@ -1,8 +1,31 @@
 #include "sql/ast.h"
 
+#include <charconv>
+
 #include "util/strings.h"
 
 namespace tabbench {
+
+namespace {
+
+/// A literal as SQL that lexes back to the same Value. Value::ToString
+/// prints doubles with %g, which drops digits past the sixth and prints an
+/// integral double as an integer; here a double takes the shortest fixed
+/// notation that round-trips, always with a '.'.
+std::string LiteralSql(const Value& v) {
+  if (!v.is_double()) return v.ToString();
+  // Fixed notation of any finite double fits: at most 309 integer digits,
+  // or 17 significant digits after at most 323 fractional zeros.
+  char buf[400];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v.as_double(),
+                                       std::chars_format::fixed);
+  if (ec != std::errc()) return v.ToString();
+  std::string out(buf, end);
+  if (out.find('.') == std::string::npos) out += ".0";
+  return out;
+}
+
+}  // namespace
 
 std::string AstSelectItem::ToSql() const {
   switch (kind) {
@@ -27,7 +50,7 @@ std::string AstPredicate::ToSql() const {
     case Kind::kColEqCol:
       return left.ToSql() + " = " + right.ToSql();
     case Kind::kColEqLiteral:
-      return left.ToSql() + " = " + literal.ToString();
+      return left.ToSql() + " = " + LiteralSql(literal);
     case Kind::kColInSubquery:
       return left.ToSql() + " IN " + sub.ToSql();
   }

@@ -42,6 +42,20 @@ class Binder {
 
   Result<BoundQuery> Run() {
     BoundQuery q;
+    const size_t n_from = stmt_.from.size();
+    q.relations.reserve(n_from);
+    q.aliases.reserve(n_from);
+    defs_.reserve(n_from);
+    q.select.reserve(stmt_.items.size());
+    q.group_by.reserve(stmt_.group_by.size());
+    size_t n_joins = 0, n_filters = 0;
+    for (const auto& p : stmt_.where) {
+      n_joins += p.kind == AstPredicate::Kind::kColEqCol;
+      n_filters += p.kind == AstPredicate::Kind::kColEqLiteral;
+    }
+    q.joins.reserve(n_joins);
+    q.filters.reserve(n_filters);
+    q.in_preds.reserve(stmt_.where.size() - n_joins - n_filters);
     // FROM: register relation occurrences.
     if (stmt_.from.empty()) {
       return Status::InvalidArgument("empty FROM clause");
@@ -58,36 +72,39 @@ class Binder {
       }
       q.relations.push_back(t.table);
       q.aliases.push_back(t.alias);
+      defs_.push_back(def);
     }
 
     // WHERE conjuncts.
     for (const auto& p : stmt_.where) {
       switch (p.kind) {
         case AstPredicate::Kind::kColEqCol: {
-          BoundJoin j;
-          TB_ASSIGN_OR_RETURN(j.left, Resolve(p.left, q));
-          TB_ASSIGN_OR_RETURN(j.right, Resolve(p.right, q));
+          BoundJoin& j = q.joins.emplace_back();
+          TB_RETURN_IF_ERROR(Resolve(p.left, q, &j.left));
+          TB_RETURN_IF_ERROR(Resolve(p.right, q, &j.right));
           if (j.left.type != j.right.type) {
             return Status::InvalidArgument("join type mismatch: " +
                                            p.ToSql());
           }
-          q.joins.push_back(std::move(j));
           break;
         }
         case AstPredicate::Kind::kColEqLiteral: {
-          BoundFilter f;
-          TB_ASSIGN_OR_RETURN(f.column, Resolve(p.left, q));
+          BoundFilter& f = q.filters.emplace_back();
+          TB_RETURN_IF_ERROR(Resolve(p.left, q, &f.column));
           if (!LiteralMatches(f.column.type, p.literal)) {
             return Status::InvalidArgument("literal type mismatch: " +
                                            p.ToSql());
           }
-          f.literal = p.literal;
-          q.filters.push_back(std::move(f));
+          // An integer compared with a DOUBLE column binds as a double:
+          // the planner and executors compare values of one type only.
+          f.literal = f.column.type == TypeId::kDouble && p.literal.is_int()
+                          ? Value(static_cast<double>(p.literal.as_int()))
+                          : p.literal;
           break;
         }
         case AstPredicate::Kind::kColInSubquery: {
-          BoundInFreq in;
-          TB_ASSIGN_OR_RETURN(in.column, Resolve(p.left, q));
+          BoundInFreq& in = q.in_preds.emplace_back();
+          TB_RETURN_IF_ERROR(Resolve(p.left, q, &in.column));
           const TableDef* sub = catalog_.FindTable(p.sub.table);
           if (sub == nullptr) {
             return Status::NotFound("unknown table " + p.sub.table);
@@ -112,7 +129,6 @@ class Binder {
           in.sub_column = p.sub.column;
           in.cmp = p.sub.cmp;
           in.k = p.sub.k;
-          q.in_preds.push_back(std::move(in));
           break;
         }
       }
@@ -120,9 +136,7 @@ class Binder {
 
     // GROUP BY.
     for (const auto& g : stmt_.group_by) {
-      BoundColumn c;
-      TB_ASSIGN_OR_RETURN(c, Resolve(g, q));
-      q.group_by.push_back(std::move(c));
+      TB_RETURN_IF_ERROR(Resolve(g, q, &q.group_by.emplace_back()));
     }
 
     // SELECT list.
@@ -131,19 +145,19 @@ class Binder {
       if (item.kind != AstSelectItem::Kind::kColumn) has_aggregate = true;
     }
     for (const auto& item : stmt_.items) {
-      BoundSelectItem s;
+      BoundSelectItem& s = q.select.emplace_back();
       switch (item.kind) {
         case AstSelectItem::Kind::kCountStar:
           s.kind = BoundSelectItem::Kind::kCountStar;
           break;
         case AstSelectItem::Kind::kCountDistinct: {
           s.kind = BoundSelectItem::Kind::kCountDistinct;
-          TB_ASSIGN_OR_RETURN(s.column, Resolve(item.column, q));
+          TB_RETURN_IF_ERROR(Resolve(item.column, q, &s.column));
           break;
         }
         case AstSelectItem::Kind::kColumn: {
           s.kind = BoundSelectItem::Kind::kColumn;
-          TB_ASSIGN_OR_RETURN(s.column, Resolve(item.column, q));
+          TB_RETURN_IF_ERROR(Resolve(item.column, q, &s.column));
           if (has_aggregate || !stmt_.group_by.empty()) {
             bool in_group = std::any_of(
                 q.group_by.begin(), q.group_by.end(),
@@ -157,7 +171,6 @@ class Binder {
           break;
         }
       }
-      q.select.push_back(std::move(s));
     }
     if (q.select.empty()) {
       return Status::InvalidArgument("empty SELECT list");
@@ -166,11 +179,13 @@ class Binder {
   }
 
  private:
-  Result<BoundColumn> Resolve(const AstColumnRef& ref, const BoundQuery& q) {
-    BoundColumn out;
+  /// Resolves `ref` into `*out`, which the caller has just added to `q`'s
+  /// lists in place (an error discards the whole query).
+  Status Resolve(const AstColumnRef& ref, const BoundQuery& q,
+                 BoundColumn* out) {
     int found = -1;
     for (int i = 0; i < q.num_relations(); ++i) {
-      const TableDef* def = catalog_.FindTable(q.relations[static_cast<size_t>(i)]);
+      const TableDef* def = defs_[static_cast<size_t>(i)];
       if (!ref.qualifier.empty() &&
           q.aliases[static_cast<size_t>(i)] != ref.qualifier) {
         continue;
@@ -181,16 +196,16 @@ class Binder {
         return Status::InvalidArgument("ambiguous column " + ref.ToSql());
       }
       found = i;
-      out.rel = i;
-      out.col = ci;
-      out.table = def->name;
-      out.column = ref.column;
-      out.type = def->columns[static_cast<size_t>(ci)].type;
+      out->rel = i;
+      out->col = ci;
+      out->table = def->name;
+      out->column = ref.column;
+      out->type = def->columns[static_cast<size_t>(ci)].type;
     }
     if (found < 0) {
       return Status::NotFound("unresolved column " + ref.ToSql());
     }
-    return out;
+    return Status::OK();
   }
 
   bool LiteralMatches(TypeId t, const Value& v) {
@@ -208,6 +223,8 @@ class Binder {
 
   const SelectStmt& stmt_;
   const Catalog& catalog_;
+  /// Definition of each FROM occurrence, looked up once per bind.
+  std::vector<const TableDef*> defs_;
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <string_view>
+
 #include "sql/lexer.h"
 #include "util/strings.h"
 
@@ -7,12 +9,19 @@ namespace tabbench {
 
 namespace {
 
+constexpr size_t kListReserve = 4;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<SelectStmt> Parse() {
     SelectStmt stmt;
+    // Most benchmark queries fit, so each list usually allocates once.
+    stmt.items.reserve(kListReserve);
+    stmt.from.reserve(kListReserve);
+    stmt.where.reserve(kListReserve);
+    stmt.group_by.reserve(kListReserve);
     TB_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
     TB_RETURN_IF_ERROR(ParseItems(&stmt));
     TB_RETURN_IF_ERROR(ExpectKeyword("FROM"));
@@ -32,9 +41,12 @@ class Parser {
 
  private:
   const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_++]; }
+  Token& Advance() { return tokens_[pos_++]; }
+  /// Moves the current token's text out and steps past it; the parser never
+  /// looks back at a consumed token.
+  std::string TakeText() { return std::move(Advance().text); }
 
-  bool AcceptKeyword(const std::string& kw) {
+  bool AcceptKeyword(std::string_view kw) {
     if (Peek().type == TokenType::kKeyword && Peek().text == kw) {
       ++pos_;
       return true;
@@ -48,12 +60,12 @@ class Parser {
     }
     return false;
   }
-  Status ExpectKeyword(const std::string& kw) {
-    if (!AcceptKeyword(kw)) return Err("expected " + kw);
+  Status ExpectKeyword(std::string_view kw) {
+    if (!AcceptKeyword(kw)) return Err("expected " + std::string(kw));
     return Status::OK();
   }
-  Status Expect(TokenType t, const std::string& what) {
-    if (!Accept(t)) return Err("expected " + what);
+  Status Expect(TokenType t, std::string_view what) {
+    if (!Accept(t)) return Err("expected " + std::string(what));
     return Status::OK();
   }
   Status Err(const std::string& msg) const {
@@ -62,44 +74,44 @@ class Parser {
                   Peek().text.c_str(), msg.c_str()));
   }
 
-  Result<AstColumnRef> ParseColumnRef() {
+  // Each clause parser fills its list's new element in place: a failed
+  // parse discards the whole statement.
+  Status ParseColumnRef(AstColumnRef* ref) {
     if (Peek().type != TokenType::kIdentifier) {
       return Status::InvalidArgument(
           StrFormat("parse error at offset %zu: expected column reference",
                     Peek().position));
     }
-    AstColumnRef ref;
-    std::string first = Advance().text;
+    std::string first = TakeText();
     if (Accept(TokenType::kDot)) {
       if (Peek().type != TokenType::kIdentifier) {
         return Status::InvalidArgument("expected column after '.'");
       }
-      ref.qualifier = first;
-      ref.column = Advance().text;
+      ref->qualifier = std::move(first);
+      ref->column = TakeText();
     } else {
-      ref.column = first;
+      ref->column = std::move(first);
     }
-    return ref;
+    return Status::OK();
   }
 
   Status ParseItems(SelectStmt* stmt) {
     do {
-      AstSelectItem item;
+      AstSelectItem& item = stmt->items.emplace_back();
       if (AcceptKeyword("COUNT")) {
         TB_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
         if (Accept(TokenType::kStar)) {
           item.kind = AstSelectItem::Kind::kCountStar;
         } else {
           TB_RETURN_IF_ERROR(ExpectKeyword("DISTINCT"));
-          TB_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
+          TB_RETURN_IF_ERROR(ParseColumnRef(&item.column));
           item.kind = AstSelectItem::Kind::kCountDistinct;
         }
         TB_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
       } else {
-        TB_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
+        TB_RETURN_IF_ERROR(ParseColumnRef(&item.column));
         item.kind = AstSelectItem::Kind::kColumn;
       }
-      stmt->items.push_back(std::move(item));
     } while (Accept(TokenType::kComma));
     return Status::OK();
   }
@@ -109,23 +121,22 @@ class Parser {
       if (Peek().type != TokenType::kIdentifier) {
         return Err("expected table name");
       }
-      AstTableRef ref;
-      ref.table = Advance().text;
+      AstTableRef& ref = stmt->from.emplace_back();
+      ref.table = TakeText();
       AcceptKeyword("AS");
       if (Peek().type == TokenType::kIdentifier) {
-        ref.alias = Advance().text;
+        ref.alias = TakeText();
       } else {
         ref.alias = ref.table;
       }
-      stmt->from.push_back(std::move(ref));
     } while (Accept(TokenType::kComma));
     return Status::OK();
   }
 
   Status ParseConjuncts(SelectStmt* stmt) {
     do {
-      AstPredicate pred;
-      TB_ASSIGN_OR_RETURN(pred.left, ParseColumnRef());
+      AstPredicate& pred = stmt->where.emplace_back();
+      TB_RETURN_IF_ERROR(ParseColumnRef(&pred.left));
       if (AcceptKeyword("IN")) {
         pred.kind = AstPredicate::Kind::kColInSubquery;
         TB_RETURN_IF_ERROR(ParseInSubquery(&pred.sub));
@@ -134,7 +145,7 @@ class Parser {
         const Token& t = Peek();
         if (t.type == TokenType::kIdentifier) {
           pred.kind = AstPredicate::Kind::kColEqCol;
-          TB_ASSIGN_OR_RETURN(pred.right, ParseColumnRef());
+          TB_RETURN_IF_ERROR(ParseColumnRef(&pred.right));
         } else if (t.type == TokenType::kInt) {
           pred.kind = AstPredicate::Kind::kColEqLiteral;
           pred.literal = Value(Advance().int_value);
@@ -143,12 +154,11 @@ class Parser {
           pred.literal = Value(Advance().double_value);
         } else if (t.type == TokenType::kString) {
           pred.kind = AstPredicate::Kind::kColEqLiteral;
-          pred.literal = Value(Advance().text);
+          pred.literal = Value(TakeText());
         } else {
           return Err("expected column or literal after '='");
         }
       }
-      stmt->where.push_back(std::move(pred));
     } while (AcceptKeyword("AND"));
     return Status::OK();
   }
@@ -157,10 +167,10 @@ class Parser {
     TB_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     TB_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
     if (Peek().type != TokenType::kIdentifier) return Err("expected column");
-    sub->column = Advance().text;
+    sub->column = TakeText();
     TB_RETURN_IF_ERROR(ExpectKeyword("FROM"));
     if (Peek().type != TokenType::kIdentifier) return Err("expected table");
-    sub->table = Advance().text;
+    sub->table = TakeText();
     TB_RETURN_IF_ERROR(ExpectKeyword("GROUP"));
     TB_RETURN_IF_ERROR(ExpectKeyword("BY"));
     if (Peek().type != TokenType::kIdentifier ||
@@ -188,9 +198,7 @@ class Parser {
 
   Status ParseGroupBy(SelectStmt* stmt) {
     do {
-      AstColumnRef ref;
-      TB_ASSIGN_OR_RETURN(ref, ParseColumnRef());
-      stmt->group_by.push_back(std::move(ref));
+      TB_RETURN_IF_ERROR(ParseColumnRef(&stmt->group_by.emplace_back()));
     } while (Accept(TokenType::kComma));
     return Status::OK();
   }

@@ -422,6 +422,43 @@ TEST_F(ParallelRunnerTest, EstimateAndHypotheticalMatchSequential) {
   }
 }
 
+TEST_F(ParallelRunnerTest, PlannerMemosRebuildSafelyUnderParallelRunners) {
+  // Right after each configuration change, every worker finds the
+  // database's planner memos stale at once, so they race to rebuild them.
+  // The results must still match the sequential runners bit for bit.
+  std::vector<std::string> subset(sample_.begin(), sample_.begin() + 40);
+  ThreadPool pool(4);
+  ParallelOptions par;
+  par.pool = &pool;
+  HypotheticalRules rules;
+  rules.uniform_value_assumption = true;
+  const Configuration one_c = Make1CConfig(db_->catalog());
+  Configuration hypo = one_c;
+  hypo.name = "hypo";
+  hypo.indexes.resize(hypo.indexes.size() / 2);
+
+  ASSERT_TRUE(db_->ApplyConfiguration(one_c).ok());
+  auto hpar = HypotheticalWorkloadParallel(db_, subset, hypo, rules, par);
+  auto rpar = RunWorkloadParallel(db_, subset, par);
+  auto hseq = HypotheticalWorkload(db_, subset, hypo, rules);
+  auto rseq = RunWorkload(db_, subset);
+  ASSERT_TRUE(hpar.ok() && rpar.ok() && hseq.ok() && rseq.ok());
+  ASSERT_EQ(hpar->size(), hseq->size());
+  for (size_t i = 0; i < hseq->size(); ++i) {
+    EXPECT_EQ((*hpar)[i], (*hseq)[i]) << i;
+  }
+  ExpectIdentical(*rseq, *rpar);
+
+  ASSERT_TRUE(db_->ResetToPrimary().ok());
+  auto hpar_p = HypotheticalWorkloadParallel(db_, subset, hypo, rules, par);
+  auto hseq_p = HypotheticalWorkload(db_, subset, hypo, rules);
+  ASSERT_TRUE(hpar_p.ok() && hseq_p.ok());
+  ASSERT_EQ(hpar_p->size(), hseq_p->size());
+  for (size_t i = 0; i < hseq_p->size(); ++i) {
+    EXPECT_EQ((*hpar_p)[i], (*hseq_p)[i]) << i;
+  }
+}
+
 // Timeout determinism is the crux of the replay design: the parallel record
 // phase runs with enforcement off and the replay re-applies the limit at
 // the recorded check points. Build twin databases whose timeout sits

@@ -9,6 +9,25 @@ namespace {
 
 using testing::TinyDb;
 
+TEST(EngineTest, IntLiteralOnDoubleColumnPlansAndRuns) {
+  // neighboring_seq.score is DOUBLE. An integer literal used to bind as an
+  // int and abort the process in the first cross-type Value comparison.
+  auto db = testing::MakeMiniNref();
+  ASSERT_NE(db, nullptr);
+  const std::string as_int =
+      "SELECT s.nref_id_1 FROM neighboring_seq s WHERE s.score = 40";
+  const std::string as_double =
+      "SELECT s.nref_id_1 FROM neighboring_seq s WHERE s.score = 40.0";
+  auto e_int = db->Estimate(as_int);
+  auto e_double = db->Estimate(as_double);
+  ASSERT_TRUE(e_int.ok() && e_double.ok());
+  EXPECT_EQ(*e_int, *e_double);
+  auto r_int = db->Run(as_int);
+  auto r_double = db->Run(as_double);
+  ASSERT_TRUE(r_int.ok() && r_double.ok());
+  EXPECT_EQ(r_int->rows.size(), r_double->rows.size());
+}
+
 TEST(EngineTest, CreateTableValidations) {
   Database db;
   TableDef t;

@@ -1,0 +1,271 @@
+// The database's planner memos: the view of the built configuration that
+// Plan, Estimate, HypotheticalEstimate and the Run* entry points share, and
+// the derived view of the last hypothetical configuration. After every kind
+// of mutation, each call must bit-equal EstimateCost / PlanQuery run on a
+// freshly built view, and the view memo must have been rebuilt; a name-only or
+// one-field rules change must miss the hypothetical memo.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/configurations.h"
+#include "engine/database.h"
+#include "engine/index_build.h"
+#include "optimizer/planner.h"
+#include "optimizer/whatif.h"
+#include "test_util.h"
+
+namespace tabbench {
+
+class DatabaseTestPeer {
+ public:
+  /// The memoized view of the built configuration, kept alive so its
+  /// address identifies it.
+  static std::shared_ptr<const void> View(const Database& db) {
+    return db.PlannerView();
+  }
+  /// The memoized hypothetical view for (config, rules), kept alive so its
+  /// address identifies it.
+  static std::shared_ptr<const void> Hypothetical(
+      const Database& db, const Configuration& config,
+      const HypotheticalRules& rules) {
+    auto memo = db.HypotheticalView(config, rules);
+    if (!memo.ok()) return nullptr;
+    return *memo;
+  }
+};
+
+namespace {
+
+const char* const kQueries[] = {
+    "SELECT p.city, COUNT(*) FROM people p, depts d "
+    "WHERE p.dept = d.dept_id AND d.region = 3 GROUP BY p.city",
+    "SELECT p.id FROM people p WHERE p.dept = 7",
+    "SELECT d.city, COUNT(DISTINCT p.score) FROM people p, depts d "
+    "WHERE p.city = d.city GROUP BY d.city",
+    "SELECT p.score, COUNT(*) FROM people p WHERE p.score IN "
+    "(SELECT score FROM people GROUP BY score HAVING COUNT(*) < 4) "
+    "GROUP BY p.score",
+    "SELECT p.id, p.score FROM people p WHERE p.city = 'city3'",
+};
+
+class PlannerMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tiny_ = testing::TinyDb::Make(2000, 20);
+    db_ = tiny_.db.get();
+    hypothetical_ = Make1CConfig(db_->catalog());
+    uniform_ = rules_;
+    uniform_.uniform_value_assumption = true;
+  }
+
+  /// Every entry point against EstimateCost / PlanQuery on fresh views.
+  /// The uniform-rules what-if calls run first, as one loop, so a memo left
+  /// by AfterMutation's warm-up call is used, stale or not.
+  void ExpectMatchesFreshViews(const std::string& step) {
+    SCOPED_TRACE(step);
+    const ConfigView fresh = db_->CurrentView();
+    const DatabaseStats degraded = DegradeToUniform(db_->stats());
+    ConfigView uniform_base = fresh;
+    uniform_base.stats = &degraded;
+    auto hyp_uniform =
+        MakeHypotheticalView(hypothetical_, uniform_base, uniform_);
+    ASSERT_TRUE(hyp_uniform.ok()) << hyp_uniform.status().ToString();
+    auto hyp = MakeHypotheticalView(hypothetical_, fresh, rules_);
+    ASSERT_TRUE(hyp.ok()) << hyp.status().ToString();
+    // EXPECT_EQ on doubles is exact ==: bit-equal results.
+    for (const char* sql : kQueries) {
+      auto h = db_->HypotheticalEstimate(sql, hypothetical_, uniform_);
+      ASSERT_TRUE(h.ok()) << sql;
+      EXPECT_EQ(*h, *EstimateCost(Bound(sql), *hyp_uniform)) << sql;
+    }
+    for (const char* sql : kQueries) {
+      auto h = db_->HypotheticalEstimate(sql, hypothetical_, rules_);
+      ASSERT_TRUE(h.ok()) << sql;
+      EXPECT_EQ(*h, *EstimateCost(Bound(sql), *hyp)) << sql;
+    }
+    for (const char* sql : kQueries) {
+      auto want_plan = PlanQuery(Bound(sql), fresh);
+      ASSERT_TRUE(want_plan.ok()) << sql;
+      auto e = db_->Estimate(sql);
+      auto plan = db_->Plan(sql);
+      ASSERT_TRUE(e.ok() && plan.ok()) << sql;
+      EXPECT_EQ(*e, *EstimateCost(Bound(sql), fresh)) << sql;
+      EXPECT_EQ(plan->est_cost, want_plan->est_cost) << sql;
+      EXPECT_EQ(plan->ToString(), want_plan->ToString()) << sql;
+    }
+  }
+
+  BoundQuery Bound(const char* sql) {
+    auto q = ParseAndBind(sql, db_->catalog());
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return q.ok() ? *q : BoundQuery{};
+  }
+
+  /// Warms both memos, runs `mutate`, then checks that the view memo was
+  /// rebuilt and that every entry point still matches fresh views.
+  template <typename F>
+  void AfterMutation(const std::string& step, F mutate) {
+    ASSERT_TRUE(
+        db_->HypotheticalEstimate(kQueries[0], hypothetical_, uniform_).ok());
+    const auto before = DatabaseTestPeer::View(*db_);
+    mutate();
+    if (HasFatalFailure()) return;
+    ExpectMatchesFreshViews(step);
+    EXPECT_NE(DatabaseTestPeer::View(*db_).get(), before.get()) << step;
+  }
+
+  std::vector<std::pair<Tuple, Rid>> PeopleRows(size_t n) {
+    std::vector<std::pair<Tuple, Rid>> out;
+    auto cur = db_->FindHeap("people")->Scan(nullptr);
+    Tuple row;
+    Rid rid;
+    while (out.size() < n && cur.Next(&row, &rid)) out.emplace_back(row, rid);
+    return out;
+  }
+
+  static Tuple Person(int64_t id, int64_t dept, const std::string& city,
+                      int64_t score) {
+    std::vector<Value> v;
+    v.emplace_back(id);
+    v.emplace_back(dept);
+    v.emplace_back(city);
+    v.emplace_back(score);
+    return Tuple(std::move(v));
+  }
+
+  testing::TinyDb tiny_;
+  Database* db_ = nullptr;
+  Configuration hypothetical_;
+  HypotheticalRules rules_;
+  HypotheticalRules uniform_;
+};
+
+TEST_F(PlannerMemoTest, RepeatedCallsShareOneView) {
+  ExpectMatchesFreshViews("initial");
+  const auto view = DatabaseTestPeer::View(*db_);
+  ASSERT_TRUE(db_->Estimate(kQueries[0]).ok());
+  ASSERT_TRUE(db_->Plan(kQueries[1]).ok());
+  EXPECT_EQ(DatabaseTestPeer::View(*db_).get(), view.get());
+  auto a = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
+  auto b = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get());
+}
+
+TEST_F(PlannerMemoTest, EveryMutationKindRebuildsTheMemo) {
+  ExpectMatchesFreshViews("initial");
+
+  Configuration config;
+  config.name = "memo";
+  config.indexes.push_back({"ix_people_dept", "people", {"dept"}, false});
+  config.indexes.push_back({"ix_people_city", "people", {"city"}, false});
+  ViewDef pd;
+  pd.name = "pd";
+  pd.tables = {"people", "depts"};
+  pd.joins = {{"people", "dept", "depts", "dept_id"}};
+  pd.projection = {{"people", "id", "people_id"},
+                   {"depts", "region", "depts_region"}};
+  config.views.push_back(pd);
+  config.indexes.push_back({"ix_pd_region", "pd", {"depts_region"}, false});
+  AfterMutation("ApplyConfiguration", [&] {
+    auto rep = db_->ApplyConfiguration(config);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  });
+
+  AfterMutation("TimedInsert", [&] {
+    for (int64_t i = 0; i < 200; ++i) {
+      ASSERT_TRUE(db_->TimedInsert("people",
+                                   Person(100000 + i, i % 3, "city3", i % 7))
+                      .ok());
+    }
+  });
+
+  AfterMutation("TimedUpdate", [&] {
+    for (const auto& [row, rid] : PeopleRows(200)) {
+      Tuple moved = row;
+      (*moved.mutable_values())[2] = Value(std::string("city3"));
+      ASSERT_TRUE(db_->TimedUpdate("people", rid, std::move(moved)).ok());
+    }
+  });
+
+  AfterMutation("TimedDelete", [&] {
+    for (const auto& [row, rid] : PeopleRows(300)) {
+      ASSERT_TRUE(db_->TimedDelete("people", rid).ok());
+    }
+  });
+
+  AfterMutation("CollectStatistics",
+                [&] { ASSERT_TRUE(db_->CollectStatistics().ok()); });
+
+  AfterMutation("DropSecondaryIndex", [&] {
+    ASSERT_TRUE(db_->DropSecondaryIndex("ix_people_city", nullptr).ok());
+  });
+
+  AfterMutation("OnlineIndexBuild", [&] {
+    IndexDef def{"ix_people_score", "people", {"score"}, false};
+    OnlineIndexBuild build(db_, def);
+    ExecContext ctx =
+        db_->MakeSessionContext(db_->buffer_pool(), db_->options().cost);
+    ASSERT_TRUE(build.Start(&ctx).ok());
+    while (!build.done()) ASSERT_TRUE(build.Step(&ctx).ok());
+    ASSERT_EQ(build.state(), IndexBuildState::kLive);
+  });
+
+  AfterMutation("ResetToPrimary",
+                [&] { ASSERT_TRUE(db_->ResetToPrimary().ok()); });
+}
+
+TEST_F(PlannerMemoTest, NameOrRuleChangesMissTheHypotheticalMemo) {
+  // IndexDef::operator== ignores names; the memo must not, nor may it
+  // ignore the configuration's own name.
+  std::vector<Configuration> renamed(2, hypothetical_);
+  ASSERT_FALSE(hypothetical_.indexes.empty());
+  renamed[0].indexes.front().name += "_renamed";
+  renamed[1].name += "_renamed";
+  for (size_t i = 0; i < renamed.size(); ++i) {
+    auto primed = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
+    auto memo = DatabaseTestPeer::Hypothetical(*db_, renamed[i], rules_);
+    ASSERT_NE(primed, nullptr);
+    ASSERT_NE(memo, nullptr);
+    EXPECT_NE(memo.get(), primed.get()) << "renamed " << i;
+  }
+
+  std::vector<HypotheticalRules> variants(5, rules_);
+  variants[0].clustering_pessimism = 0.5;
+  variants[1].leaf_fill = 0.9;
+  variants[2].credit_index_only = !rules_.credit_index_only;
+  variants[3].composite_ndv_product = !rules_.composite_ndv_product;
+  variants[4].uniform_value_assumption = !rules_.uniform_value_assumption;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    // Each variant differs from rules_ in one field only.
+    auto primed = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
+    auto memo =
+        DatabaseTestPeer::Hypothetical(*db_, hypothetical_, variants[i]);
+    ASSERT_NE(primed, nullptr);
+    ASSERT_NE(memo, nullptr);
+    EXPECT_NE(memo.get(), primed.get()) << "rules variant " << i;
+  }
+  // Each variant's estimates still match a fresh derivation.
+  const ConfigView fresh = db_->CurrentView();
+  for (const HypotheticalRules& r : variants) {
+    const DatabaseStats degraded = DegradeToUniform(db_->stats());
+    ConfigView base_view = fresh;
+    if (r.uniform_value_assumption) base_view.stats = &degraded;
+    auto view = MakeHypotheticalView(hypothetical_, base_view, r);
+    ASSERT_TRUE(view.ok());
+    for (const char* sql : kQueries) {
+      auto q = ParseAndBind(sql, db_->catalog());
+      ASSERT_TRUE(q.ok());
+      auto h = db_->HypotheticalEstimate(sql, hypothetical_, r);
+      ASSERT_TRUE(h.ok());
+      EXPECT_EQ(*h, *EstimateCost(*q, *view)) << sql;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tabbench

@@ -58,6 +58,52 @@ TEST(LexerTest, UnexpectedCharacterFails) {
   EXPECT_FALSE(Lex("a ; b").ok());
 }
 
+TEST(LexerTest, OutOfRangeIntegerFailsWithOffset) {
+  auto toks = Lex("x = 99999999999999999999");
+  ASSERT_FALSE(toks.ok());
+  EXPECT_TRUE(toks.status().IsInvalidArgument());
+  EXPECT_NE(toks.status().message().find("offset 4"), std::string::npos)
+      << toks.status().ToString();
+  // The extremes of int64 still lex.
+  auto edge = Lex("a = 9223372036854775807 AND b = -9223372036854775808");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ((*edge)[2].int_value, INT64_MAX);
+  EXPECT_EQ((*edge)[6].int_value, INT64_MIN);
+}
+
+TEST(LexerTest, MalformedDoubleFailsWithOffset) {
+  for (const char* sql : {"x = 1.2.3", "a = 1..5"}) {
+    auto toks = Lex(sql);
+    ASSERT_FALSE(toks.ok()) << sql;
+    EXPECT_TRUE(toks.status().IsInvalidArgument()) << sql;
+    EXPECT_NE(toks.status().message().find("offset 4"), std::string::npos)
+        << toks.status().ToString();
+  }
+  // One trailing dot is still a well-formed double, as before.
+  auto toks = Lex("a = 1.");
+  ASSERT_TRUE(toks.ok()) << toks.status().ToString();
+  EXPECT_EQ((*toks)[2].type, TokenType::kDouble);
+  EXPECT_EQ((*toks)[2].double_value, 1.0);
+  EXPECT_EQ((*toks)[2].text, "1.");
+}
+
+TEST(LexerTest, MixedCaseKeywordsAndKeywordPrefixes) {
+  auto toks = Lex("sElEcT Selection group_by byte distinctly In _AND");
+  ASSERT_TRUE(toks.ok());
+  ASSERT_EQ(toks->size(), 8u);
+  EXPECT_EQ((*toks)[0].type, TokenType::kKeyword);
+  EXPECT_EQ((*toks)[0].text, "SELECT");
+  for (size_t i : {1, 2, 3, 4, 6}) {
+    EXPECT_EQ((*toks)[i].type, TokenType::kIdentifier) << (*toks)[i].text;
+  }
+  EXPECT_EQ((*toks)[1].text, "Selection");
+  EXPECT_EQ((*toks)[5].type, TokenType::kKeyword);
+  EXPECT_EQ((*toks)[5].text, "IN");
+  EXPECT_EQ((*toks)[6].text, "_AND");
+  EXPECT_EQ((*toks)[7].type, TokenType::kEof);
+  EXPECT_EQ((*toks)[7].position, 49u);
+}
+
 // ----------------------------------------------------------------- Parser
 
 TEST(ParserTest, MinimalSelect) {
@@ -226,6 +272,16 @@ TEST_F(BinderTest, LiteralTypeMismatchFails) {
                    "SELECT t.lineage FROM taxonomy t WHERE t.lineage = 42",
                    catalog_)
                    .ok());
+}
+
+TEST_F(BinderTest, IntLiteralOnDoubleColumnBindsAsDouble) {
+  auto q = ParseAndBind(
+      "SELECT s.nref_id_1 FROM neighboring_seq s WHERE s.score = 40",
+      catalog_);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->filters.size(), 1u);
+  ASSERT_TRUE(q->filters[0].literal.is_double());
+  EXPECT_EQ(q->filters[0].literal.as_double(), 40.0);
 }
 
 TEST_F(BinderTest, JoinTypeMismatchFails) {

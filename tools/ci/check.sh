@@ -76,10 +76,12 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_mutation_tests
 ctest --test-dir "${TSAN_DIR}" -L mutation --output-on-failure -j "${JOBS}"
 
 # The concurrency suite under TSan: the thread pool, the B-tree stats cache
-# and IN-set memo under concurrent readers, the parallel runners, and the
-# advisors' parallel candidate evaluation, whose eval_pool workers each
-# write their unit's row of the shared trial-cost memo. The vectorized
-# binary built above carries the label too and runs again here.
+# and IN-set memo under concurrent readers, the parallel runners (also
+# racing to rebuild the database's planner memos right after a
+# configuration change), and the advisors' parallel candidate evaluation,
+# whose eval_pool workers each write their unit's row of the shared
+# trial-cost memo. The vectorized binary built above carries the label too
+# and runs again here.
 step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_concurrency_tests
 ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
@@ -212,14 +214,18 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # records; run the codec, heap, B+-tree and executor suites — plus the
 # oversized-record tests, whose rows would overflow a page if the size
 # check slipped — with AddressSanitizer, so a stale, overlapping or
-# out-of-page write fails here rather than corrupting rows silently.
-step "storage/exec suites under TABBENCH_SANITIZE=address"
+# out-of-page write fails here rather than corrupting rows silently. The
+# SQL front end rides along: the lexer scans string views of its input and
+# the parser moves token text into the AST, and the seeded front-end fuzzer
+# (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
+step "storage/exec/sql suites under TABBENCH_SANITIZE=address"
 ASAN_DIR="${ROOT}/build-asan"
 cmake -B "${ASAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=address
 cmake --build "${ASAN_DIR}" -j "${JOBS}" --target tabbench_tests
 "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
-':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'
+':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
+':LexerTest.*:ParserTest.*:SqlFuzz*'
 
 # -------------------------------------------------- thread-safety proof
 # The TB_GUARDED_BY/TB_REQUIRES annotations only carry weight under
@@ -232,10 +238,10 @@ if command -v clang++ >/dev/null 2>&1; then
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_C_COMPILER=clang
   # The annotated surfaces: the thread pool, fault registry and run journal
-  # (util), the B-tree stats cache (storage), the IN-set memo (exec), and
-  # the morsel scheduler (exec_vec).
+  # (util), the B-tree stats cache (storage), the IN-set memo (exec), the
+  # morsel scheduler (exec_vec), and the database's planner memos (engine).
   cmake --build "${TSA_DIR}" -j "${JOBS}" \
-    --target tb_util tb_storage tb_exec tb_exec_vec
+    --target tb_util tb_storage tb_exec tb_exec_vec tb_engine
 else
   step "clang++ not found — skipping -Wthread-safety build"
 fi
