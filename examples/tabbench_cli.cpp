@@ -31,6 +31,8 @@
 // finishes the remaining queries, producing the same result an
 // uninterrupted run would have.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -51,6 +53,21 @@
 using namespace tabbench;
 
 namespace {
+
+/// Parses a whole-string scale divisor of at least 50 (the rule
+/// TABBENCH_SCALE follows) into *out; anything else leaves *out alone.
+bool ParseScale(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 50.0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+constexpr const char* kScaleRule = "a number of at least 50";
 
 /// Builds one of the three paper databases at 1/`scale`.
 Result<std::unique_ptr<Database>> BuildDatabase(const std::string& kind,
@@ -349,7 +366,14 @@ int RunResume(const std::string& journal) {
                  journal.c_str());
     return 1;
   }
-  double scale = meta("scale").empty() ? 800.0 : std::atof(meta("scale").c_str());
+  double scale = 800.0;
+  if (!meta("scale").empty() && !ParseScale(meta("scale"), &scale)) {
+    std::fprintf(stderr,
+                 "resume: the 'scale' metadata of journal %s must be %s, "
+                 "got '%s'\n",
+                 journal.c_str(), kScaleRule, meta("scale").c_str());
+    return 2;
+  }
   std::printf("resuming %s: %zu of %u queries already journaled "
               "(db=%s scale=1/%.0f config=%s)\n",
               journal.c_str(), loaded->records.size(), h.query_count,
@@ -385,8 +409,12 @@ int main(int argc, char** argv) {
     const std::string mode = argv[1];
     if (mode == "resume" && argc == 3) return RunResume(argv[2]);
     if (mode == "bench" && (argc == 5 || argc == 6 || argc == 7)) {
-      double scale = argc >= 6 ? std::atof(argv[5]) : 800.0;
-      if (scale < 50) scale = 800.0;
+      double scale = 800.0;
+      if (argc >= 6 && !ParseScale(argv[5], &scale)) {
+        std::fprintf(stderr, "bench: scale must be %s, got '%s'\n",
+                     kScaleRule, argv[5]);
+        return 2;
+      }
       return RunBench(argv[2], argv[3], argv[4], scale,
                       argc >= 7 ? argv[6] : "p");
     }
@@ -414,10 +442,14 @@ int main(int argc, char** argv) {
     if (word == "\\help") {
       shell.Help();
     } else if (word == "\\gen") {
-      std::string kind;
+      std::string kind, scale_text;
+      in >> kind >> scale_text;
       double scale = 800.0;
-      in >> kind >> scale;
-      if (scale < 50) scale = 800.0;
+      if (!scale_text.empty() && !ParseScale(scale_text, &scale)) {
+        std::printf("scale must be %s, got '%s'\n", kScaleRule,
+                    scale_text.c_str());
+        continue;
+      }
       shell.Generate(kind, scale);
     } else if (word == "\\tables") {
       shell.Tables();

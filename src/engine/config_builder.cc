@@ -120,71 +120,6 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
   return Status::OK();
 }
 
-Result<Database::IndexKeySpec> Database::ResolveIndexKey(
-    const IndexDef& def) const {
-  // Online builds target base tables (views are static snapshots; an index
-  // over one is built atomically by ApplyConfiguration).
-  const TableDef* tdef = catalog_.FindTable(def.target);
-  if (tdef == nullptr) {
-    return Status::NotFound("index target table " + def.target);
-  }
-  IndexKeySpec spec;
-  for (const auto& c : def.columns) {
-    int pos = tdef->ColumnIndex(c);
-    if (pos < 0) {
-      return Status::NotFound("column " + c + " in " + def.target);
-    }
-    spec.key_cols.push_back(pos);
-    spec.key_width += tdef->columns[static_cast<size_t>(pos)].avg_width;
-  }
-  return spec;
-}
-
-Status Database::InstallSecondaryIndex(IndexDef def,
-                                       std::unique_ptr<BTree> btree,
-                                       std::vector<int> key_cols) {
-  if (FindBuiltIndex(def.name) != nullptr) {
-    return Status::AlreadyExists("index " + def.name);
-  }
-  const HeapTable* heap = FindHeap(def.target);
-  if (heap == nullptr) {
-    return Status::NotFound("index target " + def.target);
-  }
-  auto bi = std::make_unique<BuiltIndex>();
-  bi->def = def;
-  bi->btree = std::move(btree);
-  bi->info.btree = bi->btree.get();
-  bi->info.heap = heap;
-  bi->info.key_cols = std::move(key_cols);
-  secondary_indexes_.push_back(std::move(bi));
-  current_config_.indexes.push_back(std::move(def));
-  return Status::OK();
-}
-
-Status Database::DropSecondaryIndex(const std::string& name,
-                                    ExecContext* ctx) {
-  TB_FAULT_POINT("engine.index_build.drop");
-  for (auto it = secondary_indexes_.begin(); it != secondary_indexes_.end();
-       ++it) {
-    if ((*it)->def.name != name) continue;
-    if (ctx != nullptr) {
-      // Unlinking the tree rewrites its page allocation metadata.
-      ctx->ChargeIoPages((*it)->btree->num_pages());
-    }
-    (*it)->btree->Drop();
-    secondary_indexes_.erase(it);
-    for (auto cit = current_config_.indexes.begin();
-         cit != current_config_.indexes.end(); ++cit) {
-      if (cit->name == name) {
-        current_config_.indexes.erase(cit);
-        break;
-      }
-    }
-    return Status::OK();
-  }
-  return Status::NotFound("secondary index " + name);
-}
-
 Result<uint64_t> Database::SecondaryIndexFingerprint(
     const std::string& name) const {
   for (const auto& bi : secondary_indexes_) {

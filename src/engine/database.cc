@@ -68,7 +68,6 @@ Status Database::CollectStatistics() {
   }
   stats_ready_ = true;
   stats_epoch_ = NextContentEpoch();
-  mutations_since_stats_.clear();
   return Status::OK();
 }
 
@@ -119,13 +118,6 @@ Result<double> Database::TimedInsert(const std::string& table, Tuple row,
   TB_RETURN_IF_ERROR(maintain(&pk_indexes_));
   TB_RETURN_IF_ERROR(maintain(&secondary_indexes_));
 
-  ++mutations_since_stats_[table];
-  TableMutation m;
-  m.kind = TableMutation::Kind::kInsert;
-  m.table = table;
-  m.rid = rid;
-  m.row = std::move(row);
-  NotifyMutation(m);
   if (out_rid != nullptr) *out_rid = rid;
   return ctx.sim_time();
 }
@@ -158,14 +150,6 @@ Result<double> Database::TimedDelete(const std::string& table,
   };
   TB_RETURN_IF_ERROR(maintain(&pk_indexes_));
   TB_RETURN_IF_ERROR(maintain(&secondary_indexes_));
-
-  ++mutations_since_stats_[table];
-  TableMutation m;
-  m.kind = TableMutation::Kind::kDelete;
-  m.table = table;
-  m.old_rid = rid;
-  m.old_row = std::move(row);
-  NotifyMutation(m);
   return ctx.sim_time();
 }
 
@@ -211,63 +195,8 @@ Result<double> Database::TimedUpdate(const std::string& table, const Rid& rid,
   TB_RETURN_IF_ERROR(maintain(&pk_indexes_));
   TB_RETURN_IF_ERROR(maintain(&secondary_indexes_));
 
-  ++mutations_since_stats_[table];
-  TableMutation m;
-  m.kind = TableMutation::Kind::kUpdate;
-  m.table = table;
-  m.rid = new_rid;
-  m.row = std::move(new_row);
-  m.old_rid = rid;
-  m.old_row = std::move(old_row);
-  NotifyMutation(m);
   if (out_new_rid != nullptr) *out_new_rid = new_rid;
   return ctx.sim_time();
-}
-
-uint64_t Database::AddMutationObserver(
-    const std::string& table, std::function<void(const TableMutation&)> fn) {
-  MutationObserver ob;
-  ob.token = next_observer_token_++;
-  ob.table = table;
-  ob.fn = std::move(fn);
-  mutation_observers_.push_back(std::move(ob));
-  return mutation_observers_.back().token;
-}
-
-void Database::RemoveMutationObserver(uint64_t token) {
-  for (auto it = mutation_observers_.begin(); it != mutation_observers_.end();
-       ++it) {
-    if (it->token == token) {
-      mutation_observers_.erase(it);
-      return;
-    }
-  }
-}
-
-void Database::NotifyMutation(const TableMutation& m) {
-  for (const auto& ob : mutation_observers_) {
-    if (ob.table == m.table) ob.fn(m);
-  }
-}
-
-uint64_t Database::MutationsSinceStats(const std::string& table) const {
-  auto it = mutations_since_stats_.find(table);
-  return it == mutations_since_stats_.end() ? 0 : it->second;
-}
-
-uint64_t Database::TotalMutationsSinceStats() const {
-  uint64_t total = 0;
-  for (const auto& [table, n] : mutations_since_stats_) total += n;
-  return total;
-}
-
-Status Database::CollectStatisticsCharged(ExecContext* ctx) {
-  // ANALYZE pays a sequential scan of every base heap.
-  for (const auto& [name, heap] : tables_) {
-    for (PageId pid : heap->pages()) ctx->TouchPage(pid);
-    ctx->ChargeTuples(heap->num_rows());
-  }
-  return CollectStatistics();
 }
 
 // ----------------------------------------------------------------- queries

@@ -1,7 +1,6 @@
 #ifndef TABBENCH_ENGINE_DATABASE_H_
 #define TABBENCH_ENGINE_DATABASE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -51,20 +50,6 @@ struct BuildReport {
   uint64_t secondary_pages = 0;
 };
 
-/// One committed write against a base table, as seen by a mutation
-/// observer (an online index build capturing its side log). For an update,
-/// the row moved: the heap is append-only, so the new version lives at a
-/// fresh Rid and `old_rid`/`old_row` describe the tombstoned version.
-struct TableMutation {
-  enum class Kind : uint8_t { kInsert = 0, kDelete = 1, kUpdate = 2 };
-  Kind kind = Kind::kInsert;
-  std::string table;
-  Rid rid;        // inserted / new-version row (insert, update)
-  Tuple row;      // its values
-  Rid old_rid;    // deleted / old-version row (delete, update)
-  Tuple old_row;  // its values
-};
-
 /// The RDBMS facade: storage, statistics, optimizer, executor, and
 /// physical-design state, behind one handle. This is the "system" that the
 /// benchmark configures and measures.
@@ -108,25 +93,6 @@ class Database : public ObjectResolver {
   Result<double> TimedUpdate(const std::string& table, const Rid& rid,
                              Tuple new_row, Rid* new_rid = nullptr);
 
-  // -------------------------------------------------------- mutation plumbing
-  /// Registers an observer for committed writes against `table` (an online
-  /// index build capturing its side log). Returns a token for removal.
-  /// Observers fire after the heap and every installed index were updated.
-  uint64_t AddMutationObserver(const std::string& table,
-                               std::function<void(const TableMutation&)> fn);
-  void RemoveMutationObserver(uint64_t token);
-
-  /// Writes against `table` (and all tables) committed since statistics
-  /// were last collected — the staleness signal the stats_refresh policy
-  /// trips on, and the divergence knob behind the paper's E-vs-A gap.
-  uint64_t MutationsSinceStats(const std::string& table) const;
-  uint64_t TotalMutationsSinceStats() const;
-
-  /// CollectStatistics with the work charged to `ctx`: a sequential scan of
-  /// every heap (page touches + per-row CPU), the cost a real ANALYZE pays.
-  /// Resets the staleness counters.
-  Status CollectStatisticsCharged(ExecContext* ctx);
-
   // ----------------------------------------------------------- configurations
   /// Builds `config` on top of the primary-key baseline, dropping any
   /// previously applied secondary configuration first. Views are
@@ -137,29 +103,9 @@ class Database : public ObjectResolver {
   /// Drops all secondary indexes and views (back to P).
   Status ResetToPrimary();
 
-  // ------------------------------------------------- online index lifecycle
-  /// Resolved key layout of an index over a base table: heap column
-  /// positions and the estimated encoded key width (fanout sizing).
-  struct IndexKeySpec {
-    std::vector<int> key_cols;
-    double key_width = 0.0;
-  };
-  Result<IndexKeySpec> ResolveIndexKey(const IndexDef& def) const;
-
-  /// Installs a finished secondary index (an online build reaching `live`):
-  /// wires it into the planner's view and appends its def to the current
-  /// configuration. AlreadyExists if the name is taken.
-  Status InstallSecondaryIndex(IndexDef def, std::unique_ptr<BTree> btree,
-                               std::vector<int> key_cols);
-
-  /// Drops one secondary index by name (the online drop lifecycle; also
-  /// removes it from the current configuration). Charges the page frees to
-  /// `ctx` when non-null. Fault point: `engine.index_build.drop`.
-  Status DropSecondaryIndex(const std::string& name, ExecContext* ctx);
-
   /// Content+shape fingerprint (BTree::Fingerprint) of a built secondary
-  /// index — what the kill-resume harness compares between an interrupted
-  /// and an uninterrupted build. NotFound if no such index is built.
+  /// index, which perfbench's churn digest folds in after its writes.
+  /// NotFound if no such index is built.
   Result<uint64_t> SecondaryIndexFingerprint(const std::string& name) const;
 
   const Configuration& current_config() const { return current_config_; }
@@ -255,9 +201,6 @@ class Database : public ObjectResolver {
   InSetMemo* in_set_memo() const override { return &in_set_memo_; }
 
  private:
-  /// The online build drives private pieces directly: it allocates its tree
-  /// in store_ and extracts keys with ExtractKey for its side log.
-  friend class OnlineIndexBuild;
   /// Tests check which calls hit the planner memos.
   friend class DatabaseTestPeer;
 
@@ -323,7 +266,6 @@ class Database : public ObjectResolver {
   /// Extracts this index's key from a full heap row.
   static IndexKey ExtractKey(const std::vector<int>& key_cols,
                              const Tuple& row);
-  void NotifyMutation(const TableMutation& m);
 
   DatabaseOptions options_;
   Catalog catalog_;
@@ -332,15 +274,6 @@ class Database : public ObjectResolver {
   std::map<std::string, std::unique_ptr<HeapTable>> tables_;
   DatabaseStats stats_;
   bool stats_ready_ = false;
-
-  struct MutationObserver {
-    uint64_t token = 0;
-    std::string table;
-    std::function<void(const TableMutation&)> fn;
-  };
-  std::vector<MutationObserver> mutation_observers_;
-  uint64_t next_observer_token_ = 1;
-  std::map<std::string, uint64_t> mutations_since_stats_;
 
   std::vector<std::unique_ptr<BuiltIndex>> pk_indexes_;
   std::vector<std::unique_ptr<BuiltIndex>> secondary_indexes_;

@@ -38,9 +38,8 @@ bool KeyHasPrefix(const IndexKey& key, const IndexKey& prefix);
 /// Concurrency contract: structural mutations (Insert/Delete/Update/
 /// BulkBuild/Drop) serialize on `mu_`, so any interleaving of writers is
 /// safe. Readers (SeekPrefix/ScanAll/iterators) stay lock-free and are only
-/// valid in phases with no concurrent writer — the engine's mutation runner
-/// alternates exclusive write windows with read-only windows, and the
-/// chaos/TSan suites exercise exactly that schedule.
+/// valid in phases with no concurrent writer — the engine never runs a
+/// write (Database::Timed*, a configuration change) while queries read.
 class BTree {
  public:
   /// `key_width_bytes`: average encoded key size, used to size node fanout.
@@ -52,8 +51,8 @@ class BTree {
   BTree& operator=(const BTree&) = delete;
 
   /// Inserts one entry, reporting touched node pages (root-to-leaf path and
-  /// any splits) through `touch`. Used for the incremental-insert
-  /// experiment (paper Section 4.4) and the mutation workloads. Fails only
+  /// any splits) through `touch`. Used by the engine's single-row writes
+  /// (the paper's Section 4.4 insertion experiment). Fails only
   /// via the `storage.btree_insert` / `storage.btree_split` fault points;
   /// a faulted split aborts before any structural change.
   Status Insert(const IndexKey& key, const Rid& rid, const PageTouchFn& touch)
@@ -125,9 +124,8 @@ class BTree {
   /// CRC-32C over the tree's logical content (leaf-chain keys + rids, in
   /// order) and shape (height, page and entry counts). Two trees holding
   /// the same entries with the same structure fingerprint identically
-  /// regardless of which PageIds the store handed out — the equality the
-  /// kill-resume chaos harness asserts between an interrupted-and-resumed
-  /// index build and an uninterrupted one.
+  /// regardless of which PageIds the store handed out, so a digest of
+  /// simulated output can include an index's state after a run of writes.
   uint64_t Fingerprint() const TB_EXCLUDES(mu_);
 
   /// Frees all node pages.

@@ -39,8 +39,7 @@ using PageTouchFn = std::function<void(PageId)>;
 /// Deletes are tombstones (a per-page slot bitmap in the table header, the
 /// slotted-page "dead" bit): the record bytes stay where they are, scans and
 /// fetches skip them, and an UPDATE is modeled as delete + re-append — which
-/// is also what makes index clustering decay under churn, the physical
-/// effect the paper's stats-staleness story needs.
+/// is also what makes index clustering decay under churn.
 ///
 /// Slot directory: beside each page (not in its bytes) the table keeps the
 /// byte offset of every record, filled by Append, so Fetch jumps straight to

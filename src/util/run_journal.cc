@@ -19,10 +19,11 @@ namespace {
 // header with a query record even if a file is truncated and re-appended.
 constexpr uint8_t kHeaderRecord = 0;
 constexpr uint8_t kQueryRecord = 1;
-// Tag 2 framed service routing events, which are no longer written. The
-// loader skips such frames so old journals load; never reuse the tag.
+// Tags 2 and 3 framed service routing events and online index-build
+// transitions, neither of which is written any more. The loader skips such
+// frames so old journals load; never reuse either tag.
 constexpr uint8_t kRetiredEventRecord = 2;
-constexpr uint8_t kIndexBuildRecord = 3;  // online index-build transitions
+constexpr uint8_t kRetiredIndexBuildRecord = 3;
 constexpr uint32_t kJournalVersion = 1;
 constexpr char kMagic[8] = {'t', 'b', 'j', 'o', 'u', 'r', 'n', 'l'};
 // Frames larger than this are assumed to be garbage length prefixes from a
@@ -163,10 +164,14 @@ bool DecodeHeader(const std::string& payload, JournalHeader* h) {
   h->retry.seed = d.U64();
   uint32_t n_sql = d.U32();
   h->sql.clear();
-  for (uint32_t i = 0; i < n_sql; ++i) h->sql.push_back(d.String());
+  // Each string takes at least its 4-byte length, so a count beyond the
+  // payload size is corrupt; the bound keeps a bogus count from looping.
+  for (uint32_t i = 0; i < n_sql && i < payload.size(); ++i) {
+    h->sql.push_back(d.String());
+  }
   uint32_t n_meta = d.U32();
   h->metadata.clear();
-  for (uint32_t i = 0; i < n_meta; ++i) {
+  for (uint32_t i = 0; i < n_meta && i < payload.size(); ++i) {
     std::string k = d.String();
     h->metadata[k] = d.String();
   }
@@ -237,40 +242,6 @@ bool DecodeQueryRecord(const std::string& payload, JournalQueryRecord* r) {
   // Journals written while records carried a 4-byte shard-id trailer still
   // load: the trailer is read and ignored. Any other leftover fails ok().
   if (d.remaining() == 4) d.U32();
-  return d.ok();
-}
-
-std::string EncodeIndexBuild(const JournalIndexBuildRecord& r) {
-  std::string out;
-  PutU8(&out, kIndexBuildRecord);
-  PutU32(&out, r.build_id);
-  PutU8(&out, r.state);
-  PutU32(&out, r.op_index);
-  PutU64(&out, r.side_log_entries);
-  PutDouble(&out, r.clock_seconds);
-  PutString(&out, r.index_name);
-  PutString(&out, r.target);
-  PutU32(&out, static_cast<uint32_t>(r.columns.size()));
-  for (const auto& c : r.columns) PutString(&out, c);
-  return out;
-}
-
-bool DecodeIndexBuild(const std::string& payload,
-                      JournalIndexBuildRecord* r) {
-  Decoder d(payload.data(), payload.size());
-  if (d.U8() != kIndexBuildRecord) return false;
-  r->build_id = d.U32();
-  r->state = d.U8();
-  r->op_index = d.U32();
-  r->side_log_entries = d.U64();
-  r->clock_seconds = d.Double();
-  r->index_name = d.String();
-  r->target = d.String();
-  uint32_t n_cols = d.U32();
-  r->columns.clear();
-  for (uint32_t i = 0; i < n_cols && i < payload.size(); ++i) {
-    r->columns.push_back(d.String());
-  }
   return d.ok();
 }
 
@@ -353,18 +324,10 @@ Result<RunJournal> LoadRunJournal(const std::string& path) {
       }
       have_header = true;
     } else if (!payload.empty() &&
-               static_cast<uint8_t>(payload[0]) == kRetiredEventRecord) {
-      // A retired service-event frame: checksummed above, carries nothing
-      // a run replays.
-    } else if (!payload.empty() &&
-               static_cast<uint8_t>(payload[0]) == kIndexBuildRecord) {
-      JournalIndexBuildRecord rec;
-      if (!DecodeIndexBuild(payload, &rec)) {
-        return Status::DataLoss(
-            "run journal index-build record undecodable at offset " +
-            std::to_string(off) + ": " + path);
-      }
-      journal.index_builds.push_back(std::move(rec));
+               (static_cast<uint8_t>(payload[0]) == kRetiredEventRecord ||
+                static_cast<uint8_t>(payload[0]) ==
+                    kRetiredIndexBuildRecord)) {
+      // A retired frame: checksummed above, carries nothing a run replays.
     } else {
       JournalQueryRecord rec;
       if (!DecodeQueryRecord(payload, &rec)) {
@@ -424,24 +387,6 @@ RunJournalWriter::~RunJournalWriter() {
   MutexLock lock(&mu_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-}
-
-Status RunJournalWriter::Append(const JournalIndexBuildRecord& rec) {
-  std::string frame = Frame(EncodeIndexBuild(rec));
-  MutexLock lock(&mu_);
-  if (fd_ < 0) return Status::Internal("run journal writer is closed");
-  // Build transitions are durability points like query records (the fsync
-  // under mu_ is the contract, as below).
-  // NOLINTNEXTLINE(tabbench-blocking-under-lock)
-  TB_RETURN_IF_ERROR(WriteAndSync(fd_, frame));
-  ++appends_;
-  if (crash_after_appends_ >= 0 && appends_ >= crash_after_appends_) {
-    // Same chaos hook as query records: the kill-resume harness counts
-    // every durable record, so a crash schedule can land *on* a build
-    // transition (mid-build, mid-drop) as easily as between ops.
-    (void)::raise(SIGKILL);
-  }
-  return Status::OK();
 }
 
 Status RunJournalWriter::Append(const JournalQueryRecord& rec) {

@@ -32,14 +32,14 @@ namespace tabbench {
 /// little-endian, CRC masked (util/crc32c.h) so payloads that embed their
 /// own checksums stay fully protected. Frame 0 is the header (workload SQL,
 /// run options fingerprint, free-form metadata); every later frame is one
-/// query record or one index-build transition, told apart by the payload's
-/// leading type byte. Tag 2 is retired: it once framed service routing
-/// events, and the loader still checksums and skips such frames so old
-/// journals load. A torn tail — a frame cut short by a crash, or a final
-/// frame whose checksum fails — is silently dropped on load and truncated
-/// on append-open, exactly like a WAL recovery. A checksum mismatch
-/// *before* the final frame is real corruption and surfaces as kDataLoss
-/// with the offending byte offset.
+/// query record, marked by the payload's leading type byte. Tags 2 and 3
+/// are retired: they once framed service routing events and online
+/// index-build transitions, and the loader still checksums and skips such
+/// frames so old journals load. A torn tail — a frame cut short by a crash,
+/// or a final frame whose checksum fails — is silently dropped on load and
+/// truncated on append-open, exactly like a WAL recovery. A checksum
+/// mismatch *before* the final frame is real corruption and surfaces as
+/// kDataLoss with the offending byte offset.
 
 /// One execution attempt of one query: its final status and the full charge
 /// trace up to the point execution stopped (completion, timeout trip, or
@@ -72,27 +72,6 @@ struct JournalQueryRecord {
   std::vector<JournalAttempt> attempt_log;
 };
 
-/// One state transition of an online index build (or drop) running inside a
-/// mutation workload: `pending → scanning → backfilling → catching-up →
-/// live` (and `dropping → dropped` for the teardown half). Each transition
-/// is its own fsync'd frame — the durability points the kill-resume chaos
-/// harness SIGKILLs between — so resume knows exactly how far every build
-/// progressed. `op_index` anchors the transition into the query-record
-/// stream: the transition committed after `op_index` workload ops had been
-/// journaled, which is what lets a resumed run re-verify the interleaving
-/// record by record. Old journals simply have no index-build frames (the
-/// frame type is new), and old readers never see them.
-struct JournalIndexBuildRecord {
-  uint32_t build_id = 0;        // ordinal of the build/drop within the run
-  uint8_t state = 0;            // engine IndexBuildState value just entered
-  uint32_t op_index = 0;        // workload ops journaled before this commit
-  uint64_t side_log_entries = 0;  // side-log size when the state was entered
-  double clock_seconds = 0.0;   // workload simulated clock at the transition
-  std::string index_name;
-  std::string target;           // indexed table
-  std::vector<std::string> columns;
-};
-
 /// Everything needed to (a) refuse resuming under different run options and
 /// (b) reconstruct the run from nothing but the journal file (`tabbench
 /// resume <journal>`): the full workload SQL, the RunOptions fingerprint,
@@ -113,11 +92,6 @@ struct JournalHeader {
 struct RunJournal {
   JournalHeader header;
   std::vector<JournalQueryRecord> records;
-  /// Online index-build/drop transitions, in append order (mutation
-  /// workloads only; empty for journals predating the frame type). Their
-  /// position among the query records is recoverable from each record's
-  /// op_index.
-  std::vector<JournalIndexBuildRecord> index_builds;
   /// Bytes of valid frames from the start of the file; a torn tail begins
   /// here. OpenAppend truncates to this offset before continuing.
   uint64_t valid_bytes = 0;
@@ -153,12 +127,6 @@ class RunJournalWriter {
   /// Serializes, frames, writes, and fsyncs one record — the durability
   /// point: once Append returns OK the record survives any crash.
   Status Append(const JournalQueryRecord& rec);
-
-  /// Same durability contract for an index-build state transition. Counts
-  /// toward the crash hook below like a query record does, so the
-  /// kill-resume harness can SIGKILL a run *at* any build transition, not
-  /// just between workload ops.
-  Status Append(const JournalIndexBuildRecord& rec);
 
   /// Test hook for the kill-resume chaos suite: after the n-th successful
   /// Append (1-based) the process SIGKILLs itself — *after* the fsync, so

@@ -2041,9 +2041,12 @@ TEST(AnalyzeAcceptance, RemovingTheFsyncSurfacesDurabilityOrdering) {
       {{"src/util/run_journal.h", ReadRealFile("src/util/run_journal.h")},
        {"src/util/run_journal.cc", nofsync}},
       RealProtoOpts());
-  // Both Append overloads externalize via raise(SIGKILL) crash points that
-  // the journal can no longer replay past.
-  EXPECT_GE(CountRule(findings, "tabbench-durability-ordering"), 2u)
+  // Append externalizes via a raise(SIGKILL) crash point that the journal
+  // can no longer replay past.
+  EXPECT_EQ(CountRule(findings, "tabbench-durability-ordering"), 1u)
+      << ToText(findings);
+  EXPECT_NE(ToText(findings).find("RunJournalWriter::Append"),
+            std::string::npos)
       << ToText(findings);
   EXPECT_FALSE(DiffBaseline(findings, {}).fresh.empty());
 }

@@ -16,6 +16,7 @@
 #include "test_util.h"
 #include "util/crc32c.h"
 #include "util/file_util.h"
+#include "util/rng.h"
 #include "util/run_journal.h"
 #include "util/strings.h"
 
@@ -307,14 +308,8 @@ TEST(RunJournalTest, PreShardJournalsLoadWithShardZero) {
   std::remove(path.c_str());
 }
 
-TEST(RunJournalTest, ServiceEventsRoundTripAlongsideRecords) {
-  // Journals once interleaved service routing events (frame tag 2) with
-  // query records. Rebuild that byte format by hand: an event frame on
-  // either side of a record. The event frames are CRC-checked and
-  // skipped; the records around them load intact.
-  std::string path = TempPath("journal_events.tbj");
-  const std::vector<std::string> payloads = SamplePayloads(path);
-  ASSERT_EQ(payloads.size(), 3u);
+/// A service routing event as journals once framed it (retired tag 2).
+std::string RetiredEventPayload() {
   std::string event;
   PutLe(&event, 2, 1);                      // the retired event tag
   PutLe(&event, 4, 8);                      // sequence
@@ -325,26 +320,63 @@ TEST(RunJournalTest, ServiceEventsRoundTripAlongsideRecords) {
     PutLe(&event, text.size(), 4);          // kind, then detail
     event.append(text);
   }
+  return event;
+}
+
+/// An online index-build transition as journals once framed it (retired
+/// tag 3).
+std::string RetiredIndexBuildPayload() {
+  std::string build;
+  PutLe(&build, 3, 1);                      // the retired index-build tag
+  PutLe(&build, 0, 4);                      // build_id
+  PutLe(&build, 4, 1);                      // state entered: live
+  PutLe(&build, 1, 4);                      // op_index
+  PutLe(&build, 12, 8);                     // side_log_entries
+  PutLe(&build, 0x3ff4000000000000ull, 8);  // clock_seconds = 1.25
+  for (std::string_view text : {"ix_dept", "people"}) {
+    PutLe(&build, text.size(), 4);          // index name, then target
+    build.append(text);
+  }
+  PutLe(&build, 1, 4);                      // one key column
+  PutLe(&build, 4, 4);
+  build.append("dept");
+  return build;
+}
+
+TEST(RunJournalTest, ServiceEventsRoundTripAlongsideRecords) {
+  // Journals once interleaved service routing events (frame tag 2) and
+  // online index-build transitions (tag 3) with query records. Rebuild
+  // that byte format by hand: retired frames on either side of each
+  // record. They are CRC-checked and skipped; the records around them load
+  // intact.
+  std::string path = TempPath("journal_events.tbj");
+  const std::vector<std::string> payloads = SamplePayloads(path);
+  ASSERT_EQ(payloads.size(), 3u);
+  const std::string event = RetiredEventPayload();
+  const std::string build = RetiredIndexBuildPayload();
   const std::string older = FrameBytes(payloads[0]) + FrameBytes(event) +
-                            FrameBytes(payloads[1]) + FrameBytes(event) +
-                            FrameBytes(payloads[2]);
+                            FrameBytes(payloads[1]) + FrameBytes(build) +
+                            FrameBytes(event) + FrameBytes(payloads[2]) +
+                            FrameBytes(build);
   Overwrite(path, older);
   auto loaded = LoadRunJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->records.size(), 2u);
   ExpectSameRecord(loaded->records[0], SampleRecord(0));
   ExpectSameRecord(loaded->records[1], SampleRecord(1));
-  EXPECT_TRUE(loaded->index_builds.empty());
   EXPECT_EQ(loaded->valid_bytes, older.size());
 
-  // A corrupted event frame mid-file is data loss, like any other frame.
-  std::string bad = FrameBytes(payloads[0]) + FrameBytes(event) +
-                    FrameBytes(payloads[1]);
-  bad[FrameBytes(payloads[0]).size() + 8 + 3] ^= 0x5a;
-  Overwrite(path, bad);
-  auto rejected = LoadRunJournal(path);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsDataLoss()) << rejected.status().ToString();
+  // A corrupted retired frame mid-file is data loss, like any other frame.
+  for (const std::string& retired : {event, build}) {
+    std::string bad = FrameBytes(payloads[0]) + FrameBytes(retired) +
+                      FrameBytes(payloads[1]);
+    bad[FrameBytes(payloads[0]).size() + 8 + 3] ^= 0x5a;
+    Overwrite(path, bad);
+    auto rejected = LoadRunJournal(path);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsDataLoss())
+        << rejected.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -456,6 +488,174 @@ TEST(RunJournalTest, HeaderlessOrMissingFileIsRejected) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsInvalidArgument())
       << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ journal-load fuzz
+//
+// Seeded mutations of a valid journal (header, two query records with
+// 37-event traces, a retired tag-2 and a retired tag-3 frame): byte flips,
+// payload and file truncations, frame-length corruption and type-byte
+// swaps. Half the mutants have each frame's CRC recomputed over its mutated
+// payload, so the mutation reaches the decoders instead of stopping at the
+// checksum.
+// LoadRunJournal must return OK, InvalidArgument or DataLoss and never
+// crash, hang or throw; a journal that loads must hold only replayable
+// trace events, and take an append past its torn tail and reload with one
+// more record.
+
+constexpr int kJournalMutants = 2400;
+
+struct JournalOutcomes {
+  size_t ok = 0;
+  size_t invalid = 0;
+  size_t data_loss = 0;
+  size_t undecodable = 0;  // DataLoss from a decoder, not a checksum
+  size_t appended = 0;
+};
+
+/// One mutant of the journal framed from `payloads`.
+std::string MutateJournal(std::vector<std::string> payloads, bool recompute_crc,
+                          Rng* rng) {
+  std::vector<uint32_t> crcs;
+  for (const std::string& p : payloads) crcs.push_back(MaskCrc32c(Crc32c(p)));
+  const int payload_ops = static_cast<int>(rng->Uniform(3));
+  for (int op = 0; op < payload_ops; ++op) {
+    std::string& p = payloads[rng->Uniform(payloads.size())];
+    if (p.empty()) continue;
+    switch (rng->Uniform(3)) {
+      case 0:  // byte flip
+        p[rng->Uniform(p.size())] ^= static_cast<char>(1u << rng->Uniform(8));
+        break;
+      case 1:  // payload truncation
+        p.resize(rng->Uniform(p.size()));
+        break;
+      default:  // type-byte swap, over the live, retired and unknown tags
+        p[0] = static_cast<char>(rng->Uniform(6));
+        break;
+    }
+  }
+  std::string bytes;
+  std::vector<size_t> offsets;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    offsets.push_back(bytes.size());
+    PutLe(&bytes, payloads[i].size(), 4);
+    PutLe(&bytes,
+          recompute_crc ? MaskCrc32c(Crc32c(payloads[i])) : crcs[i], 4);
+    bytes += payloads[i];
+  }
+  const int file_ops = static_cast<int>(rng->Uniform(3));
+  for (int op = 0; op < file_ops && !bytes.empty(); ++op) {
+    switch (rng->Uniform(3)) {
+      case 0: {  // frame-length corruption: nudged, zeroed or random
+        const size_t at = offsets[rng->Uniform(offsets.size())];
+        if (at + 4 > bytes.size()) break;
+        uint32_t len = 0;
+        std::memcpy(&len, bytes.data() + at, sizeof(len));
+        const uint64_t how = rng->Uniform(3);
+        len = how == 0 ? len + static_cast<uint32_t>(rng->UniformInt(-8, 8))
+              : how == 1 ? 0u
+                         : static_cast<uint32_t>(rng->Next());
+        std::string le;
+        PutLe(&le, len, 4);
+        bytes.replace(at, 4, le);
+        break;
+      }
+      case 1:  // byte flip anywhere, length and CRC fields included
+        bytes[rng->Uniform(bytes.size())] ^=
+            static_cast<char>(1u << rng->Uniform(8));
+        break;
+      default:  // file truncation
+        bytes.resize(rng->Uniform(bytes.size()));
+        break;
+    }
+  }
+  return bytes;
+}
+
+/// Loads the mutant at `path` and checks the contract; records what
+/// happened in `*seen`.
+void CheckJournalMutant(const std::string& path, size_t frames,
+                        JournalOutcomes* seen) {
+  Result<RunJournal> loaded = Status::Internal("not run");
+  try {
+    loaded = LoadRunJournal(path);
+  } catch (...) {
+    ADD_FAILURE() << "LoadRunJournal threw";
+    return;
+  }
+  if (!loaded.ok()) {
+    const Status& st = loaded.status();
+    EXPECT_TRUE(st.IsInvalidArgument() || st.IsDataLoss()) << st.ToString();
+    if (st.IsInvalidArgument()) ++seen->invalid;
+    if (st.IsDataLoss()) ++seen->data_loss;
+    if (st.message().find("undecodable") != std::string::npos) {
+      ++seen->undecodable;
+    }
+    return;
+  }
+  ++seen->ok;
+  EXPECT_LE(loaded->valid_bytes, Slurp(path).size());
+  EXPECT_LT(loaded->records.size(), frames);
+  // Every loaded event is one a replay can apply.
+  for (const JournalQueryRecord& rec : loaded->records) {
+    for (const JournalAttempt& a : rec.attempt_log) {
+      for (const TraceEvent& e : a.trace) {
+        EXPECT_LE(e.kind, TraceEvent::Kind::kUnitHashChecked);
+      }
+    }
+  }
+  if (seen->ok % 16 != 1) return;  // each append-and-reload costs an fsync
+  auto writer = RunJournalWriter::OpenAppend(path, *loaded);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  TB_ASSERT_OK((*writer)->Append(SampleRecord(7)));
+  writer->reset();
+  auto reloaded = LoadRunJournal(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_EQ(reloaded->records.size(), loaded->records.size() + 1);
+  ExpectSameRecord(reloaded->records.back(), SampleRecord(7));
+  ++seen->appended;
+}
+
+/// SampleRecord(index) with 32 more trace events over every kind, so more
+/// of the mutated bytes are event kinds and arguments.
+JournalQueryRecord LongTraceRecord(uint32_t index) {
+  JournalQueryRecord rec = SampleRecord(index);
+  const uint64_t kinds =
+      static_cast<uint64_t>(TraceEvent::Kind::kUnitHashChecked) + 1;
+  for (uint64_t e = 0; e < 32; ++e) {
+    rec.attempt_log.back().trace.push_back(
+        {static_cast<TraceEvent::Kind>(e % kinds), e * 37});
+  }
+  return rec;
+}
+
+TEST(RunJournalFuzzTest, MutatedJournalsLoadOrFailCleanly) {
+  const std::string path = TempPath("journal_fuzz.tbj");
+  {
+    auto writer = RunJournalWriter::Create(path, SampleHeader());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    TB_ASSERT_OK((*writer)->Append(LongTraceRecord(0)));
+    TB_ASSERT_OK((*writer)->Append(LongTraceRecord(1)));
+  }
+  std::vector<std::string> payloads = FramePayloads(Slurp(path));
+  ASSERT_EQ(payloads.size(), 3u);
+  payloads.insert(payloads.begin() + 2, RetiredEventPayload());
+  payloads.push_back(RetiredIndexBuildPayload());
+
+  Rng rng(20261019);
+  JournalOutcomes seen;
+  for (int m = 0; m < kJournalMutants; ++m) {
+    Overwrite(path, MutateJournal(payloads, m % 2 == 0, &rng));
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    CheckJournalMutant(path, payloads.size(), &seen);
+  }
+  // Every outcome class is reached, the decoders included.
+  EXPECT_GT(seen.ok, 0u);
+  EXPECT_GT(seen.invalid, 0u);
+  EXPECT_GT(seen.data_loss, 0u);
+  EXPECT_GT(seen.undecodable, 0u);
+  EXPECT_GT(seen.appended, 0u);
   std::remove(path.c_str());
 }
 
@@ -663,6 +863,43 @@ TEST_F(JournalResumeTest, TamperedOutcomeFailsTheReplayCrossCheck) {
   EXPECT_TRUE(resumed.status().IsDataLoss()) << resumed.status().ToString();
   std::remove(path.c_str());
   std::remove(lied.c_str());
+}
+
+TEST_F(JournalResumeTest, PrefixWithRetiredFramesResumesExact) {
+  // A journal holding retired service-event (tag 2) and index-build
+  // (tag 3) frames between its query records resumes like any prefix: the
+  // retired frames are skipped, and the records appended after them are
+  // the uninterrupted run's own.
+  std::string full_path = TempPath("resume_retired_base.tbj");
+  RunOptions jopts;
+  jopts.journal_path = full_path;
+  auto baseline = RunWorkload(db(), sql_, jopts);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const BufferPoolStats base_pool = db()->buffer_stats();
+  const std::vector<std::string> payloads = FramePayloads(Slurp(full_path));
+  ASSERT_EQ(payloads.size(), sql_.size() + 1);
+
+  std::string older = FrameBytes(payloads[0]);
+  for (size_t i = 1; i <= 4; ++i) {
+    older += FrameBytes(i % 2 == 1 ? RetiredEventPayload()
+                                   : RetiredIndexBuildPayload());
+    older += FrameBytes(payloads[i]);
+  }
+  std::string path = TempPath("resume_retired.tbj");
+  Overwrite(path, older);
+  auto resumed = RunWorkload(db(), sql_, ResumeFrom(path));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectIdentical(*baseline, *resumed);
+  EXPECT_EQ(db()->buffer_stats().hits, base_pool.hits);
+  EXPECT_EQ(db()->buffer_stats().misses, base_pool.misses);
+
+  std::vector<std::string> live;
+  for (const std::string& p : FramePayloads(Slurp(path))) {
+    if (p.empty() || (p[0] != 2 && p[0] != 3)) live.push_back(p);
+  }
+  EXPECT_EQ(live, payloads);
+  std::remove(path.c_str());
+  std::remove(full_path.c_str());
 }
 
 TEST_F(JournalResumeTest, CrashAfterAppendsHookCountsFsyncedRecords) {

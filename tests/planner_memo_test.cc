@@ -13,7 +13,6 @@
 
 #include "core/configurations.h"
 #include "engine/database.h"
-#include "engine/index_build.h"
 #include "optimizer/planner.h"
 #include "optimizer/whatif.h"
 #include "test_util.h"
@@ -200,20 +199,6 @@ TEST_F(PlannerMemoTest, EveryMutationKindRebuildsTheMemo) {
 
   AfterMutation("CollectStatistics",
                 [&] { ASSERT_TRUE(db_->CollectStatistics().ok()); });
-
-  AfterMutation("DropSecondaryIndex", [&] {
-    ASSERT_TRUE(db_->DropSecondaryIndex("ix_people_city", nullptr).ok());
-  });
-
-  AfterMutation("OnlineIndexBuild", [&] {
-    IndexDef def{"ix_people_score", "people", {"score"}, false};
-    OnlineIndexBuild build(db_, def);
-    ExecContext ctx =
-        db_->MakeSessionContext(db_->buffer_pool(), db_->options().cost);
-    ASSERT_TRUE(build.Start(&ctx).ok());
-    while (!build.done()) ASSERT_TRUE(build.Step(&ctx).ok());
-    ASSERT_EQ(build.state(), IndexBuildState::kLive);
-  });
 
   AfterMutation("ResetToPrimary",
                 [&] { ASSERT_TRUE(db_->ResetToPrimary().ok()); });

@@ -591,8 +591,7 @@ TEST(HeapTableTest, InsertAfterDeleteStaysAppendOnly) {
   std::vector<Rid> rids;
   for (int64_t i = 0; i < 10; ++i) rids.push_back(heap.Append(Tuple({Value(i)})));
   TB_ASSERT_OK(heap.Delete(rids[4], nullptr));
-  // The tombstoned slot is never reused: new rows append past the tail,
-  // which is the invariant the online index build's scan bound rests on.
+  // The tombstoned slot is never reused: new rows append past the tail.
   auto rid = heap.Insert(Tuple({Value(int64_t{10})}), nullptr);
   ASSERT_TRUE(rid.ok());
   EXPECT_TRUE(rids.back() < *rid);

@@ -191,7 +191,7 @@ bool ParseLayerSpec(const std::string& text, LayerSpec* spec,
 struct ProtocolSpec {
   /// An operation referenced by call name; when `arg` is non-empty the
   /// call only matches if `arg` appears as a token between its parens
-  /// (e.g. EnterState:kLive matches EnterState(IndexBuildState::kLive)).
+  /// (e.g. EnterState:kLive matches EnterState(State::kLive)).
   struct Op {
     std::string name;
     std::string arg;

@@ -65,16 +65,6 @@ step "ctest -L vectorized under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_vec_tests
 ctest --test-dir "${TSAN_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
 
-# The mutation suite under TSan: B+-tree and heap mutations take the tree
-# and stats locks from workload threads, and the online index-build side
-# log is fed by writer threads while the build step drains it — the exact
-# surfaces where a race would corrupt the serial ≡ parallel bit-identity
-# contract. The fork/SIGKILL chaos children stay single-threaded, which is
-# what TSan requires of forked children.
-step "ctest -L mutation under TABBENCH_SANITIZE=thread"
-cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_mutation_tests
-ctest --test-dir "${TSAN_DIR}" -L mutation --output-on-failure -j "${JOBS}"
-
 # The concurrency suite under TSan: the thread pool, the B-tree stats cache
 # and IN-set memo under concurrent readers, the parallel runners (also
 # racing to rebuild the database's planner memos right after a
@@ -147,16 +137,6 @@ fi
 cmp "${KR_DIR}/killed.tbj" "${KR_DIR}/clean.tbj"
 echo "resumed journal is byte-identical to the uninterrupted run"
 
-# The same proof for the online index-build state machine: the mutation
-# suite's transition walker SIGKILLs a forked child at every index-build
-# journal transition (pending → … → live → dropping → dropped), resumes
-# each torn journal, and byte-compares the healed journal and install-time
-# index fingerprint against an uninterrupted run. Run it standalone so the
-# crash-safety evidence lands in this log even when ctest sharding hides it.
-step "mutation kill-resume smoke (SIGKILL at every build transition)"
-"${BUILD_DIR}/tests/tabbench_mutation_tests" --gtest_brief=1 \
-  --gtest_filter='MutationKillResumeTest.SigkillAtEveryBuildTransitionResumesExact'
-
 # --------------------------------------------------------------- analyze
 # The static analyzer, all 24 rules in one run: the per-file rules
 # (determinism, naked-new, raw-sleep, float-equal, unsynced-write,
@@ -196,7 +176,9 @@ step "tabbench_analyze --fault-coverage (ratchet vs fault_layers.txt)"
 # tables, varint packing, Zipf sampling, journal framing); run those suites
 # with every UB report turned into an abort (-fno-sanitize-recover=all).
 # Journal resume decodes traces and runs them through ExecContext::Apply,
-# so the trace interpreter's suite (ExecContextTest) rides along.
+# so the trace interpreter's suite (ExecContextTest) rides along, as does
+# the seeded journal-load fuzzer (RunJournalFuzzTest), which feeds the
+# frame walker and decoders flipped, cut and re-checksummed journals.
 step "util/journal suites under TABBENCH_SANITIZE=undefined"
 UBSAN_DIR="${ROOT}/build-ubsan"
 cmake -B "${UBSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=undefined
@@ -204,7 +186,8 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 "${UBSAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'Crc32cTest.*:CrcTrailerTest.*:ExecContextTest.*:JournalResumeTest.*'\
 ':ReportIoTest.*'\
-':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:StatusTest.*'\
+':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:RunJournalFuzzTest.*'\
+':StatusTest.*'\
 ':StringsTest.*:ZipfTest.*'
 
 # ----------------------------------------------------------------- asan
