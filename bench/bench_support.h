@@ -15,7 +15,8 @@
 namespace tabbench {
 namespace bench {
 
-/// Environment knobs shared by every reproduction binary:
+/// Environment knobs shared by tabbench_suite, bench_parallel and
+/// bench_insertions:
 ///   TABBENCH_SCALE     data scale inverse, a number >= 50 (default 400 =
 ///                      1/400 of paper)
 ///   TABBENCH_WORKLOAD  queries per workload, an integer >= 5 (default 100,
@@ -28,25 +29,6 @@ size_t WorkloadSize();
 std::unique_ptr<Database> MakeNrefDb();
 std::unique_ptr<Database> MakeSkthDb();  // TPC-H, Zipf(1)
 std::unique_ptr<Database> MakeUnthDb();  // TPC-H, uniform
-
-/// The experiment protocol for one figure: sample the family, obtain the
-/// profile's recommendation (may legitimately fail for System A), run the
-/// standard configuration ladder, and print histograms/CFC/goal sections.
-struct FigureOptions {
-  std::string figure;        // "Figure 3"
-  std::string system;        // "A" / "B" / "C"
-  std::string family_name;   // for display
-  bool print_histograms = false;  // Figs 1-2 style per-config histograms
-  bool print_goal = false;        // Example 2 goal check
-};
-
-/// Runs and prints; returns 0 on success (main()-friendly).
-int RunCfcFigure(Database* db, QueryFamily family,
-                 const AdvisorOptions* profile, const FigureOptions& opts);
-
-/// Rendering of one configuration line of paper Table 1.
-std::string Table1Row(const std::string& label, uint64_t total_pages,
-                      double build_seconds, double scale_inverse);
 
 }  // namespace bench
 }  // namespace tabbench

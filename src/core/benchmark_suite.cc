@@ -49,23 +49,6 @@ Result<Recommendation> FamilyExperiment::Recommend(AdvisorOptions profile) {
   return advisor.Recommend(bound);
 }
 
-namespace {
-
-/// Journal file names come from user-facing family/config names; keep them
-/// shell- and filesystem-safe.
-std::string SanitizeForFilename(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    out.push_back(ok ? c : '_');
-  }
-  return out.empty() ? std::string("unnamed") : out;
-}
-
-}  // namespace
-
 Result<ConfigRunRecord> FamilyExperiment::RunOn(const Configuration& config) {
   TB_RETURN_IF_ERROR(Prepare());
   ConfigRunRecord rec;
@@ -75,20 +58,7 @@ Result<ConfigRunRecord> FamilyExperiment::RunOn(const Configuration& config) {
   } else {
     TB_ASSIGN_OR_RETURN(rec.build, db_->ApplyConfiguration(config));
   }
-  RunOptions run = opts_.run;
-  if (!opts_.journal_dir.empty()) {
-    // One journal per (family, config) pair, auto-resumed: re-running an
-    // interrupted campaign replays every journaled query and only executes
-    // the remainder. A completed journal replays entirely — RunOn becomes
-    // a cheap, bit-identical re-derivation of the stored result.
-    run.journal_path = opts_.journal_dir + "/" +
-                       SanitizeForFilename(workload_.name) + "-" +
-                       SanitizeForFilename(config.name) + ".tbj";
-    run.resume = true;
-    run.journal_metadata["family"] = workload_.name;
-    run.journal_metadata["config"] = config.name;
-  }
-  TB_ASSIGN_OR_RETURN(rec.result, RunWorkload(db_, workload_.Sql(), run));
+  TB_ASSIGN_OR_RETURN(rec.result, RunWorkload(db_, workload_.Sql()));
   return rec;
 }
 

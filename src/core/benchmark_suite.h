@@ -16,13 +16,6 @@ struct ExperimentOptions {
   /// The paper samples 100 queries per family (Section 4.1.1).
   size_t workload_size = 100;
   uint64_t sample_seed = 77;
-  RunOptions run;
-  /// Crash recovery for the whole campaign: when non-empty, every RunOn
-  /// gets a durable journal at `<journal_dir>/<family>-<config>.tbj`
-  /// (resume enabled, provenance metadata stamped), so an experiment
-  /// interrupted mid-configuration picks up where it left off instead of
-  /// redoing multi-hour runs. The directory must exist.
-  std::string journal_dir;
 };
 
 /// One configuration applied + one workload executed.

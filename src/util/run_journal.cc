@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -273,10 +274,22 @@ Status WriteAndSync(int fd, const std::string& bytes) {
 
 /// Chaos-test arming (see set_crash_after_appends): mirrors TABBENCH_FAULTS'
 /// env-driven fault schedules so a child benchmark process can be told to
-/// die mid-run without any API plumbing.
-int CrashAfterFromEnv() {
+/// die mid-run without any API plumbing. Unset is -1 (disarmed); a set value
+/// must be a whole-string positive integer, else kInvalidArgument, so a typo
+/// never arms the hook at an unintended record.
+Result<int> CrashAfterFromEnv() {
   const char* v = std::getenv("TABBENCH_JOURNAL_CRASH_AFTER");
-  return v == nullptr ? -1 : std::atoi(v);
+  if (v == nullptr) return -1;
+  const char* end = v + std::strlen(v);
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr != end || n < 1) {
+    return Status::InvalidArgument(
+        std::string("TABBENCH_JOURNAL_CRASH_AFTER must be a positive "
+                    "integer, got '") +
+        v + "'");
+  }
+  return n;
 }
 
 uint32_t ReadU32At(const std::string& buf, size_t off) {
@@ -348,13 +361,15 @@ Result<RunJournal> LoadRunJournal(const std::string& path) {
 
 Result<std::unique_ptr<RunJournalWriter>> RunJournalWriter::Create(
     const std::string& path, const JournalHeader& header) {
+  int crash_after = -1;
+  TB_ASSIGN_OR_RETURN(crash_after, CrashAfterFromEnv());
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::Internal("cannot create run journal " + path + ": " +
                             std::strerror(errno));
   }
   auto w = std::make_unique<RunJournalWriter>(path, fd);
-  w->set_crash_after_appends(CrashAfterFromEnv());
+  w->set_crash_after_appends(crash_after);
   Status st = WriteAndSync(fd, Frame(EncodeHeader(header)));
   if (!st.ok()) return st;
   return w;
@@ -362,13 +377,15 @@ Result<std::unique_ptr<RunJournalWriter>> RunJournalWriter::Create(
 
 Result<std::unique_ptr<RunJournalWriter>> RunJournalWriter::OpenAppend(
     const std::string& path, const RunJournal& journal) {
+  int crash_after = -1;
+  TB_ASSIGN_OR_RETURN(crash_after, CrashAfterFromEnv());
   int fd = ::open(path.c_str(), O_WRONLY, 0644);
   if (fd < 0) {
     return Status::Internal("cannot open run journal " + path + ": " +
                             std::strerror(errno));
   }
   auto w = std::make_unique<RunJournalWriter>(path, fd);
-  w->set_crash_after_appends(CrashAfterFromEnv());
+  w->set_crash_after_appends(crash_after);
   // Drop the torn tail so the next frame starts on a clean boundary; the
   // lost partial record is exactly the query that was in flight at the
   // crash, which resume re-executes.

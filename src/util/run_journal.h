@@ -133,7 +133,9 @@ class RunJournalWriter {
   /// the journal holds exactly n durable records. Negative disables. Also
   /// armed by the TABBENCH_JOURNAL_CRASH_AFTER environment variable (read
   /// at Create/OpenAppend), mirroring TABBENCH_FAULTS, so child benchmark
-  /// processes can be crashed without API plumbing.
+  /// processes can be crashed without API plumbing. A set value must be a
+  /// positive integer; anything else fails Create/OpenAppend with
+  /// kInvalidArgument before the file is touched.
   void set_crash_after_appends(int n) {
     MutexLock lock(&mu_);
     crash_after_appends_ = n;

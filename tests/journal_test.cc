@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -916,6 +918,58 @@ TEST_F(JournalResumeTest, CrashAfterAppendsHookCountsFsyncedRecords) {
   auto loaded = LoadRunJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->records.size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(RunJournalCrashEnvTest, MalformedCrashAfterIsRejectedBeforeWriting) {
+  // TABBENCH_JOURNAL_CRASH_AFTER takes a whole-string positive integer. A
+  // value atoi would have read as 0 (or a prefix) must not arm the hook:
+  // Create and OpenAppend refuse it, naming the variable, and leave an
+  // existing journal byte for byte as it was.
+  std::string path = TempPath("journal_crash_env.tbj");
+  {
+    auto writer = RunJournalWriter::Create(path, SampleHeader());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    TB_ASSERT_OK((*writer)->Append(SampleRecord(0)));
+  }
+  const std::string before = Slurp(path);
+  auto journal = LoadRunJournal(path);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  for (const char* bad : {"abc", "0", "-3", "5x", ""}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    ASSERT_EQ(::setenv("TABBENCH_JOURNAL_CRASH_AFTER", bad, 1), 0);
+    auto created = RunJournalWriter::Create(path, SampleHeader());
+    ASSERT_FALSE(created.ok());
+    EXPECT_TRUE(created.status().IsInvalidArgument());
+    EXPECT_NE(created.status().message().find("TABBENCH_JOURNAL_CRASH_AFTER"),
+              std::string::npos);
+    auto reopened = RunJournalWriter::OpenAppend(path, *journal);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_TRUE(reopened.status().IsInvalidArgument());
+    EXPECT_EQ(Slurp(path), before);
+  }
+  ::unsetenv("TABBENCH_JOURNAL_CRASH_AFTER");
+  std::remove(path.c_str());
+}
+
+TEST(RunJournalCrashEnvTest, WellFormedCrashAfterArmsTheHook) {
+  // "3" arms the hook: the third Append fsyncs its record and the process
+  // dies by SIGKILL, leaving exactly three durable records.
+  std::string path = TempPath("journal_crash_env_armed.tbj");
+  EXPECT_EXIT(
+      {
+        ::setenv("TABBENCH_JOURNAL_CRASH_AFTER", "3", 1);
+        auto writer = RunJournalWriter::Create(path, SampleHeader());
+        if (!writer.ok()) std::exit(1);
+        for (uint32_t i = 0; i < 5; ++i) {
+          if (!(*writer)->Append(SampleRecord(i)).ok()) std::exit(1);
+        }
+        std::exit(0);
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+  auto loaded = LoadRunJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.size(), 3u);
   std::remove(path.c_str());
 }
 

@@ -33,10 +33,13 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # planned on P, 1C and a System C recommendation, must reproduce
 # tests/golden/plan_snapshot.txt (EXPLAIN text, est_cost with %a, a digest
 # of each node's fields), and EstimateCost / Database::Estimate must
-# bit-equal the plan-building entry points. It ran in the full pass above;
-# the labelled re-run names the stage in the log. A re-baseline copies the
-# failing run's plan_snapshot.actual over the golden with a CHANGES.md line.
-step "ctest -L golden (plan snapshot)"
+# bit-equal the plan-building entry points. The label also selects the
+# figure-suite golden: tabbench_suite's stdout at 1/6400 x 10 queries, whole
+# and section by section, must equal tests/golden/figure_suite.txt. They ran
+# in the full pass above; the labelled re-run names the stage in the log. A
+# re-baseline copies the failing run's plan_snapshot.actual or
+# figure_suite.actual over its golden with a CHANGES.md line.
+step "ctest -L golden (plan snapshot, figure suite)"
 ctest --test-dir "${BUILD_DIR}" -L golden --output-on-failure -j "${JOBS}"
 
 # ----------------------------------------------------------------- chaos
