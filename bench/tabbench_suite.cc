@@ -427,16 +427,20 @@ Status Fig11(Suite* s) {
 
 // ---------------------------------------------------------------- tables
 
-/// One configuration line of Table 1: scaled pages as paper-equivalent
-/// bytes (each scaled page stands for scale_inverse real pages) and the
-/// build time in simulated minutes.
-std::string Table1Row(const std::string& label, uint64_t total_pages,
-                      double build_seconds) {
-  double bytes = static_cast<double>(total_pages) *
-                 static_cast<double>(kPageSize) * ScaleInverse();
-  double gib = bytes / (1024.0 * 1024.0 * 1024.0);
-  return StrFormat("  %-14s %8.1f GB-equiv   build %8.0f min", label.c_str(),
-                   gib, build_seconds / 60.0);
+/// One configuration line of Table 1: its label, its scaled pages and its
+/// build time in simulated seconds.
+struct Table1Row {
+  std::string label;
+  uint64_t total_pages = 0;
+  double build_seconds = 0.0;
+};
+
+/// The width of the widest label, for a left-aligned label column.
+template <typename Row>
+int LabelWidth(const std::vector<Row>& rows, const std::string& header) {
+  size_t width = header.size();
+  for (const Row& r : rows) width = std::max(width, r.label.size());
+  return static_cast<int>(width);
 }
 
 // Table 1: size and build time of every configuration of the experiments —
@@ -453,13 +457,13 @@ Status Table1(Suite* s) {
                           {"NREF", 'B', {"NREF2J", "NREF3J"}},
                           {"SkTH", 'C', {"SkTH3J", "SkTH3Js"}},
                           {"UnTH", 'C', {"UnTH3J"}}};
-  std::vector<std::string> rows;
+  std::vector<Table1Row> rows;
   for (const Group& g : groups) {
     Database* db = nullptr;
     TB_ASSIGN_OR_RETURN(db, s->Db(g.db));
     const uint64_t base = db->BasePages();
     const std::string db_label = g.db;
-    rows.push_back(Table1Row(db_label + " P", base, 0.0));
+    rows.push_back({db_label + " P", base, 0.0});
     Cell* cell = nullptr;
     for (const char* family : g.families) {
       TB_ASSIGN_OR_RETURN(cell, s->GetCell(family, WorkloadSize()));
@@ -473,17 +477,25 @@ Status Table1(Suite* s) {
       }
       const ConfigRunRecord* r = nullptr;
       TB_ASSIGN_OR_RETURN(r, cell->RunR(g.system));
-      rows.push_back(Table1Row(label, base + r->build.secondary_pages,
-                               r->build.build_seconds));
+      rows.push_back(
+          {label, base + r->build.secondary_pages, r->build.build_seconds});
     }
     const ConfigRunRecord* one_c = nullptr;
     TB_ASSIGN_OR_RETURN(one_c, cell->Run1C());
-    rows.push_back(Table1Row(db_label + " 1C",
-                             base + one_c->build.secondary_pages,
-                             one_c->build.build_seconds));
+    rows.push_back({db_label + " 1C", base + one_c->build.secondary_pages,
+                    one_c->build.build_seconds});
   }
   std::printf("\n%-28s %14s %14s\n", "configuration", "size", "build time");
-  for (const std::string& row : rows) std::printf("%s\n", row.c_str());
+  // Pages print as paper-equivalent bytes (each scaled page stands for
+  // scale_inverse real pages), build time in simulated minutes.
+  const int width = LabelWidth(rows, "");
+  for (const Table1Row& row : rows) {
+    const double gib = static_cast<double>(row.total_pages) *
+                       static_cast<double>(kPageSize) * ScaleInverse() /
+                       (1024.0 * 1024.0 * 1024.0);
+    std::printf("  %-*s %8.1f GB-equiv   build %8.0f min\n", width,
+                row.label.c_str(), gib, row.build_seconds / 60.0);
+  }
   std::printf(
       "\npaper shape: P smallest per database; every R uses less space than "
       "1C;\nbuild times range from minutes (P deltas) to many hours (1C on "
@@ -491,10 +503,11 @@ Status Table1(Suite* s) {
   return Status::OK();
 }
 
-/// One object's row of Tables 2-3: its 1- to 4-column index counts.
-void PrintWidths(const char* label_format, const std::string& object,
-                 const Configuration& config) {
-  std::printf(label_format, object.c_str());
+/// One object's row of Tables 2-3: its label in a column `width` wide,
+/// then its 1- to 4-column index counts.
+void PrintWidths(int width, const std::string& label,
+                 const std::string& object, const Configuration& config) {
+  std::printf("  %-*s", width, label.c_str());
   for (int w = 1; w <= 4; ++w) {
     std::printf(" %4d", config.CountIndexes(object, w));
   }
@@ -531,7 +544,7 @@ Status Table2(Suite* s) {
                 config.indexes.size(), config.views.size());
     std::printf("  %-18s %4s %4s %4s %4s\n", "table", "1c", "2c", "3c", "4c");
     for (const auto& t : cell->db()->catalog().tables()) {
-      if (HasIndexes(t.name, config)) PrintWidths("  %-18s", t.name, config);
+      if (HasIndexes(t.name, config)) PrintWidths(18, t.name, t.name, config);
     }
     int totals[5] = {0, 0, 0, 0, 0};
     int max_width = 0;
@@ -579,24 +592,28 @@ Status Table3(Suite* s) {
     const Configuration& config = rec->config;
     std::printf("\n%s: %zu indexes, %zu views\n", label,
                 config.indexes.size(), config.views.size());
-    std::printf("  %-34s %4s %4s %4s %4s\n", "object", "1c", "2c", "3c",
-                "4c");
+    struct ObjectRow {
+      std::string label;
+      std::string object;
+    };
+    std::vector<ObjectRow> rows;
     for (const auto& t : cell->db()->catalog().tables()) {
-      if (HasIndexes(t.name, config)) PrintWidths("  %-34s", t.name, config);
+      if (HasIndexes(t.name, config)) rows.push_back({t.name, t.name});
     }
     size_t view_indexes = 0;
     for (const auto& v : config.views) {
       for (int w = 1; w <= 4; ++w) {
         view_indexes += static_cast<size_t>(config.CountIndexes(v.name, w));
       }
-      std::printf("  %-34s",
-                  ("view " + v.name +
-                   (v.tables.size() > 1 ? " (join)" : " (projection)"))
-                      .c_str());
-      for (int w = 1; w <= 4; ++w) {
-        std::printf(" %4d", config.CountIndexes(v.name, w));
-      }
-      std::printf("\n");
+      rows.push_back({"view " + v.name +
+                          (v.tables.size() > 1 ? " (join)" : " (projection)"),
+                      v.name});
+    }
+    const int width = LabelWidth(rows, "object");
+    std::printf("  %-*s %4s %4s %4s %4s\n", width, "object", "1c", "2c", "3c",
+                "4c");
+    for (const ObjectRow& row : rows) {
+      PrintWidths(width, row.label, row.object, config);
     }
     std::printf(
         "  -> %zu of %zu secondary indexes sit on materialized views\n",

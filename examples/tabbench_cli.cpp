@@ -290,10 +290,10 @@ int RunJournaled(Database* db, const std::vector<std::string>& sql,
     return 1;
   }
   std::printf("done: %zu queries, %s simulated total, %zu timeouts, "
-              "%zu failures, %zu retries\n",
+              "%zu failures\n",
               res->timings.size(),
               HumanSeconds(res->total_clamped_seconds).c_str(),
-              res->timeouts, res->failures, res->retries);
+              res->timeouts, res->failures);
   std::printf("journal: %s (resume with: tabbench resume %s)\n",
               opts.journal_path.c_str(), opts.journal_path.c_str());
   return 0;
@@ -392,13 +392,11 @@ int RunResume(const std::string& journal) {
     }
   }
   // Mirror the recorded run options exactly — the journal refuses to
-  // resume under different ones.
+  // resume under different ones (and refuses a header carrying a retired
+  // option: repetitions, fault-scope salt or retry policy).
   RunOptions opts = ResumeFrom(journal);
-  opts.repetitions = h.repetitions;
   opts.collect_estimates = h.collect_estimates;
   opts.cold_start = h.cold_start;
-  opts.fault_scope_salt = h.fault_scope_salt;
-  opts.retry = h.retry;
   return RunJournaled(db.get(), h.sql, opts);
 }
 

@@ -43,18 +43,6 @@ Result<Recommendation> Advisor::Recommend(
                       [](double a, double b) { return a + b; });
   double pages_used = 0.0;
 
-  // Scored outcome of trying one unit in one round. Units are evaluated
-  // into per-unit slots — in parallel when options_.eval_pool is set, since
-  // each unit's trials touch only its own memo row — and the winner is then
-  // chosen by a sequential scan, so the pick (and therefore the whole
-  // recommendation) is identical either way.
-  struct UnitEval {
-    bool eligible = false;  // passed budget + benefit bars
-    double score = 0.0;
-    std::vector<double> costs;
-    Status status;
-  };
-
   for (int round = 0; round < options_.max_picks; ++round) {
     double current_total =
         std::accumulate(cur_cost.begin(), cur_cost.end(), 0.0,
@@ -62,55 +50,43 @@ Result<Recommendation> Advisor::Recommend(
     double min_benefit =
         std::max(1e-6, options_.min_benefit_frac * current_total);
 
-    std::vector<UnitEval> evals(units.size());
-    ParallelFor(
-        options_.eval_pool, units.size(),
-        [&](size_t ui) {
-          UnitEval& ev = evals[ui];
-          if (trials.Taken(ui)) return;
-          const Unit& u = units[ui];
-          if (options_.space_budget_pages >= 0.0 &&
-              pages_used + u.pages > options_.space_budget_pages) {
-            return;
-          }
-          std::vector<double> costs = cur_cost;
-          ev.status = trials.Trial(ui, &costs);
-          if (!ev.status.ok()) return;
-          double benefit = 0.0;
-          for (size_t i = 0; i < sample.size(); ++i) {
-            if (u.RelevantTo(*sample[i])) benefit += cur_cost[i] - costs[i];
-          }
-          // Update-aware charging: maintaining the structure costs I/O per
-          // insert (descent + leaf write; views also re-derive their rows).
-          if (options_.updates_per_query > 0.0) {
-            const CostParams& cp = base_.params;
-            double per_insert =
-                2.0 * cp.random_io_seconds + cp.page_io_seconds;
-            double structures = u.is_view
-                                    ? 2.0 * (1.0 + static_cast<double>(
-                                                       u.view.indexes.size()))
-                                    : 1.0;
-            benefit -= options_.updates_per_query *
-                       static_cast<double>(sample.size()) * per_insert *
-                       structures;
-          }
-          if (benefit <= min_benefit) return;
-          double score = benefit / std::max(1.0, u.pages);
-          if (u.is_view) score *= options_.view_score_boost;
-          ev.eligible = true;
-          ev.score = score;
-          ev.costs = std::move(costs);
-        },
-        [&](size_t ui, Status s) { evals[ui].status = std::move(s); });
-
+    // Try every remaining unit; strict > keeps the lowest index on a tie.
     int best_unit = -1;
     double best_score = 0.0;
+    std::vector<double> best_costs;
     for (size_t ui = 0; ui < units.size(); ++ui) {
-      if (!evals[ui].status.ok()) return evals[ui].status;
-      // Strict > keeps the sequential loop's ascending-index tie-break.
-      if (evals[ui].eligible && evals[ui].score > best_score) {
-        best_score = evals[ui].score;
+      if (trials.Taken(ui)) continue;
+      const Unit& u = units[ui];
+      if (options_.space_budget_pages >= 0.0 &&
+          pages_used + u.pages > options_.space_budget_pages) {
+        continue;
+      }
+      std::vector<double> costs = cur_cost;
+      TB_RETURN_IF_ERROR(trials.Trial(ui, &costs));
+      double benefit = 0.0;
+      for (size_t i = 0; i < sample.size(); ++i) {
+        if (u.RelevantTo(*sample[i])) benefit += cur_cost[i] - costs[i];
+      }
+      // Update-aware charging: maintaining the structure costs I/O per
+      // insert (descent + leaf write; views also re-derive their rows).
+      if (options_.updates_per_query > 0.0) {
+        const CostParams& cp = base_.params;
+        double per_insert = 2.0 * cp.random_io_seconds + cp.page_io_seconds;
+        double structures =
+            u.is_view ? 2.0 * (1.0 + static_cast<double>(
+                                         u.view.indexes.size()))
+                      : 1.0;
+        benefit -= options_.updates_per_query *
+                   static_cast<double>(sample.size()) * per_insert *
+                   structures;
+      }
+      if (benefit <= min_benefit) continue;
+      double score = benefit / std::max(1.0, u.pages);
+      if (u.is_view) score *= options_.view_score_boost;
+      if (score > best_score) {
+        best_score = score;
         best_unit = static_cast<int>(ui);
+        best_costs = std::move(costs);
       }
     }
 
@@ -118,7 +94,7 @@ Result<Recommendation> Advisor::Recommend(
     const size_t best = static_cast<size_t>(best_unit);
     trials.Pick(best);
     pages_used += units[best].pages;
-    cur_cost = std::move(evals[best].costs);
+    cur_cost = std::move(best_costs);
   }
 
   Recommendation rec;

@@ -7,7 +7,6 @@
 #include "advisor/candidates.h"
 #include "optimizer/config_view.h"
 #include "optimizer/whatif.h"
-#include "util/thread_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -49,12 +48,6 @@ struct AdvisorOptions {
   /// models that bias explicitly. 1.0 = neutral.
   double view_score_boost = 1.0;
   uint64_t seed = 7;
-  /// Worker pool for the per-round candidate evaluation (each candidate's
-  /// what-if costing is independent). The recommendation is identical with
-  /// or without it: units are scored into per-unit slots and the argmax is
-  /// taken sequentially with the same ascending-index tie-break the
-  /// sequential loop applies. nullptr = evaluate sequentially. Not owned.
-  ThreadPool* eval_pool = nullptr;
 };
 
 /// A produced recommendation with its what-if bookkeeping.

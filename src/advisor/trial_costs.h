@@ -57,8 +57,7 @@ class TrialCosts {
 
   /// Sets (*costs)[i] to E of query i under the picked structures plus unit
   /// `ui`, for every query the unit is relevant to; other entries are left
-  /// alone (they already hold the current costs). Calls for distinct units
-  /// may run concurrently; Pick() must not run alongside.
+  /// alone (they already hold the current costs).
   Status Trial(size_t ui, std::vector<double>* costs);
 
   /// Adds unit `ui` to the picked structures and forgets the trial costs
@@ -76,9 +75,7 @@ class TrialCosts {
   std::vector<const BoundQuery*> queries_;
   std::vector<size_t> chosen_;
   std::vector<bool> taken_;
-  // Row-major [unit][query], empty until evaluated: each unit's row is
-  // written only by Trial(ui), which keeps concurrent trials of distinct
-  // units race-free.
+  // Row-major [unit][query], empty until evaluated.
   std::vector<std::optional<double>> cost_;
 };
 

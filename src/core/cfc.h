@@ -10,8 +10,8 @@ namespace tabbench {
 struct QueryTiming {
   double seconds = 0.0;
   bool timed_out = false;
-  /// The query exhausted its retries (or hit a non-retryable error) and was
-  /// censored at the timeout cost. `timed_out` is always set alongside, so
+  /// The query's execution ended in an error and was censored at the
+  /// timeout cost. `timed_out` is always set alongside, so
   /// CFC censoring needs no new logic; `failed` only annotates why.
   bool failed = false;
 };

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
-#include "util/file_util.h"
 #include "util/strings.h"
 
 namespace tabbench {
@@ -109,36 +106,6 @@ std::string RenderQuantiles(const std::vector<NamedCurve>& curves,
     out += "\n";
   }
   return out;
-}
-
-std::string RenderResilience(const WorkloadResult& result,
-                             const std::string& title) {
-  std::string out = title + "\n";
-  out += StrFormat(
-      "  queries %zu, timeouts %zu, failures %zu, retries %zu\n",
-      result.timings.size(), result.timeouts, result.failures,
-      result.retries);
-  for (const auto& f : result.failure_details) {
-    out += StrFormat("  q%-4zu FAILED after %d attempt%s: %s\n",
-                     f.query_index, f.attempts, f.attempts == 1 ? "" : "s",
-                     f.status.ToString().c_str());
-  }
-  if (result.failure_details.empty() && result.failures == 0) {
-    out += "  no failed queries\n";
-  }
-  return out;
-}
-
-Status SaveReport(const std::string& text, const std::string& path) {
-  return AtomicWriteFile(path, WithCrc32cTrailer(text));
-}
-
-Result<std::string> LoadReport(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return Status::NotFound("cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return VerifyCrc32cTrailer(buf.str(), path);
 }
 
 }  // namespace tabbench

@@ -6,7 +6,6 @@
 
 #include "core/cfc.h"
 #include "core/goal.h"
-#include "core/runner.h"
 
 namespace tabbench {
 
@@ -39,23 +38,6 @@ std::string RenderGoalCheck(const PerformanceGoal& goal,
 /// figures.
 std::string RenderQuantiles(const std::vector<NamedCurve>& curves,
                             const std::vector<double>& fractions);
-
-/// Resilience summary of one workload run: timeout/failure/retry counters
-/// and per-query failure detail (which query, how many attempts, the final
-/// error). Failed queries are censored at the timeout cost in the CFC —
-/// this section is where the *reason* survives into the report.
-std::string RenderResilience(const WorkloadResult& result,
-                             const std::string& title);
-
-/// Writes a rendered report to `path` atomically (temp file + rename), so
-/// a crash mid-write can't leave a truncated report behind, with a crc32c
-/// trailer line so later bit rot is detectable.
-Status SaveReport(const std::string& text, const std::string& path);
-
-/// Reads a report back, verifying and stripping the crc32c trailer.
-/// Corruption is kDataLoss with the offending offset; a report saved
-/// before checksumming (no trailer) loads as-is.
-Result<std::string> LoadReport(const std::string& path);
 
 }  // namespace tabbench
 

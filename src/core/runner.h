@@ -9,8 +9,6 @@
 #include "core/cfc.h"
 #include "engine/database.h"
 #include "util/thread_pool.h"
-#include "util/cancellation.h"
-#include "util/retry.h"
 
 namespace tabbench {
 
@@ -24,26 +22,13 @@ enum class QueryExecutor {
 };
 
 struct RunOptions {
-  /// Runs per query; timings are averaged. The paper performs three runs of
-  /// non-timeout queries and one of timeout queries (Section 4.1). Our
-  /// executor is deterministic given the buffer state, so one run is the
-  /// default; repetitions exercise warm-cache behavior.
-  int repetitions = 1;
   /// Collect E(q, C) optimizer estimates alongside the executions.
   bool collect_estimates = false;
   /// Clear the buffer pool before the workload (cold start).
   bool cold_start = true;
-  /// Transient-error retry (Status::IsTransient) per query. Backoff is
-  /// charged to the query's *simulated* clock, so retried queries pay for
-  /// their retries in the CFC, and the 30-minute timeout bounds the whole
-  /// retry loop, not each attempt. Default: no retry.
-  RetryPolicy retry;
-  /// Added to each query's index to form its FaultScope seed, so distinct
-  /// workload runs can draw distinct (but reproducible) fault schedules.
-  uint64_t fault_scope_salt = 0;
   /// Durable crash recovery (util/run_journal.h): when non-empty, every
-  /// completed query's outcome — and the per-attempt charge traces that
-  /// make it replayable — is appended and fsync'd to this file before the
+  /// completed query's outcome — and the charge trace that makes it
+  /// replayable — is appended and fsync'd to this file before the
   /// next query starts, so a process death loses at most the query in
   /// flight. Empty (the default) journals nothing and records no traces.
   std::string journal_path;
@@ -52,9 +37,11 @@ struct RunOptions {
   /// is *replayed* (restoring the simulated clock and buffer-pool state bit
   /// for bit via the trace-replay machinery, no query re-execution) and the
   /// run continues from the first unjournaled query, appending to the same
-  /// file. A missing file starts a fresh journal; an incompatible one is
-  /// refused with kInvalidArgument. Bit-identity of a resumed run requires
-  /// cold_start (the interrupted process's warm pool died with it).
+  /// file. A missing file starts a fresh journal; an incompatible one —
+  /// including one written with the retired repetitions, fault-scope salt
+  /// or retry options set — is refused with kInvalidArgument and left
+  /// untouched. Bit-identity of a resumed run requires cold_start (the
+  /// interrupted process's warm pool died with it).
   bool resume = false;
   /// Free-form provenance stamped into a fresh journal's header (database
   /// kind, scale, configuration label, …) so `tabbench resume <journal>`
@@ -82,8 +69,7 @@ inline RunOptions ResumeFrom(std::string path, RunOptions base = {}) {
 /// Final error of one isolated (censored) query.
 struct QueryFailure {
   size_t query_index = 0;
-  int attempts = 1;  // executions performed, including the first
-  Status status;     // the non-retryable / retry-exhausting error
+  Status status;  // the error its one execution ended with
 };
 
 /// One workload executed on one configuration.
@@ -91,14 +77,11 @@ struct WorkloadResult {
   std::vector<QueryTiming> timings;   // per query, paper's A(q_k, C)
   std::vector<double> estimates;      // per query E(q_k, C) when collected
   size_t timeouts = 0;
-  /// Queries whose retries were exhausted (or that hit a non-retryable
-  /// error) and were censored at the timeout cost — the paper's treatment
-  /// of the advisor that "fails outright" (Section 5). Every failure also
-  /// counts as a timeout (its timing enters the t_out bin).
+  /// Queries whose execution ended in an error and were censored at the
+  /// timeout cost — the paper's treatment of the advisor that "fails
+  /// outright" (Section 5). Every failure also counts as a timeout (its
+  /// timing enters the t_out bin).
   size_t failures = 0;
-  /// Total retry attempts across the workload (extra executions beyond
-  /// each query's first).
-  size_t retries = 0;
   /// Per-query detail for the failures, in workload order.
   std::vector<QueryFailure> failure_details;
   /// Sum over queries of min(time, timeout) — the paper's conservative
@@ -110,13 +93,16 @@ struct WorkloadResult {
   }
 };
 
-/// Runs every query of the workload sequentially on the database's current
-/// configuration. Queries that trip the 30-minute simulated timeout are
-/// recorded in the `t_out` bin, not errors; queries that *fail* (transient
-/// errors retried per RunOptions::retry until exhausted, or any other
-/// non-cancellation error) are likewise isolated — censored at the timeout
-/// cost with detail in `failure_details` — so a workload run always
-/// completes. Only Status::kCancelled aborts the run.
+/// Runs every query of the workload once, sequentially, on the database's
+/// current configuration. Queries that trip the 30-minute simulated timeout
+/// are recorded in the `t_out` bin, not errors; queries whose execution
+/// *fails* (any error, injected faults included) are likewise isolated —
+/// censored at the timeout cost with detail in `failure_details` — so a
+/// workload run completes unless its journal or an estimate fails.
+///
+/// The paper averages three runs of each non-timeout query (Section 4.1)
+/// to smooth measurement noise. The simulated clock is deterministic given
+/// the buffer-pool state, so one run is exact here.
 Result<WorkloadResult> RunWorkload(Database* db,
                                    const std::vector<std::string>& sql,
                                    const RunOptions& opts = {});
@@ -130,19 +116,14 @@ Result<std::vector<double>> HypotheticalWorkload(
     Database* db, const std::vector<std::string>& sql,
     const Configuration& hypothetical, const HypotheticalRules& rules);
 
-/// Knobs for the parallel front-ends below.
+/// Knobs for RunWorkloadParallel.
 struct ParallelOptions {
-  /// Worker pool that executes the fan-out. nullptr degrades every
-  /// parallel front-end to its sequential twin (handy for A/B runs).
+  /// Worker pool that executes the fan-out. nullptr degrades
+  /// RunWorkloadParallel to RunWorkload (handy for A/B runs).
   ThreadPool* pool = nullptr;
-  /// Queries traced in flight per batch of RunWorkloadParallel; bounds
-  /// peak trace memory. 0 picks max(4 x pool width, 8).
-  size_t window = 0;
-  /// Cancels the whole run (the Result carries Status::Cancelled).
-  CancellationToken cancel;
 };
 
-/// Parallel twin of RunWorkload, *bit-identical* in output and in the
+/// The parallel form of RunWorkload, *bit-identical* in output and in the
 /// shared buffer pool's final state.
 ///
 /// Sequential timings depend on the shared pool's warm-cache evolution
@@ -161,24 +142,12 @@ struct ParallelOptions {
 ///      runner would have had, and re-applying the timeout at the recorded
 ///      check points.
 /// The expensive work (planning, joins, aggregation) parallelizes; the
-/// order-sensitive part costs one LRU pass per query.
+/// order-sensitive part costs one LRU pass per query. Queries are recorded
+/// in batches of max(4 x pool width, 8), which bounds peak trace memory.
 Result<WorkloadResult> RunWorkloadParallel(Database* db,
                                            const std::vector<std::string>& sql,
                                            const ParallelOptions& par,
                                            const RunOptions& opts = {});
-
-/// Parallel twin of EstimateWorkload (planning is read-only and
-/// order-independent, so this is a plain deterministic fan-out).
-Result<std::vector<double>> EstimateWorkloadParallel(
-    Database* db, const std::vector<std::string>& sql,
-    const ParallelOptions& par);
-
-/// Parallel twin of HypotheticalWorkload — the advisors' what-if loop is
-/// built from exactly these calls.
-Result<std::vector<double>> HypotheticalWorkloadParallel(
-    Database* db, const std::vector<std::string>& sql,
-    const Configuration& hypothetical, const HypotheticalRules& rules,
-    const ParallelOptions& par);
 
 }  // namespace tabbench
 

@@ -44,7 +44,6 @@ Status ExecContext::Apply(const AccessTrace& trace, size_t from) {
 }
 
 Status ExecContext::Interruption() const {
-  if (cancel_.cancelled()) return Status::Cancelled("query cancelled");
   if (TimedOut()) return Status::Timeout("query exceeded timeout");
   if (OverBudget()) return Status::Timeout("record budget exceeded");
   return FaultRegistry::TakePending();

@@ -6,7 +6,6 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
-#include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 #include "util/trace_event.h"
@@ -141,45 +140,36 @@ class ExecContext {
     return enforce_timeout_ && sim_time_ > params_.timeout_seconds;
   }
 
-  /// OK; Cancelled once the context's token is revoked; Timeout once the
-  /// simulated clock passes the limit. Every call site is a safe abort
-  /// point, which makes this the cancellation poll — and the surfacing
-  /// point for faults latched mid-operation by TB_FAULT_TRIGGER sites.
-  /// Timeout is tested before the latched fault, so a query that would
-  /// time out anyway reports the timeout in serial and replayed runs alike.
+  /// OK, or Timeout once the simulated clock passes the limit. Every call
+  /// site is a safe abort point, which makes this the surfacing point for
+  /// faults latched mid-operation by TB_FAULT_TRIGGER sites. Timeout is
+  /// tested before the latched fault, so a query that would time out
+  /// anyway reports the timeout in serial and replayed runs alike.
   Status CheckTimeout() const {
     if (trace_) AppendCheck(trace_);
-    if (cancel_.cancelled() || TimedOut() || OverBudget() ||
-        FaultInjectionArmed()) {
+    if (TimedOut() || OverBudget() || FaultInjectionArmed()) {
       return Interruption();
     }
     return Status::OK();
   }
 
-  /// Advances simulated time by a retry backoff delay. Deliberately NOT a
-  /// trace event: a replay charges the backoff between attempts itself,
-  /// exactly where the live retry loop does, so recording it here would
-  /// double-charge the replay.
-  void ChargeBackoff(double seconds) { sim_time_ += seconds; }
+  /// Adds `seconds` to this context's clock without a charge or a trace
+  /// event. The vectorized engine's doomed-query gate uses it to begin its
+  /// cold replay where the query's own clock already stands.
+  void AdvanceClock(double seconds) { sim_time_ += seconds; }
 
   /// Replays trace[from..) through this context's live charge methods
   /// (TouchPage, ChargeTuples, CheckTimeout, ...), so the clock, the pool,
   /// the page/tuple counters and — when this context records — the
   /// re-recorded trace end exactly as the executor that recorded the trace
   /// left them, floating-point add order included. Stops at the first
-  /// CheckTimeout that fails and returns its status (Timeout, Cancelled, or
-  /// a fault latched in the current FaultScope), leaving the context as a
+  /// CheckTimeout that fails and returns its status (Timeout, or a fault
+  /// latched in the current FaultScope), leaving the context as a
   /// live aborting run would. This is the one interpreter of recorded
   /// charges: the parallel runner's replay, journal resume, and the
   /// vectorized engine's apply step and doomed-query gate all call it
   /// (the runner's walk and the gate through ApplyIsolated below).
   Status Apply(const AccessTrace& trace, size_t from = 0);
-
-  /// Attaches a cooperative cancellation token; CheckTimeout() fails with
-  /// Cancelled once it is revoked.
-  void set_cancellation_token(CancellationToken token) {
-    cancel_ = std::move(token);
-  }
 
   /// Directs every subsequent charge into `trace` (nullptr stops
   /// recording). Recording does not change any charge or timing.
@@ -205,7 +195,6 @@ class ExecContext {
   uint64_t tuples_processed() const { return tuples_; }
   bool enforce_timeout() const { return enforce_timeout_; }
   double record_budget() const { return record_budget_; }
-  const CancellationToken& cancellation_token() const { return cancel_; }
   const CostParams& params() const { return params_; }
   PageStore* store() const { return store_; }
   BufferPool* pool() const { return pool_; }
@@ -217,14 +206,13 @@ class ExecContext {
 
   /// CheckTimeout's slow path, out of line so the per-tuple fast path stays
   /// small enough to inline: the first condition that holds, in priority
-  /// order (cancellation, timeout, record budget, latched fault), or OK
-  /// when fault injection is armed but nothing is latched.
+  /// order (timeout, record budget, latched fault), or OK when fault
+  /// injection is armed but nothing is latched.
   Status Interruption() const;
 
   PageStore* store_;
   BufferPool* pool_;
   CostParams params_;
-  CancellationToken cancel_;
   AccessTrace* trace_ = nullptr;
   bool enforce_timeout_ = true;
   double record_budget_ = 0.0;

@@ -40,8 +40,8 @@ using InSets = std::vector<InSet>;
 ///
 /// A hit replays the script through the same ExecContext calls, in the
 /// same order, that the live scan makes, so simulated time, buffer-pool
-/// state, recorded traces, and the row at which a timeout, cancellation or
-/// injected fault surfaces are identical to a live scan.
+/// state, recorded traces, and the row at which a timeout or injected fault
+/// surfaces are identical to a live scan.
 ///
 /// Thread-safe: concurrent readers may fill the memo at once. Their
 /// contents are identical, so which fill lands last does not matter.
@@ -86,9 +86,9 @@ class InSetMemo {
 
 /// Builds the value set for one InSetSpec by a frequency scan of the
 /// subquery table (index-only when the spec names an index), charging all
-/// work to `ctx` and respecting its timeout, cancellation and latched
-/// faults. With a memo on `resolver`, a scan of unchanged storage is
-/// replayed from the memo instead; only a scan that completes is stored.
+/// work to `ctx` and respecting its timeout and latched faults. With a memo
+/// on `resolver`, a scan of unchanged storage is replayed from the memo
+/// instead; only a scan that completes is stored.
 Result<InSet> MaterializeInSet(const InSetSpec& spec,
                                const ObjectResolver& resolver,
                                ExecContext* ctx);

@@ -11,25 +11,20 @@ namespace vec {
 namespace {
 
 /// State shared between the calling thread and helper jobs for one Run().
-/// The configuration quadruple is const — set once before any helper is
+/// The configuration triple is const — set once before any helper is
 /// spawned, immutable after — so helpers read it with no synchronization.
 struct RunState {
   RunState(size_t n_in,
            const std::function<Status(size_t, MorselReport*)>* body_in,
-           CancellationToken cancel_in, double abort_seconds_in)
-      : n(n_in),
-        body(body_in),
-        cancel(std::move(cancel_in)),
-        abort_seconds(abort_seconds_in) {}
+           double abort_seconds_in)
+      : n(n_in), body(body_in), abort_seconds(abort_seconds_in) {}
 
   const size_t n;
   const std::function<Status(size_t, MorselReport*)>* const body;
-  const CancellationToken cancel;
   const double abort_seconds;
 
   std::atomic<size_t> next{0};
   std::atomic<bool> stop{false};
-  std::atomic<bool> cancelled{false};
 
   Mutex mu;
   double charge_sum TB_GUARDED_BY(mu) = 0.0;
@@ -40,11 +35,6 @@ struct RunState {
 void ClaimLoop(RunState* st) {
   for (;;) {
     if (st->stop.load(std::memory_order_acquire)) return;
-    if (st->cancel.cancelled()) {
-      st->cancelled.store(true, std::memory_order_release);
-      st->stop.store(true, std::memory_order_release);
-      return;
-    }
     size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= st->n) return;
     MorselReport report;
@@ -66,12 +56,11 @@ void ClaimLoop(RunState* st) {
 
 size_t MorselScheduler::Run(
     size_t n, const std::function<Status(size_t, MorselReport*)>& body,
-    const Options& options, Status* error, bool* cancelled) {
+    const Options& options, Status* error) {
   *error = Status::OK();
-  *cancelled = false;
   if (n == 0) return 0;
 
-  RunState st(n, &body, options.cancel, options.abort_seconds);
+  RunState st(n, &body, options.abort_seconds);
 
   size_t want = 0;
   if (options.pool != nullptr && n > 1) {
@@ -97,7 +86,6 @@ size_t MorselScheduler::Run(
     MutexLock lock(&st.mu);
     *error = st.error;
   }
-  *cancelled = st.cancelled.load(std::memory_order_acquire);
   return std::min(st.next.load(std::memory_order_acquire), n);
 }
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 
-#include "util/cancellation.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -29,9 +28,8 @@ struct MorselReport {
 /// control by construction.
 ///
 /// Stop conditions, checked before every claim:
-///  - `cancel` revoked → no new morsels are dispatched; in-flight morsels
-///    drain before Run returns;
-///  - a morsel returned an error → same drain, and the error of the
+///  - a morsel returned an error → no new morsels are dispatched,
+///    in-flight morsels drain before Run returns, and the error of the
 ///    *lowest* morsel index is returned (deterministic under any
 ///    interleaving);
 ///  - the accumulated lower-bound charge clock passed `abort_seconds`
@@ -46,16 +44,15 @@ class MorselScheduler {
   struct Options {
     ThreadPool* pool = nullptr;  // nullptr → run everything on the caller
     size_t max_helpers = 0;      // 0 → pool->num_workers()
-    CancellationToken cancel;
     double abort_seconds = 0.0;
   };
 
   /// Returns the number of morsels completed (always a prefix; == n when
   /// nothing stopped early). Sets *error to the winning morsel error, if
-  /// any; *cancelled when the token stopped dispatch.
+  /// any.
   static size_t Run(size_t n,
                     const std::function<Status(size_t, MorselReport*)>& body,
-                    const Options& options, Status* error, bool* cancelled);
+                    const Options& options, Status* error);
 };
 
 }  // namespace vec

@@ -23,7 +23,7 @@ namespace vec {
 /// the trace a single continuous recording would have produced. Finally
 /// ExecContext::Apply replays the canonical trace through the caller's real
 /// context, reproducing the serial executor's floating-point operation
-/// shapes, pool state, counters, and timeout/cancellation semantics bit for
+/// shapes, pool state, counters, and timeout/fault semantics bit for
 /// bit. The doomed-query gate is the same Apply, run on a context over its
 /// own cold pool with timeout enforcement off.
 ///

@@ -153,7 +153,7 @@ class VecExecutor {
     // cold replay starts where the query's clock stands (IN-set
     // materialization has already charged it) and never enforces.
     gate_ctx_.set_enforce_timeout(false);
-    gate_ctx_.ChargeBackoff(ctx->sim_time());
+    gate_ctx_.AdvanceClock(ctx->sim_time());
     double limit = 0.0;
     if (ctx->enforce_timeout()) limit = ctx->params().timeout_seconds;
     if (ctx->record_budget() > 0.0 &&
@@ -208,17 +208,14 @@ class VecExecutor {
     MorselScheduler::Options sopt;
     sopt.pool = options_.pool;
     sopt.max_helpers = options_.max_parallelism;
-    sopt.cancel = ctx_->cancellation_token();
     if (gate_ > 0.0) sopt.abort_seconds = gate_ - gate_ctx_.sim_time() + 1.0;
     Status error;
-    bool cancelled = false;
     size_t completed = MorselScheduler::Run(
         n_morsels,
         [&](size_t i, MorselReport* report) {
           return RunMorsel(p, i, pages_per_morsel, &outs[i], report);
         },
-        sopt, &error, &cancelled);
-    if (cancelled) return Status::Cancelled("query cancelled");
+        sopt, &error);
     TB_RETURN_IF_ERROR(error);
 
     // Canonical partition merge: aggregate sinks need their first-occurrence
@@ -242,7 +239,6 @@ class VecExecutor {
       // not confirm within the completed prefix (its +1.0 s slack): the
       // remaining morsels must still run for exactness.
       Status err2;
-      bool cancelled2 = false;
       MorselScheduler::Options resume = sopt;
       resume.abort_seconds = 0.0;
       size_t more = MorselScheduler::Run(
@@ -251,8 +247,7 @@ class VecExecutor {
             return RunMorsel(p, completed + i, pages_per_morsel,
                              &outs[completed + i], report);
           },
-          resume, &err2, &cancelled2);
-      if (cancelled2) return Status::Cancelled("query cancelled");
+          resume, &err2);
       TB_RETURN_IF_ERROR(err2);
       if (p.sink.kind == Sink::Kind::kAggregate) {
         MergeAggregate(p, outs, n_morsels);

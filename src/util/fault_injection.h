@@ -25,7 +25,7 @@ namespace tabbench {
 /// when the site fires and which Status it injects. Decisions are pure
 /// functions of (spec, hit index, scope seed) — no hidden RNG state — so a
 /// fixed fault schedule reproduces bit-identically across serial and
-/// parallel execution, and across retries.
+/// parallel execution, and across a crash and resume.
 ///
 /// Wired points (see DESIGN.md "Fault injection & resilience"):
 ///   storage.page_read      PageStore::GetPage (read path; latched)
@@ -46,8 +46,8 @@ namespace tabbench {
 /// function. *Latched* points sit in functions that cannot propagate a
 /// Status (page accessors, cursors); a firing latched fault is parked in the
 /// executing thread's FaultScope and surfaces at the next
-/// ExecContext::CheckTimeout() safe point — the same cooperative unwind
-/// cancellation uses, so no state is corrupted mid-operation.
+/// ExecContext::CheckTimeout() safe point — the same cooperative unwind a
+/// timeout uses, so no state is corrupted mid-operation.
 struct FaultSpec {
   enum class Trigger {
     /// Fires on the first hit (per scope; globally when unscoped).
@@ -89,10 +89,7 @@ inline bool FaultInjectionArmed() {
 /// its fault schedule identical whether the workload runs serially or on a
 /// parallel worker — the bit-identity contract of RunWorkloadParallel.
 ///
-/// A scope also carries the *latched* fault parked by trigger-style points
-/// and the suppression flag the runner uses for repeat executions (warm
-/// cache repetitions re-run a query that already survived its faults; they
-/// neither count nor fire).
+/// A scope also carries the *latched* fault parked by trigger-style points.
 class FaultScope {
  public:
   explicit FaultScope(uint64_t scope_seed);
@@ -104,18 +101,12 @@ class FaultScope {
   /// Innermost active scope on this thread, or nullptr.
   static FaultScope* Current();
 
-  /// While suppressed, Check/Trigger on this thread are no-ops: hits are
-  /// not counted and nothing fires.
-  void set_suppressed(bool suppressed) { suppressed_ = suppressed; }
-  bool suppressed() const { return suppressed_; }
-
   uint64_t seed() const { return seed_; }
 
  private:
   friend class FaultRegistry;
 
   uint64_t seed_;
-  bool suppressed_ = false;
   FaultScope* prev_;
   std::map<std::string, uint64_t> hits_;  // per-point local hit counts
   Status pending_;                        // latched fault, if any
@@ -141,7 +132,10 @@ class FaultRegistry {
   ///   storage.page_read=internal@prob:0.01:7
   ///   engine.apply_config=resource_exhausted@once
   /// Codes: unavailable, resource_exhausted, internal, timeout, cancelled,
-  /// not_found, invalid_argument, unsupported, already_exists.
+  /// not_found, invalid_argument, unsupported, already_exists. Each number
+  /// must be the whole of its field in std::from_chars form: no '+', no
+  /// space, no overflow. nth and seed are unsigned decimal integers
+  /// (nth >= 1); prob is a decimal number in [0,1], NaN excluded.
   static Result<FaultSpec> ParseSpec(const std::string& spec);
 
   void Disarm(const std::string& point) TB_EXCLUDES(mu_);
@@ -177,14 +171,6 @@ class FaultRegistry {
   std::map<std::string, Point> points_ TB_GUARDED_BY(mu_);
   uint64_t dropped_fires_ TB_GUARDED_BY(mu_) = 0;
 };
-
-/// Drops a fault latched after an attempt's last safe point so it cannot
-/// leak into the next attempt or repetition. The serial runner and the
-/// parallel record phase both call this at the same attempt boundaries,
-/// keeping their fault schedules aligned.
-inline void DropStaleLatchedFault() {
-  if (FaultInjectionArmed()) (void)FaultRegistry::TakePending();
-}
 
 /// Declares a fault point in a Status/Result-returning function: returns
 /// the injected Status when armed and firing, else falls through.

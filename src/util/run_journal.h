@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/mutex.h"
-#include "util/retry.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/trace_event.h"
@@ -17,8 +16,8 @@ namespace tabbench {
 
 /// Durable run journal: the crash-recovery substrate for multi-hour
 /// benchmark campaigns. The runners (core/runner) append one record per
-/// *completed* query — outcome, attempt log, and the per-attempt charge
-/// traces — and fsync before moving on, so a process death at any point
+/// *completed* query — its outcome and the charge trace of its one
+/// execution — and fsync before moving on, so a process death at any point
 /// loses at most the query in flight. Resume replays the
 /// journaled traces through the buffer pool (the same trace-replay
 /// machinery RunWorkloadParallel is built on), restoring the simulated
@@ -41,11 +40,12 @@ namespace tabbench {
 /// mismatch *before* the final frame is real corruption and surfaces as
 /// kDataLoss with the offending byte offset.
 
-/// One execution attempt of one query: its final status and the full charge
-/// trace up to the point execution stopped (completion, timeout trip, or
-/// injected fault). The trace is what makes resume exact — replaying it
-/// applies the same pool touches and the same FP charge sequence the live
-/// attempt did.
+/// One execution of one query: its final status and the full charge trace
+/// up to the point execution stopped (completion, timeout trip, or injected
+/// fault). The trace is what makes resume exact — replaying it applies the
+/// same pool touches and the same FP charge sequence the live execution
+/// did. The format holds a list of them per record; the runners write
+/// exactly one.
 struct JournalAttempt {
   Status::Code code = Status::Code::kOk;
   std::string message;
@@ -62,7 +62,7 @@ struct JournalQueryRecord {
   double seconds = 0.0;  // final censored timing, paper's A(q_k, C)
   bool timed_out = false;
   bool failed = false;
-  uint32_t attempts = 1;  // executions performed, including the first
+  uint32_t attempts = 1;  // size of attempt_log; the runners write 1
   bool has_estimate = false;
   double estimate = 0.0;
   /// Shared-pool counter movement while this query ran (hits/misses after
@@ -72,11 +72,27 @@ struct JournalQueryRecord {
   std::vector<JournalAttempt> attempt_log;
 };
 
+/// The header fields of the retired per-query retry policy. The runner runs
+/// every query once, but the fields stay in the header so the on-disk format
+/// does not change: a fresh journal writes these defaults, and resume
+/// refuses a journal whose fields differ from them.
+struct JournalRetryFields {
+  int max_attempts = 1;
+  double initial_backoff_seconds = 0.05;
+  double backoff_multiplier = 2.0;
+  double max_backoff_seconds = 2.0;
+  double jitter_fraction = 0.1;
+  uint64_t seed = 0;
+};
+
 /// Everything needed to (a) refuse resuming under different run options and
 /// (b) reconstruct the run from nothing but the journal file (`tabbench
 /// resume <journal>`): the full workload SQL, the RunOptions fingerprint,
 /// and free-form metadata (database kind, scale, configuration) stamped by
-/// the caller.
+/// the caller. `repetitions`, `fault_scope_salt` and `retry` are retired
+/// run options, kept in the format at their defaults (1, 0, default
+/// fields); the loader still parses them so resume can refuse a journal
+/// written with other values.
 struct JournalHeader {
   uint32_t query_count = 0;
   int repetitions = 1;
@@ -84,7 +100,7 @@ struct JournalHeader {
   bool cold_start = true;
   uint64_t fault_scope_salt = 0;
   double timeout_seconds = 0.0;
-  RetryPolicy retry;
+  JournalRetryFields retry;
   std::vector<std::string> sql;
   std::map<std::string, std::string> metadata;
 };

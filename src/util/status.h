@@ -29,12 +29,12 @@ class [[nodiscard]] Status {
     kTimeout,
     kResourceExhausted,
     kInternal,
-    /// The caller revoked the work via a CancellationToken before it
-    /// finished. Like kTimeout this is a cooperative, expected outcome.
+    /// The work was called off before it finished. Nothing in the engine
+    /// raises it today; fault injection can (the `cancelled` code).
     kCancelled,
     /// The request cannot be accepted right now (admission control: a
     /// thread pool's job queue is full or it is shutting down, or an
-    /// injected transient fault). Retryable.
+    /// injected transient fault). Transient.
     kUnavailable,
     /// Durable data failed an integrity check: a checksum mismatch in a
     /// saved workload, report, or run journal. Unlike kInternal this points
@@ -97,12 +97,11 @@ class [[nodiscard]] Status {
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsDataLoss() const { return code_ == Code::kDataLoss; }
 
-  /// True for errors worth retrying with backoff (see util/retry.h): the
-  /// operation failed for a reason expected to clear on its own —
-  /// kUnavailable (admission control, queue full) and kResourceExhausted
-  /// (transient capacity). kTimeout and kCancelled are cooperative final
-  /// outcomes and kInternal is a bug; retrying those wastes budget or
-  /// hides defects.
+  /// True for errors expected to clear on their own — kUnavailable
+  /// (admission control, queue full) and kResourceExhausted (transient
+  /// capacity). kTimeout and kCancelled are final outcomes and kInternal is
+  /// a bug. The workload runner does not retry either kind: it runs each
+  /// query once and censors any failure at the timeout cost.
   bool IsTransient() const {
     return code_ == Code::kUnavailable || code_ == Code::kResourceExhausted;
   }

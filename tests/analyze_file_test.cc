@@ -84,12 +84,12 @@ TEST(LintNakedNew, IdentifiersContainingNewAreFine) {
 // -------------------------------------------------------------- raw-sleep
 
 TEST(LintRawSleep, FiresOnThisThreadSleepsInSrc) {
-  // No file under src/ is exempt, util/retry.cc included: backoff is
-  // charged to the simulated clock, never slept.
+  // No file under src/ is exempt: delays are charged to the simulated
+  // clock, never slept.
   auto findings = RunAnalyze({{"src/util/thread_pool.cc",
                         "std::this_thread::sleep_for(10ms);\n"
                         "std::this_thread::sleep_until(deadline);\n"},
-                       {"src/util/retry.cc",
+                       {"src/util/rng.cc",
                         "std::this_thread::sleep_for(slice);\n"}});
   EXPECT_EQ(CountRule(findings, "tabbench-raw-sleep"), 3u);
 }

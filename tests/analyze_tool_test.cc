@@ -1223,7 +1223,7 @@ TEST(AnalyzeSuppressions, NolintSilencesTheConcurrencyRules) {
 //
 // The contract the ISSUE states: the analyzer keeps the *actual* morsel
 // scheduler honest. Unmodified, it is clean; deliberately de-annotating
-// its guarded run state, or removing the claim loop's cancellation poll,
+// its guarded run state, or removing the claim loop's stop poll,
 // must surface as fresh findings a strict baseline run would reject.
 
 std::string ReadRealFile(const std::string& rel) {
@@ -1269,7 +1269,6 @@ TEST(AnalyzeAcceptance, RemovingTheClaimLoopPollSurfacesLiveness) {
   std::string depolled = ReadRealFile("src/exec/vec/morsel_scheduler.cc");
   depolled = ReplaceAll(depolled, "st->stop.load(std::memory_order_acquire)",
                         "false");
-  depolled = ReplaceAll(depolled, "st->cancel.cancelled()", "false");
   auto findings =
       RunAnalyze({{"src/exec/vec/morsel_scheduler.cc", depolled}});
   EXPECT_GE(CountRule(findings, "tabbench-cancellation-poll"), 1u)
@@ -2010,10 +2009,10 @@ TEST(CpptokRawStrings, IdentifierEndingInPrefixLettersIsNotARawIntro) {
 // ------------------------------- acceptance: the real durability paths
 //
 // Same contract as the morsel-scheduler block above, now for the CFG
-// passes: the real journal writer and retry loop are clean as written;
+// passes: the real journal writer and runner are clean as written;
 // deleting the fsync, converting the scoped lock to manual calls, or
-// dropping the post-sleep cancellation check must each come back as fresh
-// strict-baseline failures.
+// dropping an error return must each come back as fresh strict-baseline
+// failures.
 
 Options RealProtoOpts() {
   Options opts;
@@ -2068,9 +2067,9 @@ TEST(AnalyzeAcceptance, ManualLockingSurfacesReleaseOnPath) {
 }
 
 TEST(AnalyzeAcceptance, RealRunnerAndMorselSchedulerAreClean) {
-  // Together these carry a lock, a cancellation-polled claim loop, the
-  // runners' retry loop and their journal appends: every path-sensitive
-  // pass has real material to walk here.
+  // Together these carry a lock, a stop-polled claim loop, the runners'
+  // error returns and their journal appends: every path-sensitive pass has
+  // real material to walk here.
   auto findings = RunAnalyze(
       {{"src/core/runner.cc", ReadRealFile("src/core/runner.cc")},
        {"src/exec/vec/morsel_scheduler.cc",

@@ -1,8 +1,8 @@
 // The concurrency suite: the thread pool, the B-tree stats cache and the
-// IN-set memo under concurrent readers, the parallel workload runners'
-// bit-identity with the serial runner, and the advisors' parallel candidate
-// evaluation. Its own binary gives `ctest -L concurrency` (also run under
-// TABBENCH_SANITIZE=thread in CI) a precise target.
+// IN-set memo under concurrent readers, and the parallel workload runner's
+// bit-identity with the serial runner. Its own binary gives
+// `ctest -L concurrency` (also run under TABBENCH_SANITIZE=thread in CI) a
+// precise target.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "advisor/advisor.h"
-#include "advisor/profiles.h"
-#include "core/benchmark_suite.h"
 #include "core/configurations.h"
 #include "core/nref_families.h"
 #include "core/runner.h"
@@ -352,10 +349,9 @@ TEST_F(ParallelRunnerTest, MatchesSequentialBitForBit) {
   EXPECT_EQ(par_pool.resident, seq_pool.resident);
 }
 
-TEST_F(ParallelRunnerTest, MatchesSequentialWithRepetitionsAndWarmStart) {
+TEST_F(ParallelRunnerTest, MatchesSequentialWithWarmStart) {
   std::vector<std::string> subset(sample_.begin(), sample_.begin() + 30);
   RunOptions opts;
-  opts.repetitions = 3;
   opts.cold_start = false;  // start from whatever the previous test left
 
   // Capture the warm pool by running the sequential pass first from a known
@@ -367,10 +363,11 @@ TEST_F(ParallelRunnerTest, MatchesSequentialWithRepetitionsAndWarmStart) {
 
   db_->buffer_pool()->Clear();
   ASSERT_TRUE(RunWorkload(db_, {sample_[40]}, RunOptions{}).ok());
-  ThreadPool pool(5);
+  // One worker records in batches of 8, so the 30 queries cross three
+  // batch boundaries, each resuming replay from a warm pool.
+  ThreadPool pool(1);
   ParallelOptions par;
   par.pool = &pool;
-  par.window = 7;  // odd window: exercise batch boundaries
   auto parallel = RunWorkloadParallel(db_, subset, par, opts);
   ASSERT_TRUE(parallel.ok());
 
@@ -386,77 +383,29 @@ TEST_F(ParallelRunnerTest, NullPoolDegradesToSequential) {
   ExpectIdentical(*seq, *degraded);
 }
 
-TEST_F(ParallelRunnerTest, CancelledRunReportsCancelled) {
-  ThreadPool pool(2);
-  ParallelOptions par;
-  par.pool = &pool;
-  par.cancel.RequestCancel();
-  auto r = RunWorkloadParallel(db_, sample_, par);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-}
-
-TEST_F(ParallelRunnerTest, EstimateAndHypotheticalMatchSequential) {
-  auto seq = EstimateWorkload(db_, sample_);
-  ASSERT_TRUE(seq.ok());
-  ThreadPool pool(4);
-  ParallelOptions par;
-  par.pool = &pool;
-  auto parallel = EstimateWorkloadParallel(db_, sample_, par);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(parallel->size(), seq->size());
-  for (size_t i = 0; i < seq->size(); ++i) {
-    EXPECT_DOUBLE_EQ((*parallel)[i], (*seq)[i]) << i;
-  }
-
-  Configuration hypo;  // the P baseline as a hypothetical
-  hypo.name = "hypo";
-  HypotheticalRules rules;
-  auto hseq = HypotheticalWorkload(db_, sample_, hypo, rules);
-  ASSERT_TRUE(hseq.ok());
-  auto hpar = HypotheticalWorkloadParallel(db_, sample_, hypo, rules, par);
-  ASSERT_TRUE(hpar.ok());
-  ASSERT_EQ(hpar->size(), hseq->size());
-  for (size_t i = 0; i < hseq->size(); ++i) {
-    EXPECT_DOUBLE_EQ((*hpar)[i], (*hseq)[i]) << i;
-  }
-}
-
 TEST_F(ParallelRunnerTest, PlannerMemosRebuildSafelyUnderParallelRunners) {
-  // Right after each configuration change, every worker finds the
-  // database's planner memos stale at once, so they race to rebuild them.
-  // The results must still match the sequential runners bit for bit.
+  // Right after each configuration change, every record worker finds the
+  // database's planner memo stale at once — both when it plans its query
+  // and when it collects the query's estimate — so they race to rebuild
+  // it. The results must still match the sequential runner bit for bit.
   std::vector<std::string> subset(sample_.begin(), sample_.begin() + 40);
   ThreadPool pool(4);
   ParallelOptions par;
   par.pool = &pool;
-  HypotheticalRules rules;
-  rules.uniform_value_assumption = true;
-  const Configuration one_c = Make1CConfig(db_->catalog());
-  Configuration hypo = one_c;
-  hypo.name = "hypo";
-  hypo.indexes.resize(hypo.indexes.size() / 2);
+  RunOptions opts;
+  opts.collect_estimates = true;
 
-  ASSERT_TRUE(db_->ApplyConfiguration(one_c).ok());
-  auto hpar = HypotheticalWorkloadParallel(db_, subset, hypo, rules, par);
-  auto rpar = RunWorkloadParallel(db_, subset, par);
-  auto hseq = HypotheticalWorkload(db_, subset, hypo, rules);
-  auto rseq = RunWorkload(db_, subset);
-  ASSERT_TRUE(hpar.ok() && rpar.ok() && hseq.ok() && rseq.ok());
-  ASSERT_EQ(hpar->size(), hseq->size());
-  for (size_t i = 0; i < hseq->size(); ++i) {
-    EXPECT_EQ((*hpar)[i], (*hseq)[i]) << i;
-  }
+  ASSERT_TRUE(db_->ApplyConfiguration(Make1CConfig(db_->catalog())).ok());
+  auto rpar = RunWorkloadParallel(db_, subset, par, opts);
+  auto rseq = RunWorkload(db_, subset, opts);
+  ASSERT_TRUE(rpar.ok() && rseq.ok());
   ExpectIdentical(*rseq, *rpar);
 
   ASSERT_TRUE(db_->ResetToPrimary().ok());
-  auto hpar_p = HypotheticalWorkloadParallel(db_, subset, hypo, rules, par);
-  auto hseq_p = HypotheticalWorkload(db_, subset, hypo, rules);
-  ASSERT_TRUE(hpar_p.ok() && hseq_p.ok());
-  ASSERT_EQ(hpar_p->size(), hseq_p->size());
-  for (size_t i = 0; i < hseq_p->size(); ++i) {
-    EXPECT_EQ((*hpar_p)[i], (*hseq_p)[i]) << i;
-  }
+  auto rpar_p = RunWorkloadParallel(db_, subset, par, opts);
+  auto rseq_p = RunWorkload(db_, subset, opts);
+  ASSERT_TRUE(rpar_p.ok() && rseq_p.ok());
+  ExpectIdentical(*rseq_p, *rpar_p);
 }
 
 // Timeout determinism is the crux of the replay design: the parallel record
@@ -493,16 +442,14 @@ TEST(ParallelRunnerTimeoutTest, TimeoutsReplayIdentically) {
 
   auto db = build((cheap->sim_seconds + dear->sim_seconds) / 2.0);
   std::vector<std::string> sql = {scan, probe, scan, probe, probe, scan};
-  RunOptions opts;
-  opts.repetitions = 2;  // timeout queries must still run exactly once
-  auto seq = RunWorkload(db.get(), sql, opts);
+  auto seq = RunWorkload(db.get(), sql);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(seq->timeouts, 3u);
 
   ThreadPool pool(4);
   ParallelOptions par;
   par.pool = &pool;
-  auto parallel = RunWorkloadParallel(db.get(), sql, par, opts);
+  auto parallel = RunWorkloadParallel(db.get(), sql, par);
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(parallel->timings.size(), seq->timings.size());
   for (size_t i = 0; i < seq->timings.size(); ++i) {
@@ -513,40 +460,6 @@ TEST(ParallelRunnerTimeoutTest, TimeoutsReplayIdentically) {
   EXPECT_EQ(parallel->timeouts, seq->timeouts);
   EXPECT_DOUBLE_EQ(parallel->total_clamped_seconds,
                    seq->total_clamped_seconds);
-}
-
-// ------------------------------------------------------------------ advisor
-
-TEST_F(ParallelRunnerTest, AdvisorParallelEvaluationMatchesSequential) {
-  QueryFamily family = GenerateNref2J(db_->catalog(), db_->stats());
-  auto workload = BindWorkload(family, db_->catalog());
-  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
-
-  AdvisorOptions opts = SystemBProfile();
-  Advisor sequential(db_->CurrentView(), opts);
-  auto seq = sequential.Recommend(*workload);
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-
-  ThreadPool pool(4);
-  opts.eval_pool = &pool;
-  Advisor concurrent(db_->CurrentView(), opts);
-  auto par = concurrent.Recommend(*workload);
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-
-  // Same picks, same order, same bookkeeping — parallel evaluation must not
-  // change the recommendation at all.
-  ASSERT_EQ(par->config.indexes.size(), seq->config.indexes.size());
-  for (size_t i = 0; i < seq->config.indexes.size(); ++i) {
-    EXPECT_EQ(par->config.indexes[i].name, seq->config.indexes[i].name) << i;
-  }
-  ASSERT_EQ(par->config.views.size(), seq->config.views.size());
-  for (size_t i = 0; i < seq->config.views.size(); ++i) {
-    EXPECT_EQ(par->config.views[i].name, seq->config.views[i].name) << i;
-  }
-  // Bit identity, not closeness: the same trials are summed in the same order.
-  EXPECT_EQ(par->est_cost_before, seq->est_cost_before);
-  EXPECT_EQ(par->est_cost_after, seq->est_cost_after);
-  EXPECT_EQ(par->est_pages, seq->est_pages);
 }
 
 }  // namespace

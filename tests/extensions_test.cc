@@ -118,27 +118,6 @@ TEST(DegradeToUniformTest, StripsValueDistributionDetail) {
 
 // ------------------------------------------------------------- runner
 
-TEST(RunnerTest, RepetitionsAverageWarmRuns) {
-  auto tiny = testing::TinyDb::Make(3000, 20);
-  std::vector<std::string> sql = {
-      "SELECT p.dept, COUNT(*) FROM people p WHERE p.dept = 3 "
-      "GROUP BY p.dept"};
-  RunOptions one;
-  one.repetitions = 1;
-  one.cold_start = true;
-  auto single = RunWorkload(tiny.db.get(), sql, one);
-  ASSERT_TRUE(single.ok());
-
-  RunOptions three;
-  three.repetitions = 3;
-  three.cold_start = true;
-  auto avg = RunWorkload(tiny.db.get(), sql, three);
-  ASSERT_TRUE(avg.ok());
-  // Runs 2..3 hit the warm buffer pool, dragging the average below the
-  // single cold run.
-  EXPECT_LT(avg->timings[0].seconds, single->timings[0].seconds);
-}
-
 TEST(RunnerTest, ColdStartClearsPool) {
   auto tiny = testing::TinyDb::Make(3000, 20);
   std::vector<std::string> sql = {
@@ -152,55 +131,6 @@ TEST(RunnerTest, ColdStartClearsPool) {
   ASSERT_TRUE(second.ok());
   // Identical cold-start runs are bit-identical (determinism).
   EXPECT_DOUBLE_EQ(first->timings[0].seconds, second->timings[0].seconds);
-}
-
-TEST(RunnerTest, RepetitionAveragingIsExact) {
-  auto tiny = testing::TinyDb::Make(3000, 20);
-  Database* db = tiny.db.get();
-  const std::string q =
-      "SELECT p.dept, COUNT(*) FROM people p WHERE p.dept = 3 "
-      "GROUP BY p.dept";
-  // Reference: one cold run then one warm run by hand.
-  db->buffer_pool()->Clear();
-  auto r1 = db->Run(q);
-  auto r2 = db->Run(q);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-
-  RunOptions two;
-  two.repetitions = 2;
-  two.cold_start = true;
-  auto avg = RunWorkload(db, {q}, two);
-  ASSERT_TRUE(avg.ok());
-  EXPECT_EQ(avg->timings[0].seconds, (r1->sim_seconds + r2->sim_seconds) / 2);
-  EXPECT_EQ(avg->total_clamped_seconds, avg->timings[0].seconds);
-}
-
-TEST(RunnerTest, TimeoutQueriesRunOnceUnderRepetitions) {
-  // Paper Section 4.1: three runs of non-timeout queries, ONE of timeout
-  // queries. A query that trips on its first (cold) run must not be re-run
-  // warm — the timing stays the clamped timeout.
-  DatabaseOptions opts;
-  opts.cost.timeout_seconds = 1e-7;
-  Database db(opts);
-  TableDef t;
-  t.name = "t";
-  t.columns = {{"a", TypeId::kInt, "d", true, 8}};
-  t.primary_key = {"a"};
-  ASSERT_TRUE(db.CreateTable(t).ok());
-  for (int64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(db.Insert("t", Tuple({Value(i)})).ok());
-  }
-  ASSERT_TRUE(db.FinishLoad().ok());
-
-  RunOptions reps;
-  reps.repetitions = 3;
-  auto res = RunWorkload(&db, {"SELECT COUNT(*) FROM t WHERE t.a = 1"}, reps);
-  ASSERT_TRUE(res.ok());
-  ASSERT_EQ(res->timings.size(), 1u);
-  EXPECT_TRUE(res->timings[0].timed_out);
-  EXPECT_EQ(res->timings[0].seconds, 1e-7);  // not an average of three
-  EXPECT_EQ(res->timeouts, 1u);
 }
 
 TEST(RunnerTest, WarmStartKeepsPoolContents) {

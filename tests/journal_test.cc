@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/report.h"
 #include "core/runner.h"
 #include "util/thread_pool.h"
 #include "test_util.h"
@@ -93,34 +92,6 @@ TEST(CrcTrailerTest, TrailerLineInTheMiddleIsNotATrailer) {
   EXPECT_EQ(*back, mid);
 }
 
-// --------------------------------------------------------- saved reports
-
-TEST(ReportIoTest, SaveLoadRoundTripAndTamperDetection) {
-  std::string path = ::testing::TempDir() + "/tabbench_report_crc.txt";
-  std::string text = "== resilience ==\nqueries: 10\ntimeouts: 2\n";
-  ASSERT_TRUE(SaveReport(text, path).ok());
-  auto back = LoadReport(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, text);
-
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    bytes = buf.str();
-  }
-  bytes[bytes.find("10")] = '9';
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto damaged = LoadReport(path);
-  ASSERT_FALSE(damaged.ok());
-  EXPECT_TRUE(damaged.status().IsDataLoss()) << damaged.status().ToString();
-  std::remove(path.c_str());
-}
-
 // -------------------------------------------------------- journal framing
 
 std::string TempPath(const std::string& name) {
@@ -142,7 +113,7 @@ JournalHeader SampleHeader() {
   h.cold_start = false;
   h.fault_scope_salt = 77;
   h.timeout_seconds = 1800.0;
-  h.retry = RetryPolicy::WithAttempts(4);
+  h.retry.max_attempts = 4;
   h.retry.seed = 99;
   h.sql = {"SELECT 1", "SELECT 2"};
   h.metadata = {{"db", "nref"}, {"config", "p"}};
@@ -694,7 +665,6 @@ class JournalResumeTest : public ::testing::Test {
     }
     EXPECT_EQ(a.timeouts, b.timeouts);
     EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.retries, b.retries);
     EXPECT_EQ(a.total_clamped_seconds, b.total_clamped_seconds);
   }
 
@@ -820,24 +790,89 @@ TEST_F(JournalResumeTest, ResumeUnderDifferentOptionsIsRefused) {
   jopts.journal_path = path;
   ASSERT_TRUE(RunWorkload(db(), sql_, jopts).ok());
 
-  RunOptions other = ResumeFrom(path);
-  other.repetitions = 2;
-  auto r = RunWorkload(db(), sql_, other);
+  RunOptions warm = ResumeFrom(path);
+  warm.cold_start = false;
+  auto r = RunWorkload(db(), sql_, warm);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
-
-  RunOptions salted = ResumeFrom(path);
-  salted.fault_scope_salt = 123;
-  EXPECT_FALSE(RunWorkload(db(), sql_, salted).ok());
-
-  RunOptions retried = ResumeFrom(path);
-  retried.retry = RetryPolicy::WithAttempts(3);
-  EXPECT_FALSE(RunWorkload(db(), sql_, retried).ok());
 
   std::vector<std::string> other_sql = sql_;
   other_sql.pop_back();
   EXPECT_FALSE(RunWorkload(db(), other_sql, ResumeFrom(path)).ok());
+
+  // Journals written with a retired run option — repetitions, a retry
+  // policy or a fault-scope salt — still load, but resume refuses them by
+  // name and leaves the file as it found it.
+  auto full = LoadRunJournal(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  struct Retired {
+    const char* field;
+    void (*set)(JournalHeader*);
+  };
+  const Retired retired[] = {
+      {"repetitions", [](JournalHeader* h) { h->repetitions = 3; }},
+      {"retry", [](JournalHeader* h) { h->retry.max_attempts = 3; }},
+      {"fault_scope_salt", [](JournalHeader* h) { h->fault_scope_salt = 123; }},
+  };
+  for (const Retired& option : retired) {
+    SCOPED_TRACE(option.field);
+    JournalHeader header = full->header;
+    option.set(&header);
+    std::string old_path = TempPath("resume_retired_option.tbj");
+    {
+      auto writer = RunJournalWriter::Create(old_path, header);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      for (size_t i = 0; i < 3; ++i) {
+        TB_ASSERT_OK((*writer)->Append(full->records[i]));
+      }
+    }
+    const std::string bytes = Slurp(old_path);
+    auto loaded = LoadRunJournal(old_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->records.size(), 3u);
+
+    auto resumed = RunWorkload(db(), sql_, ResumeFrom(old_path));
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_TRUE(resumed.status().IsInvalidArgument())
+        << resumed.status().ToString();
+    EXPECT_NE(resumed.status().message().find(option.field),
+              std::string::npos)
+        << resumed.status().ToString();
+    EXPECT_EQ(Slurp(old_path), bytes);
+    std::remove(old_path.c_str());
+  }
   std::remove(path.c_str());
+}
+
+TEST_F(JournalResumeTest, RecordWithTwoExecutionsIsDataLoss) {
+  // Under a default header every record holds exactly one execution; a
+  // second one (what a retry once wrote) is corruption, not a retry to
+  // replay.
+  std::string path = TempPath("resume_two_exec_src.tbj");
+  RunOptions jopts;
+  jopts.journal_path = path;
+  ASSERT_TRUE(RunWorkload(db(), sql_, jopts).ok());
+  auto full = LoadRunJournal(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  std::string doubled = TempPath("resume_two_exec.tbj");
+  {
+    auto writer = RunJournalWriter::Create(doubled, full->header);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (size_t i = 0; i < 3; ++i) {
+      JournalQueryRecord rec = full->records[i];
+      if (i == 1) {
+        rec.attempt_log.push_back(rec.attempt_log[0]);
+        rec.attempts = 2;
+      }
+      TB_ASSERT_OK((*writer)->Append(rec));
+    }
+  }
+  auto resumed = RunWorkload(db(), sql_, ResumeFrom(doubled));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsDataLoss()) << resumed.status().ToString();
+  std::remove(path.c_str());
+  std::remove(doubled.c_str());
 }
 
 TEST_F(JournalResumeTest, TamperedOutcomeFailsTheReplayCrossCheck) {

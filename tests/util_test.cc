@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -68,9 +67,8 @@ TEST(StatusTest, FromCodeRoundTripsAndRejectsGarbage) {
 
 TEST(StatusTest, TransientCoversExactlyTheRetryableCodes) {
   // Every code, exhaustively: only kUnavailable and kResourceExhausted are
-  // transient. kTimeout is the paper's censoring outcome (retrying it would
-  // double-charge t_out) and kCancelled is a user decision, so neither
-  // retries; the rest are permanent errors.
+  // transient. kTimeout is the paper's censoring outcome and kCancelled a
+  // final one; the rest are permanent errors.
   EXPECT_FALSE(Status::OK().IsTransient());
   EXPECT_FALSE(Status::InvalidArgument("x").IsTransient());
   EXPECT_FALSE(Status::NotFound("x").IsTransient());
@@ -295,51 +293,6 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");
   EXPECT_EQ(HumanBytes(3.5 * 1024 * 1024), "3.5 MB");
-}
-
-// ----------------------------------------------------------------- Retry
-
-TEST(RetryTest, BackoffGrowsGeometricallyAndCaps) {
-  RetryPolicy p;
-  p.initial_backoff_seconds = 0.1;
-  p.backoff_multiplier = 2.0;
-  p.max_backoff_seconds = 0.5;
-  p.jitter_fraction = 0.0;
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(1), 0.1);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(2), 0.2);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(3), 0.4);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(4), 0.5);  // capped
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(9), 0.5);
-}
-
-TEST(RetryTest, JitterIsDeterministicAndBounded) {
-  RetryPolicy p;
-  p.initial_backoff_seconds = 1.0;
-  p.jitter_fraction = 0.25;
-  p.seed = 7;
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    double a = p.BackoffSeconds(attempt);
-    double b = p.BackoffSeconds(attempt);
-    EXPECT_DOUBLE_EQ(a, b) << "jitter must be a pure function of the seed";
-    double base = std::min(p.max_backoff_seconds,
-                           std::pow(p.backoff_multiplier, attempt - 1));
-    EXPECT_GE(a, base * 0.75);
-    EXPECT_LE(a, base * 1.25);
-  }
-  RetryPolicy q = p;
-  q.seed = 8;
-  EXPECT_NE(p.BackoffSeconds(1), q.BackoffSeconds(1));
-}
-
-TEST(RetryTest, ShouldRetryHonorsTransienceAndAttemptCap) {
-  RetryPolicy p = RetryPolicy::WithAttempts(3);
-  EXPECT_TRUE(p.ShouldRetry(Status::Unavailable("x"), 1));
-  EXPECT_TRUE(p.ShouldRetry(Status::ResourceExhausted("x"), 2));
-  EXPECT_FALSE(p.ShouldRetry(Status::Unavailable("x"), 3));  // attempts spent
-  EXPECT_FALSE(p.ShouldRetry(Status::Internal("x"), 1));
-  EXPECT_FALSE(p.ShouldRetry(Status::Timeout("x"), 1));
-  EXPECT_FALSE(p.ShouldRetry(Status::Cancelled("x"), 1));
-  EXPECT_FALSE(p.ShouldRetry(Status::OK(), 1));
 }
 
 }  // namespace

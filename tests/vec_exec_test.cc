@@ -215,25 +215,6 @@ TEST(VecExecTest, TimeoutBitIdentical) {
   EXPECT_TRUE(vec[0].rows.empty());
 }
 
-// ---------------------------------------------------------- cancellation
-
-TEST(VecExecTest, CancelledTokenStopsMorselDispatch) {
-  testing::TinyDb t = testing::TinyDb::Make();
-  CancellationToken token;
-  token.RequestCancel();
-  ExecContext ctx = t.db->MakeSessionContext(t.db->buffer_pool(),
-                                             t.db->options().cost);
-  ctx.set_cancellation_token(token);
-  ThreadPool pool(4);
-  vec::VecExecOptions vopts;
-  vopts.pool = &pool;
-  vopts.morsel_pages = 2;
-  auto r = t.db->RunWithContextVectorized(
-      "SELECT p.id, p.city FROM people p WHERE p.dept = 3", &ctx, vopts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-}
-
 // ----------------------------------------------------------------- chaos
 
 /// Disarms every fault point on scope exit so a failing ASSERT cannot leak

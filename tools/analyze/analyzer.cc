@@ -18,8 +18,8 @@ const std::vector<RuleInfo>& Rules() {
        "A naked new or delete; ownership goes through "
        "make_unique/unique_ptr."},
       {"tabbench-raw-sleep",
-       "A raw this_thread sleep in src/, which cannot be cancelled; "
-       "backoff is charged to the simulated clock instead."},
+       "A raw this_thread sleep in src/, which cannot be interrupted; "
+       "delays are charged to the simulated clock instead."},
       {"tabbench-float-equal",
        "A float-literal ==/!= comparison in cost/CFC code; compare with a "
        "tolerance."},

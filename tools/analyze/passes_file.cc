@@ -123,11 +123,11 @@ void CheckNakedNew(const ParsedFile& pf, std::vector<Finding>* findings) {
 // ---------------------------------------------------------------------------
 // Rule: tabbench-raw-sleep
 //
-// Waiting in product code must stay cancellation- and deadline-aware: a raw
-// std::this_thread sleep cannot be interrupted, so a cancelled job would
-// hang for the whole delay. Product code has no sanctioned sleep: retry
-// backoff is charged to the simulated clock (ExecContext::ChargeBackoff),
-// and threads that wait block on a condition variable.
+// Waiting in product code must stay deadline-aware: a raw
+// std::this_thread sleep cannot be interrupted, so a job would hang for the
+// whole delay. Product code has no sanctioned sleep: simulated delays are
+// charged to the simulated clock (ExecContext::AdvanceClock), and threads
+// that wait block on a condition variable.
 // ---------------------------------------------------------------------------
 
 void CheckRawSleep(const ParsedFile& pf, std::vector<Finding>* findings) {
@@ -139,8 +139,8 @@ void CheckRawSleep(const ParsedFile& pf, std::vector<Finding>* findings) {
     if (Contains(pf.code_lines[ln], "sleep_") &&
         std::regex_search(pf.code_lines[ln], kSleep)) {
       Report(pf, ln + 1, "tabbench-raw-sleep",
-             "raw this_thread sleep cannot be cancelled; charge simulated "
-             "time (ExecContext::ChargeBackoff) or wait on a condition "
+             "raw this_thread sleep cannot be interrupted; charge simulated "
+             "time (ExecContext::AdvanceClock) or wait on a condition "
              "variable",
              findings);
     }

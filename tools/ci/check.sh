@@ -51,9 +51,9 @@ step "ctest -L chaos (TABBENCH_FAULTS armed)"
 TABBENCH_FAULTS="storage.heap_scan=unavailable@prob:0.01:7" \
   ctest --test-dir "${BUILD_DIR}" -L chaos --output-on-failure -j "${JOBS}"
 
-# Chaos under TSan: the fault registry, retry backoff, and failure
-# isolation all run on worker threads; prove them race-free. Works under
-# both GCC and Clang (-fsanitize=thread).
+# Chaos under TSan: the fault registry, failure isolation and the parallel
+# runner's record workers all run on worker threads; prove them race-free.
+# Works under both GCC and Clang (-fsanitize=thread).
 step "ctest -L chaos under TABBENCH_SANITIZE=thread"
 TSAN_DIR="${ROOT}/build-tsan-chaos"
 cmake -B "${TSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=thread
@@ -69,12 +69,10 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_vec_tests
 ctest --test-dir "${TSAN_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
 
 # The concurrency suite under TSan: the thread pool, the B-tree stats cache
-# and IN-set memo under concurrent readers, the parallel runners (also
-# racing to rebuild the database's planner memos right after a
-# configuration change), and the advisors' parallel candidate evaluation,
-# whose eval_pool workers each write their unit's row of the shared
-# trial-cost memo. The vectorized binary built above carries the label too
-# and runs again here.
+# and IN-set memo under concurrent readers, and the parallel runner, whose
+# record workers also race to rebuild the database's planner memo right
+# after a configuration change. The vectorized binary built above carries
+# the label too and runs again here.
 step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_concurrency_tests
 ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
@@ -179,17 +177,20 @@ step "tabbench_analyze --fault-coverage (ratchet vs fault_layers.txt)"
 # tables, varint packing, Zipf sampling, journal framing); run those suites
 # with every UB report turned into an abort (-fno-sanitize-recover=all).
 # Journal resume decodes traces and runs them through ExecContext::Apply,
-# so the trace interpreter's suite (ExecContextTest) rides along, as does
-# the seeded journal-load fuzzer (RunJournalFuzzTest), which feeds the
-# frame walker and decoders flipped, cut and re-checksummed journals.
+# so the trace interpreter's suite (ExecContextTest) rides along, as do the
+# seeded fuzzers of the repo's other parsers: the journal loader
+# (RunJournalFuzzTest: flipped, cut and re-checksummed journals), the
+# TABBENCH_FAULTS grammar (FaultSpecFuzzTest) and workload files
+# (WorkloadIoFuzzTest), which feed mutated text through from_chars and the
+# crc32c trailer check.
 step "util/journal suites under TABBENCH_SANITIZE=undefined"
 UBSAN_DIR="${ROOT}/build-ubsan"
 cmake -B "${UBSAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=undefined
 cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 "${UBSAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'Crc32cTest.*:CrcTrailerTest.*:ExecContextTest.*:JournalResumeTest.*'\
-':ReportIoTest.*'\
-':ResultTest.*:RetryTest.*:RngTest.*:RunJournalTest.*:RunJournalFuzzTest.*'\
+':FaultSpecFuzzTest.*:WorkloadIoFuzzTest.*'\
+':ResultTest.*:RngTest.*:RunJournalTest.*:RunJournalFuzzTest.*'\
 ':StatusTest.*'\
 ':StringsTest.*:ZipfTest.*'
 
