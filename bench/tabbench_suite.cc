@@ -485,16 +485,20 @@ Status Table1(Suite* s) {
     rows.push_back({db_label + " 1C", base + one_c->build.secondary_pages,
                     one_c->build.build_seconds});
   }
-  std::printf("\n%-28s %14s %14s\n", "configuration", "size", "build time");
   // Pages print as paper-equivalent bytes (each scaled page stands for
-  // scale_inverse real pages), build time in simulated minutes.
-  const int width = LabelWidth(rows, "");
+  // scale_inverse real pages), build time in simulated minutes. Each header
+  // ends where the field under it ends; both numbers are kNum wide.
+  constexpr int kNum = 8;
+  const int width = LabelWidth(rows, "configuration");
+  std::printf("\n  %-*s %*s   %*s\n", width, "configuration",
+              kNum + 9, "size",            // "%*.1f GB-equiv"
+              6 + kNum + 4, "build time");  // "build %*.0f min"
   for (const Table1Row& row : rows) {
     const double gib = static_cast<double>(row.total_pages) *
                        static_cast<double>(kPageSize) * ScaleInverse() /
                        (1024.0 * 1024.0 * 1024.0);
-    std::printf("  %-*s %8.1f GB-equiv   build %8.0f min\n", width,
-                row.label.c_str(), gib, row.build_seconds / 60.0);
+    std::printf("  %-*s %*.1f GB-equiv   build %*.0f min\n", width,
+                row.label.c_str(), kNum, gib, kNum, row.build_seconds / 60.0);
   }
   std::printf(
       "\npaper shape: P smallest per database; every R uses less space than "

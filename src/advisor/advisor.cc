@@ -65,7 +65,7 @@ Result<Recommendation> Advisor::Recommend(
       TB_RETURN_IF_ERROR(trials.Trial(ui, &costs));
       double benefit = 0.0;
       for (size_t i = 0; i < sample.size(); ++i) {
-        if (u.RelevantTo(*sample[i])) benefit += cur_cost[i] - costs[i];
+        if (trials.Relevant(ui, i)) benefit += cur_cost[i] - costs[i];
       }
       // Update-aware charging: maintaining the structure costs I/O per
       // insert (descent + leaf write; views also re-derive their rows).

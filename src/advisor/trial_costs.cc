@@ -1,5 +1,7 @@
 #include "advisor/trial_costs.h"
 
+#include <algorithm>
+
 #include "optimizer/planner.h"
 
 namespace tabbench {
@@ -24,23 +26,44 @@ Configuration MakeConfig(const std::vector<Unit>& units,
 }  // namespace
 
 bool Unit::RelevantTo(const BoundQuery& q) const {
-  auto touches = [&q](const std::string& table) {
-    for (const auto& r : q.relations) {
-      if (r == table) return true;
-    }
-    return false;
+  auto contains = [](const std::vector<std::string>& names,
+                     const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
   };
   if (is_view) {
     for (const auto& t : view.def.tables) {
-      if (touches(t)) return true;
+      if (!contains(q.relations, t)) return false;
     }
-    return false;
+    return true;
   }
-  // Index on a base table: relevant if the query touches the table,
-  // including via an IN-frequency subquery over it.
-  if (touches(index.def.target)) return true;
+  const IndexDef& def = index.def;
+  if (def.columns.empty()) return false;
   for (const auto& p : q.in_preds) {
-    if (p.sub_table == index.def.target) return true;
+    if (p.sub_table == def.target && p.sub_column == def.columns[0]) {
+      return true;
+    }
+  }
+  for (int r = 0; r < q.num_relations(); ++r) {
+    if (q.relations[static_cast<size_t>(r)] != def.target) continue;
+    bool leading_bound = false;
+    bool covers = true;
+    // `binds`: c is a join or literal-filter column, which can bind a seek.
+    auto use = [&](const BoundColumn& c, bool binds) {
+      if (c.rel != r) return;
+      if (binds && c.column == def.columns[0]) leading_bound = true;
+      if (!contains(def.columns, c.column)) covers = false;
+    };
+    for (const auto& j : q.joins) {
+      use(j.left, true);
+      use(j.right, true);
+    }
+    for (const auto& f : q.filters) use(f.column, true);
+    for (const auto& p : q.in_preds) use(p.column, false);
+    for (const auto& g : q.group_by) use(g, false);
+    for (const auto& s : q.select) {
+      if (s.kind != BoundSelectItem::Kind::kCountStar) use(s.column, false);
+    }
+    if (leading_bound || covers) return true;
   }
   return false;
 }
@@ -64,7 +87,14 @@ TrialCosts::TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
       units_(std::move(units)),
       queries_(std::move(queries)),
       taken_(units_.size(), false),
+      relevant_(units_.size() * queries_.size()),
       cost_(units_.size() * queries_.size()) {
+  for (size_t ui = 0; ui < units_.size(); ++ui) {
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      relevant_[ui * queries_.size() + i] =
+          units_[ui].RelevantTo(*queries_[i]);
+    }
+  }
   // Era-faithful estimation: what-if costing may ignore value-distribution
   // detail (uniform densities). The degraded copy lives with the memo.
   if (rules_.uniform_value_assumption) {
@@ -92,10 +122,9 @@ Result<std::vector<double>> TrialCosts::Baseline() const {
 }
 
 Status TrialCosts::Trial(size_t ui, std::vector<double>* costs) {
-  const Unit& u = units_[ui];
   std::optional<ConfigView> view;  // built on the first memo miss
   for (size_t i = 0; i < queries_.size(); ++i) {
-    if (!u.RelevantTo(*queries_[i])) continue;
+    if (!Relevant(ui, i)) continue;
     std::optional<double>& cost = cost_[ui * queries_.size() + i];
     if (!cost) {
       if (!view) {
@@ -116,7 +145,7 @@ void TrialCosts::Pick(size_t ui) {
   chosen_.push_back(ui);
   taken_[ui] = true;
   for (size_t i = 0; i < queries_.size(); ++i) {
-    if (!units_[ui].RelevantTo(*queries_[i])) continue;
+    if (!Relevant(ui, i)) continue;
     for (size_t u = 0; u < units_.size(); ++u) {
       cost_[u * queries_.size() + i].reset();
     }

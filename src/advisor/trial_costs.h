@@ -20,12 +20,17 @@ struct Unit {
   ViewCandidate view;
   double pages = 0.0;
 
-  /// True when the unit could change the plan of `q`: an index on one of
-  /// q's tables or IN-subquery tables, or a view over any of q's tables.
+  /// True when the planner could use the unit in a plan of `q`. A view:
+  /// every view table occurs in q's FROM list (FindViewMatches can match
+  /// nothing else). An index: on some FROM occurrence of its table, its
+  /// leading key column has a literal filter or a join (the only ways a
+  /// seek binds a key part), or its key columns hold every column that
+  /// occurrence needs (a covering scan); or it leads the column of an
+  /// IN-frequency subquery over its table (the index-only frequency walk).
   /// Contract: adding a unit this returns false for must leave
   /// EstimateCost(q) bit-equal, wherever the unit sits in the configuration.
-  /// A planner change that reads structures outside the query's tables must
-  /// widen this test (tests/advisor_test.cc pins the contract).
+  /// A planner change that adds a way to use an index or a view must widen
+  /// this test (tests/advisor_test.cc pins the contract).
   bool RelevantTo(const BoundQuery& q) const;
 };
 
@@ -36,12 +41,13 @@ std::vector<Unit> MakeUnits(const CandidateSet& cands);
 /// cost E of each query under `chosen ∪ {unit}`, all from hypothetical
 /// views over `base` (degraded to uniform densities when `rules` say so).
 ///
-/// Trial costs are memoized per (unit, query). A pick changes only the
-/// costs of the queries it is relevant to (Unit::RelevantTo), so Pick()
-/// drops those queries' entries and keeps the rest: every cost a search
-/// reads is bit-identical to re-planning the query under the full trial
-/// configuration. A unit's trial view is built only when one of its
-/// relevant queries misses the memo.
+/// Relevance (Unit::RelevantTo) is computed once per (unit, query) and
+/// trial costs are memoized per (unit, query). A pick changes only the
+/// costs of the queries it is relevant to, so Pick() drops those queries'
+/// entries and keeps the rest: every cost a search reads is bit-identical
+/// to re-planning the query under the full trial configuration. A unit's
+/// trial view is built only when one of its relevant queries misses the
+/// memo.
 class TrialCosts {
  public:
   TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
@@ -51,6 +57,10 @@ class TrialCosts {
 
   const std::vector<Unit>& units() const { return units_; }
   bool Taken(size_t ui) const { return taken_[ui]; }
+  /// Unit `ui`'s RelevantTo for query `qi`, as computed at construction.
+  bool Relevant(size_t ui, size_t qi) const {
+    return relevant_[ui * queries_.size() + qi];
+  }
 
   /// E of every query under the structures picked so far (none yet: P).
   Result<std::vector<double>> Baseline() const;
@@ -75,6 +85,8 @@ class TrialCosts {
   std::vector<const BoundQuery*> queries_;
   std::vector<size_t> chosen_;
   std::vector<bool> taken_;
+  // Row-major [unit][query]: RelevantTo, fixed at construction.
+  std::vector<bool> relevant_;
   // Row-major [unit][query], empty until evaluated.
   std::vector<std::optional<double>> cost_;
 };

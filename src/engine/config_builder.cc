@@ -73,18 +73,19 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
     }
   }
 
-  // Scan the heap extracting (key, rid) pairs.
+  // Scan the heap extracting (key, rid) pairs; only key columns decode.
+  std::vector<uint8_t> decode(heap->codec().types().size(), 0);
+  for (int pos : key_cols) decode[static_cast<size_t>(pos)] = 1;
   std::vector<std::pair<IndexKey, Rid>> entries;
   entries.reserve(heap->num_rows());
   auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
   Tuple t;
-  Rid rid;
-  while (cursor.Next(&t, &rid)) {
+  while (cursor.NextColumns(&t, decode)) {
     ctx->ChargeTuples(1);
     IndexKey key;
     key.reserve(key_cols.size());
     for (int pos : key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
-    entries.emplace_back(std::move(key), rid);
+    entries.emplace_back(std::move(key), cursor.rid());
   }
 
   // External sort charge: n log2(n) comparisons plus a spill pass when the

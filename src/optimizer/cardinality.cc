@@ -5,22 +5,31 @@
 
 namespace tabbench {
 
-double CardinalityEstimator::TableRows(const std::string& table) const {
-  const TableStats* ts = view_.stats->FindTable(table);
+double CardinalityEstimator::Rows(const TableStats* ts) {
   if (ts == nullptr) return 1.0;
   return std::max<double>(1.0, static_cast<double>(ts->row_count));
 }
 
-double CardinalityEstimator::TablePages(const std::string& table) const {
-  const TableStats* ts = view_.stats->FindTable(table);
+double CardinalityEstimator::Pages(const TableStats* ts) {
   if (ts == nullptr) return 1.0;
   return std::max<double>(1.0, static_cast<double>(ts->pages));
 }
 
-double CardinalityEstimator::TableRowBytes(const std::string& table) const {
-  const TableStats* ts = view_.stats->FindTable(table);
+double CardinalityEstimator::RowBytes(const TableStats* ts) {
   if (ts == nullptr || ts->avg_row_bytes <= 0.0) return 64.0;
   return ts->avg_row_bytes;
+}
+
+double CardinalityEstimator::TableRows(const std::string& table) const {
+  return Rows(view_.stats->FindTable(table));
+}
+
+double CardinalityEstimator::TablePages(const std::string& table) const {
+  return Pages(view_.stats->FindTable(table));
+}
+
+double CardinalityEstimator::TableRowBytes(const std::string& table) const {
+  return RowBytes(view_.stats->FindTable(table));
 }
 
 double CardinalityEstimator::Distinct(const std::string& table,
@@ -53,8 +62,10 @@ double CardinalityEstimator::JoinSelectivity(const std::string& t1,
                                              const std::string& c1,
                                              const std::string& t2,
                                              const std::string& c2) const {
-  double d1 = Distinct(t1, c1);
-  double d2 = Distinct(t2, c2);
+  return JoinSelectivityOf(Distinct(t1, c1), Distinct(t2, c2));
+}
+
+double CardinalityEstimator::JoinSelectivityOf(double d1, double d2) {
   return 1.0 / std::max({d1, d2, 1.0});
 }
 

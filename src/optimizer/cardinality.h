@@ -25,6 +25,12 @@ class CardinalityEstimator {
   /// Average encoded row width of `table` in bytes.
   double TableRowBytes(const std::string& table) const;
 
+  /// The same three figures from a table's already-found statistics
+  /// (null: the table has none).
+  static double Rows(const TableStats* ts);
+  static double Pages(const TableStats* ts);
+  static double RowBytes(const TableStats* ts);
+
   /// Distinct non-null values of table.column (>= 1 when the table is
   /// non-empty).
   double Distinct(const std::string& table, const std::string& column) const;
@@ -41,6 +47,8 @@ class CardinalityEstimator {
   /// Selectivity of the equi-join t1.c1 = t2.c2: 1 / max(ndv1, ndv2).
   double JoinSelectivity(const std::string& t1, const std::string& c1,
                          const std::string& t2, const std::string& c2) const;
+  /// The same from the two sides' distinct counts (Distinct's values).
+  static double JoinSelectivityOf(double d1, double d2);
 
   /// Expected number of groups when grouping `input_rows` rows by the given
   /// columns (capped at input_rows).

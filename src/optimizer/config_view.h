@@ -56,14 +56,6 @@ struct ConfigView {
   std::vector<PhysicalIndex> indexes;
   std::vector<PhysicalView> views;
 
-  std::vector<const PhysicalIndex*> IndexesOn(const std::string& target) const {
-    std::vector<const PhysicalIndex*> out;
-    for (const auto& i : indexes) {
-      if (i.def.target == target) out.push_back(&i);
-    }
-    return out;
-  }
-
   const PhysicalView* FindView(const std::string& name) const {
     for (const auto& v : views) {
       if (v.def.name == name) return &v;

@@ -18,7 +18,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// A literal filter bound to an exposed slot of a unit.
 struct FilterBinding {
   SlotRef slot;
-  std::string object_column;  // column name within the unit's object
+  /// Column name within the unit's object, owned by the catalog's TableDef
+  /// or the view's ViewDef (both outlive the planner).
+  const std::string* object_column = nullptr;
   Value literal;
   double selectivity = 1.0;
 };
@@ -62,7 +64,8 @@ struct UnitDesc {
   /// Exposed columns in object order; layout[i] is the slot the i-th
   /// object column carries.
   std::vector<SlotRef> layout;
-  std::vector<std::string> col_names;  // object column names, same order
+  /// Object column names, same order; owned as `object_column` is.
+  std::vector<const std::string*> col_names;
   std::vector<FilterBinding> filters;
   std::vector<InBinding> in_preds;
   /// Join predicates entirely inside this unit that the physical object
@@ -78,16 +81,18 @@ struct UnitDesc {
 
   int ColumnPos(const std::string& name) const {
     for (size_t i = 0; i < col_names.size(); ++i) {
-      if (col_names[i] == name) return static_cast<int>(i);
+      if (*col_names[i] == name) return static_cast<int>(i);
     }
     return -1;
   }
-  bool Exposes(const SlotRef& s) const {
-    for (const auto& l : layout) {
-      if (l == s) return true;
+  /// Position of slot `s` in the layout, or -1 when not exposed.
+  int SlotPos(const SlotRef& s) const {
+    for (size_t i = 0; i < layout.size(); ++i) {
+      if (layout[i] == s) return static_cast<int>(i);
     }
-    return false;
+    return -1;
   }
+  bool Exposes(const SlotRef& s) const { return SlotPos(s) >= 0; }
 };
 
 /// A query join with its estimates, computed once per query.
@@ -223,36 +228,37 @@ class Planner {
         return Status::NotFound("column " + p.sub_column);
       }
       // Heap scan vs index-only frequency walk.
-      double best_cost =
-          cost_.SeqScan(card_.TablePages(p.sub_table),
-                        card_.TableRows(p.sub_table)) +
-          card_.TableRows(p.sub_table) * view_.params.cpu_hash_seconds;
-      for (const PhysicalIndex* idx : view_.IndexesOn(p.sub_table)) {
-        if (idx->def.columns.empty() || idx->def.columns[0] != p.sub_column) {
+      const TableStats* ts = view_.stats->FindTable(p.sub_table);
+      const double rows = CardinalityEstimator::Rows(ts);
+      double best_cost = cost_.SeqScan(CardinalityEstimator::Pages(ts), rows) +
+                         rows * view_.params.cpu_hash_seconds;
+      for (const PhysicalIndex& idx : view_.indexes) {
+        if (idx.def.target != p.sub_table || idx.def.columns.empty() ||
+            idx.def.columns[0] != p.sub_column) {
           continue;
         }
-        if (!idx->allow_index_only) continue;
-        double c = cost_.IndexOnlyScan(*idx) +
-                   idx->entries * view_.params.cpu_hash_seconds;
+        if (!idx.allow_index_only) continue;
+        double c = cost_.IndexOnlyScan(idx) +
+                   idx.entries * view_.params.cpu_hash_seconds;
         if (c < best_cost) {
           best_cost = c;
-          spec.index_name =
-              idx->physical_name.empty() ? idx->def.name : idx->physical_name;
+          spec.index_name = IndexName(idx);
         }
       }
       in_set_costs_.push_back(best_cost);
       in_specs_.push_back(std::move(spec));
     }
 
-    // Join selectivities and per-side distinct counts.
+    // Per-side distinct counts, and from them the join selectivity.
+    joins_.reserve(q_.joins.size());
     for (const auto& j : q_.joins) {
       JoinInfo ji;
       ji.left = SlotRef{j.left.rel, j.left.col};
       ji.right = SlotRef{j.right.rel, j.right.col};
-      ji.selectivity = card_.JoinSelectivity(j.left.table, j.left.column,
-                                             j.right.table, j.right.column);
       ji.left_distinct = card_.Distinct(j.left.table, j.left.column);
       ji.right_distinct = card_.Distinct(j.right.table, j.right.column);
+      ji.selectivity = CardinalityEstimator::JoinSelectivityOf(
+          ji.left_distinct, ji.right_distinct);
       joins_.push_back(ji);
     }
 
@@ -284,14 +290,17 @@ class Planner {
     UnitDesc u;
     const std::string& table = q_.relations[static_cast<size_t>(r)];
     const TableDef* def = view_.catalog->FindTable(table);
+    const TableStats* ts = view_.stats->FindTable(table);
     u.rel_mask = uint64_t{1} << r;
     u.object = table;
-    u.base_rows = card_.TableRows(table);
-    u.pages = card_.TablePages(table);
-    u.row_bytes = card_.TableRowBytes(table);
+    u.base_rows = CardinalityEstimator::Rows(ts);
+    u.pages = CardinalityEstimator::Pages(ts);
+    u.row_bytes = CardinalityEstimator::RowBytes(ts);
+    u.layout.reserve(def->columns.size());
+    u.col_names.reserve(def->columns.size());
     for (size_t c = 0; c < def->columns.size(); ++c) {
       u.layout.push_back(SlotRef{r, static_cast<int>(c)});
-      u.col_names.push_back(def->columns[c].name);
+      u.col_names.push_back(&def->columns[c].name);
     }
     FillUnitPredicates(&u);
     CostPaths(&u);
@@ -302,10 +311,11 @@ class Planner {
     double sel = 1.0;
     for (const auto& f : q_.filters) {
       SlotRef s{f.column.rel, f.column.col};
-      if (!u->Exposes(s)) continue;
+      const int pos = u->SlotPos(s);
+      if (pos < 0) continue;
       FilterBinding fb;
       fb.slot = s;
-      fb.object_column = ObjectColumnName(*u, s);
+      fb.object_column = u->col_names[static_cast<size_t>(pos)];
       fb.literal = f.literal;
       fb.selectivity =
           card_.EqSelectivity(f.column.table, f.column.column, f.literal);
@@ -355,13 +365,6 @@ class Planner {
       }
     }
     return false;
-  }
-
-  std::string ObjectColumnName(const UnitDesc& u, const SlotRef& s) const {
-    for (size_t i = 0; i < u.layout.size(); ++i) {
-      if (u.layout[i] == s) return u.col_names[i];
-    }
-    return "";
   }
 
   // --------------------------------------------------------- view matching
@@ -514,7 +517,7 @@ class Planner {
       const TableDef* def = view_.catalog->FindTable(pc.table);
       int ci = def->ColumnIndex(pc.column);
       vu.layout.push_back(SlotRef{rel, ci});
-      vu.col_names.push_back(pc.view_name);
+      vu.col_names.push_back(&pc.view_name);
       vu.row_bytes += def->columns[static_cast<size_t>(ci)].avg_width;
     }
     vu.row_bytes = std::max(16.0, vu.row_bytes);
@@ -532,7 +535,9 @@ class Planner {
     u->paths.push_back(AccessPath{AccessPath::Kind::kSeqScan, -1,
                                   cost_.SeqScan(u->pages, u->base_rows),
                                   u->row_bytes});
-    for (const PhysicalIndex* idx : view_.IndexesOn(u->object)) {
+    for (const PhysicalIndex& candidate : view_.indexes) {
+      if (candidate.def.target != u->object) continue;
+      const PhysicalIndex* idx = &candidate;
       UnitIndex ix;
       ix.idx = idx;
       bool ok = true;
@@ -653,7 +658,7 @@ class Planner {
           part.from_outer = false;
           part.literal = f.literal;
           node->seek.push_back(std::move(part));
-          consumed->insert(f.object_column);
+          consumed->insert(*f.object_column);
         }
         b.selectivity *= f.selectivity;
         bound = true;
@@ -799,7 +804,7 @@ class Planner {
       const UnitDesc& u, const std::set<std::string>& consumed_filters) const {
     std::vector<ResidualPred> out;
     for (const auto& f : u.filters) {
-      if (consumed_filters.count(f.object_column)) continue;
+      if (consumed_filters.count(*f.object_column)) continue;
       ResidualPred p;
       p.kind = ResidualPred::Kind::kColEqLit;
       p.a = f.slot;

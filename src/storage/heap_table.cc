@@ -160,10 +160,7 @@ bool HeapTable::Cursor::Advance() {
 bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
   if (!Advance()) return false;
   DecodeRow(t);
-  if (rid != nullptr) {
-    *rid = Rid{static_cast<uint32_t>(page_ordinal_),
-               static_cast<uint32_t>(slot_)};
-  }
+  if (rid != nullptr) *rid = this->rid();
   return true;
 }
 

@@ -106,6 +106,12 @@ class HeapTable {
     /// on into `*t`.
     void DecodeRow(Tuple* t) const;
 
+    /// The Rid of the row the last successful Next/NextColumns stopped on.
+    Rid rid() const {
+      return Rid{static_cast<uint32_t>(page_ordinal_),
+                 static_cast<uint32_t>(slot_)};
+    }
+
    private:
     /// Moves to the next live row (touching each page on entry); false at
     /// end. On true the row is (page_ordinal_, slot_) on page_.

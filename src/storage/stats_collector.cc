@@ -103,13 +103,17 @@ TableStats CollectTableStats(const HeapTable& table,
                 static_cast<double>(table.num_rows());
 
   const size_t ncols = column_names.size();
-  // One pass per column keeps peak memory to a single column's values.
+  // One pass per column keeps peak memory to a single column's values, and
+  // each pass decodes only its column.
+  std::vector<uint8_t> decode(table.codec().types().size(), 0);
   for (size_t c = 0; c < ncols; ++c) {
     std::vector<Value> values;
     values.reserve(table.num_rows());
+    std::fill(decode.begin(), decode.end(), 0);
+    decode[c] = 1;
     auto cursor = table.Scan(/*touch=*/nullptr);
     Tuple t;
-    while (cursor.Next(&t, nullptr)) {
+    while (cursor.NextColumns(&t, decode)) {
       values.push_back(t.at(c));
     }
     ts.columns[column_names[c]] =

@@ -97,15 +97,6 @@ class [[nodiscard]] Status {
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsDataLoss() const { return code_ == Code::kDataLoss; }
 
-  /// True for errors expected to clear on their own — kUnavailable
-  /// (admission control, queue full) and kResourceExhausted (transient
-  /// capacity). kTimeout and kCancelled are final outcomes and kInternal is
-  /// a bug. The workload runner does not retry either kind: it runs each
-  /// query once and censors any failure at the timeout cost.
-  bool IsTransient() const {
-    return code_ == Code::kUnavailable || code_ == Code::kResourceExhausted;
-  }
-
   Code code() const { return code_; }
   const std::string& message() const { return message_; }
 

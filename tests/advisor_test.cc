@@ -129,6 +129,56 @@ TEST_F(AdvisorTest, ViewCandidatesOnlyForFkJoins) {
   }
 }
 
+// RelevantTo is the planner's usability rule, case by case: a seek needs
+// a literal or join on the leading key column, a covering scan needs every
+// column the occurrence uses, the IN-set walk needs an index led by the
+// subquery column, and a view needs every one of its tables in FROM.
+TEST_F(AdvisorTest, RelevantToIsThePlannersUsabilityRule) {
+  auto queries = BindAll({
+      "SELECT p.city, COUNT(*) FROM people p, depts d WHERE p.dept = "
+      "d.dept_id AND p.score = 17 GROUP BY p.city",
+      "SELECT COUNT(*) FROM depts d WHERE d.city IN (SELECT city FROM "
+      "people GROUP BY city HAVING COUNT(*) < 10)",
+  });
+  ASSERT_EQ(queries.size(), 2u);
+  auto index = [](const std::string& target,
+                  std::vector<std::string> columns) {
+    Unit u;
+    u.index.def.name = "ix";
+    u.index.def.target = target;
+    u.index.def.columns = std::move(columns);
+    return u;
+  };
+  auto view = [](std::vector<std::string> tables) {
+    Unit u;
+    u.is_view = true;
+    u.view.def.name = "mv";
+    u.view.def.tables = std::move(tables);
+    return u;
+  };
+  const BoundQuery& join = queries[0];
+  const BoundQuery& in = queries[1];
+  EXPECT_TRUE(index("people", {"score"}).RelevantTo(join));  // literal
+  EXPECT_TRUE(index("people", {"dept", "id"}).RelevantTo(join));  // join
+  EXPECT_TRUE(index("depts", {"dept_id"}).RelevantTo(join));  // join
+  EXPECT_TRUE(  // covers city, dept and score
+      index("people", {"city", "dept", "score"}).RelevantTo(join));
+  EXPECT_FALSE(index("people", {"city"}).RelevantTo(join));
+  EXPECT_FALSE(index("people", {"id", "score"}).RelevantTo(join));
+  EXPECT_FALSE(index("depts", {"region"}).RelevantTo(join));
+  EXPECT_TRUE(index("depts", {"region", "dept_id"}).RelevantTo(join));
+
+  EXPECT_TRUE(index("people", {"city"}).RelevantTo(in));  // IN-set walk
+  EXPECT_FALSE(index("people", {"score", "city"}).RelevantTo(in));
+  EXPECT_TRUE(index("depts", {"city"}).RelevantTo(in));  // covers d.city
+  EXPECT_FALSE(index("depts", {"region"}).RelevantTo(in));
+
+  EXPECT_TRUE(view({"people", "depts"}).RelevantTo(join));
+  EXPECT_TRUE(view({"people"}).RelevantTo(join));
+  EXPECT_FALSE(view({"people", "depts"}).RelevantTo(in));
+  EXPECT_TRUE(view({"depts"}).RelevantTo(in));
+}
+
 TEST_F(AdvisorTest, RecommendationImprovesEstimatedCost) {
   auto workload = BindAll({
       "SELECT p.city, COUNT(*) FROM people p WHERE p.score = 17 "
@@ -292,14 +342,39 @@ double CostUnder(const BoundQuery& q, const std::vector<const Unit*>& picks,
   return cost.ok() ? *cost : -1.0;
 }
 
+/// The relevance test RelevantTo replaced: a unit is relevant when it sits
+/// on a table q touches (for an index, also an IN-subquery table). The
+/// contract test below uses it only to sort out the units the planner's
+/// usability rule newly rejects.
+bool TouchesATable(const Unit& u, const BoundQuery& q) {
+  auto touches = [&q](const std::string& table) {
+    return std::find(q.relations.begin(), q.relations.end(), table) !=
+           q.relations.end();
+  };
+  if (u.is_view) {
+    return std::any_of(u.view.def.tables.begin(), u.view.def.tables.end(),
+                       touches);
+  }
+  if (touches(u.index.def.target)) return true;
+  for (const auto& p : q.in_preds) {
+    if (p.sub_table == u.index.def.target) return true;
+  }
+  return false;
+}
+
 // The trial-cost memo (TrialCosts) is exact only if a structure that
 // Unit::RelevantTo calls irrelevant to q cannot change E(q), wherever it
 // sits in the configuration. Pin that planner locality directly: for NREF2J
 // and NREF3J queries and seeded random configurations of their candidate
-// units, inserting an irrelevant index, or an irrelevant view with its
-// indexes, at any position leaves EstimateCost bit-equal. A view sharing
-// only some of q's tables is relevant by RelevantTo's test but can never be
-// matched, so it must not move E(q) either.
+// units, inserting an irrelevant unit at any position leaves EstimateCost
+// bit-equal. Four kinds of irrelevant unit are drawn apart: an index, or a
+// view with its indexes, on none of q's tables; an index on one of q's
+// tables whose leading column no literal or join binds and which does not
+// cover; and a view that shares some of q's tables but misses one. The
+// last two are what the planner's usability rule rejects beyond a
+// table-level test. Every irrelevant unit is also checked alone against P,
+// where an index the planner could use (say, a covering one) is most
+// likely to win a plan.
 TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
   std::vector<BoundQuery> workload = Nref2J();
   const std::vector<BoundQuery> nref3j = Nref3J();
@@ -310,26 +385,34 @@ TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
       workload, db_->catalog(), db_->stats(), profile.candidates));
   const ConfigView base = db_->CurrentView();
 
+  enum Kind { kFarIndex, kFarView, kUnboundIndex, kMissingTableView };
+  const char* const kKindNames[] = {"index on no table of q",
+                                    "view on no table of q",
+                                    "unbound, non-covering index",
+                                    "view missing a table of q"};
   Rng rng(2005);
-  size_t checked_index = 0, checked_view = 0, checked_unmatched = 0;
+  size_t checked[4] = {0, 0, 0, 0};
   const size_t stride = std::max<size_t>(1, workload.size() / 24);
   for (size_t qi = 0; qi < workload.size(); qi += stride) {
     const BoundQuery& q = workload[qi];
-    std::vector<const Unit*> relevant, irrelevant_index, irrelevant_view,
-        unmatched_view;
+    std::vector<const Unit*> relevant, irrelevant[4];
     for (const Unit& u : units) {
-      if (!u.RelevantTo(q)) {
-        (u.is_view ? irrelevant_view : irrelevant_index).push_back(&u);
+      if (u.RelevantTo(q)) {
+        relevant.push_back(&u);
         continue;
       }
-      relevant.push_back(&u);
-      if (!u.is_view) continue;
-      for (const auto& t : u.view.def.tables) {
-        if (std::find(q.relations.begin(), q.relations.end(), t) ==
-            q.relations.end()) {
-          unmatched_view.push_back(&u);
-          break;
-        }
+      const bool near = TouchesATable(u, q);
+      const Kind kind = u.is_view ? (near ? kMissingTableView : kFarView)
+                                  : (near ? kUnboundIndex : kFarIndex);
+      irrelevant[kind].push_back(&u);
+    }
+    const double on_p = CostUnder(q, {}, base, profile.whatif);
+    for (const auto& pool : irrelevant) {
+      for (const Unit* u : pool) {
+        EXPECT_EQ(CostUnder(q, {u}, base, profile.whatif), on_p)
+            << "query " << qi << ", "
+            << (u->is_view ? u->view.def.name : u->index.def.name)
+            << " alone";
       }
     }
     auto draw = [&rng](const std::vector<const Unit*>& from,
@@ -343,39 +426,64 @@ TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
       // kind, in seeded random order.
       std::vector<const Unit*> config;
       draw(relevant, &config, 3);
-      draw(irrelevant_index, &config, 1);
-      draw(irrelevant_view, &config, 1);
+      for (const auto& pool : irrelevant) draw(pool, &config, 1);
       rng.Shuffle(&config);
       const double expected = CostUnder(q, config, base, profile.whatif);
 
-      std::vector<const Unit*> extras;
-      draw(irrelevant_index, &extras, 1);
-      draw(irrelevant_view, &extras, 1);
-      draw(unmatched_view, &extras, 1);
-      for (const Unit* extra : extras) {
-        if (std::find(config.begin(), config.end(), extra) != config.end()) {
-          continue;
-        }
-        for (size_t pos = 0; pos <= config.size(); ++pos) {
-          std::vector<const Unit*> with = config;
-          with.insert(with.begin() + static_cast<std::ptrdiff_t>(pos), extra);
-          EXPECT_EQ(CostUnder(q, with, base, profile.whatif), expected)
-              << "query " << qi << ", "
-              << (extra->is_view ? extra->view.def.name : extra->index.def.name)
-              << " at " << pos;
-        }
-        if (!extra->RelevantTo(q)) {
-          ++(extra->is_view ? checked_view : checked_index);
-        } else {
-          ++checked_unmatched;
+      for (int kind = 0; kind < 4; ++kind) {
+        std::vector<const Unit*> extras;
+        draw(irrelevant[kind], &extras, 1);
+        for (const Unit* extra : extras) {
+          if (std::find(config.begin(), config.end(), extra) !=
+              config.end()) {
+            continue;
+          }
+          for (size_t pos = 0; pos <= config.size(); ++pos) {
+            std::vector<const Unit*> with = config;
+            with.insert(with.begin() + static_cast<std::ptrdiff_t>(pos),
+                        extra);
+            EXPECT_EQ(CostUnder(q, with, base, profile.whatif), expected)
+                << "query " << qi << ", " << kKindNames[kind] << " "
+                << (extra->is_view ? extra->view.def.name
+                                   : extra->index.def.name)
+                << " at " << pos;
+          }
+          ++checked[kind];
         }
       }
     }
   }
   // The property must actually have been exercised on every kind.
-  EXPECT_GT(checked_index, 10u);
-  EXPECT_GT(checked_view, 10u);
-  EXPECT_GT(checked_unmatched, 10u);
+  for (int kind = 0; kind < 4; ++kind) {
+    EXPECT_GT(checked[kind], 10u) << kKindNames[kind];
+  }
+}
+
+// The memo decides relevance once, at construction; its bitmap must be
+// RelevantTo itself, for every (unit, query) of a real candidate set.
+TEST_F(AdvisorNrefTest, TrialCostsRelevanceIsRelevantTo) {
+  std::vector<BoundQuery> workload = Nref2J();
+  const std::vector<BoundQuery> nref3j = Nref3J();
+  workload.insert(workload.end(), nref3j.begin(), nref3j.end());
+  const AdvisorOptions profile = SystemCProfile();
+  std::vector<const BoundQuery*> queries;
+  for (const auto& q : workload) queries.push_back(&q);
+  TrialCosts trials(db_->CurrentView(), profile.whatif,
+                    MakeUnits(GenerateCandidates(workload, db_->catalog(),
+                                                 db_->stats(),
+                                                 profile.candidates)),
+                    queries);
+  size_t relevant = 0, irrelevant = 0;
+  for (size_t ui = 0; ui < trials.units().size(); ++ui) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const bool expected = trials.units()[ui].RelevantTo(*queries[qi]);
+      ASSERT_EQ(trials.Relevant(ui, qi), expected)
+          << "unit " << ui << ", query " << qi;
+      ++(expected ? relevant : irrelevant);
+    }
+  }
+  EXPECT_GT(relevant, 0u);
+  EXPECT_GT(irrelevant, 0u);
 }
 
 // ------------------------------------------------ golden recommendations

@@ -50,7 +50,6 @@ TEST(StatusTest, AllCodesRenderDistinctNames) {
 TEST(StatusTest, DataLossIsDistinguishedAndPermanent) {
   Status st = Status::DataLoss("checksum mismatch at offset 12");
   EXPECT_TRUE(st.IsDataLoss());
-  EXPECT_FALSE(st.IsTransient());  // corruption never clears on retry
   EXPECT_EQ(st.ToString(), "DataLoss: checksum mismatch at offset 12");
 }
 
@@ -63,23 +62,6 @@ TEST(StatusTest, FromCodeRoundTripsAndRejectsGarbage) {
   // alias a real one.
   EXPECT_EQ(Status::FromCode(static_cast<Status::Code>(250), "x").code(),
             Status::Code::kInternal);
-}
-
-TEST(StatusTest, TransientCoversExactlyTheRetryableCodes) {
-  // Every code, exhaustively: only kUnavailable and kResourceExhausted are
-  // transient. kTimeout is the paper's censoring outcome and kCancelled a
-  // final one; the rest are permanent errors.
-  EXPECT_FALSE(Status::OK().IsTransient());
-  EXPECT_FALSE(Status::InvalidArgument("x").IsTransient());
-  EXPECT_FALSE(Status::NotFound("x").IsTransient());
-  EXPECT_FALSE(Status::AlreadyExists("x").IsTransient());
-  EXPECT_FALSE(Status::Unsupported("x").IsTransient());
-  EXPECT_FALSE(Status::Timeout("x").IsTransient());
-  EXPECT_TRUE(Status::ResourceExhausted("x").IsTransient());
-  EXPECT_FALSE(Status::Internal("x").IsTransient());
-  EXPECT_FALSE(Status::Cancelled("x").IsTransient());
-  EXPECT_TRUE(Status::Unavailable("x").IsTransient());
-  EXPECT_FALSE(Status::DataLoss("x").IsTransient());
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -205,14 +205,25 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # SQL front end rides along: the lexer scans string views of its input and
 # the parser moves token text into the AST, and the seeded front-end fuzzer
 # (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
-step "storage/exec/sql suites under TABBENCH_SANITIZE=address"
+# The planner holds its units' column names as pointers into the catalog's
+# table definitions and the configuration view's view definitions, so the
+# planner suites, the plan-snapshot golden and the advisor suites (whose
+# trial memo plans against short-lived hypothetical views; System C's on
+# TPC-H plans views) run here too: a dangling name pointer fails here
+# rather than reading freed memory.
+step "storage/exec/sql/planner/advisor suites under TABBENCH_SANITIZE=address"
 ASAN_DIR="${ROOT}/build-asan"
 cmake -B "${ASAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=address
-cmake --build "${ASAN_DIR}" -j "${JOBS}" --target tabbench_tests
+cmake --build "${ASAN_DIR}" -j "${JOBS}" \
+  --target tabbench_tests tabbench_golden_tests
 "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
 ':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
-':LexerTest.*:ParserTest.*:SqlFuzz*'
+':LexerTest.*:ParserTest.*:SqlFuzz*'\
+':OptimizerTest.*:CostModelTest.*:PlannerMemoTest.*'\
+':AdvisorNrefTest.*:AdvisorTpchTest.*:GoalAdvisorTest.*'
+"${ASAN_DIR}/tests/tabbench_golden_tests" --gtest_brief=1 \
+  --gtest_filter='PlanGoldenTest.*'
 
 # -------------------------------------------------- thread-safety proof
 # The TB_GUARDED_BY/TB_REQUIRES annotations only carry weight under
