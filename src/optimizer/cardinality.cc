@@ -24,14 +24,6 @@ double CardinalityEstimator::TableRows(const std::string& table) const {
   return Rows(view_.stats->FindTable(table));
 }
 
-double CardinalityEstimator::TablePages(const std::string& table) const {
-  return Pages(view_.stats->FindTable(table));
-}
-
-double CardinalityEstimator::TableRowBytes(const std::string& table) const {
-  return RowBytes(view_.stats->FindTable(table));
-}
-
 double CardinalityEstimator::Distinct(const std::string& table,
                                       const std::string& column) const {
   const ColumnStats* cs = view_.stats->FindColumn(table, column);

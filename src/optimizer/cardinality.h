@@ -20,13 +20,9 @@ class CardinalityEstimator {
 
   /// Rows in `table`.
   double TableRows(const std::string& table) const;
-  /// Pages of `table`.
-  double TablePages(const std::string& table) const;
-  /// Average encoded row width of `table` in bytes.
-  double TableRowBytes(const std::string& table) const;
 
-  /// The same three figures from a table's already-found statistics
-  /// (null: the table has none).
+  /// Rows, pages and average encoded row width in bytes, from a table's
+  /// already-found statistics (null: the table has none).
   static double Rows(const TableStats* ts);
   static double Pages(const TableStats* ts);
   static double RowBytes(const TableStats* ts);

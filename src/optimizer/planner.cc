@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <set>
+#include <memory_resource>
+#include <string>
 
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
@@ -15,13 +17,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Bytes of the stack buffer behind each call's arena. The largest search
+/// of the benchmark families (SkTH3J on a System C recommendation) uses
+/// about 11 KB; a larger query spills to the heap and plans the same.
+constexpr size_t kArenaBytes = 16 * 1024;
+
+/// Per-call scratch: every container of one search draws from the call's
+/// arena, which `PlanQuery`/`EstimateCost` release on return.
+template <typename T>
+using ArenaVec = std::pmr::vector<T>;
+using Arena = std::pmr::memory_resource*;
+
 /// A literal filter bound to an exposed slot of a unit.
 struct FilterBinding {
   SlotRef slot;
   /// Column name within the unit's object, owned by the catalog's TableDef
   /// or the view's ViewDef (both outlive the planner).
   const std::string* object_column = nullptr;
-  Value literal;
+  /// The bound query's literal (the query outlives the planner).
+  const Value* literal = nullptr;
   double selectivity = 1.0;
 };
 
@@ -34,10 +48,12 @@ struct InBinding {
 
 /// An index on a unit's object whose key columns the unit exposes.
 struct UnitIndex {
+  explicit UnitIndex(Arena arena) : key_pos(arena), key_filter(arena) {}
+
   const PhysicalIndex* idx = nullptr;
-  std::vector<int> key_pos;  // unit column position of each key column
+  ArenaVec<int> key_pos;  // unit column position of each key column
   /// The unit's first literal filter on each key column, or -1.
-  std::vector<int> key_filter;
+  ArenaVec<int> key_filter;
   bool covering = false;
 };
 
@@ -54,8 +70,19 @@ struct AccessPath {
 /// A scannable unit: one base relation occurrence, or a materialized view
 /// standing in for several joined occurrences.
 struct UnitDesc {
+  explicit UnitDesc(Arena arena)
+      : layout(arena),
+        col_names(arena),
+        filters(arena),
+        in_preds(arena),
+        residual_joins(arena),
+        needed(arena),
+        indexes(arena),
+        paths(arena) {}
+
   uint64_t rel_mask = 0;  // the relation occurrences it covers
-  std::string object;
+  /// Table or view name, owned by the bound query or the view's ViewDef.
+  const std::string* object = nullptr;
   bool is_view = false;
   const PhysicalView* view = nullptr;
   double base_rows = 0;
@@ -63,21 +90,21 @@ struct UnitDesc {
   double row_bytes = 64;
   /// Exposed columns in object order; layout[i] is the slot the i-th
   /// object column carries.
-  std::vector<SlotRef> layout;
+  ArenaVec<SlotRef> layout;
   /// Object column names, same order; owned as `object_column` is.
-  std::vector<const std::string*> col_names;
-  std::vector<FilterBinding> filters;
-  std::vector<InBinding> in_preds;
+  ArenaVec<const std::string*> col_names;
+  ArenaVec<FilterBinding> filters;
+  ArenaVec<InBinding> in_preds;
   /// Join predicates entirely inside this unit that the physical object
   /// does not pre-apply (e.g. r.a = r.b on one occurrence, or a query join
   /// not among a matched view's join conditions).
-  std::vector<std::pair<SlotRef, SlotRef>> residual_joins;
-  std::vector<SlotRef> needed;
+  ArenaVec<std::pair<SlotRef, SlotRef>> residual_joins;
+  ArenaVec<SlotRef> needed;
   double filtered_rows = 0;
   /// Usable indexes and access paths, costed once per unit: the sequential
   /// scan, then per index its literal seek and its covering full scan.
-  std::vector<UnitIndex> indexes;
-  std::vector<AccessPath> paths;
+  ArenaVec<UnitIndex> indexes;
+  ArenaVec<AccessPath> paths;
 
   int ColumnPos(const std::string& name) const {
     for (size_t i = 0; i < col_names.size(); ++i) {
@@ -132,9 +159,11 @@ struct JoinChoice {
 /// The cheapest left-deep order of one partition's units, with the choices
 /// the builder needs to make its tree.
 struct PartitionPlan {
-  std::vector<const UnitDesc*> units;  // in join order
+  explicit PartitionPlan(Arena arena) : units(arena), steps(arena) {}
+
+  ArenaVec<const UnitDesc*> units;  // in join order
   int first_path = -1;
-  std::vector<JoinChoice> steps;  // steps[i] attaches units[i + 1]
+  ArenaVec<JoinChoice> steps;  // steps[i] attaches units[i + 1]
   Acc acc;
   double total = kInf;  // E(q, C) of this partition's plan
 };
@@ -150,30 +179,63 @@ struct SeekBinding {
 struct ViewMatch {
   const PhysicalView* view = nullptr;
   /// rel occurrence assigned to each view table (by view-table position).
-  std::vector<int> rel_of_table;
+  ArenaVec<int> rel_of_table;
 };
+
+/// How one IN-frequency subquery is materialized, as the search needs it:
+/// its cost and the index walked instead of the heap (null: heap scan).
+/// `Finalize` turns it into the plan's InSetSpec.
+struct InSetChoice {
+  int column_pos = -1;
+  double cost = 0;
+  const PhysicalIndex* index = nullptr;
+};
+
+/// The object columns whose literal filters a seek consumed (builder only).
+using ConsumedColumns = ArenaVec<const std::string*>;
+
+bool Consumed(const ConsumedColumns& consumed, const std::string& column) {
+  for (const std::string* c : consumed) {
+    if (*c == column) return true;
+  }
+  return false;
+}
 
 /// Cost-first planning: the search costs every partition and join order on
 /// per-unit path costs and a `{rows, cost, row_bytes, rels}` accumulator,
-/// and the builder allocates plan nodes for the winner alone.
+/// and the builder allocates plan nodes for the winner alone. All search
+/// state lives in `arena`; only `Build`'s plan tree is heap-allocated, and
+/// nothing in it points into the arena.
 class Planner {
  public:
-  Planner(const BoundQuery& q, const ConfigView& view)
-      : q_(q), view_(view), card_(view), cost_(view.params) {}
+  Planner(const BoundQuery& q, const ConfigView& view, Arena arena)
+      : q_(q),
+        view_(view),
+        arena_(arena),
+        card_(view),
+        cost_(view.params),
+        in_sets_(arena),
+        joins_(arena),
+        needed_(arena),
+        base_units_(arena),
+        view_units_(arena),
+        best_(arena) {}
 
   /// Finds the cheapest plan; its E(q, C) is then `best_.total`.
   Status Search() {
     TB_RETURN_IF_ERROR(Prepare());
 
     // Unit partitions: all base units, or one view match replacing its rels.
+    base_units_.reserve(q_.relations.size());
     for (int r = 0; r < q_.num_relations(); ++r) {
       base_units_.push_back(MakeBaseUnit(r));
     }
-    std::vector<ViewMatch> matches = FindViewMatches();
+    ArenaVec<ViewMatch> matches = FindViewMatches();
     view_units_.reserve(matches.size());
     for (const auto& m : matches) view_units_.push_back(MakeViewUnit(m));
 
-    std::vector<const UnitDesc*> units;
+    ArenaVec<const UnitDesc*> units(arena_);
+    units.reserve(base_units_.size());
     for (const auto& u : base_units_) units.push_back(&u);
     SearchPartition(units);
     for (const auto& vu : view_units_) {
@@ -215,16 +277,13 @@ class Planner {
           "planner supports at most 64 relations and 64 joins");
     }
     // Assign IN-set ids in q order and pick their evaluation strategy.
+    in_sets_.reserve(q_.in_preds.size());
     for (const auto& p : q_.in_preds) {
-      InSetSpec spec;
-      spec.table = p.sub_table;
-      spec.column = p.sub_column;
-      spec.cmp = p.cmp;
-      spec.k = p.k;
+      InSetChoice in_set;
       const TableDef* def = view_.catalog->FindTable(p.sub_table);
       if (def == nullptr) return Status::NotFound("table " + p.sub_table);
-      spec.column_pos = def->ColumnIndex(p.sub_column);
-      if (spec.column_pos < 0) {
+      in_set.column_pos = def->ColumnIndex(p.sub_column);
+      if (in_set.column_pos < 0) {
         return Status::NotFound("column " + p.sub_column);
       }
       // Heap scan vs index-only frequency walk.
@@ -242,11 +301,11 @@ class Planner {
                    idx.entries * view_.params.cpu_hash_seconds;
         if (c < best_cost) {
           best_cost = c;
-          spec.index_name = IndexName(idx);
+          in_set.index = &idx;
         }
       }
-      in_set_costs_.push_back(best_cost);
-      in_specs_.push_back(std::move(spec));
+      in_set.cost = best_cost;
+      in_sets_.push_back(in_set);
     }
 
     // Per-side distinct counts, and from them the join selectivity.
@@ -287,12 +346,12 @@ class Planner {
 
   // Base unit for relation occurrence `r`.
   UnitDesc MakeBaseUnit(int r) const {
-    UnitDesc u;
+    UnitDesc u(arena_);
     const std::string& table = q_.relations[static_cast<size_t>(r)];
     const TableDef* def = view_.catalog->FindTable(table);
     const TableStats* ts = view_.stats->FindTable(table);
     u.rel_mask = uint64_t{1} << r;
-    u.object = table;
+    u.object = &table;
     u.base_rows = CardinalityEstimator::Rows(ts);
     u.pages = CardinalityEstimator::Pages(ts);
     u.row_bytes = CardinalityEstimator::RowBytes(ts);
@@ -316,11 +375,11 @@ class Planner {
       FilterBinding fb;
       fb.slot = s;
       fb.object_column = u->col_names[static_cast<size_t>(pos)];
-      fb.literal = f.literal;
+      fb.literal = &f.literal;
       fb.selectivity =
           card_.EqSelectivity(f.column.table, f.column.column, f.literal);
       sel *= fb.selectivity;
-      u->filters.push_back(std::move(fb));
+      u->filters.push_back(fb);
     }
     for (size_t i = 0; i < q_.in_preds.size(); ++i) {
       const auto& p = q_.in_preds[i];
@@ -369,13 +428,16 @@ class Planner {
 
   // --------------------------------------------------------- view matching
 
-  std::vector<ViewMatch> FindViewMatches() const {
-    std::vector<ViewMatch> matches;
+  ArenaVec<ViewMatch> FindViewMatches() const {
+    ArenaVec<ViewMatch> matches(arena_);
+    ArenaVec<ArenaVec<int>> cands(arena_);
+    ArenaVec<int> assign(arena_);
     for (const auto& pv : view_.views) {
       const ViewDef& vd = pv.def;
       // Candidate rels per view table.
-      std::vector<std::vector<int>> cands(vd.tables.size());
+      cands.resize(vd.tables.size());
       for (size_t t = 0; t < vd.tables.size(); ++t) {
+        cands[t].clear();
         for (int r = 0; r < q_.num_relations(); ++r) {
           if (q_.relations[static_cast<size_t>(r)] == vd.tables[t]) {
             cands[t].push_back(r);
@@ -384,23 +446,23 @@ class Planner {
         if (cands[t].empty()) goto next_view;
       }
       // Enumerate injective assignments (view tables <= 3 in practice).
-      {
-        std::vector<int> assign(vd.tables.size(), -1);
-        EnumerateAssignments(pv, cands, 0, &assign, &matches);
-      }
+      assign.assign(vd.tables.size(), -1);
+      EnumerateAssignments(pv, cands, 0, &assign, &matches);
     next_view:;
     }
     return matches;
   }
 
   void EnumerateAssignments(const PhysicalView& pv,
-                            const std::vector<std::vector<int>>& cands,
-                            size_t t, std::vector<int>* assign,
-                            std::vector<ViewMatch>* out) const {
+                            const ArenaVec<ArenaVec<int>>& cands, size_t t,
+                            ArenaVec<int>* assign,
+                            ArenaVec<ViewMatch>* out) const {
     const ViewDef& vd = pv.def;
     if (t == cands.size()) {
       if (ViewJoinsPresent(vd, *assign) && ViewCoversNeeded(vd, *assign)) {
-        out->push_back(ViewMatch{&pv, *assign});
+        // Copy-constructing a pmr vector would take the default resource.
+        out->push_back(ViewMatch{
+            &pv, ArenaVec<int>(assign->begin(), assign->end(), arena_)});
       }
       return;
     }
@@ -416,7 +478,7 @@ class Planner {
     }
   }
 
-  int RelOfViewTable(const ViewDef& vd, const std::vector<int>& assign,
+  int RelOfViewTable(const ViewDef& vd, const ArenaVec<int>& assign,
                      const std::string& table) const {
     for (size_t t = 0; t < vd.tables.size(); ++t) {
       if (vd.tables[t] == table) return assign[t];
@@ -425,7 +487,7 @@ class Planner {
   }
 
   bool ViewJoinsPresent(const ViewDef& vd,
-                        const std::vector<int>& assign) const {
+                        const ArenaVec<int>& assign) const {
     for (const auto& vj : vd.joins) {
       int lr = RelOfViewTable(vd, assign, vj.left_table);
       int rr = RelOfViewTable(vd, assign, vj.right_table);
@@ -449,7 +511,7 @@ class Planner {
   }
 
   bool ViewCoversNeeded(const ViewDef& vd,
-                        const std::vector<int>& assign) const {
+                        const ArenaVec<int>& assign) const {
     auto covered = [&](int rel) {
       return std::find(assign.begin(), assign.end(), rel) != assign.end();
     };
@@ -503,10 +565,10 @@ class Planner {
   }
 
   UnitDesc MakeViewUnit(const ViewMatch& m) const {
-    UnitDesc vu;
+    UnitDesc vu(arena_);
     vu.is_view = true;
     vu.view = m.view;
-    vu.object = m.view->def.name;
+    vu.object = &m.view->def.name;
     for (int r : m.rel_of_table) vu.rel_mask |= uint64_t{1} << r;
     vu.base_rows = std::max(1.0, m.view->rows);
     vu.pages = std::max(1.0, m.view->pages);
@@ -536,9 +598,9 @@ class Planner {
                                   cost_.SeqScan(u->pages, u->base_rows),
                                   u->row_bytes});
     for (const PhysicalIndex& candidate : view_.indexes) {
-      if (candidate.def.target != u->object) continue;
+      if (candidate.def.target != *u->object) continue;
       const PhysicalIndex* idx = &candidate;
-      UnitIndex ix;
+      UnitIndex ix(arena_);
       ix.idx = idx;
       bool ok = true;
       for (const auto& kc : idx->def.columns) {
@@ -582,7 +644,7 @@ class Planner {
     }
   }
 
-  bool Covers(const UnitDesc& u, const std::vector<int>& key_pos) const {
+  bool Covers(const UnitDesc& u, const ArenaVec<int>& key_pos) const {
     for (const auto& need : u.needed) {
       bool found = false;
       for (int pos : key_pos) {
@@ -625,8 +687,7 @@ class Planner {
   /// set, also appends the seek parts to it and the consumed filters'
   /// columns to `consumed`.
   SeekBinding BindSeek(const UnitDesc& u, const UnitIndex& ix, uint64_t acc,
-                       PlanNode* node,
-                       std::set<std::string>* consumed) const {
+                       PlanNode* node, ConsumedColumns* consumed) const {
     SeekBinding b;
     for (size_t k = 0; k < ix.key_pos.size(); ++k) {
       const SlotRef& slot = u.layout[static_cast<size_t>(ix.key_pos[k])];
@@ -656,9 +717,9 @@ class Planner {
         if (node != nullptr) {
           SeekKeyPart part;
           part.from_outer = false;
-          part.literal = f.literal;
+          part.literal = *f.literal;
           node->seek.push_back(std::move(part));
-          consumed->insert(*f.object_column);
+          consumed->push_back(f.object_column);
         }
         b.selectivity *= f.selectivity;
         bound = true;
@@ -731,15 +792,15 @@ class Planner {
 
   /// Costs every left-deep order of `units` and keeps the partition's
   /// cheapest plan in `best_` when its total beats the best so far.
-  void SearchPartition(const std::vector<const UnitDesc*>& units) {
+  void SearchPartition(const ArenaVec<const UnitDesc*>& units) {
     const size_t n = units.size();
     if (n == 0) return;
-    std::vector<size_t> perm(n);
+    ArenaVec<size_t> perm(n, arena_);
     for (size_t i = 0; i < n; ++i) perm[i] = i;
-    std::vector<JoinChoice> steps(n - 1);
+    ArenaVec<JoinChoice> steps(n - 1, arena_);
 
-    PartitionPlan plan;
-    std::vector<size_t> best_perm;
+    PartitionPlan plan(arena_);
+    ArenaVec<size_t> best_perm(arena_);
     do {
       // Leftmost unit: cheapest access path.
       const UnitDesc& first = *units[perm[0]];
@@ -769,6 +830,7 @@ class Planner {
     if (plan.acc.cost == kInf) return;
     plan.total = Finish(plan.acc).total;
     if (!(plan.total < best_.total)) return;
+    plan.units.reserve(n);
     for (size_t i : best_perm) plan.units.push_back(units[i]);
     best_ = std::move(plan);
   }
@@ -781,7 +843,7 @@ class Planner {
   };
   Finished Finish(const Acc& acc) const {
     double total = acc.cost;
-    for (double c : in_set_costs_) total += c;
+    for (const InSetChoice& s : in_sets_) total += s.cost;
     if (!q_.IsAggregate()) return Finished{total, acc.rows};
     double groups = card_.GroupCount(q_.group_by, acc.rows);
     bool has_distinct = false;
@@ -801,14 +863,14 @@ class Planner {
   /// Residual predicates for the unit, excluding filters whose columns
   /// appear in `consumed_filters` (already used for an index seek).
   std::vector<ResidualPred> UnitResiduals(
-      const UnitDesc& u, const std::set<std::string>& consumed_filters) const {
+      const UnitDesc& u, const ConsumedColumns& consumed_filters) const {
     std::vector<ResidualPred> out;
     for (const auto& f : u.filters) {
-      if (consumed_filters.count(*f.object_column)) continue;
+      if (Consumed(consumed_filters, *f.object_column)) continue;
       ResidualPred p;
       p.kind = ResidualPred::Kind::kColEqLit;
       p.a = f.slot;
-      p.literal = f.literal;
+      p.literal = *f.literal;
       out.push_back(std::move(p));
     }
     for (const auto& ip : u.in_preds) {
@@ -828,13 +890,17 @@ class Planner {
     return out;
   }
 
-  static std::vector<SlotRef> KeyLayout(const UnitDesc& u,
-                                        const UnitIndex& ix) {
-    std::vector<SlotRef> out;
-    for (int pos : ix.key_pos) {
-      out.push_back(u.layout[static_cast<size_t>(pos)]);
+  /// Appends the slots a scan of `u` outputs: the index's key columns
+  /// when it is read index-only, else the unit's whole layout.
+  static void AppendOutput(const UnitDesc& u, const UnitIndex* index_only,
+                           std::vector<SlotRef>* out) {
+    if (index_only == nullptr) {
+      out->insert(out->end(), u.layout.begin(), u.layout.end());
+      return;
     }
-    return out;
+    for (int pos : index_only->key_pos) {
+      out->push_back(u.layout[static_cast<size_t>(pos)]);
+    }
   }
 
   static std::string IndexName(const PhysicalIndex& idx) {
@@ -844,27 +910,27 @@ class Planner {
   std::unique_ptr<PlanNode> ScanNode(const UnitDesc& u,
                                      const AccessPath& path) const {
     auto node = std::make_unique<PlanNode>();
-    node->object = u.object;
+    node->object = *u.object;
     node->is_view = u.is_view;
     node->est_rows = u.filtered_rows;
     node->est_cost = path.cost;
+    ConsumedColumns consumed(arena_);
     if (path.kind == AccessPath::Kind::kSeqScan) {
       node->kind = PlanNode::Kind::kSeqScan;
-      node->output_cols = u.layout;
-      node->residual = UnitResiduals(u, {});
+      AppendOutput(u, nullptr, &node->output_cols);
+      node->residual = UnitResiduals(u, consumed);
       return node;
     }
     const UnitIndex& ix = u.indexes[static_cast<size_t>(path.index)];
     node->kind = PlanNode::Kind::kIndexScan;
     node->index_name = IndexName(*ix.idx);
-    std::set<std::string> consumed;
     if (path.kind == AccessPath::Kind::kIndexSeek) {
       BindSeek(u, ix, 0, node.get(), &consumed);
       node->index_only = ix.covering;
     } else {
       node->index_only = true;
     }
-    node->output_cols = node->index_only ? KeyLayout(u, ix) : u.layout;
+    AppendOutput(u, node->index_only ? &ix : nullptr, &node->output_cols);
     node->residual = UnitResiduals(u, consumed);
     return node;
   }
@@ -905,16 +971,14 @@ class Planner {
 
     const UnitIndex& ix = u.indexes[static_cast<size_t>(choice.index)];
     node->kind = PlanNode::Kind::kIndexNLJoin;
-    node->object = u.object;
+    node->object = *u.object;
     node->is_view = u.is_view;
     node->index_name = IndexName(*ix.idx);
     node->index_only = ix.covering;
-    std::set<std::string> consumed;
+    ConsumedColumns consumed(arena_);
     SeekBinding b = BindSeek(u, ix, acc_rels, node.get(), &consumed);
     node->output_cols = acc->output_cols;
-    std::vector<SlotRef> inner_cols = ix.covering ? KeyLayout(u, ix) : u.layout;
-    node->output_cols.insert(node->output_cols.end(), inner_cols.begin(),
-                             inner_cols.end());
+    AppendOutput(u, ix.covering ? &ix : nullptr, &node->output_cols);
     node->children.push_back(std::move(acc));
     // Residuals: unit predicates not consumed by the seek, plus join
     // predicates not used as seek columns.
@@ -933,7 +997,20 @@ class Planner {
 
   PhysicalPlan Finalize(std::unique_ptr<PlanNode> child) const {
     PhysicalPlan plan;
-    plan.in_sets = in_specs_;
+    plan.in_sets.reserve(in_sets_.size());
+    for (size_t i = 0; i < in_sets_.size(); ++i) {
+      const BoundInFreq& p = q_.in_preds[i];
+      InSetSpec spec;
+      spec.table = p.sub_table;
+      spec.column = p.sub_column;
+      spec.column_pos = in_sets_[i].column_pos;
+      spec.cmp = p.cmp;
+      spec.k = p.k;
+      if (in_sets_[i].index != nullptr) {
+        spec.index_name = IndexName(*in_sets_[i].index);
+      }
+      plan.in_sets.push_back(std::move(spec));
+    }
     const Finished fin = Finish(best_.acc);
     auto root = std::make_unique<PlanNode>();
     root->kind = q_.IsAggregate() ? PlanNode::Kind::kHashAggregate
@@ -951,14 +1028,14 @@ class Planner {
 
   const BoundQuery& q_;
   const ConfigView& view_;
+  Arena arena_;
   CardinalityEstimator card_;
   CostModel cost_;
-  std::vector<InSetSpec> in_specs_;
-  std::vector<double> in_set_costs_;
-  std::vector<JoinInfo> joins_;
-  std::vector<std::vector<SlotRef>> needed_;
-  std::vector<UnitDesc> base_units_;
-  std::vector<UnitDesc> view_units_;
+  ArenaVec<InSetChoice> in_sets_;  // by IN-set id (q order)
+  ArenaVec<JoinInfo> joins_;
+  ArenaVec<ArenaVec<SlotRef>> needed_;
+  ArenaVec<UnitDesc> base_units_;
+  ArenaVec<UnitDesc> view_units_;
   PartitionPlan best_;
 };
 
@@ -968,7 +1045,9 @@ Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view) {
   if (view.catalog == nullptr || view.stats == nullptr) {
     return Status::InvalidArgument("ConfigView missing catalog or stats");
   }
-  Planner p(q, view);
+  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
+  Planner p(q, view, &arena);
   TB_RETURN_IF_ERROR(p.Search());
   return p.Build();
 }
@@ -977,7 +1056,9 @@ Result<double> EstimateCost(const BoundQuery& q, const ConfigView& view) {
   if (view.catalog == nullptr || view.stats == nullptr) {
     return Status::InvalidArgument("ConfigView missing catalog or stats");
   }
-  Planner p(q, view);
+  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
+  Planner p(q, view, &arena);
   TB_RETURN_IF_ERROR(p.Search());
   return p.EstimatedCost();
 }

@@ -362,36 +362,68 @@ bool TouchesATable(const Unit& u, const BoundQuery& q) {
   return false;
 }
 
-// The trial-cost memo (TrialCosts) is exact only if a structure that
-// Unit::RelevantTo calls irrelevant to q cannot change E(q), wherever it
-// sits in the configuration. Pin that planner locality directly: for NREF2J
-// and NREF3J queries and seeded random configurations of their candidate
-// units, inserting an irrelevant unit at any position leaves EstimateCost
-// bit-equal. Four kinds of irrelevant unit are drawn apart: an index, or a
-// view with its indexes, on none of q's tables; an index on one of q's
-// tables whose leading column no literal or join binds and which does not
-// cover; and a view that shares some of q's tables but misses one. The
-// last two are what the planner's usability rule rejects beyond a
-// table-level test. Every irrelevant unit is also checked alone against P,
-// where an index the planner could use (say, a covering one) is most
-// likely to win a plan.
-TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
-  std::vector<BoundQuery> workload = Nref2J();
-  const std::vector<BoundQuery> nref3j = Nref3J();
-  workload.insert(workload.end(), nref3j.begin(), nref3j.end());
-  ASSERT_FALSE(workload.empty());
+/// True when index unit `u` leads an IN-subquery column of q that no join
+/// or literal filter of q binds on an occurrence of that table.
+bool LeadsUnboundInColumn(const Unit& u, const BoundQuery& q) {
+  if (u.is_view || u.index.def.columns.empty()) return false;
+  const std::string& table = u.index.def.target;
+  const std::string& lead = u.index.def.columns[0];
+  auto binds = [&](const BoundColumn& c) {
+    return c.table == table && c.column == lead;
+  };
+  bool leads_in = false;
+  for (const auto& p : q.in_preds) {
+    if (p.sub_table == table && p.sub_column == lead) leads_in = true;
+  }
+  if (!leads_in) return false;
+  for (const auto& j : q.joins) {
+    if (binds(j.left) || binds(j.right)) return false;
+  }
+  for (const auto& f : q.filters) {
+    if (binds(f.column)) return false;
+  }
+  return true;
+}
+
+enum IrrelevantKind { kFarIndex, kFarView, kUnboundIndex, kMissingTableView };
+const char* const kIrrelevantKindNames[] = {"index on no table of q",
+                                            "view on no table of q",
+                                            "unbound, non-covering index",
+                                            "view missing a table of q"};
+
+/// What one run of the locality check covered.
+struct LocalityChecks {
+  /// Insertions checked per IrrelevantKind.
+  size_t inserted[4] = {0, 0, 0, 0};
+  /// Relevant (index, query) pairs whose index leads an IN-subquery column
+  /// that no join or literal filter of q binds: only RelevantTo's IN leg
+  /// admits those.
+  size_t in_led = 0;
+};
+
+/// The trial-cost memo (TrialCosts) is exact only if a structure that
+/// Unit::RelevantTo calls irrelevant to q cannot change E(q), wherever it
+/// sits in the configuration. Checks that planner locality directly over
+/// `workload` on `db`'s current view, with System C's candidate units
+/// (indexes and views): for a stride of the queries and seeded random
+/// configurations, inserting an irrelevant unit at any position leaves
+/// EstimateCost bit-equal. Four kinds of irrelevant unit are drawn apart:
+/// an index, or a view with its indexes, on none of q's tables; an index on
+/// one of q's tables whose leading column no literal or join binds and
+/// which does not cover; and a view that shares some of q's tables but
+/// misses one. The last two are what the planner's usability rule rejects
+/// beyond a table-level test. Every irrelevant unit is also checked alone
+/// against P, where an index the planner could use (say, a covering one, or
+/// one led by an IN-subquery column) is most likely to win a plan.
+LocalityChecks CheckIrrelevantUnitsLeaveEstimatesBitEqual(
+    Database* db, const std::vector<BoundQuery>& workload) {
+  LocalityChecks checks;
   const AdvisorOptions profile = SystemCProfile();  // indexes and views
   std::vector<Unit> units = MakeUnits(GenerateCandidates(
-      workload, db_->catalog(), db_->stats(), profile.candidates));
-  const ConfigView base = db_->CurrentView();
+      workload, db->catalog(), db->stats(), profile.candidates));
+  const ConfigView base = db->CurrentView();
 
-  enum Kind { kFarIndex, kFarView, kUnboundIndex, kMissingTableView };
-  const char* const kKindNames[] = {"index on no table of q",
-                                    "view on no table of q",
-                                    "unbound, non-covering index",
-                                    "view missing a table of q"};
   Rng rng(2005);
-  size_t checked[4] = {0, 0, 0, 0};
   const size_t stride = std::max<size_t>(1, workload.size() / 24);
   for (size_t qi = 0; qi < workload.size(); qi += stride) {
     const BoundQuery& q = workload[qi];
@@ -399,11 +431,13 @@ TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
     for (const Unit& u : units) {
       if (u.RelevantTo(q)) {
         relevant.push_back(&u);
+        if (LeadsUnboundInColumn(u, q)) ++checks.in_led;
         continue;
       }
       const bool near = TouchesATable(u, q);
-      const Kind kind = u.is_view ? (near ? kMissingTableView : kFarView)
-                                  : (near ? kUnboundIndex : kFarIndex);
+      const IrrelevantKind kind =
+          u.is_view ? (near ? kMissingTableView : kFarView)
+                    : (near ? kUnboundIndex : kFarIndex);
       irrelevant[kind].push_back(&u);
     }
     const double on_p = CostUnder(q, {}, base, profile.whatif);
@@ -443,19 +477,31 @@ TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
             with.insert(with.begin() + static_cast<std::ptrdiff_t>(pos),
                         extra);
             EXPECT_EQ(CostUnder(q, with, base, profile.whatif), expected)
-                << "query " << qi << ", " << kKindNames[kind] << " "
+                << "query " << qi << ", " << kIrrelevantKindNames[kind]
+                << " "
                 << (extra->is_view ? extra->view.def.name
                                    : extra->index.def.name)
                 << " at " << pos;
           }
-          ++checked[kind];
+          ++checks.inserted[kind];
         }
       }
     }
   }
-  // The property must actually have been exercised on every kind.
+  return checks;
+}
+
+// The locality check over NREF2J and NREF3J. The property must actually
+// have been exercised on every kind of irrelevant unit.
+TEST_F(AdvisorNrefTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
+  std::vector<BoundQuery> workload = Nref2J();
+  const std::vector<BoundQuery> nref3j = Nref3J();
+  workload.insert(workload.end(), nref3j.begin(), nref3j.end());
+  ASSERT_FALSE(workload.empty());
+  const LocalityChecks checks =
+      CheckIrrelevantUnitsLeaveEstimatesBitEqual(db_, workload);
   for (int kind = 0; kind < 4; ++kind) {
-    EXPECT_GT(checked[kind], 10u) << kKindNames[kind];
+    EXPECT_GT(checks.inserted[kind], 10u) << kIrrelevantKindNames[kind];
   }
 }
 
@@ -606,6 +652,31 @@ TEST(AdvisorTpchTest, GoldenSystemCTpch3Js) {
        0x1.a1da7c76fe1c1p+10,
        0x1.932433ccd267p+7,
        0x1.5946e41d919c7p+9});
+}
+
+// The locality check on SkTH3J's `s.c3 IN (SELECT c3 FROM S GROUP BY c3
+// HAVING COUNT(*) = p)` queries. In NREF2J and NREF3J every IN-subquery
+// column is also a join column of its table, so the join rule already
+// admits an index it leads; here s.c3 is neither joined nor filtered, so
+// only RelevantTo's IN-subquery leg admits the S(c3) index the planner
+// walks to materialize the IN set.
+TEST(AdvisorTpchTest, IrrelevantStructuresLeaveEstimatesBitEqual) {
+  auto db = testing::MakeMiniTpch(4000.0, /*zipf_theta=*/1.0);
+  ASSERT_NE(db, nullptr);
+  auto family = BindWorkload(
+      GenerateTpch3J(db->catalog(), db->stats(), "SkTH3J"), db->catalog());
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  std::vector<BoundQuery> workload;
+  for (const BoundQuery& q : *family) {
+    if (!q.in_preds.empty()) workload.push_back(q);
+  }
+  ASSERT_FALSE(workload.empty());
+  const LocalityChecks checks =
+      CheckIrrelevantUnitsLeaveEstimatesBitEqual(db.get(), workload);
+  EXPECT_GT(checks.in_led, 10u);
+  for (int kind = 0; kind < 4; ++kind) {
+    EXPECT_GT(checks.inserted[kind], 10u) << kIrrelevantKindNames[kind];
+  }
 }
 
 }  // namespace

@@ -24,14 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "advisor/advisor.h"
-#include "advisor/profiles.h"
-#include "core/benchmark_suite.h"
 #include "core/configurations.h"
 #include "core/nref_families.h"
 #include "core/tpch_families.h"
 #include "optimizer/planner.h"
-#include "optimizer/whatif.h"
 #include "test_util.h"
 #include "util/strings.h"
 
@@ -121,36 +117,6 @@ struct Case {
   const ConfigView* view = nullptr;
 };
 
-/// A family's queries planned on P, 1C and System C's recommendation.
-struct FamilyCases {
-  std::string name;
-  std::vector<std::string> sql;
-  std::vector<BoundQuery> bound;
-  ConfigView p, one_c, system_c;
-};
-
-Result<FamilyCases> PrepareFamily(Database* db, const QueryFamily& family) {
-  FamilyCases f;
-  f.name = family.name;
-  f.sql = family.Sql();
-  TB_ASSIGN_OR_RETURN(f.bound, BindWorkload(family, db->catalog()));
-  TB_RETURN_IF_ERROR(db->ResetToPrimary());
-  f.p = db->CurrentView();
-
-  const AdvisorOptions profile = SystemCProfile();
-  Advisor advisor(f.p, profile);
-  Recommendation rec;
-  TB_ASSIGN_OR_RETURN(rec, advisor.Recommend(f.bound));
-  TB_ASSIGN_OR_RETURN(f.system_c,
-                      MakeHypotheticalView(rec.config, f.p, profile.whatif));
-
-  TB_RETURN_IF_ERROR(
-      db->ApplyConfiguration(Make1CConfig(db->catalog())).status());
-  f.one_c = db->CurrentView();
-  TB_RETURN_IF_ERROR(db->ResetToPrimary());
-  return f;
-}
-
 class PlanGoldenTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -162,11 +128,11 @@ class PlanGoldenTest : public ::testing::Test {
         GenerateNref3J(nref_->catalog(), nref_->stats()),
     };
     for (const QueryFamily& family : families) {
-      auto f = PrepareFamily(nref_.get(), family);
+      auto f = testing::MakePlannerFamily(nref_.get(), family);
       if (!f.ok()) return;
       families_.push_back(f.TakeValue());
     }
-    auto sk = PrepareFamily(
+    auto sk = testing::MakePlannerFamily(
         tpch_.get(),
         GenerateTpch3J(tpch_->catalog(), tpch_->stats(), "SkTH3J"));
     if (!sk.ok()) return;
@@ -181,7 +147,7 @@ class PlanGoldenTest : public ::testing::Test {
 
   static std::vector<Case> Cases() {
     std::vector<Case> out;
-    for (const FamilyCases& f : families_) {
+    for (const testing::PlannerFamily& f : families_) {
       const std::pair<const char*, const ConfigView*> configs[] = {
           {"P", &f.p}, {"1C", &f.one_c}, {"C", &f.system_c}};
       for (const auto& [config, view] : configs) {
@@ -195,12 +161,12 @@ class PlanGoldenTest : public ::testing::Test {
   }
 
   static std::unique_ptr<Database> nref_, tpch_;
-  static std::vector<FamilyCases> families_;
+  static std::vector<testing::PlannerFamily> families_;
 };
 
 std::unique_ptr<Database> PlanGoldenTest::nref_;
 std::unique_ptr<Database> PlanGoldenTest::tpch_;
-std::vector<FamilyCases> PlanGoldenTest::families_;
+std::vector<testing::PlannerFamily> PlanGoldenTest::families_;
 
 uint64_t Bits(double d) {
   uint64_t u;

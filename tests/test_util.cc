@@ -1,7 +1,12 @@
 #include "test_util.h"
 
+#include "advisor/advisor.h"
+#include "advisor/profiles.h"
+#include "core/benchmark_suite.h"
+#include "core/configurations.h"
 #include "datagen/nref_gen.h"
 #include "datagen/tpch_gen.h"
+#include "optimizer/whatif.h"
 #include "util/rng.h"
 
 namespace tabbench {
@@ -86,6 +91,29 @@ std::unique_ptr<Database> MakeMiniTpch(double scale_inverse, double zipf_theta,
   auto db = GenerateTpch(opts);
   if (!db.ok()) return nullptr;
   return db.TakeValue();
+}
+
+Result<PlannerFamily> MakePlannerFamily(Database* db,
+                                        const QueryFamily& family) {
+  PlannerFamily f;
+  f.name = family.name;
+  f.sql = family.Sql();
+  TB_ASSIGN_OR_RETURN(f.bound, BindWorkload(family, db->catalog()));
+  TB_RETURN_IF_ERROR(db->ResetToPrimary());
+  f.p = db->CurrentView();
+
+  const AdvisorOptions profile = SystemCProfile();
+  Advisor advisor(f.p, profile);
+  Recommendation rec;
+  TB_ASSIGN_OR_RETURN(rec, advisor.Recommend(f.bound));
+  TB_ASSIGN_OR_RETURN(f.system_c,
+                      MakeHypotheticalView(rec.config, f.p, profile.whatif));
+
+  TB_RETURN_IF_ERROR(
+      db->ApplyConfiguration(Make1CConfig(db->catalog())).status());
+  f.one_c = db->CurrentView();
+  TB_RETURN_IF_ERROR(db->ResetToPrimary());
+  return f;
 }
 
 }  // namespace testing

@@ -5,7 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "core/query_family.h"
 #include "engine/database.h"
+#include "optimizer/config_view.h"
+#include "sql/binder.h"
 #include "util/status.h"
 
 namespace tabbench {
@@ -48,6 +51,21 @@ std::unique_ptr<Database> MakeMiniNref(double scale_inverse = 4000.0,
 std::unique_ptr<Database> MakeMiniTpch(double scale_inverse = 4000.0,
                                        double zipf_theta = 0.0,
                                        uint64_t seed = 1999);
+
+/// One query family bound to a database, with the three configuration
+/// views the planner suites plan it on: P, 1C (built indexes, measured
+/// statistics) and System C's recommendation (hypothetical indexes and
+/// views).
+struct PlannerFamily {
+  std::string name;
+  std::vector<std::string> sql;
+  std::vector<BoundQuery> bound;
+  ConfigView p, one_c, system_c;
+};
+
+/// Binds `family` on `db` and builds its three views; leaves `db` on P.
+Result<PlannerFamily> MakePlannerFamily(Database* db,
+                                        const QueryFamily& family);
 
 }  // namespace testing
 }  // namespace tabbench

@@ -210,20 +210,30 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # planner suites, the plan-snapshot golden and the advisor suites (whose
 # trial memo plans against short-lived hypothetical views; System C's on
 # TPC-H plans views) run here too: a dangling name pointer fails here
-# rather than reading freed memory.
+# rather than reading freed memory. Each planner call also keeps its search
+# state in a stack-buffer arena that dies on return, so those suites and
+# the planner's allocation contract (PlannerArenaTest) run with
+# detect_stack_use_after_return=1: without it, a plan that kept a pointer
+# into the arena would read a dead frame silently.
 step "storage/exec/sql/planner/advisor suites under TABBENCH_SANITIZE=address"
 ASAN_DIR="${ROOT}/build-asan"
 cmake -B "${ASAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=address
 cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-  --target tabbench_tests tabbench_golden_tests
+  --target tabbench_tests tabbench_golden_tests tabbench_planner_arena_tests
 "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
 ':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
-':LexerTest.*:ParserTest.*:SqlFuzz*'\
-':OptimizerTest.*:CostModelTest.*:PlannerMemoTest.*'\
+':LexerTest.*:ParserTest.*:SqlFuzz*'
+ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
+'OptimizerTest.*:CostModelTest.*:PlannerMemoTest.*'\
 ':AdvisorNrefTest.*:AdvisorTpchTest.*:GoalAdvisorTest.*'
-"${ASAN_DIR}/tests/tabbench_golden_tests" --gtest_brief=1 \
+ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  "${ASAN_DIR}/tests/tabbench_golden_tests" --gtest_brief=1 \
   --gtest_filter='PlanGoldenTest.*'
+ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  "${ASAN_DIR}/tests/tabbench_planner_arena_tests" --gtest_brief=1 \
+  --gtest_filter='PlannerArenaTest.*'
 
 # -------------------------------------------------- thread-safety proof
 # The TB_GUARDED_BY/TB_REQUIRES annotations only carry weight under
