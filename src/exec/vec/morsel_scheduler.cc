@@ -70,8 +70,8 @@ size_t MorselScheduler::Run(
   }
   Latch done(want);
   for (size_t h = 0; h < want; ++h) {
-    // Plain Submit: a full queue or a shut-down pool simply means this
-    // helper never materializes (admission control wins over speed).
+    // Plain Submit: a refused spawn (shut-down pool, injected fault)
+    // simply means this helper never materializes.
     Status s = options.pool->Submit([&st, &done] {
       ClaimLoop(&st);
       done.CountDown();

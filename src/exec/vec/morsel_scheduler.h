@@ -21,11 +21,10 @@ struct MorselReport {
 ///
 /// Self-scheduling over a shared atomic cursor: the *calling thread* claims
 /// morsels in index order, and up to `max_helpers` helper jobs submitted to
-/// `pool` steal from the same cursor. Helpers are pure acceleration —
-/// Submit() bouncing off the pool's admission control (queue full, unrelated
-/// load) just means fewer helpers, never deadlock and never a changed
-/// result, so intra-query parallelism respects the pool's admission
-/// control by construction.
+/// `pool` steal from the same cursor. Helpers are pure acceleration — a
+/// Submit() the pool refuses (shut down, or an injected util.task_spawn
+/// fault) just means fewer helpers, never deadlock and never a changed
+/// result.
 ///
 /// Stop conditions, checked before every claim:
 ///  - a morsel returned an error → no new morsels are dispatched,

@@ -23,7 +23,6 @@ class TB_CAPABILITY("mutex") Mutex {
 
   void Lock() TB_ACQUIRE() { mu_.lock(); }
   void Unlock() TB_RELEASE() { mu_.unlock(); }
-  bool TryLock() TB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable spelling (std::lock_guard et al.).
   void lock() TB_ACQUIRE() { mu_.lock(); }

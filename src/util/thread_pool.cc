@@ -17,8 +17,7 @@ size_t ResolveWorkers(size_t requested) {
 }  // namespace
 
 ThreadPool::ThreadPool(Options options)
-    : max_queue_(options.max_queue),
-      num_workers_(ResolveWorkers(options.workers)) {
+    : num_workers_(ResolveWorkers(options.workers)) {
   workers_.reserve(num_workers_);
   for (size_t i = 0; i < num_workers_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -28,41 +27,22 @@ ThreadPool::ThreadPool(Options options)
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 Status ThreadPool::Submit(std::function<void()> job) {
-  // Models a spawn rejection, the same shape as real admission-control
-  // refusals below — and like them Unavailable (transient) by convention.
-  // Deliberately not in SubmitOrRun: the runners' caller-runs fan-out must
-  // not be perturbed by injected faults (their work still completes).
+  // Models a spawn rejection, the same shape as the shut-down refusal —
+  // and like it Unavailable (transient) by convention. Deliberately not in
+  // Enqueue: the runners' ParallelFor fan-out must not be perturbed by
+  // injected faults (their work still completes).
   TB_FAULT_POINT("util.task_spawn");
+  return Enqueue(std::move(job));
+}
+
+Status ThreadPool::Enqueue(std::function<void()> job) {
   {
     MutexLock lock(&mu_);
-    if (shutdown_) {
-      ++rejected_;
-      return Status::Unavailable("thread pool is shut down");
-    }
-    if (max_queue_ > 0 && queue_.size() >= max_queue_) {
-      ++rejected_;
-      return Status::Unavailable("job queue is full");
-    }
+    if (shutdown_) return Status::Unavailable("thread pool is shut down");
     queue_.push_back(std::move(job));
     ++pending_;
   }
   work_cv_.NotifyOne();
-  return Status::OK();
-}
-
-Status ThreadPool::SubmitOrRun(std::function<void()> job) {
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) return Status::Unavailable("thread pool is shut down");
-    if (max_queue_ == 0 || queue_.size() < max_queue_) {
-      queue_.push_back(std::move(job));
-      ++pending_;
-      work_cv_.NotifyOne();
-      return Status::OK();
-    }
-  }
-  // Queue full: caller-runs backpressure.
-  job();
   return Status::OK();
 }
 
@@ -86,16 +66,6 @@ void ThreadPool::Shutdown() {
   for (auto& t : workers) {
     if (t.joinable()) t.join();
   }
-}
-
-size_t ThreadPool::queued() const {
-  MutexLock lock(&mu_);
-  return queue_.size();
-}
-
-uint64_t ThreadPool::rejected() const {
-  MutexLock lock(&mu_);
-  return rejected_;
 }
 
 uint64_t ThreadPool::completed() const {

@@ -14,14 +14,13 @@
 
 namespace tabbench {
 
-/// Fixed-size worker pool over a bounded FIFO job queue.
+/// Fixed-size worker pool over an unbounded FIFO job queue.
 ///
-/// - `Submit` enqueues a job or fails fast with `Unavailable` when the
-///   queue is at capacity (admission control) or the pool is shutting down
-///   — it never blocks the caller.
-/// - `SubmitOrRun` is the backpressure policy for internal fan-outs: when
-///   the queue is full the caller's own thread runs the job (caller-runs),
-///   so bulk submitters throttle themselves instead of failing.
+/// - `Submit` enqueues a job, or fails fast with `Unavailable` once the
+///   pool is shutting down — it never blocks the caller. It carries the
+///   `util.task_spawn` fault point, so chaos schedules can refuse a spawn.
+/// - `Enqueue` is `Submit` without the fault point, for internal fan-outs
+///   (ParallelFor) whose work must complete under any chaos schedule.
 /// - Shutdown (explicit or via the destructor) stops admission, drains
 ///   every already-accepted job, and joins the workers.
 ///
@@ -33,23 +32,21 @@ class ThreadPool {
   struct Options {
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     size_t workers = 0;
-    /// Queue capacity; 0 means unbounded (no admission control).
-    size_t max_queue = 0;
   };
 
   explicit ThreadPool(Options options);
-  explicit ThreadPool(size_t workers) : ThreadPool(Options{workers, 0}) {}
+  explicit ThreadPool(size_t workers) : ThreadPool(Options{workers}) {}
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `job`; Unavailable when the queue is full or after Shutdown.
+  /// Enqueues `job`; Unavailable after Shutdown (or when an armed
+  /// `util.task_spawn` fault refuses the spawn).
   Status Submit(std::function<void()> job) TB_EXCLUDES(mu_);
 
-  /// Enqueues `job`, or runs it on the calling thread when the queue is
-  /// full. Fails only after Shutdown.
-  Status SubmitOrRun(std::function<void()> job) TB_EXCLUDES(mu_);
+  /// Enqueues `job`; Unavailable only after Shutdown.
+  Status Enqueue(std::function<void()> job) TB_EXCLUDES(mu_);
 
   /// Blocks until every job accepted so far has finished. The pool stays
   /// usable afterwards.
@@ -61,24 +58,17 @@ class ThreadPool {
   /// Workers the pool was built with. Immutable after construction, so this
   /// stays valid (and race-free) even while Shutdown() joins the threads.
   size_t num_workers() const { return num_workers_; }
-  size_t queue_capacity() const { return max_queue_; }
-  /// Jobs currently queued (excludes running ones).
-  size_t queued() const TB_EXCLUDES(mu_);
-  /// Jobs rejected by admission control since construction.
-  uint64_t rejected() const TB_EXCLUDES(mu_);
   uint64_t completed() const TB_EXCLUDES(mu_);
 
  private:
   void WorkerLoop() TB_EXCLUDES(mu_);
 
-  const size_t max_queue_;
   const size_t num_workers_;
   mutable Mutex mu_;
   CondVar work_cv_;   // workers wait for jobs/shutdown
   CondVar idle_cv_;   // Wait() waits for pending_ == 0
   std::deque<std::function<void()>> queue_ TB_GUARDED_BY(mu_);
   size_t pending_ TB_GUARDED_BY(mu_) = 0;  // queued + running
-  uint64_t rejected_ TB_GUARDED_BY(mu_) = 0;
   uint64_t completed_ TB_GUARDED_BY(mu_) = 0;
   bool shutdown_ TB_GUARDED_BY(mu_) = false;
   /// Joined and cleared by the first Shutdown(); guarded so concurrent
@@ -108,8 +98,7 @@ class Latch {
   size_t count_ TB_GUARDED_BY(mu_);
 };
 
-/// Runs `fn(i)` for every i in [0, n) on the pool — with the caller's own
-/// thread pitching in when the queue is full (SubmitOrRun) — and joins
+/// Runs `fn(i)` for every i in [0, n) on the pool (Enqueue) and joins
 /// before returning. A shared pool may carry unrelated work, so this joins
 /// on its own Latch, never ThreadPool::Wait().
 ///
@@ -126,7 +115,7 @@ void ParallelFor(ThreadPool* pool, size_t n, Fn&& fn, Reject&& on_reject) {
   }
   Latch latch(n);
   for (size_t i = 0; i < n; ++i) {
-    Status s = pool->SubmitOrRun([i, &fn, &latch] {
+    Status s = pool->Enqueue([i, &fn, &latch] {
       fn(i);
       latch.CountDown();
     });

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,48 +47,6 @@ TEST(ThreadPoolTest, WaitLeavesPoolUsable) {
   TB_ASSERT_OK(pool.Submit([&count] { ++count; }));
   pool.Wait();
   EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPoolTest, BoundedQueueRejectsWithUnavailable) {
-  // One worker blocked on a gate + a one-slot queue: the third submission
-  // must be turned away, deterministically.
-  ThreadPool pool(ThreadPool::Options{1, 1});
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  TB_ASSERT_OK(pool.Submit([opened, &started] {
-    started.set_value();
-    opened.wait();
-  }));
-  started.get_future().wait();  // the worker is now occupied
-  TB_ASSERT_OK(pool.Submit([] {}));  // fills the single queue slot
-  Status s = pool.Submit([] {});
-  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
-  EXPECT_EQ(pool.rejected(), 1u);
-  gate.set_value();
-  pool.Wait();
-  EXPECT_EQ(pool.completed(), 2u);
-}
-
-TEST(ThreadPoolTest, SubmitOrRunFallsBackToCaller) {
-  ThreadPool pool(ThreadPool::Options{1, 1});
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  TB_ASSERT_OK(pool.Submit([opened, &started] {
-    started.set_value();
-    opened.wait();
-  }));
-  started.get_future().wait();
-  TB_ASSERT_OK(pool.Submit([] {}));  // queue now full
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  TB_ASSERT_OK(pool.SubmitOrRun([&ran_on] {
-    ran_on = std::this_thread::get_id();
-  }));
-  EXPECT_EQ(ran_on, caller);  // caller-runs backpressure
-  gate.set_value();
-  pool.Wait();
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsAcceptedJobsThenRejects) {

@@ -27,10 +27,6 @@ namespace testing {
     EXPECT_TRUE(_st.ok()) << _st.ToString();                    \
   } while (0)
 
-#define TB_ASSERT_OK_AND_ASSIGN(lhs, expr)            \
-  TB_ASSIGN_OR_RETURN_IMPL(                           \
-      TB_ASSIGN_OR_RETURN_NAME(_assert_tmp_, __LINE__), lhs, expr)
-
 /// A small two-table schema ("people" / "depts") used across unit tests:
 /// cheap to load, has a PK/FK edge, shared domains, and enough skew for the
 /// constant-selection rules.

@@ -52,9 +52,6 @@ const std::vector<RuleInfo>& Rules() {
       {"tabbench-status-local",
        "A Status stored in a local that is never consulted afterwards; "
        "the error is silently dropped."},
-      {"tabbench-result-on-error",
-       "A Result<T> is dereferenced (.value(), *, ->) on its !ok() path, "
-       "where there is no value to read."},
       {"tabbench-use-after-move",
        "A variable is read after std::move handed its contents away in "
        "the same scope."},
@@ -77,23 +74,17 @@ const std::vector<RuleInfo>& Rules() {
        "A blocking operation (fsync, sleeps, a Wait on a non-condvar) "
        "runs — directly or through resolved calls — while a mutex is "
        "held, stalling every waiter on that mutex."},
-      {"tabbench-cancellation-poll",
-       "An unbounded loop in a worker surface (src/exec/vec, "
-       "src/core/runner.cc) never reaches a cancellation or watchdog poll "
-       "on any path; it cannot be cancelled once wedged."},
       {"tabbench-durability-ordering",
        "A commit/externalization op of a protocol declared in "
        "tools/analyze/protocols.txt is reachable on some CFG path before "
        "the protocol's append+fsync; a crash on that path externalizes "
        "state the journal cannot replay."},
       {"tabbench-release-on-path",
-       "A manually acquired resource (Lock/Unlock, watchdog Watch/Release, "
-       "shard attempt registration) escapes the function on some CFG path "
-       "— an early return, an error edge — without its release."},
+       "A manual Lock() escapes the function on some CFG path — an early "
+       "return, an error edge — without its Unlock()."},
       {"tabbench-error-path",
-       "On a path where !v.ok() must hold: the would-be value is used, a "
-       "journaled unit is left open with no abort record, or a blocking "
-       "retry loop re-iterates without re-checking cancellation."},
+       "On a path where !v.ok() must hold, the would-be value is used "
+       "(*v, v->, v.value()), where there is no value to read."},
   };
   return kRules;
 }
@@ -223,10 +214,6 @@ bool ParseProtocolSpec(const std::string& text, ProtocolSpec* spec,
         proto.sync.push_back(value);
       } else if (word == "commit") {
         proto.commit.push_back(parse_op(value));
-      } else if (word == "begin") {
-        proto.begin.push_back(parse_op(value));
-      } else if (word == "abort") {
-        proto.abort.push_back(parse_op(value));
       } else {
         return fail("unknown directive '" + word + "'");
       }
@@ -250,10 +237,9 @@ std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
   RunTaintPass(model, &findings);
   RunLocksetPass(model, &findings);
   RunBlockingPass(model, &findings);
-  RunCancellationPass(model, &findings);
   RunDurabilityPass(model, opts.protocols, &findings);
   RunReleasePass(model, &findings);
-  RunErrorPathPass(model, opts.protocols, &findings);
+  RunErrorPathPass(model, &findings);
 
   std::map<std::string, const ParsedFile*> by_path;
   for (const ParsedFile& pf : model.files) by_path[pf.src->path] = &pf;
@@ -438,121 +424,6 @@ std::string ToSarif(const std::vector<Finding>& findings) {
   }
   out << "\n    ]\n  }]\n}\n";
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-std::string ToBaselineJson(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "{\n  \"tool\": \"tabbench_analyze\",\n  \"findings\": [";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n    {\"rule\": \"" << JsonEscape(findings[i].rule)
-        << "\", \"file\": \"" << JsonEscape(findings[i].file)
-        << "\", \"message\": \"" << JsonEscape(findings[i].message)
-        << "\"}";
-  }
-  out << "\n  ]\n}\n";
-  return out.str();
-}
-
-namespace {
-
-/// Minimal JSON string scanner for the baseline format: finds the value of
-/// `"key": "..."` starting at `from`, unescaping. Returns npos when absent.
-size_t FindStringValue(const std::string& text, const std::string& key,
-                       size_t from, size_t until, std::string* value) {
-  const std::string needle = "\"" + key + "\"";
-  size_t k = text.find(needle, from);
-  if (k == std::string::npos || k >= until) return std::string::npos;
-  size_t colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) return std::string::npos;
-  size_t q = text.find('"', colon);
-  if (q == std::string::npos) return std::string::npos;
-  std::string out;
-  for (size_t i = q + 1; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      const char c = text[i + 1];
-      out += c == 'n' ? '\n' : c == 't' ? '\t' : c;
-      ++i;
-    } else if (text[i] == '"') {
-      *value = out;
-      return i;
-    } else {
-      out += text[i];
-    }
-  }
-  return std::string::npos;
-}
-
-}  // namespace
-
-bool ParseBaselineJson(const std::string& text,
-                       std::vector<BaselineEntry>* out,
-                       std::string* error) {
-  out->clear();
-  const size_t arr = text.find("\"findings\"");
-  if (arr == std::string::npos) {
-    if (error != nullptr) *error = "baseline: no \"findings\" array";
-    return false;
-  }
-  size_t pos = text.find('[', arr);
-  if (pos == std::string::npos) {
-    if (error != nullptr) *error = "baseline: malformed findings array";
-    return false;
-  }
-  while (true) {
-    const size_t open = text.find('{', pos);
-    if (open == std::string::npos) break;
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) {
-      if (error != nullptr) *error = "baseline: unterminated entry";
-      return false;
-    }
-    BaselineEntry e;
-    if (FindStringValue(text, "rule", open, close, &e.rule) ==
-            std::string::npos ||
-        FindStringValue(text, "file", open, close, &e.file) ==
-            std::string::npos ||
-        FindStringValue(text, "message", open, close, &e.message) ==
-            std::string::npos) {
-      if (error != nullptr) {
-        *error = "baseline: entry missing rule/file/message";
-      }
-      return false;
-    }
-    out->push_back(std::move(e));
-    pos = close + 1;
-  }
-  return true;
-}
-
-BaselineDiff DiffBaseline(const std::vector<Finding>& findings,
-                          const std::vector<BaselineEntry>& baseline) {
-  // Multiset semantics: two identical findings need two baseline entries.
-  std::map<std::tuple<std::string, std::string, std::string>, int> budget;
-  for (const BaselineEntry& e : baseline) {
-    ++budget[{e.rule, e.file, e.message}];
-  }
-  BaselineDiff diff;
-  for (const Finding& f : findings) {
-    auto it = budget.find({f.rule, f.file, f.message});
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      ++diff.matched;
-    } else {
-      diff.fresh.push_back(f);
-    }
-  }
-  for (const auto& [key, count] : budget) {
-    for (int i = 0; i < count; ++i) {
-      diff.stale.push_back(
-          {std::get<0>(key), std::get<1>(key), std::get<2>(key)});
-    }
-  }
-  return diff;
 }
 
 }  // namespace tabbench_analyze

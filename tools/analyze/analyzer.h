@@ -33,7 +33,7 @@
 ///                       rewrites them);
 ///   include-hygiene   — no parent-relative ("../") includes.
 ///
-/// Passes 1–7 are whole-program:
+/// Passes 1–6 are whole-program:
 ///
 ///   1. layering          — the architecture DAG declared in layers.txt:
 ///                          a file may include only its own or lower
@@ -47,8 +47,7 @@
 ///                          and is reported with every acquisition site.
 ///   3. status-flow       — intraprocedural dataflow the [[nodiscard]] +
 ///                          regex approach misses: Status locals that are
-///                          never consumed, Result values used on the
-///                          error path, and std::move-then-use.
+///                          never consumed, and std::move-then-use.
 ///   4. nondeterminism    — "touches wall clock / system RNG" propagated
 ///                          transitively through the call graph; any
 ///                          tainted function defined in src/core or
@@ -68,40 +67,28 @@
 ///   6. blocking-under-lock — fsync/sleeps/non-condvar Waits executed, or
 ///                          reachable through resolved calls, while a
 ///                          mutex is held.
-///   7. cancellation-poll — unbounded loops (for(;;)/while(true)) in the
-///                          worker-loop surfaces (src/exec/vec/,
-///                          src/core/runner.cc) must reach a
-///                          cancellation/stop/watchdog poll, directly or
-///                          through a callee.
 ///
-/// Passes 8–10 are *path-sensitive*: they run on per-function control-flow
+/// Passes 7–9 are *path-sensitive*: they run on per-function control-flow
 /// graphs recovered from the token stream (cfg.h) with a forward dataflow
 /// solver (dataflow.h), so they reason about orderings and per-path facts
 /// the scope-based passes cannot:
 ///
-///   8. durability-ordering — per-journal protocols declared in
+///   7. durability-ordering — per-journal protocols declared in
 ///                          tools/analyze/protocols.txt: a commit /
 ///                          externalization op must be preceded by the
 ///                          protocol's append+fsync on *every* CFG path
 ///                          ("syncing" is propagated through callees, so
 ///                          deleting the fsync inside a helper trips the
 ///                          callers).
-///   9. release-on-path   — manual acquire/release pairs (Lock/Unlock,
-///                          watchdog Watch/Release, shard attempt
-///                          registration) must balance on every path,
-///                          including TB_RETURN_IF_ERROR early returns;
-///                          the escaping exit edges are reported.
-///  10. error-path        — on paths where !v.ok() must hold: uses of the
-///                          would-be value, journaled units (protocol
-///                          `begin` ops) left open at error exits, and
-///                          blocking calls in retry loops that can
-///                          re-iterate without a cancellation re-check.
+///   8. release-on-path   — a manual Lock() must be matched by Unlock()
+///                          on every path, including TB_RETURN_IF_ERROR
+///                          early returns; the escaping exit edges are
+///                          reported.
+///   9. error-path        — on paths where !v.ok() must hold, the
+///                          would-be value (*v, v->, v.value()) is used.
 ///
-/// Findings are emitted as text or SARIF 2.1.0, and diffed against a
-/// checked-in baseline (tools/analyze/baseline.json) under a ratchet
-/// policy: CI fails on any finding not in the baseline, and — in strict
-/// mode — on baseline entries that no longer fire, so the baseline can
-/// only shrink.
+/// Findings are emitted as text or SARIF 2.1.0; the CLI fails on any
+/// finding.
 ///
 /// The library is dependency-free and analyzes in-memory SourceFiles, so
 /// tests/analyze_tool_test.cc and tests/analyze_file_test.cc drive every
@@ -129,7 +116,7 @@ struct Finding {
   std::string file;
   size_t line = 0;  // 1-based anchor
   std::string rule;  // "tabbench-<rule>"
-  std::string message;  // deliberately line-free: it is the baseline key
+  std::string message;  // line-free; the anchor is `line`
   std::vector<RelatedSite> related;
   /// Machine-applicable fix (lockset-unannotated suggestions). When
   /// `text` is non-empty, inserting it immediately after the first
@@ -182,12 +169,11 @@ struct LayerSpec {
 bool ParseLayerSpec(const std::string& text, LayerSpec* spec,
                     std::string* error);
 
-/// Durability protocols for the path-sensitive passes, declared per
+/// Durability protocols for the durability-ordering pass, declared per
 /// journal type in tools/analyze/protocols.txt. Within each protocol's
 /// `files`, every `commit` op must be dominated (in the must-dataflow
 /// sense: on every path) by a `sync` op — directly or through a callee
-/// whose every success return performs one — and error exits reached after
-/// a `begin` op require an `abort` op first.
+/// whose every success return performs one.
 struct ProtocolSpec {
   /// An operation referenced by call name; when `arg` is non-empty the
   /// call only matches if `arg` appears as a token between its parens
@@ -201,8 +187,6 @@ struct ProtocolSpec {
     std::vector<std::string> files;  // repo-relative paths in scope
     std::vector<std::string> sync;   // root durable-write call names
     std::vector<Op> commit;          // externalizations needing sync first
-    std::vector<Op> begin;           // opens a journaled unit of work
-    std::vector<Op> abort;           // closes it on the error path
   };
   std::vector<Protocol> protocols;
 };
@@ -270,32 +254,6 @@ std::string ToText(const std::vector<Finding>& findings);
 /// SARIF 2.1.0: one run, driver "tabbench_analyze", every rule in the
 /// rules array, one result per finding with physical + related locations.
 std::string ToSarif(const std::vector<Finding>& findings);
-
-// -------------------------------------------------------------- baseline
-
-/// Baseline entries key findings by (rule, file, message) — no line
-/// number, so unrelated edits above a baselined finding do not churn the
-/// file. Duplicate keys are multiset-counted.
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  std::string message;
-};
-
-std::string ToBaselineJson(const std::vector<Finding>& findings);
-
-/// Parses what ToBaselineJson writes (and hand-trimmed versions of it).
-bool ParseBaselineJson(const std::string& text,
-                       std::vector<BaselineEntry>* out, std::string* error);
-
-struct BaselineDiff {
-  std::vector<Finding> fresh;        // findings not covered by the baseline
-  std::vector<BaselineEntry> stale;  // baseline entries that no longer fire
-  size_t matched = 0;                // findings absorbed by the baseline
-};
-
-BaselineDiff DiffBaseline(const std::vector<Finding>& findings,
-                          const std::vector<BaselineEntry>& baseline);
 
 }  // namespace tabbench_analyze
 

@@ -14,8 +14,7 @@
 /// flavors are supported:
 ///
 ///   kUnion      — may-analysis ("a path exists on which the fact holds"):
-///                 leaked-lock detection, begun-but-not-aborted protocol
-///                 units.
+///                 leaked-lock detection.
 ///   kIntersect  — must-analysis ("the fact holds on every path"):
 ///                 append+fsync definitely happened before this
 ///                 externalization, variable definitely holds an error.

@@ -125,16 +125,13 @@ void RunStatusFlowPass(const Model& model, std::vector<Finding>* findings);
 void RunTaintPass(const Model& model, std::vector<Finding>* findings);
 void RunLocksetPass(const Model& model, std::vector<Finding>* findings);
 void RunBlockingPass(const Model& model, std::vector<Finding>* findings);
-void RunCancellationPass(const Model& model,
-                         std::vector<Finding>* findings);
 
 // The path-sensitive passes (passes_cfg.cc): per-function CFGs (cfg.h)
 // plus forward dataflow (dataflow.h).
 void RunDurabilityPass(const Model& model, const ProtocolSpec& protocols,
                        std::vector<Finding>* findings);
 void RunReleasePass(const Model& model, std::vector<Finding>* findings);
-void RunErrorPathPass(const Model& model, const ProtocolSpec& protocols,
-                      std::vector<Finding>* findings);
+void RunErrorPathPass(const Model& model, std::vector<Finding>* findings);
 
 // The per-file rules (passes_file.cc): determinism, naked-new, raw-sleep,
 // float-equal, unsynced-write, unchecked-status, unordered-iter,

@@ -7,7 +7,7 @@
 
 #include "model.h"
 
-/// The four whole-program passes. Everything here consumes the Model built
+/// The whole-program passes. Everything here consumes the Model built
 /// by model.cc and appends Findings; suppression and sorting happen in
 /// Analyze() (analyzer.cc).
 namespace tabbench_analyze {
@@ -208,7 +208,7 @@ void RunLayeringPass(const Model& model, const LayerSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Shared body facts (lock-order, taint, lockset, blocking, cancellation)
+// Shared body facts (lock-order, taint, lockset, blocking)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -223,7 +223,6 @@ struct BodyFacts {
     std::string receiver_type;  // "" for a bare call
     std::string name;
     size_t line = 0;
-    size_t tok = 0;  // token index of the callee name
     bool in_lambda = false;
     std::vector<Acquire> held;  // locks held at the call site
   };
@@ -243,19 +242,10 @@ struct BodyFacts {
     bool in_lambda = false;
     std::vector<Acquire> held;
   };
-  /// A loop statement; `unbounded` marks for(;;)/while(true)/while(1).
-  /// The token range covers the loop body (and, for while, the condition).
-  struct Loop {
-    size_t line = 0;
-    size_t range_begin = 0;
-    size_t range_end = 0;
-    bool unbounded = false;
-  };
   std::vector<Acquire> acquires;
   std::vector<Call> calls;
   std::vector<Access> accesses;
   std::vector<Block> blocks;
-  std::vector<Loop> loops;
   struct Source {
     std::string what;
     size_t line = 0;
@@ -466,8 +456,7 @@ std::set<std::string> RequiresHeld(const Model& model,
 const std::set<std::string>& BlockingCallNames() {
   static const std::set<std::string> kNames = {
       "fsync",     "fdatasync",  "sleep_for", "sleep_until",
-      "usleep",    "nanosleep",  "system",    "popen",
-      "SleepWithCancellation"};
+      "usleep",    "nanosleep",  "system",    "popen"};
   return kNames;
 }
 
@@ -588,46 +577,6 @@ BodyFacts ExtractBodyFacts(const Model& model, const FunctionInfo& fn) {
       facts.taint_sources.push_back({"time(nullptr)", t.line});
     }
 
-    // Loop statements. The trailing `while` of a do-while is skipped (its
-    // body, already scanned, precedes it).
-    if ((t.text == "for" || t.text == "while") && i + 1 < fn.body_end &&
-        IsPunct(toks[i + 1], "(") &&
-        !(t.text == "while" && i > fn.body_begin &&
-          IsPunct(toks[i - 1], "}"))) {
-      const size_t hclose =
-          MatchBracket(toks, i + 1, fn.body_end, "(", ")");
-      if (hclose < fn.body_end) {
-        BodyFacts::Loop loop;
-        loop.line = t.line;
-        if (t.text == "for") {
-          size_t semis = 0, others = 0;
-          for (size_t j = i + 2; j < hclose; ++j) {
-            if (IsPunct(toks[j], ";")) {
-              ++semis;
-            } else {
-              ++others;
-            }
-          }
-          loop.unbounded = semis == 2 && others == 0;  // for (;;)
-        } else {
-          loop.unbounded = hclose == i + 3 &&
-                           (toks[i + 2].text == "true" ||
-                            toks[i + 2].text == "1");
-        }
-        size_t body_e = hclose + 1;
-        if (body_e < fn.body_end && IsPunct(toks[body_e], "{")) {
-          body_e = MatchBracket(toks, body_e, fn.body_end, "{", "}");
-        } else {
-          while (body_e < fn.body_end && !IsPunct(toks[body_e], ";")) {
-            ++body_e;
-          }
-        }
-        loop.range_begin = i + 2;  // condition + body
-        loop.range_end = body_e;
-        facts.loops.push_back(loop);
-      }
-    }
-
     // Directly blocking operations, with the lockset held at the site.
     if (i + 1 < fn.body_end && IsPunct(toks[i + 1], "(") &&
         BlockingCallNames().count(t.text) != 0) {
@@ -707,7 +656,6 @@ BodyFacts ExtractBodyFacts(const Model& model, const FunctionInfo& fn) {
       BodyFacts::Call call;
       call.name = t.text;
       call.line = t.line;
-      call.tok = i;
       call.in_lambda = in_lambda;
       if (i >= fn.body_begin + 2 && IsIdent(toks[i - 2]) &&
           (IsPunct(toks[i - 1], "::") || IsPunct(toks[i - 1], ".") ||
@@ -948,62 +896,6 @@ void CheckStatusLocals(const FunctionInfo& fn, const ParsedFile& pf,
   }
 }
 
-void CheckResultOnError(const FunctionInfo& fn, const ParsedFile& pf,
-                        std::vector<Finding>* findings) {
-  const std::vector<Token>& toks = pf.toks;
-  for (size_t i = fn.body_begin; i + 7 < fn.body_end; ++i) {
-    // `if ( ! <name> . ok ( ) )` — then look for <name>.value() or
-    // *<name> inside the guarded statement/block.
-    if (!IsIdent(toks[i]) || toks[i].text != "if") continue;
-    if (!IsPunct(toks[i + 1], "(") || !IsPunct(toks[i + 2], "!")) continue;
-    if (!IsIdent(toks[i + 3])) continue;
-    if (!IsPunct(toks[i + 4], ".") || !IsIdent(toks[i + 5]) ||
-        toks[i + 5].text != "ok") {
-      continue;
-    }
-    if (!IsPunct(toks[i + 6], "(") || !IsPunct(toks[i + 7], ")")) continue;
-    const size_t cond_close =
-        MatchBracket(toks, i + 1, fn.body_end, "(", ")");
-    if (cond_close >= fn.body_end || cond_close != i + 8) continue;
-    const std::string& name = toks[i + 3].text;
-
-    // Extent of the error path: a braced block, or one statement.
-    size_t b = cond_close + 1, e;
-    if (b < fn.body_end && IsPunct(toks[b], "{")) {
-      e = MatchBracket(toks, b, fn.body_end, "{", "}");
-    } else {
-      e = b;
-      while (e < fn.body_end && !IsPunct(toks[e], ";")) ++e;
-    }
-    for (size_t j = b; j < e; ++j) {
-      if (!IsIdent(toks[j]) || toks[j].text != name) continue;
-      const bool value_call = j + 2 < e && IsPunct(toks[j + 1], ".") &&
-                              IsIdent(toks[j + 2]) &&
-                              (toks[j + 2].text == "value");
-      // *r is a deref unless the `*` follows a type name (a `Foo* r`
-      // declaration); keywords like `return *r` are still derefs.
-      const bool deref =
-          j > b && IsPunct(toks[j - 1], "*") &&
-          (j < 2 || !IsIdent(toks[j - 2]) ||
-           CallKeywords().count(toks[j - 2].text) != 0);
-      const bool arrow = j + 1 < e && IsPunct(toks[j + 1], "->");
-      if (value_call || deref || arrow) {
-        Finding f;
-        f.file = pf.src->path;
-        f.line = toks[j].line;
-        f.rule = "tabbench-result-on-error";
-        f.message = "'" + name + "' is accessed on its !ok() path in " +
-                    fn.qualified +
-                    " (use .status(), the value is not there)";
-        f.related.push_back(
-            {pf.src->path, toks[i].line, "error path begins here"});
-        findings->push_back(std::move(f));
-        break;
-      }
-    }
-  }
-}
-
 void CheckUseAfterMove(const FunctionInfo& fn, const ParsedFile& pf,
                        std::vector<Finding>* findings) {
   const std::vector<Token>& toks = pf.toks;
@@ -1082,7 +974,6 @@ void RunStatusFlowPass(const Model& model, std::vector<Finding>* findings) {
   for (const FunctionInfo& fn : model.functions) {
     const ParsedFile& pf = model.files[fn.file_index];
     CheckStatusLocals(fn, pf, findings);
-    CheckResultOnError(fn, pf, findings);
     CheckUseAfterMove(fn, pf, findings);
   }
 }
@@ -1472,130 +1363,6 @@ void RunBlockingPass(const Model& model, std::vector<Finding>* findings) {
         findings->push_back(std::move(f));
         break;  // one finding per call site
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation-poll liveness pass
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// The worker loops a cancelled run depends on to wind down.
-bool InCancellationScope(const std::string& path) {
-  return path.rfind("src/exec/vec/", 0) == 0 ||
-         path == "src/core/runner.cc";
-}
-
-/// True when toks[j] reads cancellation/stop state or calls a watchdog
-/// poll. Writes (`x = ...`, `x.store(...)`) request cancellation rather
-/// than observe it, so they do not count.
-bool IsPollToken(const std::vector<Token>& toks, size_t j) {
-  if (!IsIdent(toks[j])) return false;
-  const std::string& s = toks[j].text;
-  if (j + 1 < toks.size() && IsPunct(toks[j + 1], "=")) return false;
-  if (j + 2 < toks.size() && IsPunct(toks[j + 1], ".") &&
-      IsIdent(toks[j + 2]) && toks[j + 2].text == "store") {
-    return false;
-  }
-  std::string lower;
-  for (char ch : s) {
-    lower += static_cast<char>(
-        ch >= 'A' && ch <= 'Z' ? ch - 'A' + 'a' : ch);
-  }
-  if (lower.find("cancel") != std::string::npos &&
-      lower.find("requestcancel") == std::string::npos) {
-    return true;
-  }
-  static const std::set<std::string> kStopLike = {
-      "stop",      "stop_",  "stopped_", "stopping_",
-      "shutdown_", "quit_",  "stop_requested"};
-  if (kStopLike.count(s) != 0) return true;
-  static const std::set<std::string> kPollCalls = {"CheckTimeout",
-                                                   "ShouldYield", "Poll"};
-  if (kPollCalls.count(s) != 0 && j + 1 < toks.size() &&
-      IsPunct(toks[j + 1], "(")) {
-    return true;
-  }
-  return false;
-}
-
-bool RangeHasPoll(const std::vector<Token>& toks, size_t b, size_t e) {
-  for (size_t j = b; j < e; ++j) {
-    if (IsPollToken(toks, j)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-void RunCancellationPass(const Model& model,
-                         std::vector<Finding>* findings) {
-  const size_t n = model.functions.size();
-  std::vector<BodyFacts> facts(n);
-  for (size_t i = 0; i < n; ++i) {
-    facts[i] = ExtractBodyFacts(model, model.functions[i]);
-  }
-
-  // fn_polls: the function's body (or a callee's, transitively) observes
-  // cancellation — calling it from a loop makes the loop live.
-  std::vector<bool> fn_polls(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    const FunctionInfo& fn = model.functions[i];
-    fn_polls[i] = RangeHasPoll(model.files[fn.file_index].toks,
-                               fn.body_begin, fn.body_end);
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (fn_polls[i]) continue;
-      for (const BodyFacts::Call& c : facts[i].calls) {
-        for (size_t callee : ResolveCall(model, c.receiver_type,
-                                         model.functions[i].cls, c.name)) {
-          if (callee != i && fn_polls[callee]) {
-            fn_polls[i] = true;
-            changed = true;
-            break;
-          }
-        }
-        if (fn_polls[i]) break;
-      }
-    }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    const FunctionInfo& fn = model.functions[i];
-    const ParsedFile& pf = model.files[fn.file_index];
-    if (!InCancellationScope(pf.src->path)) continue;
-    for (const BodyFacts::Loop& loop : facts[i].loops) {
-      if (!loop.unbounded) continue;
-      bool polls = RangeHasPoll(pf.toks, loop.range_begin, loop.range_end);
-      if (!polls) {
-        for (const BodyFacts::Call& c : facts[i].calls) {
-          if (c.tok < loop.range_begin || c.tok >= loop.range_end) {
-            continue;
-          }
-          for (size_t callee : ResolveCall(model, c.receiver_type, fn.cls,
-                                           c.name)) {
-            if (callee != i && fn_polls[callee]) {
-              polls = true;
-              break;
-            }
-          }
-          if (polls) break;
-        }
-      }
-      if (polls) continue;
-      Finding f;
-      f.file = pf.src->path;
-      f.line = loop.line;
-      f.rule = "tabbench-cancellation-poll";
-      f.message = "unbounded loop in " + fn.qualified +
-                  " never reaches a cancellation or watchdog poll; a "
-                  "wedged iteration can never be cancelled";
-      findings->push_back(std::move(f));
     }
   }
 }

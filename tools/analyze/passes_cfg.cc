@@ -1,4 +1,4 @@
-/// The path-sensitive passes (analyzer.h passes 8–10): durability-protocol
+/// The path-sensitive passes (analyzer.h passes 7–9): durability-protocol
 /// ordering, release-on-all-paths, and error-path soundness. All three run
 /// on per-function CFGs (cfg.h) with the forward dataflow solver
 /// (dataflow.h); lambda bodies are carved out of their enclosing function
@@ -56,7 +56,6 @@ bool IsCallKeyword(const std::string& s) {
 }
 
 struct Call {
-  size_t tok = 0;  // index of the callee identifier
   std::string name;
   std::string receiver;  // `recv.name(...)` / `recv->name(...)`, else ""
   size_t line = 0;
@@ -70,7 +69,6 @@ std::vector<Call> CallsInRange(const std::vector<Token>& toks, size_t b,
     if (!IsIdent(toks[j]) || !IsPunct(toks[j + 1], "(")) continue;
     if (IsCallKeyword(toks[j].text)) continue;
     Call c;
-    c.tok = j;
     c.name = toks[j].text;
     c.line = toks[j].line;
     if (j >= b + 2 &&
@@ -319,27 +317,7 @@ void RunDurabilityPass(const Model& model, const ProtocolSpec& protocols,
 
 namespace {
 
-struct PairDef {
-  const char* acquire;
-  const char* release;
-  /// strict: any unbalanced acquire is a finding (manual mutexes — RAII
-  /// MutexLock is the sanctioned form, so manual locking must balance).
-  /// Non-strict pairs are enforced only when the same function also
-  /// releases the same resource somewhere (otherwise ownership was handed
-  /// off — watchdog ids and attempt registrations legitimately cross
-  /// function boundaries).
-  bool strict;
-};
-
-const PairDef kReleasePairs[] = {
-    {"Lock", "Unlock", true},
-    {"Watch", "Release", false},
-    {"RegisterAttempt", "UnregisterAttempt", false},
-};
-
 struct AcquireSite {
-  size_t pair = 0;
-  std::string key;  // "<pair>:<receiver>"
   size_t line = 0;
   std::string receiver;
 };
@@ -365,35 +343,28 @@ bool DeclaresLockTransfer(const ParsedFile& pf, const FunctionInfo& fn) {
 }  // namespace
 
 void RunReleasePass(const Model& model, std::vector<Finding>* findings) {
-  const size_t num_pairs = sizeof(kReleasePairs) / sizeof(kReleasePairs[0]);
   for (size_t fi = 0; fi < model.files.size(); ++fi) {
     const ParsedFile& pf = model.files[fi];
     for (const CfgUnit& unit : UnitsForFile(model, fi)) {
       if (!unit.is_lambda && DeclaresLockTransfer(pf, *unit.fn)) continue;
 
-      // Collect acquire/release events per block, in token order.
+      // Lock/Unlock events per block, in token order, keyed by receiver.
       struct Event {
         bool acquire = false;
-        size_t site = 0;    // index into sites (acquires only)
-        std::string key;
+        size_t site = 0;  // index into sites (acquires only)
+        std::string receiver;
       };
       std::vector<AcquireSite> sites;
       std::map<size_t, std::vector<Event>> events;  // block -> ordered
-      std::set<std::string> released_keys;
       for (size_t b = 0; b < unit.cfg.blocks.size(); ++b) {
         const CfgBlock& blk = unit.cfg.blocks[b];
         for (const Call& c :
              CallsInRange(pf.toks, blk.tok_begin, blk.tok_end)) {
-          for (size_t p = 0; p < num_pairs; ++p) {
-            const std::string key =
-                std::string(kReleasePairs[p].acquire) + ":" + c.receiver;
-            if (c.name == kReleasePairs[p].acquire) {
-              events[b].push_back(Event{true, sites.size(), key});
-              sites.push_back(AcquireSite{p, key, c.line, c.receiver});
-            } else if (c.name == kReleasePairs[p].release) {
-              events[b].push_back(Event{false, 0, key});
-              released_keys.insert(key);
-            }
+          if (c.name == "Lock") {
+            events[b].push_back(Event{true, sites.size(), c.receiver});
+            sites.push_back(AcquireSite{c.line, c.receiver});
+          } else if (c.name == "Unlock") {
+            events[b].push_back(Event{false, 0, c.receiver});
           }
         }
       }
@@ -409,7 +380,7 @@ void RunReleasePass(const Model& model, std::vector<Finding>* findings) {
             facts->insert("h:" + std::to_string(ev.site));
           } else {
             for (size_t s = 0; s < sites.size(); ++s) {
-              if (sites[s].key == ev.key) {
+              if (sites[s].receiver == ev.receiver) {
                 facts->erase("h:" + std::to_string(s));
               }
             }
@@ -422,20 +393,15 @@ void RunReleasePass(const Model& model, std::vector<Finding>* findings) {
         const AcquireSite& site = sites[s];
         const std::string fact = "h:" + std::to_string(s);
         if (res.in[unit.cfg.exit].count(fact) == 0) continue;
-        if (!kReleasePairs[site.pair].strict &&
-            released_keys.count(site.key) == 0) {
-          continue;  // ownership handoff, not a leak
-        }
         Finding f;
         f.file = pf.src->path;
         f.line = site.line;
         f.rule = "tabbench-release-on-path";
         const std::string recv =
             site.receiver.empty() ? "this" : site.receiver;
-        f.message = "'" + recv + "." + kReleasePairs[site.pair].acquire +
-                    "()' in " + unit.name + " is not matched by " +
-                    kReleasePairs[site.pair].release +
-                    "() on every path to the function exit";
+        f.message = "'" + recv + ".Lock()' in " + unit.name +
+                    " is not matched by Unlock() on every path to the "
+                    "function exit";
         for (size_t b = 0;
              b < unit.cfg.blocks.size() && f.related.size() < 4; ++b) {
           if (!res.reached[b] || res.out[b].count(fact) == 0) continue;
@@ -489,78 +455,6 @@ bool ParseOkCond(const std::vector<Token>& toks, size_t b, size_t e,
 
 std::string ErrFact(const std::string& var) { return "err:" + var; }
 
-/// Calls that block the thread (mirror of the blocking-under-lock pass).
-bool IsBlockingName(const std::string& s) {
-  static const std::set<std::string> kNames = {
-      "fsync",     "fdatasync",  "sleep_for", "sleep_until",
-      "usleep",    "nanosleep",  "system",    "popen",
-      "SleepWithCancellation"};
-  return kNames.count(s) != 0;
-}
-
-/// True when tokens [b,e) observe cancellation/stop state, or check the
-/// status a blocking call returned (`rv.ok()`): the re-check that makes a
-/// retry loop cancellable.
-bool RangeHasCancellationCheck(const std::vector<Token>& toks, size_t b,
-                               size_t e, const std::string& rv) {
-  for (size_t j = b; j < e; ++j) {
-    if (!IsIdent(toks[j])) continue;
-    const std::string& s = toks[j].text;
-    std::string lower;
-    for (char ch : s) {
-      lower += static_cast<char>(ch >= 'A' && ch <= 'Z' ? ch - 'A' + 'a'
-                                                        : ch);
-    }
-    if (lower.find("cancel") != std::string::npos &&
-        lower.find("requestcancel") == std::string::npos) {
-      return true;
-    }
-    static const std::set<std::string> kStopLike = {
-        "stop", "stop_", "stopped_", "stopping_", "shutdown_", "quit_",
-        "stop_requested"};
-    if (kStopLike.count(s) != 0) return true;
-    static const std::set<std::string> kPollCalls = {"CheckTimeout",
-                                                     "ShouldYield", "Poll"};
-    if (kPollCalls.count(s) != 0 && j + 1 < e &&
-        IsPunct(toks[j + 1], "(")) {
-      return true;
-    }
-    if (!rv.empty() && s == rv && j + 2 < e && IsPunct(toks[j + 1], ".") &&
-        IsIdent(toks[j + 2]) && toks[j + 2].text == "ok") {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Natural loop body of the back/continue edge target `head`: head plus
-/// every block that reaches an edge into head without passing through it.
-std::set<size_t> LoopBody(const Cfg& cfg, size_t head) {
-  std::vector<std::vector<size_t>> preds(cfg.blocks.size());
-  for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-    for (const CfgEdge& e : cfg.blocks[b].succ) preds[e.to].push_back(b);
-  }
-  std::set<size_t> body = {head};
-  std::vector<size_t> stack;
-  for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-    for (const CfgEdge& e : cfg.blocks[b].succ) {
-      if (e.to == head &&
-          (e.kind == CfgEdgeKind::kBack ||
-           e.kind == CfgEdgeKind::kContinue)) {
-        stack.push_back(b);
-      }
-    }
-  }
-  while (!stack.empty()) {
-    size_t x = stack.back();
-    stack.pop_back();
-    if (body.count(x) != 0) continue;
-    body.insert(x);
-    for (size_t p : preds[x]) stack.push_back(p);
-  }
-  return body;
-}
-
 /// Members that are safe to touch on an error value.
 bool IsAllowedErrorAccess(const std::string& member) {
   return member == "ok" || member == "status" || member == "message" ||
@@ -570,19 +464,10 @@ bool IsAllowedErrorAccess(const std::string& member) {
 
 }  // namespace
 
-void RunErrorPathPass(const Model& model, const ProtocolSpec& protocols,
-                      std::vector<Finding>* findings) {
+void RunErrorPathPass(const Model& model, std::vector<Finding>* findings) {
   for (size_t fi = 0; fi < model.files.size(); ++fi) {
     const ParsedFile& pf = model.files[fi];
     const std::vector<Token>& toks = pf.toks;
-    std::vector<const ProtocolSpec::Protocol*> begin_protos;
-    for (const ProtocolSpec::Protocol& proto : protocols.protocols) {
-      if (!proto.begin.empty() &&
-          std::find(proto.files.begin(), proto.files.end(),
-                    pf.src->path) != proto.files.end()) {
-        begin_protos.push_back(&proto);
-      }
-    }
     for (const CfgUnit& unit : UnitsForFile(model, fi)) {
       const Cfg& cfg = unit.cfg;
 
@@ -625,7 +510,7 @@ void RunErrorPathPass(const Model& model, const ProtocolSpec& protocols,
       };
       const DataflowResult err = SolveForward(cfg, err_spec);
 
-      // ---- (a) uses of the would-be value where !v.ok() must hold.
+      // ---- uses of the would-be value where !v.ok() must hold.
       std::set<std::pair<std::string, size_t>> reported;  // (var, line)
       for (size_t b = 0; b < cfg.blocks.size(); ++b) {
         if (!err.reached[b]) continue;
@@ -664,132 +549,6 @@ void RunErrorPathPass(const Model& model, const ProtocolSpec& protocols,
                         "' is used on a path where !" + v +
                         ".ok() must hold in " + unit.name;
             findings->push_back(std::move(f));
-          }
-        }
-      }
-
-      // ---- (b) journaled unit (protocol `begin`) open at an error exit.
-      for (const ProtocolSpec::Protocol* proto : begin_protos) {
-        const std::string fact = "began:" + proto->name;
-        DataflowSpec open_spec;
-        open_spec.meet = MeetKind::kUnion;
-        open_spec.transfer = [&](size_t block, Facts* facts) {
-          const CfgBlock& blk = cfg.blocks[block];
-          for (const Call& c :
-               CallsInRange(toks, blk.tok_begin, blk.tok_end)) {
-            for (const ProtocolSpec::Op& op : proto->begin) {
-              if (OpMatches(toks, c, op)) facts->insert(fact);
-            }
-            for (const ProtocolSpec::Op& op : proto->abort) {
-              if (OpMatches(toks, c, op)) facts->erase(fact);
-            }
-            for (const ProtocolSpec::Op& op : proto->commit) {
-              if (OpMatches(toks, c, op)) facts->erase(fact);
-            }
-          }
-        };
-        const DataflowResult open = SolveForward(cfg, open_spec);
-        for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-          if (!open.reached[b] || open.out[b].count(fact) == 0) continue;
-          const CfgBlock& blk = cfg.blocks[b];
-          bool error_exit = false;
-          for (const CfgEdge& e : blk.succ) {
-            if (e.to == cfg.exit && e.kind == CfgEdgeKind::kErrorReturn) {
-              error_exit = true;
-            }
-          }
-          if (blk.kind == CfgBlockKind::kReturn && blk.error_return) {
-            error_exit = true;
-          }
-          if (!error_exit) continue;
-          Finding f;
-          f.file = pf.src->path;
-          f.line = blk.line;
-          f.rule = "tabbench-error-path";
-          f.message = "error path leaves the " + proto->name +
-                      " journaled unit open (begin without abort record) "
-                      "in " +
-                      unit.name;
-          findings->push_back(std::move(f));
-        }
-      }
-
-      // ---- (c) blocking call on an error path can re-enter its retry
-      // loop without a cancellation re-check.
-      std::set<size_t> flagged;  // blocking-call token, dedup across loops
-      for (size_t hb = 0; hb < cfg.blocks.size(); ++hb) {
-        bool is_head = false;
-        for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-          for (const CfgEdge& e : cfg.blocks[b].succ) {
-            if (e.to == hb && (e.kind == CfgEdgeKind::kBack ||
-                               e.kind == CfgEdgeKind::kContinue)) {
-              is_head = true;
-            }
-          }
-        }
-        if (!is_head) continue;
-        const std::set<size_t> body = LoopBody(cfg, hb);
-        for (size_t b : body) {
-          if (!err.reached[b] || err.in[b].empty()) continue;
-          const CfgBlock& blk = cfg.blocks[b];
-          for (const Call& c :
-               CallsInRange(toks, blk.tok_begin, blk.tok_end)) {
-            if (!IsBlockingName(c.name)) continue;
-            if (flagged.count(c.tok) != 0) continue;
-            // The variable receiving the call's status, if any:
-            // `rv = [::]Blocking(...)`.
-            std::string rv;
-            size_t before = c.tok;
-            if (before > blk.tok_begin &&
-                IsPunct(toks[before - 1], "::")) {
-              --before;
-            }
-            if (before >= blk.tok_begin + 2 &&
-                IsPunct(toks[before - 1], "=") &&
-                IsIdent(toks[before - 2])) {
-              rv = toks[before - 2].text;
-            }
-            // A re-check later in the same statement counts.
-            if (c.args_end < blk.tok_end &&
-                RangeHasCancellationCheck(toks, c.args_end, blk.tok_end,
-                                          rv)) {
-              continue;
-            }
-            // BFS within the loop body; stop at blocks that re-check,
-            // flag if the loop head is reachable without one.
-            std::set<size_t> seen = {b};
-            std::vector<size_t> stack;
-            for (const CfgEdge& e : blk.succ) stack.push_back(e.to);
-            bool violation = false;
-            while (!stack.empty() && !violation) {
-              size_t x = stack.back();
-              stack.pop_back();
-              if (x == hb) {
-                violation = true;
-                break;
-              }
-              if (body.count(x) == 0) continue;  // left the loop: fine
-              if (seen.count(x) != 0) continue;
-              seen.insert(x);
-              const CfgBlock& xb = cfg.blocks[x];
-              if (RangeHasCancellationCheck(toks, xb.tok_begin, xb.tok_end,
-                                            rv)) {
-                continue;  // re-check reached before re-iteration
-              }
-              for (const CfgEdge& e : xb.succ) stack.push_back(e.to);
-            }
-            if (violation && flagged.insert(c.tok).second) {
-              Finding f;
-              f.file = pf.src->path;
-              f.line = c.line;
-              f.rule = "tabbench-error-path";
-              f.message =
-                  "blocking call '" + c.name +
-                  "' on an error path can re-enter its retry loop "
-                  "without a cancellation re-check in " +
-                  unit.name;
-              findings->push_back(std::move(f));
-            }
           }
         }
       }

@@ -1,20 +1,15 @@
 // tabbench_analyze — the project's static-analysis CLI.
 //
 // Usage:
-//   tabbench_analyze [--root DIR] [--layers FILE] [--protocols FILE]
-//                    [--baseline FILE] [--write-baseline]
-//                    [--strict-baseline] [--sarif FILE] [--fix]
+//   tabbench_analyze [--root DIR] [--sarif FILE] [--fix]
 //                    [--fault-coverage] [--check-fault-coverage FILE]
 //                    [--list-rules] [paths...]
 //
 // Walks the given paths (default: src bench tests tools examples) under
 // --root (default: cwd), builds one project model from every .h/.cc/.cpp
-// file, and runs every pass (see analyzer.h). Findings are diffed
-// against the baseline (default: ROOT/tools/analyze/baseline.json when it
-// exists): baselined findings are reported but do not fail the run.
-// --protocols names the durability-protocol declarations for the
-// path-sensitive passes (default: ROOT/tools/analyze/protocols.txt when it
-// exists).
+// file, and runs every pass (see analyzer.h). The architecture layers and
+// the durability protocols are read from ROOT/tools/analyze/layers.txt and
+// ROOT/tools/analyze/protocols.txt when those files exist.
 //
 // --fix applies the machine-applicable fixes to the source files on disk —
 // the TB_GUARDED_BY annotations suggested by tabbench-lockset-unannotated
@@ -25,16 +20,11 @@
 // (ROOT/tools/analyze/fault_layers.txt in CI): each listed layer must keep
 // at least its recorded number of fault-point sites, so chaos-test
 // coverage a layer once had can never silently regress to zero.
+// --sarif additionally writes a SARIF 2.1.0 report for code-scanning UIs.
 //
-// Exit status: 0 clean (or fully baselined), 1 when fresh findings exist —
-// or, under --strict-baseline, when baseline entries no longer fire (the
-// ratchet: the baseline may shrink, never grow) — 2 on usage/I-O errors,
-// including an output file (--sarif, --write-baseline, --fix) that cannot
-// be written in full.
-//
-// --write-baseline rewrites the baseline file from the current findings
-// (for adopting the tool on a tree with known debt); --sarif additionally
-// writes a SARIF 2.1.0 report for code-scanning UIs.
+// Exit status: 0 clean, 1 when any finding exists, 2 on usage/I-O errors,
+// including an output file (--sarif, --fix) that cannot be written in
+// full.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -44,7 +34,6 @@
 #include <vector>
 
 #include "analyzer.h"
-#include "model.h"
 
 namespace fs = std::filesystem;
 
@@ -104,17 +93,31 @@ bool WriteFile(const fs::path& path, const std::string& content) {
   return false;
 }
 
+/// Parses ROOT/tools/analyze/<name> with `parse` when the file exists.
+/// Returns false (after printing why) on a read or parse error.
+template <typename Spec, typename Parse>
+bool LoadSpec(const std::string& root, const char* name, Parse parse,
+              Spec* spec) {
+  const fs::path path = fs::path(root) / "tools/analyze" / name;
+  std::error_code ec;
+  if (!fs::is_regular_file(path, ec)) return true;
+  std::string text, error;
+  if (!ReadFile(path, &text)) {
+    std::cerr << "tabbench_analyze: cannot read " << path.string() << "\n";
+    return false;
+  }
+  if (!parse(text, spec, &error)) {
+    std::cerr << "tabbench_analyze: " << error << "\n";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string layers_file;     // default: ROOT/tools/analyze/layers.txt
-  std::string protocols_file;  // default: ROOT/tools/analyze/protocols.txt
-  std::string baseline_file;   // default: ROOT/tools/analyze/baseline.json
   std::string sarif_file;
-  bool write_baseline = false;
-  bool strict_baseline = false;
-  bool dump_model = false;
   bool fix = false;
   bool fault_coverage = false;
   std::string check_fault_file;  // --check-fault-coverage ratchet floor
@@ -132,20 +135,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       if (!flag_value("--root", &root)) return 2;
-    } else if (arg == "--layers") {
-      if (!flag_value("--layers", &layers_file)) return 2;
-    } else if (arg == "--protocols") {
-      if (!flag_value("--protocols", &protocols_file)) return 2;
-    } else if (arg == "--baseline") {
-      if (!flag_value("--baseline", &baseline_file)) return 2;
     } else if (arg == "--sarif") {
       if (!flag_value("--sarif", &sarif_file)) return 2;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--strict-baseline") {
-      strict_baseline = true;
-    } else if (arg == "--dump-model") {
-      dump_model = true;
     } else if (arg == "--fix") {
       fix = true;
     } else if (arg == "--fault-coverage") {
@@ -158,9 +149,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: tabbench_analyze [--root DIR] [--layers FILE] "
-                   "[--protocols FILE] [--baseline FILE] "
-                   "[--write-baseline] [--strict-baseline] [--sarif FILE] "
+      std::cout << "usage: tabbench_analyze [--root DIR] [--sarif FILE] "
                    "[--fix] [--fault-coverage] "
                    "[--check-fault-coverage FILE] [--list-rules] "
                    "[paths...]\n";
@@ -175,46 +164,13 @@ int main(int argc, char** argv) {
   if (paths.empty()) {
     paths = {"src", "bench", "tests", "tools", "examples"};
   }
-  if (layers_file.empty()) {
-    const fs::path def = fs::path(root) / "tools/analyze/layers.txt";
-    std::error_code ec;
-    if (fs::is_regular_file(def, ec)) layers_file = def.string();
-  }
-  if (protocols_file.empty()) {
-    const fs::path def = fs::path(root) / "tools/analyze/protocols.txt";
-    std::error_code ec;
-    if (fs::is_regular_file(def, ec)) protocols_file = def.string();
-  }
-  if (baseline_file.empty()) {
-    const fs::path def = fs::path(root) / "tools/analyze/baseline.json";
-    std::error_code ec;
-    if (fs::is_regular_file(def, ec)) baseline_file = def.string();
-  }
 
   tabbench_analyze::Options options;
-  if (!layers_file.empty()) {
-    std::string text, error;
-    if (!ReadFile(layers_file, &text)) {
-      std::cerr << "tabbench_analyze: cannot read " << layers_file << "\n";
-      return 2;
-    }
-    if (!tabbench_analyze::ParseLayerSpec(text, &options.layers, &error)) {
-      std::cerr << "tabbench_analyze: " << error << "\n";
-      return 2;
-    }
-  }
-  if (!protocols_file.empty()) {
-    std::string text, error;
-    if (!ReadFile(protocols_file, &text)) {
-      std::cerr << "tabbench_analyze: cannot read " << protocols_file
-                << "\n";
-      return 2;
-    }
-    if (!tabbench_analyze::ParseProtocolSpec(text, &options.protocols,
-                                             &error)) {
-      std::cerr << "tabbench_analyze: " << error << "\n";
-      return 2;
-    }
+  if (!LoadSpec(root, "layers.txt", tabbench_analyze::ParseLayerSpec,
+                &options.layers) ||
+      !LoadSpec(root, "protocols.txt", tabbench_analyze::ParseProtocolSpec,
+                &options.protocols)) {
+    return 2;
   }
 
   std::vector<std::string> rel_files;
@@ -236,26 +192,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     files.push_back({rel, std::move(content)});
-  }
-
-  if (dump_model) {
-    // Debug view of what the scope scanner extracted (not a stable format).
-    const tabbench_analyze::Model model = tabbench_analyze::BuildModel(files);
-    for (const auto& fn : model.functions) {
-      std::cout << "fn " << fn.qualified << " @ "
-                << model.files[fn.file_index].src->path << ":" << fn.line
-                << "\n";
-    }
-    for (const auto& [name, cls] : model.classes) {
-      std::cout << "class " << name << " mutexes={";
-      for (const auto& m : cls.mutexes) std::cout << m << " ";
-      std::cout << "} members={";
-      for (const auto& [mn, mi] : cls.members) {
-        std::cout << mn << ":" << mi.type << " ";
-      }
-      std::cout << "}\n";
-    }
-    return 0;
   }
 
   if (fault_coverage) {
@@ -312,55 +248,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (write_baseline) {
-    const std::string target =
-        baseline_file.empty()
-            ? (fs::path(root) / "tools/analyze/baseline.json").string()
-            : baseline_file;
-    if (!WriteFile(target, tabbench_analyze::ToBaselineJson(findings))) {
-      return 2;
-    }
-    std::cout << "tabbench_analyze: wrote " << findings.size()
-              << " baseline entries to " << target << "\n";
-    return 0;
-  }
-
-  std::vector<tabbench_analyze::BaselineEntry> baseline;
-  if (!baseline_file.empty()) {
-    std::string text, error;
-    if (!ReadFile(baseline_file, &text)) {
-      std::cerr << "tabbench_analyze: cannot read " << baseline_file
-                << "\n";
-      return 2;
-    }
-    if (!tabbench_analyze::ParseBaselineJson(text, &baseline, &error)) {
-      std::cerr << "tabbench_analyze: " << error << "\n";
-      return 2;
-    }
-  }
-
-  const tabbench_analyze::BaselineDiff diff =
-      tabbench_analyze::DiffBaseline(findings, baseline);
-
-  std::cout << tabbench_analyze::ToText(diff.fresh);
-  if (diff.matched > 0) {
-    std::cout << "tabbench_analyze: " << diff.matched
-              << " known finding(s) absorbed by baseline\n";
-  }
-  bool fail = !diff.fresh.empty();
-  if (!diff.stale.empty()) {
-    for (const auto& e : diff.stale) {
-      std::cout << (strict_baseline ? "stale baseline entry (ratchet: "
-                                      "remove it): "
-                                    : "note: stale baseline entry: ")
-                << "[" << e.rule << "] " << e.file << ": " << e.message
-                << "\n";
-    }
-    if (strict_baseline) fail = true;
-  }
-  if (!fail) {
-    std::cout << "tabbench_analyze: " << files.size() << " files, "
-              << findings.size() << " finding(s), clean vs baseline\n";
-  }
-  return fail ? 1 : 0;
+  std::cout << tabbench_analyze::ToText(findings);
+  std::cout << "tabbench_analyze: " << files.size() << " files, "
+            << findings.size() << " finding(s)\n";
+  return findings.empty() ? 0 : 1;
 }
