@@ -109,12 +109,12 @@ Result<InSet> MaterializeInSet(const InSetSpec& spec,
   std::unordered_map<Value, uint64_t, ValueHash> counts;
   if (btree != nullptr) {
     auto iter = btree->ScanAll(touch);
-    IndexKey k;
     Rid rid;
-    while (iter.Next(&k, &rid)) {
+    // Keys are counted in place in their leaves, never copied.
+    while (const IndexKey* k = iter.NextKey(&rid)) {
       ++script.back().rows;
       TB_RETURN_IF_ERROR(ChargeRow(ctx));
-      counts[k[0]] += 1;
+      counts[(*k)[0]] += 1;
     }
   } else {
     size_t pos = static_cast<size_t>(spec.column_pos);

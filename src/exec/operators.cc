@@ -310,48 +310,88 @@ class HashJoinOp : public Operator {
 
 // ------------------------------------------------------------ IndexNLJoin
 
+/// A residual predicate is probe-invariant when it reads only outer slots
+/// and inner columns the seek prefix binds: every entry a probe visits holds
+/// the prefix's values there (KeyHasPrefix equality, the same Value::Compare
+/// equality every predicate kind tests), so such a predicate is evaluated
+/// once per probe on (outer row, prefix). The other, per-entry, residuals
+/// read the inner entry: an index-only inner is read in place in its leaf
+/// (BTree::Iterator::NextKey), a heap inner decodes only their columns. An
+/// entry is materialized only once its pair passes. Charges never depend on
+/// any of this: every visited entry pays its leaf touch, ChargeTuples and
+/// CheckTimeout, and a heap inner's fetch (fault point and random page
+/// touch) and second ChargeTuples, even after a failed probe.
 class IndexNLJoinOp : public Operator {
  public:
-  IndexNLJoinOp(std::unique_ptr<Operator> outer, const IndexInfo* inner,
-                std::vector<SeekKeyPart> seek,
+  IndexNLJoinOp(std::unique_ptr<Operator> outer, size_t outer_arity,
+                const IndexInfo* inner, std::vector<SeekKeyPart> seek,
                 std::vector<int> seek_outer_pos, bool inner_index_only,
                 std::vector<CompiledPred> preds, ExecContext* ctx)
       : outer_(std::move(outer)),
+        outer_arity_(outer_arity),
         inner_(inner),
         seek_(std::move(seek)),
         seek_outer_pos_(std::move(seek_outer_pos)),
         inner_index_only_(inner_index_only),
-        preds_(std::move(preds)),
         ctx_(ctx),
         touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {
     prefix_.resize(seek_.size());
     for (size_t i = 0; i < seek_.size(); ++i) {
       if (!seek_[i].from_outer) prefix_[i] = seek_[i].literal;
     }
+    const size_t inner_arity = inner_index_only_
+                                   ? inner_->btree->num_key_columns()
+                                   : inner_->heap->codec().types().size();
+    bound_.assign(inner_arity, -1);
+    for (size_t k = 0; k < seek_.size(); ++k) {
+      size_t col = inner_index_only_
+                       ? k
+                       : static_cast<size_t>(inner_->key_cols[k]);
+      bound_[col] = static_cast<int>(k);
+    }
+    auto invariant = [this](int pos) {
+      size_t p = static_cast<size_t>(pos);
+      return p < outer_arity_ || bound_[p - outer_arity_] >= 0;
+    };
+    for (auto& p : preds) {
+      bool probe = invariant(p.pos_a) && (p.pos_b < 0 || invariant(p.pos_b));
+      (probe ? probe_preds_ : entry_preds_).push_back(std::move(p));
+    }
+    if (!inner_index_only_ && !entry_preds_.empty()) {
+      entry_cols_.assign(inner_arity, 0);
+      for (const auto& p : entry_preds_) {
+        for (int pos : {p.pos_a, p.pos_b}) {
+          if (pos >= static_cast<int>(outer_arity_)) {
+            entry_cols_[static_cast<size_t>(pos) - outer_arity_] = 1;
+          }
+        }
+      }
+    }
   }
 
   Status Open() override { return outer_->Open(); }
 
-  // Inner rows are fetched into `inner_row_` (an index-only row is the key,
-  // read straight into it); a pair is concatenated into *out only once it
-  // passes the residual predicates.
   Result<bool> NextImpl(Tuple* out) override {
     for (;;) {
       if (have_iter_) {
         Rid rid;
-        while (iter_.Next(
-            inner_index_only_ ? inner_row_.mutable_values() : nullptr, &rid)) {
+        while (const IndexKey* key = iter_.NextKey(&rid)) {
           ctx_->ChargeTuples(1);
           TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
           if (!inner_index_only_) {
-            TB_RETURN_IF_ERROR(
-                inner_->heap->FetchInto(rid, touch_random_, &inner_row_));
+            TB_RETURN_IF_ERROR(inner_->heap->FetchColumnsInto(
+                rid, touch_random_, probe_passed_ ? EntryCols() : nullptr,
+                &inner_row_));
             ctx_->ChargeTuples(1);
           }
-          if (EvalJoinedPreds(preds_, outer_row_, inner_row_)) {
-            out->AssignConcat(outer_row_, inner_row_);
-            return true;
+          if (!probe_passed_ || !EntryPasses(*key)) continue;
+          if (inner_index_only_) {
+            *inner_row_.mutable_values() = *key;
+          } else {
+            inner_->heap->DecodeRowAt(rid, &inner_row_);
           }
+          out->AssignConcat(outer_row_, inner_row_);
+          return true;
         }
         have_iter_ = false;
       }
@@ -366,24 +406,66 @@ class IndexNLJoinOp : public Operator {
         prefix_[i] =
             outer_row_.at(static_cast<size_t>(seek_outer_pos_[outer_i++]));
       }
+      probe_passed_ = ProbePasses();
       iter_ = inner_->btree->SeekPrefix(prefix_, touch_random_);
       have_iter_ = true;
     }
   }
 
  private:
+  bool ProbePasses() const {
+    auto at = [this](int pos) -> const Value& {
+      size_t p = static_cast<size_t>(pos);
+      if (p < outer_arity_) return outer_row_.at(p);
+      return prefix_[static_cast<size_t>(bound_[p - outer_arity_])];
+    };
+    for (const auto& p : probe_preds_) {
+      if (!EvalAt(p, at)) return false;
+    }
+    return true;
+  }
+
+  /// The per-entry residuals on (outer row, this entry): `key` in place for
+  /// an index-only inner, else the columns FetchColumnsInto decoded.
+  bool EntryPasses(const IndexKey& key) const {
+    auto at = [this, &key](int pos) -> const Value& {
+      size_t p = static_cast<size_t>(pos);
+      if (p < outer_arity_) return outer_row_.at(p);
+      return inner_index_only_ ? key[p - outer_arity_]
+                               : inner_row_.at(p - outer_arity_);
+    };
+    for (const auto& p : entry_preds_) {
+      if (!EvalAt(p, at)) return false;
+    }
+    return true;
+  }
+
+  /// Heap columns a passed probe decodes per entry (none without per-entry
+  /// residuals: then every entry passes and is decoded whole).
+  const std::vector<uint8_t>* EntryCols() const {
+    return entry_cols_.empty() ? nullptr : &entry_cols_;
+  }
+
   std::unique_ptr<Operator> outer_;
+  size_t outer_arity_;
   const IndexInfo* inner_;
   std::vector<SeekKeyPart> seek_;
   std::vector<int> seek_outer_pos_;  // outer tuple positions, in seek order
   bool inner_index_only_;
-  std::vector<CompiledPred> preds_;
+  /// Residuals split by what they read (class comment).
+  std::vector<CompiledPred> probe_preds_;
+  std::vector<CompiledPred> entry_preds_;
+  /// Per inner column: the seek-prefix position binding it, or -1.
+  std::vector<int> bound_;
+  /// Heap inner: the inner columns entry_preds_ read (empty without them).
+  std::vector<uint8_t> entry_cols_;
   ExecContext* ctx_;
   PageTouchFn touch_random_;  // probes and heap fetches: random I/O
   IndexKey prefix_;
   Tuple outer_row_;
   BTree::Iterator iter_;
   bool have_iter_ = false;
+  bool probe_passed_ = false;
   Tuple inner_row_;
 };
 
@@ -600,8 +682,9 @@ Result<std::unique_ptr<Operator>> BuildOperator(const PlanNode& node,
         outer_pos.push_back(p);
       }
       return reg(std::make_unique<IndexNLJoinOp>(
-          std::move(outer), idx, node.seek, std::move(outer_pos),
-          node.index_only, std::move(preds), ctx));
+          std::move(outer), node.children[0]->output_cols.size(), idx,
+          node.seek, std::move(outer_pos), node.index_only, std::move(preds),
+          ctx));
     }
     case PlanNode::Kind::kHashAggregate: {
       if (node.children.size() != 1) {

@@ -424,9 +424,16 @@ BTree::Iterator BTree::ScanAll(const PageTouchFn& touch) const {
 }
 
 bool BTree::Iterator::Next(IndexKey* key, Rid* rid) {
+  const IndexKey* k = NextKey(rid);
+  if (k == nullptr) return false;
+  if (key != nullptr) *key = *k;
+  return true;
+}
+
+const IndexKey* BTree::Iterator::NextKey(Rid* rid) {
   const Node* leaf = static_cast<const Node*>(leaf_);
   for (;;) {
-    if (leaf == nullptr) return false;
+    if (leaf == nullptr) return nullptr;
     if (!touched_current_) {
       if (touch_) touch_(leaf->page_id);
       touched_current_ = true;
@@ -436,15 +443,14 @@ bool BTree::Iterator::Next(IndexKey* key, Rid* rid) {
       if (!prefix_.empty()) {
         if (!KeyHasPrefix(k, prefix_)) {
           // Entries are sorted; once past the prefix range we are done.
-          if (CompareKeys(k, prefix_) > 0) return false;
+          if (CompareKeys(k, prefix_) > 0) return nullptr;
           ++idx_;
           continue;
         }
       }
-      if (key != nullptr) *key = k;
       *rid = leaf->rids[idx_];
       ++idx_;
-      return true;
+      return &k;
     }
     leaf = leaf->next_leaf;
     leaf_ = leaf;

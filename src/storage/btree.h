@@ -86,6 +86,12 @@ class BTree {
     /// null, *key (callers that only fetch by Rid skip the key copy).
     bool Next(IndexKey* key, Rid* rid);
 
+    /// Next without the copy: the entry's key in place in its leaf, or null
+    /// at end. Page touches are Next's. The pointer stays valid while the
+    /// iterator moves on; like every reader it is invalidated by the next
+    /// structural mutation of the tree.
+    const IndexKey* NextKey(Rid* rid);
+
    private:
     friend class BTree;
     const BTree* tree_ = nullptr;

@@ -104,6 +104,14 @@ void HeapTable::DecodeSlot(const Page* page, size_t page_ordinal,
 
 Status HeapTable::FetchInto(const Rid& rid, const PageTouchFn& touch,
                             Tuple* out) const {
+  TB_RETURN_IF_ERROR(FetchColumnsInto(rid, touch, nullptr, out));
+  DecodeRowAt(rid, out);
+  return Status::OK();
+}
+
+Status HeapTable::FetchColumnsInto(const Rid& rid, const PageTouchFn& touch,
+                                   const std::vector<uint8_t>* cols,
+                                   Tuple* out) const {
   TB_FAULT_POINT("storage.heap_fetch");
   if (rid.page_ordinal >= pages_.size()) {
     return Status::NotFound("rid page out of range in " + name_);
@@ -117,8 +125,16 @@ Status HeapTable::FetchInto(const Rid& rid, const PageTouchFn& touch,
   if (rid.slot >= page->num_slots) {
     return Status::NotFound("rid slot out of range in " + name_);
   }
-  DecodeSlot(page, rid.page_ordinal, rid.slot, out);
+  if (cols != nullptr) {
+    size_t off = slot_offsets_[rid.page_ordinal][rid.slot] + 2u;
+    codec_.DecodeColumnsInto(page->data, &off, *cols, out);
+  }
   return Status::OK();
+}
+
+void HeapTable::DecodeRowAt(const Rid& rid, Tuple* out) const {
+  DecodeSlot(store_->GetPage(pages_[rid.page_ordinal]), rid.page_ordinal,
+             rid.slot, out);
 }
 
 Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {

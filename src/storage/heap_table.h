@@ -50,8 +50,9 @@ using PageTouchFn = std::function<void(PageId)>;
 /// Reads decode into the caller's tuple (TupleCodec::DecodeInto): Cursor::
 /// Next and FetchInto overwrite `*t` in place, so an operator that passes
 /// the same tuple row after row allocates nothing once its string buffers
-/// have grown. Fetch is FetchInto a fresh tuple. Cursor::NextColumns
-/// decodes only the columns a filter reads; DecodeRow completes the row.
+/// have grown. Fetch is FetchInto a fresh tuple. Cursor::NextColumns and
+/// FetchColumnsInto decode only the columns a filter reads; Cursor::
+/// DecodeRow and DecodeRowAt complete the row.
 class HeapTable {
  public:
   HeapTable(std::string name, TupleCodec codec, PageStore* store);
@@ -85,6 +86,18 @@ class HeapTable {
   /// comment). `touch` (if set) is called for the page. NotFound for
   /// tombstoned or out-of-range rows, which leave `*out` untouched.
   Status FetchInto(const Rid& rid, const PageTouchFn& touch, Tuple* out) const;
+
+  /// FetchInto that decodes only the columns `cols` marks (TupleCodec::
+  /// DecodeColumnsInto; the other values of `*out` stay stale), or none when
+  /// `cols` is null. The fault point, checks and page touch are FetchInto's,
+  /// so a row rejected on those columns costs what a full fetch costs in
+  /// simulated time. DecodeRowAt completes the row.
+  Status FetchColumnsInto(const Rid& rid, const PageTouchFn& touch,
+                          const std::vector<uint8_t>* cols, Tuple* out) const;
+
+  /// Decodes the whole row at `rid`, which a FetchColumnsInto has just found
+  /// live, into `*out`: no page touch, no fault point.
+  void DecodeRowAt(const Rid& rid, Tuple* out) const;
 
   /// FetchInto a fresh tuple.
   Result<Tuple> Fetch(const Rid& rid, const PageTouchFn& touch) const;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/configurations.h"
 #include "engine/database.h"
+#include "storage/btree.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace tabbench {
 namespace {
@@ -311,6 +316,86 @@ TEST(EngineTest, CurrentViewReflectsBuiltState) {
   EXPECT_DOUBLE_EQ(found->entries, 2000.0);
   EXPECT_GT(found->distinct_keys, 1.0);
   EXPECT_GT(found->leaf_pages, 0.0);
+}
+
+/// The index-build sort orders (key, Rid) exactly as CompareKeys-then-Rid:
+/// every built index fingerprints as a tree bulk-built from entries sorted
+/// that way. The keys mix NULLs, extreme and negative ints, -0.0 and 0.0,
+/// strings that share 8-byte prefixes, end in or embed NULs or hold bytes
+/// >= 0x80, and multi-column keys whose leading columns tie.
+TEST(EngineBTreeBuildSortTest, AbbreviatedSortMatchesCompareKeysOrder) {
+  Database db;
+  TableDef t;
+  t.name = "t";
+  t.columns = {{"i", TypeId::kInt, "i_dom", true, 8},
+               {"d", TypeId::kDouble, "d_dom", true, 8},
+               {"s", TypeId::kString, "s_dom", true, 6}};
+  ASSERT_TRUE(db.CreateTable(t).ok());
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> ints = {Value(), Value(kMin), Value(kMin + 1),
+                                   Value(int64_t{-5}), Value(int64_t{-1}),
+                                   Value(int64_t{0}), Value(int64_t{1}),
+                                   Value(kMax)};
+  const std::vector<Value> doubles = {Value(),     Value(-kInf), Value(-2.5),
+                                      Value(-0.0), Value(0.0),   Value(1e-300),
+                                      Value(3.25), Value(kInf)};
+  const std::vector<std::string> strings = {
+      "",          "a",          std::string("a\0", 2),
+      std::string("a\0b", 3),    "abcdefg",  std::string("abcdefg\0", 8),
+      "abcdefgh",  std::string("abcdefgh\0", 9), "abcdefghi",
+      "abcdefghj", "\x80zz",     "\xff",     "zz"};
+  Rng rng(11);
+  for (int r = 0; r < 800; ++r) {
+    size_t si = rng.Uniform(strings.size() + 1);
+    Value sv = si == strings.size() ? Value() : Value(strings[si]);
+    ASSERT_TRUE(db.Insert("t", Tuple({ints[rng.Uniform(ints.size())],
+                                      doubles[rng.Uniform(doubles.size())],
+                                      std::move(sv)}))
+                    .ok());
+  }
+  ASSERT_TRUE(db.FinishLoad().ok());
+  const std::vector<std::vector<std::string>> keys = {
+      {"i"}, {"d"}, {"s"}, {"s", "i"}, {"i", "d"}, {"d", "s", "i"}};
+  Configuration config;
+  config.name = "sort";
+  for (size_t k = 0; k < keys.size(); ++k) {
+    config.indexes.push_back({"t_" + std::to_string(k), "t", keys[k], false});
+  }
+  ASSERT_TRUE(db.ApplyConfiguration(config).ok());
+
+  const HeapTable* heap = db.FindHeap("t");
+  for (const IndexDef& def : config.indexes) {
+    SCOPED_TRACE(def.name);
+    std::vector<std::pair<IndexKey, Rid>> entries;
+    auto cur = heap->Scan(nullptr);
+    Tuple row;
+    Rid rid;
+    size_t width = 0;
+    for (const auto& c : def.columns) {
+      width += static_cast<size_t>(t.columns[t.ColumnIndex(c)].avg_width);
+    }
+    while (cur.Next(&row, &rid)) {
+      IndexKey key;
+      for (const auto& c : def.columns) {
+        key.push_back(row.at(static_cast<size_t>(t.ColumnIndex(c))));
+      }
+      entries.emplace_back(std::move(key), rid);
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                int c = CompareKeys(a.first, b.first);
+                return c != 0 ? c < 0 : a.second < b.second;
+              });
+    PageStore store;
+    BTree want(def.name, def.columns.size(), std::max<size_t>(4, width),
+               &store);
+    want.BulkBuild(std::move(entries));
+    auto got = db.SecondaryIndexFingerprint(def.name);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want.Fingerprint());
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "core/configurations.h"
 #include "core/nref_families.h"
@@ -661,6 +662,268 @@ TEST(InSetMemoInvalidationTest, RebuiltIndexWithNewContentsRescans) {
     ASSERT_TRUE(db->ApplyConfiguration(Make1CConfig(db->catalog())).ok());
     ASSERT_NE(db->FindIndex(def.name), nullptr);
   });
+}
+
+// --------------------------------------------------- index-NL join exactness
+
+/// o(id, k, m) x 60 and s(c1, c2, pad) x 1200, indexed on s(c2) (a heap
+/// inner) and s(c2, c1) (read index-only). The join probes s.c2 = o.k;
+/// `s.c2 IN {even}` reads only the probed column, so it rejects every odd
+/// probe range whole, and `o.m = s.c1` is decided per entry.
+class ExecIndexNLJoinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    DatabaseOptions opts;
+    opts.buffer_pool_pages = 64;
+    opts.cost.page_io_seconds = 0.01;
+    opts.cost.random_io_seconds = 0.001;
+    opts.cost.cpu_tuple_seconds = 1e-6;
+    db_ = std::make_unique<Database>(opts);
+    TableDef o;
+    o.name = "o";
+    o.columns = {{"id", TypeId::kInt, "id_dom", true, 8},
+                 {"k", TypeId::kInt, "k_dom", true, 8},
+                 {"m", TypeId::kInt, "m_dom", true, 8}};
+    o.primary_key = {"id"};
+    TableDef s;
+    s.name = "s";
+    s.columns = {{"c1", TypeId::kInt, "m_dom", true, 8},
+                 {"c2", TypeId::kInt, "k_dom", true, 8},
+                 {"pad", TypeId::kString, "pad_dom", true, 40}};
+    ASSERT_TRUE(db_->CreateTable(o).ok());
+    ASSERT_TRUE(db_->CreateTable(s).ok());
+    for (int64_t i = 0; i < 60; ++i) {
+      ASSERT_TRUE(db_->Insert("o", Tuple({Value(i), Value(i % 20),
+                                          Value(i % 7)}))
+                      .ok());
+    }
+    for (int64_t i = 0; i < 1200; ++i) {
+      ASSERT_TRUE(db_->Insert("s", Tuple({Value(i % 7), Value((i * 13) % 20),
+                                          Value(std::string(40, 'a' + i % 26))}))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FinishLoad().ok());
+    Configuration config;
+    config.name = "join";
+    config.indexes = {{"s_c2", "s", {"c2"}, false},
+                      {"s_c2c1", "s", {"c2", "c1"}, false}};
+    ASSERT_TRUE(db_->ApplyConfiguration(config).ok());
+    auto evens = std::make_shared<std::unordered_set<Value, ValueHash>>();
+    for (int64_t v = 0; v < 20; v += 2) evens->insert(Value(v));
+    sets_ = {evens};
+  }
+  static void TearDownTestSuite() { db_.reset(); }
+
+  /// The join over `index` (index-only or not) with both residuals.
+  static std::unique_ptr<PlanNode> JoinPlan(const std::string& index,
+                                            bool index_only) {
+    auto outer = std::make_unique<PlanNode>();
+    outer->kind = PlanNode::Kind::kSeqScan;
+    outer->object = "o";
+    outer->output_cols = {{0, 0}, {0, 1}, {0, 2}};
+    auto join = std::make_unique<PlanNode>();
+    join->kind = PlanNode::Kind::kIndexNLJoin;
+    join->object = "s";
+    join->index_name = index;
+    join->index_only = index_only;
+    SeekKeyPart part;
+    part.from_outer = true;
+    part.outer = {0, 1};
+    join->seek = {part};
+    join->output_cols = outer->output_cols;
+    if (index_only) {
+      join->output_cols.insert(join->output_cols.end(), {{1, 1}, {1, 0}});
+    } else {
+      join->output_cols.insert(join->output_cols.end(),
+                               {{1, 0}, {1, 1}, {1, 2}});
+    }
+    ResidualPred in;
+    in.kind = ResidualPred::Kind::kInSet;
+    in.a = {1, 1};
+    in.in_set = 0;
+    ResidualPred eq;
+    eq.kind = ResidualPred::Kind::kColEqCol;
+    eq.a = {0, 2};
+    eq.b = {1, 0};
+    join->residual = {in, eq};
+    join->children.push_back(std::move(outer));
+    return join;
+  }
+
+  /// Everything a run leaves behind.
+  struct JoinRun {
+    Status status;
+    std::vector<Tuple> rows;
+    double sim_seconds = 0.0;
+    uint64_t pages_read = 0;
+    uint64_t tuples = 0;
+    BufferPoolStats pool;
+    uint64_t fetch_hits = 0;
+    AccessTrace trace;
+  };
+
+  /// Runs `join` through `body` in a fresh session context and pool, with
+  /// `fetch_fault` armed on storage.heap_fetch (an nth that is never
+  /// reached only counts hits).
+  template <typename Body>
+  static JoinRun Measure(uint64_t fetch_fault, const Body& body) {
+    FaultSpec fault;
+    fault.point = "storage.heap_fetch";
+    fault.trigger = FaultSpec::Trigger::kNth;
+    fault.nth = fetch_fault;
+    EXPECT_TRUE(FaultRegistry::Global().Arm(fault).ok());
+    BufferPool pool(16);
+    ExecContext ctx = db_->MakeSessionContext(&pool, db_->options().cost);
+    JoinRun run;
+    ctx.set_trace(&run.trace);
+    run.status = body(&ctx, &run.rows);
+    run.fetch_hits = FaultRegistry::Global().stats(fault.point).hits;
+    FaultRegistry::Global().DisarmAll();
+    run.sim_seconds = ctx.sim_time();
+    run.pages_read = ctx.pages_read();
+    run.tuples = ctx.tuples_processed();
+    run.pool = pool.stats();
+    return run;
+  }
+
+  static Status RunOperator(const PlanNode& join, ExecContext* ctx,
+                            std::vector<Tuple>* rows) {
+    std::unique_ptr<Operator> op;
+    TB_ASSIGN_OR_RETURN(op, BuildOperator(join, *db_, sets_, ctx));
+    TB_RETURN_IF_ERROR(op->Open());
+    Tuple t;
+    for (;;) {
+      auto more = op->Next(&t);
+      if (!more.ok()) return more.status();
+      if (!*more) return Status::OK();
+      rows->push_back(t);
+    }
+  }
+
+  /// The index-NL join as a plain loop, with no residual split: every
+  /// entry is fetched (or copied) whole and every residual is evaluated on
+  /// the joined row.
+  static Status RunReference(const PlanNode& join, ExecContext* ctx,
+                             std::vector<Tuple>* rows) {
+    std::vector<CompiledPred> preds;
+    TB_ASSIGN_OR_RETURN(preds, CompilePreds(join, sets_));
+    std::unique_ptr<Operator> outer;
+    TB_ASSIGN_OR_RETURN(outer,
+                        BuildOperator(*join.children[0], *db_, sets_, ctx));
+    TB_RETURN_IF_ERROR(outer->Open());
+    const IndexInfo* inner = db_->FindIndex(join.index_name);
+    PageTouchFn touch = [ctx](PageId id) { ctx->TouchPageRandom(id); };
+    Tuple outer_row, inner_row;
+    for (;;) {
+      auto more = outer->Next(&outer_row);
+      if (!more.ok()) return more.status();
+      if (!*more) return Status::OK();
+      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
+      auto it = inner->btree->SeekPrefix({outer_row.at(1)}, touch);
+      Rid rid;
+      while (it.Next(join.index_only ? inner_row.mutable_values() : nullptr,
+                     &rid)) {
+        ctx->ChargeTuples(1);
+        TB_RETURN_IF_ERROR(ctx->CheckTimeout());
+        if (!join.index_only) {
+          TB_RETURN_IF_ERROR(inner->heap->FetchInto(rid, touch, &inner_row));
+          ctx->ChargeTuples(1);
+        }
+        Tuple joined = Tuple::Concat(outer_row, inner_row);
+        if (std::all_of(preds.begin(), preds.end(),
+                        [&](const CompiledPred& p) { return p.Eval(joined); })) {
+          rows->push_back(std::move(joined));
+        }
+      }
+    }
+  }
+
+  static void ExpectSameRun(const JoinRun& a, const JoinRun& b) {
+    EXPECT_EQ(a.status.code(), b.status.code());
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds);  // bit-identical, not near
+    EXPECT_EQ(a.pages_read, b.pages_read);
+    EXPECT_EQ(a.tuples, b.tuples);
+    EXPECT_EQ(a.pool.hits, b.pool.hits);
+    EXPECT_EQ(a.pool.misses, b.pool.misses);
+    EXPECT_EQ(a.fetch_hits, b.fetch_hits);
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    for (size_t i = 0; i < a.trace.size(); ++i) {
+      ASSERT_EQ(a.trace[i].kind, b.trace[i].kind) << "trace event " << i;
+      ASSERT_EQ(a.trace[i].arg, b.trace[i].arg) << "trace event " << i;
+    }
+  }
+
+  /// Entries each o row's probe visits (s rows with c2 = o.k), in o order.
+  static std::vector<uint64_t> ProbeSizes() {
+    std::map<int64_t, uint64_t> per_key;
+    for (const auto& r : ScanAll(*db_, "s")) ++per_key[r.at(1).as_int()];
+    std::vector<uint64_t> sizes;
+    for (const auto& r : ScanAll(*db_, "o")) {
+      sizes.push_back(per_key[r.at(1).as_int()]);
+    }
+    return sizes;
+  }
+
+  static std::unique_ptr<Database> db_;
+  static InSets sets_;
+};
+
+std::unique_ptr<Database> ExecIndexNLJoinTest::db_;
+InSets ExecIndexNLJoinTest::sets_;
+
+TEST_F(ExecIndexNLJoinTest, RejectedProbesChargeEveryEntry) {
+  const std::vector<uint64_t> sizes = ProbeSizes();
+  uint64_t visited = 0, rejected = 0;
+  const std::vector<Tuple> outer_rows = ScanAll(*db_, "o");
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    visited += sizes[i];
+    if (outer_rows[i].at(1).as_int() % 2 != 0) rejected += sizes[i];
+  }
+  ASSERT_GT(rejected, 0u);
+  ASSERT_LT(rejected, visited);
+  const uint64_t never = uint64_t{1} << 40;
+  for (bool index_only : {false, true}) {
+    SCOPED_TRACE(index_only ? "index-only inner" : "heap inner");
+    auto join = JoinPlan(index_only ? "s_c2c1" : "s_c2", index_only);
+    JoinRun got = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunOperator(*join, ctx, r);
+    });
+    JoinRun want = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunReference(*join, ctx, r);
+    });
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ExpectSameRun(got, want);
+    EXPECT_FALSE(got.rows.empty());
+    for (const Tuple& row : got.rows) {
+      EXPECT_EQ(row.at(1).as_int() % 2, 0);  // the IN residual held
+      EXPECT_EQ(row.at(2), row.at(index_only ? 4 : 3));  // o.m = s.c1
+    }
+    // One charge per outer row scanned, one per visited entry, and a second
+    // per entry for its heap fetch.
+    EXPECT_EQ(got.tuples, outer_rows.size() + visited * (index_only ? 1 : 2));
+    EXPECT_EQ(got.fetch_hits, index_only ? 0 : visited);
+  }
+}
+
+TEST_F(ExecIndexNLJoinTest, FaultedFetchInARejectedProbeFailsTheQuery) {
+  // The first fetch of the first probe the IN residual rejects.
+  const std::vector<uint64_t> sizes = ProbeSizes();
+  const std::vector<Tuple> outer_rows = ScanAll(*db_, "o");
+  uint64_t nth = 1;
+  size_t i = 0;
+  while (outer_rows[i].at(1).as_int() % 2 == 0) nth += sizes[i++];
+  ASSERT_GT(sizes[i], 0u);
+  auto join = JoinPlan("s_c2", false);
+  JoinRun got = Measure(nth, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+    return RunOperator(*join, ctx, r);
+  });
+  JoinRun want = Measure(nth, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+    return RunReference(*join, ctx, r);
+  });
+  EXPECT_EQ(got.status.code(), Status::Code::kUnavailable);
+  EXPECT_EQ(got.fetch_hits, nth);
+  ExpectSameRun(got, want);
 }
 
 }  // namespace

@@ -232,11 +232,8 @@ std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
   std::vector<Finding> findings;
   RunFilePass(model, &findings);
   RunLayeringPass(model, opts.layers, &findings);
-  RunLockOrderPass(model, &findings);
   RunStatusFlowPass(model, &findings);
-  RunTaintPass(model, &findings);
-  RunLocksetPass(model, &findings);
-  RunBlockingPass(model, &findings);
+  RunBodyFactPasses(model, &findings);
   RunDurabilityPass(model, opts.protocols, &findings);
   RunReleasePass(model, &findings);
   RunErrorPathPass(model, &findings);

@@ -120,11 +120,10 @@ std::vector<size_t> ResolveCall(const Model& model,
 // caller in Analyze()).
 void RunLayeringPass(const Model& model, const LayerSpec& layers,
                      std::vector<Finding>* findings);
-void RunLockOrderPass(const Model& model, std::vector<Finding>* findings);
 void RunStatusFlowPass(const Model& model, std::vector<Finding>* findings);
-void RunTaintPass(const Model& model, std::vector<Finding>* findings);
-void RunLocksetPass(const Model& model, std::vector<Finding>* findings);
-void RunBlockingPass(const Model& model, std::vector<Finding>* findings);
+/// The lock-order, taint, lockset and blocking passes, in that order, over
+/// one extraction of every function body's facts.
+void RunBodyFactPasses(const Model& model, std::vector<Finding>* findings);
 
 // The path-sensitive passes (passes_cfg.cc): per-function CFGs (cfg.h)
 // plus forward dataflow (dataflow.h).

@@ -683,18 +683,13 @@ BodyFacts ExtractBodyFacts(const Model& model, const FunctionInfo& fn) {
   return facts;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Lock-order pass
 // ---------------------------------------------------------------------------
 
-void RunLockOrderPass(const Model& model, std::vector<Finding>* findings) {
+void RunLockOrderPass(const Model& model, const std::vector<BodyFacts>& facts,
+                      std::vector<Finding>* findings) {
   const size_t n = model.functions.size();
-  std::vector<BodyFacts> facts(n);
-  for (size_t i = 0; i < n; ++i) {
-    facts[i] = ExtractBodyFacts(model, model.functions[i]);
-  }
 
   // Representative acquisition site per mutex (for related locations).
   std::map<std::string, RelatedSite> acq_site;
@@ -849,6 +844,8 @@ void RunLockOrderPass(const Model& model, std::vector<Finding>* findings) {
   }
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Status-flow pass
 // ---------------------------------------------------------------------------
@@ -982,7 +979,10 @@ void RunStatusFlowPass(const Model& model, std::vector<Finding>* findings) {
 // Nondeterminism taint pass
 // ---------------------------------------------------------------------------
 
-void RunTaintPass(const Model& model, std::vector<Finding>* findings) {
+namespace {
+
+void RunTaintPass(const Model& model, const std::vector<BodyFacts>& facts,
+                  std::vector<Finding>* findings) {
   const size_t n = model.functions.size();
   struct Taint {
     bool tainted = false;
@@ -994,9 +994,7 @@ void RunTaintPass(const Model& model, std::vector<Finding>* findings) {
 
   // Direct sources (lambda bodies included: deferred nondeterminism is
   // still nondeterminism).
-  std::vector<BodyFacts> facts(n);
   for (size_t i = 0; i < n; ++i) {
-    facts[i] = ExtractBodyFacts(model, model.functions[i]);
     if (!facts[i].taint_sources.empty()) {
       taint[i].tainted = true;
       taint[i].why = facts[i].taint_sources[0].what;
@@ -1060,8 +1058,6 @@ void RunTaintPass(const Model& model, std::vector<Finding>* findings) {
 // Lockset-inference pass (Eraser-style)
 // ---------------------------------------------------------------------------
 
-namespace {
-
 std::string ClassTail(const std::string& cls) {
   const size_t p = cls.rfind("::");
   return p == std::string::npos ? cls : cls.substr(p + 2);
@@ -1088,14 +1084,9 @@ bool UnderSrc(const std::string& path) {
   return path.rfind("src/", 0) == 0;
 }
 
-}  // namespace
-
-void RunLocksetPass(const Model& model, std::vector<Finding>* findings) {
+void RunLocksetPass(const Model& model, const std::vector<BodyFacts>& facts,
+                    std::vector<Finding>* findings) {
   const size_t n = model.functions.size();
-  std::vector<BodyFacts> facts(n);
-  for (size_t i = 0; i < n; ++i) {
-    facts[i] = ExtractBodyFacts(model, model.functions[i]);
-  }
 
   // Every access site per (class, field), with its lockset. Tests and
   // tools are single-threaded scaffolding; only src/ samples count.
@@ -1260,12 +1251,9 @@ void RunLocksetPass(const Model& model, std::vector<Finding>* findings) {
 // Blocking-under-lock pass
 // ---------------------------------------------------------------------------
 
-void RunBlockingPass(const Model& model, std::vector<Finding>* findings) {
+void RunBlockingPass(const Model& model, const std::vector<BodyFacts>& facts,
+                     std::vector<Finding>* findings) {
   const size_t n = model.functions.size();
-  std::vector<BodyFacts> facts(n);
-  for (size_t i = 0; i < n; ++i) {
-    facts[i] = ExtractBodyFacts(model, model.functions[i]);
-  }
 
   // may_block: the function's own frame can park the thread (lambda
   // bodies excluded — they block whichever thread later runs them).
@@ -1365,6 +1353,19 @@ void RunBlockingPass(const Model& model, std::vector<Finding>* findings) {
       }
     }
   }
+}
+
+}  // namespace
+
+void RunBodyFactPasses(const Model& model, std::vector<Finding>* findings) {
+  std::vector<BodyFacts> facts(model.functions.size());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    facts[i] = ExtractBodyFacts(model, model.functions[i]);
+  }
+  RunLockOrderPass(model, facts, findings);
+  RunTaintPass(model, facts, findings);
+  RunLocksetPass(model, facts, findings);
+  RunBlockingPass(model, facts, findings);
 }
 
 // ---------------------------------------------------------------------------

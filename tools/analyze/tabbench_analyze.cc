@@ -93,14 +93,18 @@ bool WriteFile(const fs::path& path, const std::string& content) {
   return false;
 }
 
-/// Parses ROOT/tools/analyze/<name> with `parse` when the file exists.
-/// Returns false (after printing why) on a read or parse error.
+/// Parses ROOT/tools/analyze/<name> with `parse`. Returns false (after
+/// printing why) when the file is missing, unreadable or malformed: a
+/// missing spec would silently turn its pass off.
 template <typename Spec, typename Parse>
 bool LoadSpec(const std::string& root, const char* name, Parse parse,
               Spec* spec) {
   const fs::path path = fs::path(root) / "tools/analyze" / name;
   std::error_code ec;
-  if (!fs::is_regular_file(path, ec)) return true;
+  if (!fs::is_regular_file(path, ec)) {
+    std::cerr << "tabbench_analyze: missing " << path.string() << "\n";
+    return false;
+  }
   std::string text, error;
   if (!ReadFile(path, &text)) {
     std::cerr << "tabbench_analyze: cannot read " << path.string() << "\n";

@@ -194,7 +194,11 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # oversized-record tests, whose rows would overflow a page if the size
 # check slipped — with AddressSanitizer, so a stale, overlapping or
 # out-of-page write fails here rather than corrupting rows silently. The
-# SQL front end rides along: the lexer scans string views of its input and
+# index-NL join reads index-only keys in place through pointers into B-tree
+# leaves (BTree::Iterator::NextKey), and index builds sort abbreviated keys
+# that index back into the scanned entries; their suites
+# (ExecIndexNLJoinTest, EngineBTreeBuildSortTest) match Exec* and *BTree*.
+# The SQL front end rides along: the lexer scans string views of its input and
 # the parser moves token text into the AST, and the seeded front-end fuzzer
 # (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
 # The planner holds its units' column names as pointers into the catalog's
