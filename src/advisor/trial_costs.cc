@@ -101,6 +101,21 @@ TrialCosts::TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
     degraded_ = DegradeToUniform(*base.stats);
     whatif_base_.stats = &degraded_;
   }
+  if (whatif_base_.catalog == nullptr || whatif_base_.stats == nullptr) {
+    prepare_status_ =
+        Status::InvalidArgument("base view missing catalog or stats");
+    return;
+  }
+  prepared_.reserve(queries_.size());
+  for (const BoundQuery* q : queries_) {
+    auto pq = PrepareQuery(*q, *whatif_base_.catalog, *whatif_base_.stats);
+    if (!pq.ok()) {
+      prepare_status_ = pq.status();
+      prepared_.clear();
+      return;
+    }
+    prepared_.push_back(pq.TakeValue());
+  }
 }
 
 Configuration TrialCosts::Config(const std::string& name) const {
@@ -110,18 +125,20 @@ Configuration TrialCosts::Config(const std::string& name) const {
 }
 
 Result<std::vector<double>> TrialCosts::Baseline() const {
+  TB_RETURN_IF_ERROR(prepare_status_);
   ConfigView v;
   TB_ASSIGN_OR_RETURN(
       v, MakeHypotheticalView(MakeConfig(units_, chosen_), whatif_base_,
                               rules_));
   std::vector<double> costs(queries_.size(), 0.0);
   for (size_t i = 0; i < queries_.size(); ++i) {
-    TB_ASSIGN_OR_RETURN(costs[i], EstimateCost(*queries_[i], v));
+    TB_ASSIGN_OR_RETURN(costs[i], EstimateCost(prepared_[i], v));
   }
   return costs;
 }
 
 Status TrialCosts::Trial(size_t ui, std::vector<double>* costs) {
+  TB_RETURN_IF_ERROR(prepare_status_);
   std::optional<ConfigView> view;  // built on the first memo miss
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (!Relevant(ui, i)) continue;
@@ -134,7 +151,7 @@ Status TrialCosts::Trial(size_t ui, std::vector<double>* costs) {
             view, MakeHypotheticalView(MakeConfig(units_, trial),
                                        whatif_base_, rules_));
       }
-      TB_ASSIGN_OR_RETURN(cost, EstimateCost(*queries_[i], *view));
+      TB_ASSIGN_OR_RETURN(cost, EstimateCost(prepared_[i], *view));
     }
     (*costs)[i] = *cost;
   }

@@ -7,6 +7,7 @@
 
 #include "advisor/candidates.h"
 #include "optimizer/config_view.h"
+#include "optimizer/prepared_query.h"
 #include "optimizer/whatif.h"
 #include "util/status.h"
 
@@ -40,6 +41,10 @@ std::vector<Unit> MakeUnits(const CandidateSet& cands);
 /// What-if trial costing for a greedy search over `units`: the estimated
 /// cost E of each query under `chosen ∪ {unit}`, all from hypothetical
 /// views over `base` (degraded to uniform densities when `rules` say so).
+///
+/// Each query is prepared once, at construction, against those trial
+/// statistics (PrepareQuery); every trial plans the prepared form. A query
+/// that cannot be prepared fails Baseline() and Trial() with its error.
 ///
 /// Relevance (Unit::RelevantTo) is computed once per (unit, query) and
 /// trial costs are memoized per (unit, query). A pick changes only the
@@ -83,6 +88,8 @@ class TrialCosts {
   HypotheticalRules rules_;
   std::vector<Unit> units_;
   std::vector<const BoundQuery*> queries_;
+  std::vector<PreparedQuery> prepared_;  // by query, against whatif_base_
+  Status prepare_status_;  // the first preparation error, if any
   std::vector<size_t> chosen_;
   std::vector<bool> taken_;
   // Row-major [unit][query]: RelevantTo, fixed at construction.

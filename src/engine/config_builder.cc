@@ -1,10 +1,10 @@
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "engine/database.h"
 #include "exec/operators.h"
 #include "optimizer/planner.h"
+#include "storage/abbrev_sort.h"
 #include "util/fault_injection.h"
 #include "util/strings.h"
 
@@ -17,51 +17,6 @@ namespace {
 CostParams BuildParams(CostParams p) {
   p.timeout_seconds = 1e18;
   return p;
-}
-
-/// An index-build sort record: an order-preserving 64-bit prefix of the
-/// key's leading column and the entry's scan position, which orders exactly
-/// as its Rid does (the scan visits Rids in ascending order).
-struct AbbrevEntry {
-  uint64_t prefix = 0;
-  uint32_t pos = 0;
-  /// The prefix holds the whole key: equal prefixes mean equal keys.
-  bool whole = false;
-};
-
-/// CompareKeys(a, b) < 0 implies Abbreviate(a) <= Abbreviate(b). NULL maps
-/// to 0 (it sorts first) and never holds the whole key, so a tie with it
-/// is settled by CompareKeys; -0.0 maps with 0.0, which it equals; strings
-/// take their first 8 bytes, big-endian and zero-padded, which orders as
-/// Value::Compare's unsigned bytes do. A string holds the whole key only if
-/// it fits and does not end in a NUL, so no padding is ambiguous.
-AbbrevEntry Abbreviate(const IndexKey& key, size_t pos) {
-  AbbrevEntry e;
-  e.pos = static_cast<uint32_t>(pos);
-  if (key.empty()) return e;
-  const Value& v = key.front();
-  const uint64_t kSign = uint64_t{1} << 63;
-  bool whole = false;
-  if (v.is_int()) {
-    e.prefix = static_cast<uint64_t>(v.as_int()) ^ kSign;
-    whole = true;
-  } else if (v.is_double()) {
-    double d = v.as_double() == 0.0 ? 0.0 : v.as_double();
-    uint64_t bits;
-    std::memcpy(&bits, &d, 8);
-    e.prefix = (bits & kSign) != 0 ? ~bits : bits | kSign;
-    whole = true;
-  } else if (v.is_string()) {
-    const std::string& s = v.as_string();
-    size_t n = std::min<size_t>(s.size(), 8);
-    for (size_t i = 0; i < n; ++i) {
-      e.prefix |= static_cast<uint64_t>(static_cast<uint8_t>(s[i]))
-                  << (56 - 8 * i);
-    }
-    whole = s.size() <= 8 && (s.empty() || s.back() != '\0');
-  }
-  e.whole = whole && key.size() == 1;
-  return e;
 }
 }  // namespace
 
@@ -134,7 +89,14 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
     IndexKey key;
     key.reserve(key_cols.size());
     for (int pos : key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
-    order.push_back(Abbreviate(key, entries.size()));
+    // The leading column's prefix; the scan visits Rids in ascending order,
+    // so positions order as Rids do.
+    const size_t pos = entries.size();
+    AbbrevEntry e = key.empty()
+                        ? AbbrevEntry{0, static_cast<uint32_t>(pos), false}
+                        : Abbreviate(key.front(), pos);
+    e.whole = e.whole && key.size() == 1;
+    order.push_back(e);
     entries.emplace_back(std::move(key), cursor.rid());
   }
 
@@ -149,17 +111,10 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
       ctx->ChargeIoPages(static_cast<uint64_t>(2.0 * pages));
     }
   }
-  // Sort by (key, Rid) on abbreviated keys; CompareKeys settles only the
-  // ties whose prefixes do not hold the whole key.
-  std::sort(order.begin(), order.end(),
-            [&entries](const AbbrevEntry& a, const AbbrevEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              if (!(a.whole && b.whole)) {
-                int c = CompareKeys(entries[a.pos].first, entries[b.pos].first);
-                if (c != 0) return c < 0;
-              }
-              return a.pos < b.pos;
-            });
+  // Sort by (key, Rid) on abbreviated keys.
+  SortAbbreviated(&order, [&entries](uint32_t a, uint32_t b) {
+    return CompareKeys(entries[a].first, entries[b].first);
+  });
   std::vector<std::pair<IndexKey, Rid>> sorted;
   sorted.reserve(entries.size());
   for (const AbbrevEntry& e : order) sorted.push_back(std::move(entries[e.pos]));

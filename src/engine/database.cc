@@ -17,6 +17,7 @@ Database::~Database() = default;
 
 Status Database::CreateTable(const TableDef& def) {
   TB_RETURN_IF_ERROR(catalog_.AddTable(def));
+  catalog_epoch_ = NextContentEpoch();
   std::vector<TypeId> types;
   for (const auto& c : def.columns) types.push_back(c.type);
   tables_[def.name] = std::make_unique<HeapTable>(
@@ -260,25 +261,61 @@ Result<Database::AnalyzedRun> Database::RunAnalyze(const std::string& sql) {
 }
 
 Result<PhysicalPlan> Database::Plan(const std::string& sql) const {
-  BoundQuery q;
-  TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
-  return PlanQuery(q, PlannerView()->view);
+  std::shared_ptr<const PreparedEntry> entry;
+  TB_ASSIGN_OR_RETURN(entry, Prepared(sql));
+  return PlanQuery(entry->prepared, PlannerView()->view);
 }
 
 Result<double> Database::Estimate(const std::string& sql) const {
-  BoundQuery q;
-  TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
-  return EstimateCost(q, PlannerView()->view);
+  std::shared_ptr<const PreparedEntry> entry;
+  TB_ASSIGN_OR_RETURN(entry, Prepared(sql));
+  return EstimateCost(entry->prepared, PlannerView()->view);
 }
 
 Result<double> Database::HypotheticalEstimate(
     const std::string& sql, const Configuration& hypothetical,
     const HypotheticalRules& rules) const {
-  BoundQuery q;
-  TB_ASSIGN_OR_RETURN(q, ParseAndBind(sql, catalog_));
+  std::shared_ptr<const PreparedEntry> entry;
+  TB_ASSIGN_OR_RETURN(entry, Prepared(sql));
   std::shared_ptr<const HypotheticalMemo> hyp;
   TB_ASSIGN_OR_RETURN(hyp, HypotheticalView(hypothetical, rules));
-  return EstimateCost(q, hyp->view);
+  if (hyp->view.stats == &stats_) {
+    return EstimateCost(entry->prepared, hyp->view);
+  }
+  // Uniform-value rules: the view's statistics are its own.
+  PreparedQuery own;
+  TB_ASSIGN_OR_RETURN(own,
+                      PrepareQuery(entry->query, catalog_, *hyp->view.stats));
+  return EstimateCost(own, hyp->view);
+}
+
+Result<std::shared_ptr<const Database::PreparedEntry>> Database::Prepared(
+    const std::string& sql) const {
+  // Mutators never run alongside readers, so the epochs are read bare.
+  const uint64_t catalog_epoch = catalog_epoch_;
+  const uint64_t stats_epoch = stats_epoch_;
+  {
+    MutexLock lock(&memo_mu_);
+    if (prepared_catalog_epoch_ == catalog_epoch &&
+        prepared_stats_epoch_ == stats_epoch) {
+      auto it = prepared_.find(sql);
+      if (it != prepared_.end()) return it->second;
+    }
+  }
+  auto fresh = std::make_shared<PreparedEntry>();
+  TB_ASSIGN_OR_RETURN(fresh->query, ParseAndBind(sql, catalog_));
+  TB_ASSIGN_OR_RETURN(fresh->prepared,
+                      PrepareQuery(fresh->query, catalog_, stats_));
+  MutexLock lock(&memo_mu_);
+  if (prepared_catalog_epoch_ != catalog_epoch ||
+      prepared_stats_epoch_ != stats_epoch ||
+      prepared_.size() >= kPreparedQueryCap) {
+    prepared_.clear();
+    prepared_catalog_epoch_ = catalog_epoch;
+    prepared_stats_epoch_ = stats_epoch;
+  }
+  prepared_.insert_or_assign(sql, fresh);
+  return std::shared_ptr<const PreparedEntry>(std::move(fresh));
 }
 
 namespace {

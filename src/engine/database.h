@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -13,6 +14,7 @@
 #include "exec/plan_executor.h"
 #include "exec/vec/vec_executor.h"
 #include "optimizer/config_view.h"
+#include "optimizer/prepared_query.h"
 #include "optimizer/whatif.h"
 #include "sql/binder.h"
 #include "storage/btree.h"
@@ -143,9 +145,10 @@ class Database : public ObjectResolver {
 
   /// Optimizes only; returns the chosen plan with E(q, C_current).
   /// Read-only and safe to call concurrently (planning consults only the
-  /// catalog, statistics, and built-structure metadata). Plans against the
-  /// memoized view of the built configuration, as do Estimate,
-  /// HypotheticalEstimate and every Run* entry point.
+  /// catalog, statistics, and built-structure metadata). Plans the text's
+  /// memoized preparation against the memoized view of the built
+  /// configuration, as do Estimate, HypotheticalEstimate and every Run*
+  /// entry point.
   Result<PhysicalPlan> Plan(const std::string& sql) const;
 
   /// EXPLAIN ANALYZE: executes and returns both the result and the plan
@@ -175,7 +178,6 @@ class Database : public ObjectResolver {
   ConfigView CurrentView() const;
 
   // ----------------------------------------------------------------- plumbing
-  Catalog* mutable_catalog() { return &catalog_; }
   const Catalog& catalog() const { return catalog_; }
   const DatabaseStats& stats() const { return stats_; }
   BufferPool* buffer_pool() { return &pool_; }
@@ -203,6 +205,10 @@ class Database : public ObjectResolver {
  private:
   /// Tests check which calls hit the planner memos.
   friend class DatabaseTestPeer;
+
+  /// Most SQL texts the prepared-query memo holds; a fill at the cap
+  /// empties it first. Above the 722 queries of the NREF3J family.
+  static constexpr size_t kPreparedQueryCap = 1024;
 
   struct BuiltIndex {
     IndexDef def;
@@ -247,6 +253,26 @@ class Database : public ObjectResolver {
     DatabaseStats degraded;
     ConfigView view;
   };
+  /// One SQL text parsed, bound and prepared against catalog_ and stats_.
+  /// `prepared` points into `query`, so an entry is never copied or moved.
+  struct PreparedEntry {
+    PreparedEntry() = default;
+    PreparedEntry(const PreparedEntry&) = delete;
+    PreparedEntry& operator=(const PreparedEntry&) = delete;
+
+    BoundQuery query;
+    PreparedQuery prepared;
+  };
+  /// The memoized preparation of `sql`, made first on a miss. The memo is
+  /// valid while catalog_epoch_ and stats_epoch_ equal the ones recorded
+  /// with it: a miss under other epochs empties it, so no mutator
+  /// invalidates anything. A text that fails to parse, bind or prepare is
+  /// returned as the error and not stored. Entries are immutable; like
+  /// PlannerView, the lock guards only the map, and two threads that miss
+  /// on one text at once store equal entries.
+  Result<std::shared_ptr<const PreparedEntry>> Prepared(
+      const std::string& sql) const TB_EXCLUDES(memo_mu_);
+
   /// The memoized view of the built configuration, rebuilt first if stale.
   /// Like InSetMemo, the lock guards only the memo slot: checks and builds
   /// run outside it, and two threads that miss at once store equal views.
@@ -283,11 +309,18 @@ class Database : public ObjectResolver {
   /// Content epoch (NextContentEpoch) of stats_, renewed by every
   /// CollectStatistics.
   uint64_t stats_epoch_ = 0;
+  /// Content epoch of catalog_, renewed by every CreateTable.
+  uint64_t catalog_epoch_ = 0;
 
   mutable Mutex memo_mu_;
   mutable std::shared_ptr<const ViewMemo> view_memo_ TB_GUARDED_BY(memo_mu_);
   mutable std::shared_ptr<const HypotheticalMemo> hypothetical_memo_
       TB_GUARDED_BY(memo_mu_);
+  /// Prepared(): entries by SQL text, and the epochs they were made under.
+  mutable std::unordered_map<std::string, std::shared_ptr<const PreparedEntry>>
+      prepared_ TB_GUARDED_BY(memo_mu_);
+  mutable uint64_t prepared_catalog_epoch_ TB_GUARDED_BY(memo_mu_) = 0;
+  mutable uint64_t prepared_stats_epoch_ TB_GUARDED_BY(memo_mu_) = 0;
 };
 
 }  // namespace tabbench

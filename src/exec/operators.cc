@@ -170,6 +170,13 @@ class SeqScanOp : public Operator {
 
 // -------------------------------------------------------------- IndexScan
 
+/// Like SeqScan, a visited entry is materialized only once its residuals
+/// pass: an index-only scan reads the key in place in its leaf
+/// (BTree::Iterator::NextKey), a heap scan decodes only the residuals'
+/// columns and completes the row for a passing entry. Charges never depend
+/// on this: every visited entry pays its leaf touch, ChargeTuples and
+/// CheckTimeout, and a heap scan's fetch (fault point and random page
+/// touch) and second ChargeTuples.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const IndexInfo* index, IndexKey prefix, bool index_only,
@@ -179,7 +186,14 @@ class IndexScanOp : public Operator {
         index_only_(index_only),
         preds_(std::move(preds)),
         ctx_(ctx),
-        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {}
+        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {
+    if (index_only_ || preds_.empty()) return;
+    pred_cols_.assign(index_->heap->codec().types().size(), 0);
+    for (const auto& p : preds_) {
+      pred_cols_[static_cast<size_t>(p.pos_a)] = 1;
+      if (p.pos_b >= 0) pred_cols_[static_cast<size_t>(p.pos_b)] = 1;
+    }
+  }
 
   Status Open() override {
     if (prefix_.empty()) {
@@ -193,24 +207,40 @@ class IndexScanOp : public Operator {
     return Status::OK();
   }
 
-  // Like SeqScan, rows land in *out (heap fetches decode there; an
-  // index-only row is the key) and are filtered in place.
   Result<bool> NextImpl(Tuple* out) override {
     Rid rid;
-    while (iter_.Next(index_only_ ? out->mutable_values() : nullptr, &rid)) {
+    while (const IndexKey* key = iter_.NextKey(&rid)) {
       ctx_->ChargeTuples(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      if (!index_only_) {
-        TB_RETURN_IF_ERROR(index_->heap->FetchInto(rid, touch_random_, out));
-        ctx_->ChargeTuples(1);
+      if (index_only_) {
+        if (!KeyPasses(*key)) continue;
+        *out->mutable_values() = *key;
+        return true;
       }
-      if (EvalPreds(preds_, *out)) return true;
+      TB_RETURN_IF_ERROR(index_->heap->FetchColumnsInto(
+          rid, touch_random_, pred_cols_.empty() ? nullptr : &pred_cols_,
+          out));
+      ctx_->ChargeTuples(1);
+      if (!EvalPreds(preds_, *out)) continue;
+      index_->heap->DecodeRowAt(rid, out);
+      return true;
     }
     TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
     return false;
   }
 
  private:
+  /// The residuals on an index-only entry, read in place.
+  bool KeyPasses(const IndexKey& key) const {
+    auto at = [&key](int pos) -> const Value& {
+      return key[static_cast<size_t>(pos)];
+    };
+    for (const auto& p : preds_) {
+      if (!EvalAt(p, at)) return false;
+    }
+    return true;
+  }
+
   const IndexInfo* index_;
   IndexKey prefix_;
   bool index_only_;
@@ -218,6 +248,8 @@ class IndexScanOp : public Operator {
   ExecContext* ctx_;
   PageTouchFn touch_random_;  // probes and heap fetches: random I/O
   BTree::Iterator iter_;
+  /// Heap scan: the columns the residuals read (empty without them).
+  std::vector<uint8_t> pred_cols_;
 };
 
 // --------------------------------------------------------------- HashJoin

@@ -21,12 +21,12 @@ double CardinalityEstimator::RowBytes(const TableStats* ts) {
 }
 
 double CardinalityEstimator::TableRows(const std::string& table) const {
-  return Rows(view_.stats->FindTable(table));
+  return Rows(stats_->FindTable(table));
 }
 
 double CardinalityEstimator::Distinct(const std::string& table,
                                       const std::string& column) const {
-  const ColumnStats* cs = view_.stats->FindColumn(table, column);
+  const ColumnStats* cs = stats_->FindColumn(table, column);
   if (cs == nullptr || cs->num_distinct == 0) return 1.0;
   return static_cast<double>(cs->num_distinct);
 }
@@ -34,7 +34,7 @@ double CardinalityEstimator::Distinct(const std::string& table,
 double CardinalityEstimator::EqSelectivity(const std::string& table,
                                            const std::string& column,
                                            const Value& literal) const {
-  const ColumnStats* cs = view_.stats->FindColumn(table, column);
+  const ColumnStats* cs = stats_->FindColumn(table, column);
   if (cs == nullptr) return 0.1;
   double sel = cs->EstimateEqSelectivity(literal);
   return std::clamp(sel, 0.0, 1.0);
@@ -43,7 +43,7 @@ double CardinalityEstimator::EqSelectivity(const std::string& table,
 double CardinalityEstimator::InFreqSelectivity(const std::string& table,
                                                const std::string& column,
                                                char cmp, int64_t k) const {
-  const ColumnStats* cs = view_.stats->FindColumn(table, column);
+  const ColumnStats* cs = stats_->FindColumn(table, column);
   if (cs == nullptr) return 0.5;
   double sel = (cmp == '<') ? cs->FracRowsValueFreqLess(static_cast<uint64_t>(k))
                             : cs->FracRowsValueFreqEq(static_cast<uint64_t>(k));
@@ -61,12 +61,12 @@ double CardinalityEstimator::JoinSelectivityOf(double d1, double d2) {
   return 1.0 / std::max({d1, d2, 1.0});
 }
 
-double CardinalityEstimator::GroupCount(
-    const std::vector<BoundColumn>& group_by, double input_rows) const {
-  if (group_by.empty()) return 1.0;
+double CardinalityEstimator::GroupCountOf(const std::vector<double>& distinct,
+                                          double input_rows) {
+  if (distinct.empty()) return 1.0;
   double prod = 1.0;
-  for (const auto& g : group_by) {
-    prod *= Distinct(g.table, g.column);
+  for (double d : distinct) {
+    prod *= d;
     if (prod > input_rows) break;
   }
   // Damping: with several group columns the product overshoots badly; cap

@@ -2,9 +2,9 @@
 #define TABBENCH_OPTIMIZER_CARDINALITY_H_
 
 #include <string>
+#include <vector>
 
-#include "optimizer/config_view.h"
-#include "sql/binder.h"
+#include "stats/table_stats.h"
 #include "types/value.h"
 
 namespace tabbench {
@@ -16,7 +16,7 @@ namespace tabbench {
 /// driven*, and on those estimates degrading with query complexity.
 class CardinalityEstimator {
  public:
-  explicit CardinalityEstimator(const ConfigView& view) : view_(view) {}
+  explicit CardinalityEstimator(const DatabaseStats& stats) : stats_(&stats) {}
 
   /// Rows in `table`.
   double TableRows(const std::string& table) const;
@@ -46,13 +46,13 @@ class CardinalityEstimator {
   /// The same from the two sides' distinct counts (Distinct's values).
   static double JoinSelectivityOf(double d1, double d2);
 
-  /// Expected number of groups when grouping `input_rows` rows by the given
-  /// columns (capped at input_rows).
-  double GroupCount(const std::vector<BoundColumn>& group_by,
-                    double input_rows) const;
+  /// Expected number of groups when grouping `input_rows` rows by columns
+  /// with these distinct counts (Distinct's values), capped at input_rows.
+  static double GroupCountOf(const std::vector<double>& distinct,
+                             double input_rows);
 
  private:
-  const ConfigView& view_;
+  const DatabaseStats* stats_;
 };
 
 }  // namespace tabbench

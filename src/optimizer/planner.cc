@@ -28,24 +28,6 @@ template <typename T>
 using ArenaVec = std::pmr::vector<T>;
 using Arena = std::pmr::memory_resource*;
 
-/// A literal filter bound to an exposed slot of a unit.
-struct FilterBinding {
-  SlotRef slot;
-  /// Column name within the unit's object, owned by the catalog's TableDef
-  /// or the view's ViewDef (both outlive the planner).
-  const std::string* object_column = nullptr;
-  /// The bound query's literal (the query outlives the planner).
-  const Value* literal = nullptr;
-  double selectivity = 1.0;
-};
-
-/// An IN-frequency predicate bound to an exposed slot of a unit.
-struct InBinding {
-  SlotRef slot;
-  int set_id = -1;
-  double selectivity = 1.0;
-};
-
 /// An index on a unit's object whose key columns the unit exposes.
 struct UnitIndex {
   explicit UnitIndex(Arena arena) : key_pos(arena), key_filter(arena) {}
@@ -120,13 +102,6 @@ struct UnitDesc {
     return -1;
   }
   bool Exposes(const SlotRef& s) const { return SlotPos(s) >= 0; }
-};
-
-/// A query join with its estimates, computed once per query.
-struct JoinInfo {
-  SlotRef left, right;
-  double selectivity = 1.0;
-  double left_distinct = 1.0, right_distinct = 1.0;
 };
 
 /// A join oriented from the already-joined side (outer) to a unit (inner).
@@ -205,25 +180,25 @@ bool Consumed(const ConsumedColumns& consumed, const std::string& column) {
 /// per-unit path costs and a `{rows, cost, row_bytes, rels}` accumulator,
 /// and the builder allocates plan nodes for the winner alone. All search
 /// state lives in `arena`; only `Build`'s plan tree is heap-allocated, and
-/// nothing in it points into the arena.
+/// nothing in it points into the arena. What depends on the query and the
+/// statistics alone comes from the PreparedQuery.
 class Planner {
  public:
-  Planner(const BoundQuery& q, const ConfigView& view, Arena arena)
-      : q_(q),
+  Planner(const PreparedQuery& pq, const ConfigView& view, Arena arena)
+      : pq_(pq),
+        q_(*pq.query),
         view_(view),
         arena_(arena),
-        card_(view),
         cost_(view.params),
+        joins_(pq.joins),
         in_sets_(arena),
-        joins_(arena),
-        needed_(arena),
         base_units_(arena),
         view_units_(arena),
         best_(arena) {}
 
   /// Finds the cheapest plan; its E(q, C) is then `best_.total`.
   Status Search() {
-    TB_RETURN_IF_ERROR(Prepare());
+    ChooseInSets();
 
     // Unit partitions: all base units, or one view match replacing its rels.
     base_units_.reserve(q_.relations.size());
@@ -270,27 +245,17 @@ class Planner {
  private:
   // ------------------------------------------------------------ preparation
 
-  Status Prepare() {
-    // Relation and join sets travel as 64-bit masks.
-    if (q_.num_relations() > 64 || q_.joins.size() > 64) {
-      return Status::InvalidArgument(
-          "planner supports at most 64 relations and 64 joins");
-    }
-    // Assign IN-set ids in q order and pick their evaluation strategy.
+  /// Picks each IN-frequency subquery's evaluation: a heap scan or an
+  /// index-only frequency walk, whichever costs less under this view.
+  void ChooseInSets() {
     in_sets_.reserve(q_.in_preds.size());
-    for (const auto& p : q_.in_preds) {
+    for (size_t i = 0; i < q_.in_preds.size(); ++i) {
+      const BoundInFreq& p = q_.in_preds[i];
+      const PreparedInSet& prepared = pq_.in_sets[i];
       InSetChoice in_set;
-      const TableDef* def = view_.catalog->FindTable(p.sub_table);
-      if (def == nullptr) return Status::NotFound("table " + p.sub_table);
-      in_set.column_pos = def->ColumnIndex(p.sub_column);
-      if (in_set.column_pos < 0) {
-        return Status::NotFound("column " + p.sub_column);
-      }
-      // Heap scan vs index-only frequency walk.
-      const TableStats* ts = view_.stats->FindTable(p.sub_table);
-      const double rows = CardinalityEstimator::Rows(ts);
-      double best_cost = cost_.SeqScan(CardinalityEstimator::Pages(ts), rows) +
-                         rows * view_.params.cpu_hash_seconds;
+      in_set.column_pos = prepared.column_pos;
+      double best_cost = cost_.SeqScan(prepared.pages, prepared.rows) +
+                         prepared.rows * view_.params.cpu_hash_seconds;
       for (const PhysicalIndex& idx : view_.indexes) {
         if (idx.def.target != p.sub_table || idx.def.columns.empty() ||
             idx.def.columns[0] != p.sub_column) {
@@ -307,68 +272,36 @@ class Planner {
       in_set.cost = best_cost;
       in_sets_.push_back(in_set);
     }
-
-    // Per-side distinct counts, and from them the join selectivity.
-    joins_.reserve(q_.joins.size());
-    for (const auto& j : q_.joins) {
-      JoinInfo ji;
-      ji.left = SlotRef{j.left.rel, j.left.col};
-      ji.right = SlotRef{j.right.rel, j.right.col};
-      ji.left_distinct = card_.Distinct(j.left.table, j.left.column);
-      ji.right_distinct = card_.Distinct(j.right.table, j.right.column);
-      ji.selectivity = CardinalityEstimator::JoinSelectivityOf(
-          ji.left_distinct, ji.right_distinct);
-      joins_.push_back(ji);
-    }
-
-    // Needed slots per relation occurrence.
-    needed_.resize(static_cast<size_t>(q_.num_relations()));
-    auto add_needed = [&](const BoundColumn& c) {
-      auto& v = needed_[static_cast<size_t>(c.rel)];
-      SlotRef s{c.rel, c.col};
-      for (const auto& e : v) {
-        if (e == s) return;
-      }
-      v.push_back(s);
-    };
-    for (const auto& j : q_.joins) {
-      add_needed(j.left);
-      add_needed(j.right);
-    }
-    for (const auto& f : q_.filters) add_needed(f.column);
-    for (const auto& p : q_.in_preds) add_needed(p.column);
-    for (const auto& g : q_.group_by) add_needed(g);
-    for (const auto& s : q_.select) {
-      if (s.kind != BoundSelectItem::Kind::kCountStar) add_needed(s.column);
-    }
-    return Status::OK();
   }
 
-  // Base unit for relation occurrence `r`.
+  // Base unit for relation occurrence `r`: the prepared occurrence, with
+  // this view's access paths.
   UnitDesc MakeBaseUnit(int r) const {
+    const PreparedOccurrence& o = pq_.occurrences[static_cast<size_t>(r)];
+    const std::vector<SlotRef>& needed = pq_.needed[static_cast<size_t>(r)];
     UnitDesc u(arena_);
-    const std::string& table = q_.relations[static_cast<size_t>(r)];
-    const TableDef* def = view_.catalog->FindTable(table);
-    const TableStats* ts = view_.stats->FindTable(table);
     u.rel_mask = uint64_t{1} << r;
-    u.object = &table;
-    u.base_rows = CardinalityEstimator::Rows(ts);
-    u.pages = CardinalityEstimator::Pages(ts);
-    u.row_bytes = CardinalityEstimator::RowBytes(ts);
-    u.layout.reserve(def->columns.size());
-    u.col_names.reserve(def->columns.size());
-    for (size_t c = 0; c < def->columns.size(); ++c) {
-      u.layout.push_back(SlotRef{r, static_cast<int>(c)});
-      u.col_names.push_back(&def->columns[c].name);
-    }
-    FillUnitPredicates(&u);
+    u.object = &q_.relations[static_cast<size_t>(r)];
+    u.base_rows = o.rows;
+    u.pages = o.pages;
+    u.row_bytes = o.row_bytes;
+    u.layout.assign(o.layout.begin(), o.layout.end());
+    u.col_names.assign(o.col_names.begin(), o.col_names.end());
+    u.filters.assign(o.filters.begin(), o.filters.end());
+    u.in_preds.assign(o.in_preds.begin(), o.in_preds.end());
+    u.residual_joins.assign(o.residual_joins.begin(), o.residual_joins.end());
+    u.needed.assign(needed.begin(), needed.end());
+    u.filtered_rows = o.filtered_rows;
     CostPaths(&u);
     return u;
   }
 
+  /// A view unit's predicates, selectivities taken from the preparation and
+  /// multiplied in the order PrepareQuery uses for base units.
   void FillUnitPredicates(UnitDesc* u) const {
     double sel = 1.0;
-    for (const auto& f : q_.filters) {
+    for (size_t i = 0; i < q_.filters.size(); ++i) {
+      const BoundFilter& f = q_.filters[i];
       SlotRef s{f.column.rel, f.column.col};
       const int pos = u->SlotPos(s);
       if (pos < 0) continue;
@@ -376,8 +309,7 @@ class Planner {
       fb.slot = s;
       fb.object_column = u->col_names[static_cast<size_t>(pos)];
       fb.literal = &f.literal;
-      fb.selectivity =
-          card_.EqSelectivity(f.column.table, f.column.column, f.literal);
+      fb.selectivity = pq_.filter_selectivity[i];
       sel *= fb.selectivity;
       u->filters.push_back(fb);
     }
@@ -388,8 +320,7 @@ class Planner {
       InBinding ib;
       ib.slot = s;
       ib.set_id = static_cast<int>(i);
-      ib.selectivity = card_.InFreqSelectivity(p.sub_table, p.sub_column,
-                                               p.cmp, p.k);
+      ib.selectivity = pq_.in_selectivity[i];
       sel *= ib.selectivity;
       u->in_preds.push_back(ib);
     }
@@ -397,13 +328,13 @@ class Planner {
       const BoundJoin& j = q_.joins[i];
       const JoinInfo& ji = joins_[i];
       if (!u->Exposes(ji.left) || !u->Exposes(ji.right)) continue;
-      if (u->is_view && ViewPreApplies(u->view->def, j)) continue;
+      if (ViewPreApplies(u->view->def, j)) continue;
       u->residual_joins.emplace_back(ji.left, ji.right);
       sel *= ji.selectivity;
     }
     for (int r = 0; r < q_.num_relations(); ++r) {
       if (((u->rel_mask >> r) & 1) == 0) continue;
-      for (const auto& s : needed_[static_cast<size_t>(r)]) {
+      for (const auto& s : pq_.needed[static_cast<size_t>(r)]) {
         if (u->Exposes(s)) u->needed.push_back(s);
       }
     }
@@ -518,7 +449,7 @@ class Planner {
     for (size_t t = 0; t < vd.tables.size(); ++t) {
       int r = assign[t];
       const TableDef* def = view_.catalog->FindTable(vd.tables[t]);
-      for (const auto& s : needed_[static_cast<size_t>(r)]) {
+      for (const auto& s : pq_.needed[static_cast<size_t>(r)]) {
         // A slot whose only uses are join predicates *internal* to the view
         // need not be projected: the view pre-applied those joins.
         bool needed_externally = false;
@@ -845,7 +776,8 @@ class Planner {
     double total = acc.cost;
     for (const InSetChoice& s : in_sets_) total += s.cost;
     if (!q_.IsAggregate()) return Finished{total, acc.rows};
-    double groups = card_.GroupCount(q_.group_by, acc.rows);
+    double groups =
+        CardinalityEstimator::GroupCountOf(pq_.group_distinct, acc.rows);
     bool has_distinct = false;
     for (const auto& s : q_.select) {
       if (s.kind == BoundSelectItem::Kind::kCountDistinct) {
@@ -1026,41 +958,68 @@ class Planner {
     return plan;
   }
 
+  const PreparedQuery& pq_;
   const BoundQuery& q_;
   const ConfigView& view_;
   Arena arena_;
-  CardinalityEstimator card_;
   CostModel cost_;
+  const std::vector<JoinInfo>& joins_;
   ArenaVec<InSetChoice> in_sets_;  // by IN-set id (q order)
-  ArenaVec<JoinInfo> joins_;
-  ArenaVec<ArenaVec<SlotRef>> needed_;
   ArenaVec<UnitDesc> base_units_;
   ArenaVec<UnitDesc> view_units_;
   PartitionPlan best_;
 };
 
+/// The view must carry the catalog and statistics `pq` was prepared
+/// against: selectivities from other statistics would plan silently wrong.
+Status CheckPreparedFor(const PreparedQuery& pq, const ConfigView& view) {
+  if (view.catalog == nullptr || view.stats == nullptr) {
+    return Status::InvalidArgument("ConfigView missing catalog or stats");
+  }
+  if (pq.catalog != view.catalog || pq.stats != view.stats) {
+    return Status::InvalidArgument(
+        "query prepared against another catalog or other statistics");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Result<PhysicalPlan> PlanQuery(const PreparedQuery& pq,
+                               const ConfigView& view) {
+  TB_RETURN_IF_ERROR(CheckPreparedFor(pq, view));
+  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
+  Planner p(pq, view, &arena);
+  TB_RETURN_IF_ERROR(p.Search());
+  return p.Build();
+}
+
+Result<double> EstimateCost(const PreparedQuery& pq, const ConfigView& view) {
+  TB_RETURN_IF_ERROR(CheckPreparedFor(pq, view));
+  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
+  Planner p(pq, view, &arena);
+  TB_RETURN_IF_ERROR(p.Search());
+  return p.EstimatedCost();
+}
 
 Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view) {
   if (view.catalog == nullptr || view.stats == nullptr) {
     return Status::InvalidArgument("ConfigView missing catalog or stats");
   }
-  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
-  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
-  Planner p(q, view, &arena);
-  TB_RETURN_IF_ERROR(p.Search());
-  return p.Build();
+  PreparedQuery pq;
+  TB_ASSIGN_OR_RETURN(pq, PrepareQuery(q, *view.catalog, *view.stats));
+  return PlanQuery(pq, view);
 }
 
 Result<double> EstimateCost(const BoundQuery& q, const ConfigView& view) {
   if (view.catalog == nullptr || view.stats == nullptr) {
     return Status::InvalidArgument("ConfigView missing catalog or stats");
   }
-  alignas(std::max_align_t) std::byte buffer[kArenaBytes];
-  std::pmr::monotonic_buffer_resource arena(buffer, sizeof(buffer));
-  Planner p(q, view, &arena);
-  TB_RETURN_IF_ERROR(p.Search());
-  return p.EstimatedCost();
+  PreparedQuery pq;
+  TB_ASSIGN_OR_RETURN(pq, PrepareQuery(q, *view.catalog, *view.stats));
+  return EstimateCost(pq, view);
 }
 
 }  // namespace tabbench

@@ -3,6 +3,7 @@
 
 #include "exec/plan.h"
 #include "optimizer/config_view.h"
+#include "optimizer/prepared_query.h"
 #include "sql/binder.h"
 #include "util/status.h"
 
@@ -25,11 +26,20 @@ namespace tabbench {
 /// more than 64 FROM occurrences or 64 joins are rejected (InvalidArgument).
 ///
 /// Returns the cheapest plan found together with its estimated cost
-/// E(q, C) in `PhysicalPlan::est_cost` (simulated seconds).
-Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view);
+/// E(q, C) in `PhysicalPlan::est_cost` (simulated seconds). `pq` must have
+/// been prepared against `view.catalog` and `view.stats` (InvalidArgument
+/// otherwise); planning repeats none of the preparation's work.
+Result<PhysicalPlan> PlanQuery(const PreparedQuery& pq, const ConfigView& view);
 
 /// Only the estimated cost E(q, C): the same search without the tree build,
-/// so the result bit-equals PlanQuery(q, view)->est_cost.
+/// so the result bit-equals PlanQuery(pq, view)->est_cost. Makes no heap
+/// allocation for any query whose search fits the planner's stack arena.
+Result<double> EstimateCost(const PreparedQuery& pq, const ConfigView& view);
+
+/// PrepareQuery(q, *view.catalog, *view.stats), then the prepared form:
+/// for a query planned once. Code that plans one query under several
+/// configurations prepares it once instead.
+Result<PhysicalPlan> PlanQuery(const BoundQuery& q, const ConfigView& view);
 Result<double> EstimateCost(const BoundQuery& q, const ConfigView& view);
 
 }  // namespace tabbench

@@ -4,6 +4,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "storage/abbrev_sort.h"
+
 namespace tabbench {
 
 namespace {
@@ -12,27 +14,37 @@ ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
                              const StatsOptions& opts) {
   ColumnStats cs;
   cs.row_count = row_count;
-  // Partition out NULLs.
-  std::vector<Value> non_null;
-  non_null.reserve(values.size());
-  for (auto& v : values) {
-    if (v.is_null()) {
+  // Sort the non-NULL values on abbreviated keys (the index build's sort):
+  // Value::Compare settles only the ties whose prefixes do not hold the
+  // whole value. NULLs are only counted.
+  std::vector<AbbrevEntry> order;
+  order.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i].is_null()) {
       ++cs.null_count;
     } else {
-      non_null.push_back(std::move(v));
+      order.push_back(Abbreviate(values[i], i));
     }
   }
-  if (non_null.empty()) return cs;
-  std::sort(non_null.begin(), non_null.end());
-  cs.min = non_null.front();
-  cs.max = non_null.back();
+  if (order.empty()) return cs;
+  SortAbbreviated(&order, [&values](uint32_t a, uint32_t b) {
+    return values[a].Compare(values[b]);
+  });
+  auto at = [&](size_t k) -> const Value& { return values[order[k].pos]; };
+  cs.min = at(0);
+  cs.max = at(order.size() - 1);
 
-  // Value frequencies (runs in the sorted vector).
+  // Value frequencies (runs in sorted order). Equal values have equal
+  // prefixes, and equal whole prefixes are equal values.
+  auto same = [&](size_t a, size_t b) {
+    if (order[a].prefix != order[b].prefix) return false;
+    return (order[a].whole && order[b].whole) || at(a).Compare(at(b)) == 0;
+  };
   std::vector<std::pair<Value, uint64_t>> freqs;
-  for (size_t i = 0; i < non_null.size();) {
+  for (size_t i = 0; i < order.size();) {
     size_t j = i;
-    while (j < non_null.size() && non_null[j] == non_null[i]) ++j;
-    freqs.emplace_back(non_null[i], static_cast<uint64_t>(j - i));
+    while (j < order.size() && same(j, i)) ++j;
+    freqs.emplace_back(at(i), static_cast<uint64_t>(j - i));
     i = j;
   }
   cs.num_distinct = freqs.size();
@@ -62,9 +74,9 @@ ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
   }
 
   // MCVs: top-k by frequency (ties broken by value order for determinism).
-  std::vector<size_t> order(freqs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  std::vector<size_t> by_freq(freqs.size());
+  for (size_t i = 0; i < by_freq.size(); ++i) by_freq[i] = i;
+  std::sort(by_freq.begin(), by_freq.end(), [&](size_t a, size_t b) {
     if (freqs[a].second != freqs[b].second) {
       return freqs[a].second > freqs[b].second;
     }
@@ -73,13 +85,13 @@ ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
   size_t num_mcv = std::min(opts.num_mcvs, freqs.size());
   std::vector<bool> is_mcv(freqs.size(), false);
   for (size_t i = 0; i < num_mcv; ++i) {
-    cs.mcvs.push_back(freqs[order[i]]);
-    is_mcv[order[i]] = true;
+    cs.mcvs.push_back(freqs[by_freq[i]]);
+    is_mcv[by_freq[i]] = true;
   }
 
   // Histogram over the non-MCV remainder (sorted expansion).
   std::vector<Value> rest;
-  rest.reserve(non_null.size());
+  rest.reserve(order.size());
   for (size_t i = 0; i < freqs.size(); ++i) {
     if (is_mcv[i]) continue;
     for (uint64_t r = 0; r < freqs[i].second; ++r) rest.push_back(freqs[i].first);

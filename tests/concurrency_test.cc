@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/runner.h"
 #include "core/sampling.h"
 #include "exec/in_set.h"
+#include "optimizer/planner.h"
 #include "storage/btree.h"
 #include "storage/page_store.h"
 #include "test_util.h"
@@ -228,6 +230,75 @@ TEST(InSetMemoConcurrencyTest, ConcurrentFillsAndHitsMatchSerialScans) {
       EXPECT_EQ(runs[r].sim_seconds, serial[s].sim_seconds);
       EXPECT_EQ(runs[r].tuples, serial[s].tuples);
       EXPECT_EQ(runs[r].values, serial[s].values);
+    }
+  }
+}
+
+// ------------------------------------------------------ prepared-query memo
+
+TEST(PreparedQueryMemoConcurrencyTest, ConcurrentFillsMatchSerialPlans) {
+  // Right after a configuration change and a statistics pass, nproc threads
+  // Plan and Estimate overlapping texts: they race to refill the stale
+  // prepared-query memo (and the view memo) and then hit it. Every result
+  // must equal a plan of a freshly bound query. Runs under the concurrency
+  // label so the TSan matrix covers the memo's locking.
+  auto db = testing::MakeMiniNref(4000.0);
+  QueryFamily family = GenerateNref2J(db->catalog(), db->stats());
+  std::vector<std::string> texts;
+  for (size_t q = 0; q < 48 && q < family.queries.size(); ++q) {
+    texts.push_back(family.queries[q].sql);
+  }
+  ASSERT_FALSE(texts.empty());
+  for (const std::string& sql : texts) ASSERT_TRUE(db->Estimate(sql).ok());
+  ASSERT_TRUE(db->ApplyConfiguration(Make1CConfig(db->catalog())).ok());
+  ASSERT_TRUE(db->CollectStatistics().ok());
+
+  const ConfigView fresh = db->CurrentView();
+  std::vector<double> want;
+  std::vector<std::string> want_plan;
+  for (const std::string& sql : texts) {
+    auto q = ParseAndBind(sql, db->catalog());
+    ASSERT_TRUE(q.ok());
+    auto plan = PlanQuery(*q, fresh);
+    ASSERT_TRUE(plan.ok());
+    want.push_back(plan->est_cost);
+    want_plan.push_back(plan->ToString());
+  }
+
+  const size_t threads_n = std::clamp<size_t>(
+      std::thread::hardware_concurrency(), size_t{2}, size_t{16});
+  struct Got {
+    double estimate = -1.0;
+    double plan_cost = -1.0;
+    std::string plan;
+  };
+  std::vector<std::vector<Got>> got(threads_n,
+                                    std::vector<Got>(texts.size()));
+  {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < threads_n; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = 0; i < texts.size(); ++i) {
+          // Offset starts so threads collide on different texts.
+          const size_t k = (i + t * 7) % texts.size();
+          Got& g = got[t][k];
+          auto e = db->Estimate(texts[k]);
+          auto plan = db->Plan(texts[k]);
+          if (e.ok()) g.estimate = *e;
+          if (plan.ok()) {
+            g.plan_cost = plan->est_cost;
+            g.plan = plan->ToString();
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (size_t t = 0; t < threads_n; ++t) {
+    for (size_t k = 0; k < texts.size(); ++k) {
+      EXPECT_EQ(got[t][k].estimate, want[k]) << "thread " << t << " q" << k;
+      EXPECT_EQ(got[t][k].plan_cost, want[k]) << "thread " << t << " q" << k;
+      EXPECT_EQ(got[t][k].plan, want_plan[k]) << "thread " << t << " q" << k;
     }
   }
 }

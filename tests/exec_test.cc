@@ -926,5 +926,142 @@ TEST_F(ExecIndexNLJoinTest, FaultedFetchInARejectedProbeFailsTheQuery) {
   ExpectSameRun(got, want);
 }
 
+// -------------------------------------------------- leaf index scan exactness
+
+/// The leaf index scan on ExecIndexNLJoinTest's tables: s_c2c1 read
+/// index-only, s_c2 with heap fetches, each as a full walk and as a seek
+/// on c2 = 4, under `c2 IN {even}` and `c1 = 3`.
+class ExecIndexScanTest : public ExecIndexNLJoinTest {
+ protected:
+  static std::unique_ptr<PlanNode> ScanPlan(const std::string& index,
+                                            bool index_only, bool seek) {
+    auto scan = std::make_unique<PlanNode>();
+    scan->kind = PlanNode::Kind::kIndexScan;
+    scan->object = "s";
+    scan->index_name = index;
+    scan->index_only = index_only;
+    if (seek) {
+      SeekKeyPart part;
+      part.from_outer = false;
+      part.literal = Value(int64_t{4});
+      scan->seek = {part};
+    }
+    scan->output_cols = index_only
+                            ? std::vector<SlotRef>{{0, 1}, {0, 0}}
+                            : std::vector<SlotRef>{{0, 0}, {0, 1}, {0, 2}};
+    ResidualPred in;
+    in.kind = ResidualPred::Kind::kInSet;
+    in.a = {0, 1};
+    in.in_set = 0;
+    ResidualPred eq;
+    eq.kind = ResidualPred::Kind::kColEqLit;
+    eq.a = {0, 0};
+    eq.literal = Value(int64_t{3});
+    scan->residual = {in, eq};
+    return scan;
+  }
+
+  /// The scan as a plain loop: every entry is copied, or fetched whole,
+  /// and then filtered.
+  static Status RunScanReference(const PlanNode& scan, ExecContext* ctx,
+                                 std::vector<Tuple>* rows) {
+    std::vector<CompiledPred> preds;
+    TB_ASSIGN_OR_RETURN(preds, CompilePreds(scan, sets_));
+    const IndexInfo* index = db_->FindIndex(scan.index_name);
+    PageTouchFn touch = [ctx](PageId id) { ctx->TouchPageRandom(id); };
+    IndexKey prefix;
+    for (const auto& part : scan.seek) prefix.push_back(part.literal);
+    BTree::Iterator it =
+        prefix.empty()
+            ? index->btree->ScanAll([ctx](PageId id) { ctx->TouchPage(id); })
+            : index->btree->SeekPrefix(prefix, touch);
+    Tuple row;
+    Rid rid;
+    while (it.Next(scan.index_only ? row.mutable_values() : nullptr, &rid)) {
+      ctx->ChargeTuples(1);
+      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
+      if (!scan.index_only) {
+        TB_RETURN_IF_ERROR(index->heap->FetchInto(rid, touch, &row));
+        ctx->ChargeTuples(1);
+      }
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&](const CompiledPred& p) { return p.Eval(row); })) {
+        rows->push_back(row);
+      }
+    }
+    return ctx->CheckTimeout();
+  }
+
+  /// s rows the scan visits: all, or those with c2 = 4.
+  static uint64_t Visited(bool seek) {
+    uint64_t n = 0;
+    for (const auto& r : ScanAll(*db_, "s")) {
+      if (!seek || r.at(1).as_int() == 4) ++n;
+    }
+    return n;
+  }
+};
+
+TEST_F(ExecIndexScanTest, IndexOnlyScanMatchesFetchWholeThenFilter) {
+  const uint64_t never = uint64_t{1} << 40;
+  for (bool seek : {false, true}) {
+    SCOPED_TRACE(seek ? "seek" : "full walk");
+    auto scan = ScanPlan("s_c2c1", /*index_only=*/true, seek);
+    JoinRun got = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunOperator(*scan, ctx, r);
+    });
+    JoinRun want = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunScanReference(*scan, ctx, r);
+    });
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ExpectSameRun(got, want);
+    EXPECT_FALSE(got.rows.empty());
+    for (const Tuple& row : got.rows) {
+      EXPECT_EQ(row.at(0).as_int() % 2, 0);  // c2 IN {even}
+      EXPECT_EQ(row.at(1).as_int(), 3);      // c1 = 3
+    }
+    EXPECT_EQ(got.tuples, Visited(seek));
+    EXPECT_EQ(got.fetch_hits, 0u);
+  }
+}
+
+TEST_F(ExecIndexScanTest, HeapScanMatchesFetchWholeThenFilter) {
+  const uint64_t never = uint64_t{1} << 40;
+  for (bool seek : {false, true}) {
+    SCOPED_TRACE(seek ? "seek" : "full walk");
+    auto scan = ScanPlan("s_c2", /*index_only=*/false, seek);
+    JoinRun got = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunOperator(*scan, ctx, r);
+    });
+    JoinRun want = Measure(never, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+      return RunScanReference(*scan, ctx, r);
+    });
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ExpectSameRun(got, want);
+    EXPECT_FALSE(got.rows.empty());
+    for (const Tuple& row : got.rows) {
+      ASSERT_EQ(row.size(), 3u);
+      EXPECT_EQ(row.at(1).as_int() % 2, 0);
+      EXPECT_EQ(row.at(0).as_int(), 3);
+      EXPECT_EQ(row.at(2).as_string().size(), 40u);  // decoded whole
+    }
+    const uint64_t visited = Visited(seek);
+    EXPECT_EQ(got.tuples, 2 * visited);
+    EXPECT_EQ(got.fetch_hits, visited);
+  }
+  // A fault on a fetch of an entry the residuals reject fails the scan
+  // at the same point.
+  auto scan = ScanPlan("s_c2", /*index_only=*/false, /*seek=*/false);
+  JoinRun got = Measure(2, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+    return RunOperator(*scan, ctx, r);
+  });
+  JoinRun want = Measure(2, [&](ExecContext* ctx, std::vector<Tuple>* r) {
+    return RunScanReference(*scan, ctx, r);
+  });
+  EXPECT_EQ(got.status.code(), Status::Code::kUnavailable);
+  EXPECT_EQ(got.fetch_hits, 2u);
+  ExpectSameRun(got, want);
+}
+
 }  // namespace
 }  // namespace tabbench

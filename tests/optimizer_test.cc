@@ -30,15 +30,13 @@ std::unique_ptr<TinyDb> OptimizerTest::tiny_;
 // ------------------------------------------------------------ cardinality
 
 TEST_F(OptimizerTest, TableRowsMatchesData) {
-  ConfigView v = db()->CurrentView();
-  CardinalityEstimator card(v);
+  CardinalityEstimator card(db()->stats());
   EXPECT_DOUBLE_EQ(card.TableRows("people"), 8000.0);
   EXPECT_DOUBLE_EQ(card.TableRows("depts"), 60.0);
 }
 
 TEST_F(OptimizerTest, EqSelectivityBounded) {
-  ConfigView v = db()->CurrentView();
-  CardinalityEstimator card(v);
+  CardinalityEstimator card(db()->stats());
   double sel = card.EqSelectivity("people", "dept", Value(int64_t{5}));
   EXPECT_GT(sel, 0.0);
   EXPECT_LT(sel, 0.2);
@@ -47,8 +45,7 @@ TEST_F(OptimizerTest, EqSelectivityBounded) {
 TEST_F(OptimizerTest, McvSelectivityIsExact) {
   // city0 is by construction the most common city; the MCV list should make
   // the estimate exact.
-  ConfigView v = db()->CurrentView();
-  CardinalityEstimator card(v);
+  CardinalityEstimator card(db()->stats());
   const HeapTable* heap = db()->FindHeap("people");
   auto cur = heap->Scan(nullptr);
   Tuple t;
@@ -63,20 +60,16 @@ TEST_F(OptimizerTest, McvSelectivityIsExact) {
 }
 
 TEST_F(OptimizerTest, JoinSelectivityUsesMaxNdv) {
-  ConfigView v = db()->CurrentView();
-  CardinalityEstimator card(v);
+  CardinalityEstimator card(db()->stats());
   double sel = card.JoinSelectivity("people", "dept", "depts", "dept_id");
   EXPECT_NEAR(sel, 1.0 / 60.0, 1e-9);
 }
 
 TEST_F(OptimizerTest, GroupCountCappedByInput) {
-  ConfigView v = db()->CurrentView();
-  CardinalityEstimator card(v);
-  BoundColumn c;
-  c.table = "people";
-  c.column = "id";
-  EXPECT_LE(card.GroupCount({c, c}, 100.0), 100.0);
-  EXPECT_GE(card.GroupCount({}, 100.0), 1.0);
+  CardinalityEstimator card(db()->stats());
+  const double ids = card.Distinct("people", "id");
+  EXPECT_LE(CardinalityEstimator::GroupCountOf({ids, ids}, 100.0), 100.0);
+  EXPECT_GE(CardinalityEstimator::GroupCountOf({}, 100.0), 1.0);
 }
 
 // -------------------------------------------------------------- cost model

@@ -1,8 +1,10 @@
-// Allocation contract of the planner's per-call arena: EstimateCost draws
-// every container of its search from a fixed stack buffer, so it makes no
-// heap allocation on any NREF2J, NREF3J or SkTH3J query, on P, on 1C and on
-// a System C recommendation with views. A query that outgrows the buffer
-// spills to the heap and still costs bit-equal to PlanQuery.
+// Allocation contract of the planner's per-call arena: EstimateCost of a
+// prepared query draws every container of its search from a fixed stack
+// buffer, so it makes no heap allocation on any NREF2J, NREF3J or SkTH3J
+// query, on P, on 1C and on a System C recommendation with views; nor does
+// Database::Estimate once the text's preparation is memoized. A query that
+// outgrows the buffer spills to the heap and still costs bit-equal to
+// PlanQuery.
 //
 // This file replaces the global operator new with one that counts the
 // calling thread's allocations, which is why the suite has its own binary.
@@ -89,6 +91,9 @@ class PlannerArenaTest : public ::testing::Test {
   }
   void SetUp() override { ASSERT_EQ(families_.size(), 3u); }
 
+  /// The database families_[i] was bound on.
+  static const Database& DbOf(size_t i) { return i < 2 ? *nref_ : *tpch_; }
+
   static std::unique_ptr<Database> nref_, tpch_;
   static std::vector<testing::PlannerFamily> families_;
 };
@@ -105,8 +110,11 @@ TEST_F(PlannerArenaTest, EstimateCostMakesNoHeapAllocation) {
     for (const auto& [config, view] : configs) {
       if (!view->views.empty()) ++with_views;
       for (size_t i = 0; i < f.bound.size(); ++i) {
+        Result<PreparedQuery> pq =
+            PrepareQuery(f.bound[i], *view->catalog, *view->stats);
+        ASSERT_TRUE(pq.ok()) << f.name << " " << config << " q" << i;
         const size_t before = t_heap_allocations;
-        Result<double> cost = EstimateCost(f.bound[i], *view);
+        Result<double> cost = EstimateCost(*pq, *view);
         const size_t allocations = t_heap_allocations - before;
         ASSERT_TRUE(cost.ok()) << f.name << " " << config << " q" << i;
         EXPECT_EQ(allocations, 0u)
@@ -118,6 +126,25 @@ TEST_F(PlannerArenaTest, EstimateCostMakesNoHeapAllocation) {
   EXPECT_GT(checked, 1000u);
   // The view partitions must be searched too.
   EXPECT_GT(with_views, 0u);
+
+  // A memo hit: the second Database::Estimate of a text allocates nothing
+  // (both databases are on P).
+  size_t hits = 0;
+  for (size_t fi = 0; fi < families_.size(); ++fi) {
+    const testing::PlannerFamily& f = families_[fi];
+    for (size_t i = 0; i < f.sql.size(); ++i) {
+      Result<double> first = DbOf(fi).Estimate(f.sql[i]);
+      ASSERT_TRUE(first.ok()) << f.name << " q" << i;
+      const size_t before = t_heap_allocations;
+      Result<double> cost = DbOf(fi).Estimate(f.sql[i]);
+      const size_t allocations = t_heap_allocations - before;
+      ASSERT_TRUE(cost.ok()) << f.name << " q" << i;
+      EXPECT_EQ(Bits(*cost), Bits(*first)) << f.name << " q" << i;
+      EXPECT_EQ(allocations, 0u) << f.name << " q" << i << ": " << f.sql[i];
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, 300u);
 }
 
 // Seven relation occurrences under 1C: protein joined to a chain of six

@@ -1,21 +1,33 @@
 // The database's planner memos: the view of the built configuration that
-// Plan, Estimate, HypotheticalEstimate and the Run* entry points share, and
-// the derived view of the last hypothetical configuration. After every kind
-// of mutation, each call must bit-equal EstimateCost / PlanQuery run on a
-// freshly built view, and the view memo must have been rebuilt; a name-only or
-// one-field rules change must miss the hypothetical memo.
+// Plan, Estimate, HypotheticalEstimate and the Run* entry points share, the
+// derived view of the last hypothetical configuration, and the prepared
+// query of each SQL text. After every kind of mutation, each call must
+// bit-equal EstimateCost / PlanQuery run on a freshly bound query and a
+// freshly built view, and the view memo must have been rebuilt; a name-only
+// or one-field rules change must miss the hypothetical memo. A repeated text
+// must hit the prepared-query memo, a statistics pass must retire it, a text
+// that fails to parse or bind is never stored, and emptying the memo at its
+// cap changes no result.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "advisor/advisor.h"
+#include "advisor/profiles.h"
+#include "core/benchmark_suite.h"
 #include "core/configurations.h"
+#include "core/nref_families.h"
+#include "core/tpch_families.h"
 #include "engine/database.h"
 #include "optimizer/planner.h"
 #include "optimizer/whatif.h"
 #include "test_util.h"
+#include "util/strings.h"
 
 namespace tabbench {
 
@@ -35,6 +47,24 @@ class DatabaseTestPeer {
     if (!memo.ok()) return nullptr;
     return *memo;
   }
+  /// The memoized preparation of `sql` if the memo holds a current one,
+  /// else null; looks without filling.
+  static std::shared_ptr<const void> Prepared(const Database& db,
+                                              const std::string& sql) {
+    MutexLock lock(&db.memo_mu_);
+    if (db.prepared_catalog_epoch_ != db.catalog_epoch_ ||
+        db.prepared_stats_epoch_ != db.stats_epoch_) {
+      return nullptr;
+    }
+    auto it = db.prepared_.find(sql);
+    if (it == db.prepared_.end()) return nullptr;
+    return it->second;
+  }
+  static size_t PreparedCount(const Database& db) {
+    MutexLock lock(&db.memo_mu_);
+    return db.prepared_.size();
+  }
+  static constexpr size_t kPreparedQueryCap = Database::kPreparedQueryCap;
 };
 
 namespace {
@@ -249,6 +279,179 @@ TEST_F(PlannerMemoTest, NameOrRuleChangesMissTheHypotheticalMemo) {
       ASSERT_TRUE(h.ok());
       EXPECT_EQ(*h, *EstimateCost(*q, *view)) << sql;
     }
+  }
+}
+
+TEST_F(PlannerMemoTest, RepeatedTextsHitThePreparedQueryMemo) {
+  for (const char* sql : kQueries) {
+    ASSERT_TRUE(db_->Estimate(sql).ok()) << sql;
+    const auto entry = DatabaseTestPeer::Prepared(*db_, sql);
+    ASSERT_NE(entry, nullptr) << sql;
+    // A miss would store a fresh entry in its place.
+    ASSERT_TRUE(db_->Estimate(sql).ok()) << sql;
+    EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get()) << sql;
+    ASSERT_TRUE(db_->Plan(sql).ok()) << sql;
+    EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get()) << sql;
+    for (const HypotheticalRules& r : {rules_, uniform_}) {
+      ASSERT_TRUE(db_->HypotheticalEstimate(sql, hypothetical_, r).ok()) << sql;
+      EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get())
+          << sql;
+    }
+  }
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), std::size(kQueries));
+  // Run* plans through the same memo.
+  ASSERT_TRUE(db_->Run(kQueries[0]).ok());
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), std::size(kQueries));
+}
+
+// Every entry point bit-equals a fresh ParseAndBind + PlanQuery/EstimateCost
+// on every NREF2J, NREF3J and SkTH3J query: built on P, 1C and System C's
+// recommendation, and what-if (from P) of 1C and of System C, with and
+// without uniform value densities.
+TEST_F(PlannerMemoTest, EveryEntryPointBitEqualsAFreshPreparation) {
+  auto nref = testing::MakeMiniNref();
+  auto tpch = testing::MakeMiniTpch(4000.0, /*zipf_theta=*/1.0);
+  ASSERT_NE(nref, nullptr);
+  ASSERT_NE(tpch, nullptr);
+  const std::pair<Database*, QueryFamily> families[] = {
+      {nref.get(), GenerateNref2J(nref->catalog(), nref->stats())},
+      {nref.get(), GenerateNref3J(nref->catalog(), nref->stats())},
+      {tpch.get(),
+       GenerateTpch3J(tpch->catalog(), tpch->stats(), "SkTH3J")},
+  };
+  size_t checked = 0;
+  for (const auto& [db, family] : families) {
+    SCOPED_TRACE(family.name);
+    auto bound = BindWorkload(family, db->catalog());
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    ASSERT_TRUE(db->ResetToPrimary().ok());
+    const AdvisorOptions profile = SystemCProfile();
+    auto rec = Advisor(db->CurrentView(), profile).Recommend(*bound);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    const Configuration configs[] = {MakePConfig(), Make1CConfig(db->catalog()),
+                                     rec->config};
+    for (const Configuration& built : configs) {
+      SCOPED_TRACE("built " + built.name);
+      if (built.indexes.empty() && built.views.empty()) {
+        ASSERT_TRUE(db->ResetToPrimary().ok());
+      } else {
+        ASSERT_TRUE(db->ApplyConfiguration(built).ok());
+      }
+      const ConfigView fresh = db->CurrentView();
+      for (const auto& q : family.queries) {
+        auto b = ParseAndBind(q.sql, db->catalog());
+        ASSERT_TRUE(b.ok()) << q.sql;
+        auto want_plan = PlanQuery(*b, fresh);
+        auto want = EstimateCost(*b, fresh);
+        auto plan = db->Plan(q.sql);
+        auto e = db->Estimate(q.sql);
+        ASSERT_TRUE(want_plan.ok() && want.ok() && plan.ok() && e.ok())
+            << q.sql;
+        EXPECT_EQ(*e, *want) << q.sql;
+        EXPECT_EQ(plan->est_cost, want_plan->est_cost) << q.sql;
+        EXPECT_EQ(plan->ToString(), want_plan->ToString()) << q.sql;
+        ++checked;
+      }
+    }
+    ASSERT_TRUE(db->ResetToPrimary().ok());
+    const ConfigView p = db->CurrentView();
+    const DatabaseStats degraded = DegradeToUniform(db->stats());
+    ConfigView uniform_p = p;
+    uniform_p.stats = &degraded;
+    for (const Configuration* hyp : {&configs[1], &configs[2]}) {
+      for (bool uniform : {false, true}) {
+        SCOPED_TRACE("what-if " + hyp->name + (uniform ? " uniform" : ""));
+        HypotheticalRules rules = profile.whatif;
+        rules.uniform_value_assumption = uniform;
+        auto view = MakeHypotheticalView(*hyp, uniform ? uniform_p : p, rules);
+        ASSERT_TRUE(view.ok()) << view.status().ToString();
+        for (const auto& q : family.queries) {
+          auto b = ParseAndBind(q.sql, db->catalog());
+          ASSERT_TRUE(b.ok()) << q.sql;
+          auto want = EstimateCost(*b, *view);
+          auto h = db->HypotheticalEstimate(q.sql, *hyp, rules);
+          ASSERT_TRUE(want.ok() && h.ok()) << q.sql;
+          EXPECT_EQ(*h, *want) << q.sql;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 3000u);
+}
+
+TEST_F(PlannerMemoTest, StatisticsPassRePreparesTheNextCall) {
+  const char* sql = kQueries[1];  // p.dept = 7
+  auto before = db_->Estimate(sql);
+  ASSERT_TRUE(before.ok());
+  const auto entry = DatabaseTestPeer::Prepared(*db_, sql);
+  ASSERT_NE(entry, nullptr);
+  // Enough new dept-7 rows to move the filter's selectivity.
+  for (int64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(
+        db_->TimedInsert("people", Person(200000 + i, 7, "city1", i % 5)).ok());
+  }
+  // Writes alone leave the preparation current: it reads statistics only.
+  EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get());
+  ASSERT_TRUE(db_->CollectStatistics().ok());
+  EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql), nullptr);
+  auto after = db_->Estimate(sql);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(*after, *before);
+  EXPECT_EQ(*after, *EstimateCost(Bound(sql), db_->CurrentView()));
+  const auto renewed = DatabaseTestPeer::Prepared(*db_, sql);
+  ASSERT_NE(renewed, nullptr);
+  EXPECT_NE(renewed.get(), entry.get());
+  // The retired entries went with the stale memo.
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), 1u);
+}
+
+TEST_F(PlannerMemoTest, TextsThatFailToParseOrBindAreNotStored) {
+  ASSERT_TRUE(db_->Estimate(kQueries[0]).ok());
+  const char* const bad[] = {
+      "SELECT FROM people p",                           // parse error
+      "SELECT x.id FROM nosuch x",                      // unknown table
+      "SELECT p.nosuch FROM people p",                  // unknown column
+      "SELECT p.id FROM people p WHERE p.dept = 'x'",   // literal type
+  };
+  for (const char* sql : bad) {
+    EXPECT_FALSE(db_->Estimate(sql).ok()) << sql;
+    EXPECT_FALSE(db_->Plan(sql).ok()) << sql;
+    EXPECT_FALSE(db_->HypotheticalEstimate(sql, hypothetical_, rules_).ok())
+        << sql;
+    EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql), nullptr) << sql;
+  }
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), 1u);
+}
+
+TEST_F(PlannerMemoTest, EmptyingAtTheCapChangesNoResult) {
+  const size_t cap = DatabaseTestPeer::kPreparedQueryCap;
+  std::vector<std::string> texts;
+  for (size_t i = 0; i < cap + 40; ++i) {
+    texts.push_back(StrFormat("SELECT p.id FROM people p WHERE p.dept = %zu",
+                              i % 60) +
+                    StrFormat(" AND p.score = %zu", i / 60));
+  }
+  const ConfigView fresh = db_->CurrentView();
+  std::vector<double> first;
+  size_t max_count = 0;
+  for (const std::string& sql : texts) {
+    auto e = db_->Estimate(sql);
+    ASSERT_TRUE(e.ok()) << sql;
+    EXPECT_EQ(*e, *EstimateCost(Bound(sql.c_str()), fresh)) << sql;
+    first.push_back(*e);
+    max_count = std::max(max_count, DatabaseTestPeer::PreparedCount(*db_));
+  }
+  EXPECT_EQ(max_count, cap);
+  // The fill past the cap emptied the memo: the first texts are gone, the
+  // last ones are held.
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), texts.size() - cap);
+  EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, texts.front()), nullptr);
+  EXPECT_NE(DatabaseTestPeer::Prepared(*db_, texts.back()), nullptr);
+  for (size_t i = 0; i < texts.size(); ++i) {
+    auto e = db_->Estimate(texts[i]);
+    ASSERT_TRUE(e.ok()) << texts[i];
+    EXPECT_EQ(*e, first[i]) << texts[i];
   }
 }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "stats/column_stats.h"
 #include "stats/histogram.h"
 #include "stats/table_stats.h"
+#include "storage/abbrev_sort.h"
 #include "storage/heap_table.h"
 #include "storage/page_store.h"
 #include "storage/stats_collector.h"
@@ -220,6 +226,113 @@ TEST(StatsCollectorTest, ZipfColumnHasWideFreqSpread) {
   uint64_t min_f = cs.freq_examples.front().first;
   uint64_t max_f = cs.freq_examples.back().first;
   EXPECT_GE(max_f, min_f * 100) << "zipf(1) should span 2+ orders";
+}
+
+// ------------------------------------------------------- abbreviated sort
+
+/// One column's edge values per type, duplicated, with NULLs, shuffled.
+std::vector<std::vector<Value>> EdgeColumns() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<Value>> cols(3);
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max(), int64_t{0},
+                    int64_t{-1}, int64_t{1}, int64_t{1} << 40}) {
+    cols[0].emplace_back(v);
+  }
+  for (double v : {0.0, -0.0, inf, -inf, 1.5, -1.5,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::lowest(),
+                   std::numeric_limits<double>::max()}) {
+    cols[1].emplace_back(v);
+  }
+  using namespace std::string_literals;
+  for (const std::string& v :
+       {""s, "a"s, "a\0"s, "a\0\0"s, "abcdefgh"s, "abcdefgh\0"s,
+        "abcdefghi"s, "abcdefghij"s, "abcdefgg"s, "abcdefgh\xff"s,
+        "\xff"s, "abcdefg\0"s, "abcdefg"s}) {
+    cols[2].emplace_back(v);
+  }
+  Rng rng(7);
+  for (auto& c : cols) {
+    const size_t n = c.size();
+    for (size_t i = 0; i < 3 * n; ++i) c.push_back(c[rng.Uniform(n)]);
+    for (int i = 0; i < 4; ++i) c.emplace_back();  // NULL
+    rng.Shuffle(&c);
+  }
+  return cols;
+}
+
+TEST(AbbrevSortTest, OrdersEdgeValuesAsStdSortAndKeepsInputOrderOnTies) {
+  for (const std::vector<Value>& values : EdgeColumns()) {
+    std::vector<Value> want = values;
+    std::sort(want.begin(), want.end());
+    std::vector<AbbrevEntry> order;
+    for (size_t i = 0; i < values.size(); ++i) {
+      order.push_back(Abbreviate(values[i], i));
+    }
+    SortAbbreviated(&order, [&values](uint32_t a, uint32_t b) {
+      return values[a].Compare(values[b]);
+    });
+    ASSERT_EQ(order.size(), want.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(values[order[i].pos].Compare(want[i]), 0)
+          << "rank " << i << ": " << values[order[i].pos].ToString()
+          << " vs " << want[i].ToString();
+      if (i > 0 && values[order[i - 1].pos].Compare(values[order[i].pos]) == 0) {
+        EXPECT_LT(order[i - 1].pos, order[i].pos) << "rank " << i;
+      }
+    }
+  }
+}
+
+TEST(StatsCollectorTest, ColumnStatsMatchAStdSortReference) {
+  const std::vector<std::vector<Value>> cols = EdgeColumns();
+  const TypeId types[] = {TypeId::kInt, TypeId::kDouble, TypeId::kString};
+  for (size_t c = 0; c < cols.size(); ++c) {
+    SCOPED_TRACE(TypeName(types[c]));
+    PageStore store;
+    HeapTable heap("t", TupleCodec({types[c]}), &store);
+    for (const Value& v : cols[c]) heap.Append(Tuple({v}));
+    const ColumnStats cs = CollectTableStats(heap, {"c"}).columns.at("c");
+
+    // The reference: std::sort, then runs of Compare-equal values.
+    std::vector<Value> sorted;
+    uint64_t nulls = 0;
+    for (const Value& v : cols[c]) {
+      if (v.is_null()) {
+        ++nulls;
+      } else {
+        sorted.push_back(v);
+      }
+    }
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::pair<Value, uint64_t>> runs;
+    for (const Value& v : sorted) {
+      if (!runs.empty() && runs.back().first.Compare(v) == 0) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(v, 1);
+      }
+    }
+    std::map<uint64_t, uint64_t> fof;
+    for (const auto& [v, f] : runs) ++fof[f];
+
+    EXPECT_EQ(cs.row_count, cols[c].size());
+    EXPECT_EQ(cs.null_count, nulls);
+    EXPECT_EQ(cs.num_distinct, runs.size());
+    EXPECT_EQ(cs.min.Compare(sorted.front()), 0);
+    EXPECT_EQ(cs.max.Compare(sorted.back()), 0);
+    EXPECT_EQ(cs.freq_of_freq,
+              (std::vector<std::pair<uint64_t, uint64_t>>(fof.begin(),
+                                                          fof.end())));
+    for (const auto& [v, f] : cs.mcvs) {
+      auto it = std::find_if(runs.begin(), runs.end(), [&v = v](const auto& r) {
+        return r.first.Compare(v) == 0;
+      });
+      ASSERT_NE(it, runs.end()) << v.ToString();
+      EXPECT_EQ(f, it->second) << v.ToString();
+    }
+  }
 }
 
 }  // namespace

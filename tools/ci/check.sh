@@ -71,8 +71,11 @@ ctest --test-dir "${TSAN_DIR}" -L vectorized --output-on-failure -j "${JOBS}"
 # The concurrency suite under TSan: the thread pool, the B-tree stats cache
 # and IN-set memo under concurrent readers, and the parallel runner, whose
 # record workers also race to rebuild the database's planner memo right
-# after a configuration change. The vectorized binary built above carries
-# the label too and runs again here.
+# after a configuration change. PreparedQueryMemoConcurrencyTest has nproc
+# threads Plan and Estimate overlapping texts right after a configuration
+# change and a statistics pass, so they race to refill the prepared-query
+# memo under its lock. The vectorized binary built above carries the label
+# too and runs again here.
 step "ctest -L concurrency under TABBENCH_SANITIZE=thread"
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target tabbench_concurrency_tests
 ctest --test-dir "${TSAN_DIR}" -L concurrency --output-on-failure -j "${JOBS}"
@@ -194,10 +197,12 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # oversized-record tests, whose rows would overflow a page if the size
 # check slipped — with AddressSanitizer, so a stale, overlapping or
 # out-of-page write fails here rather than corrupting rows silently. The
-# index-NL join reads index-only keys in place through pointers into B-tree
-# leaves (BTree::Iterator::NextKey), and index builds sort abbreviated keys
-# that index back into the scanned entries; their suites
-# (ExecIndexNLJoinTest, EngineBTreeBuildSortTest) match Exec* and *BTree*.
+# index-NL join and the leaf index scan read index-only keys in place
+# through pointers into B-tree leaves (BTree::Iterator::NextKey), and index
+# builds and statistics passes sort abbreviated keys that index back into
+# the scanned entries; their suites (ExecIndexNLJoinTest, ExecIndexScanTest,
+# EngineBTreeBuildSortTest, AbbrevSortTest, StatsCollectorTest) match Exec*,
+# *BTree*, AbbrevSortTest.* and StatsCollectorTest.*.
 # The SQL front end rides along: the lexer scans string views of its input and
 # the parser moves token text into the AST, and the seeded front-end fuzzer
 # (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
@@ -210,7 +215,11 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # state in a stack-buffer arena that dies on return, so those suites and
 # the planner's allocation contract (PlannerArenaTest) run with
 # detect_stack_use_after_return=1: without it, a plan that kept a pointer
-# into the arena would read a dead frame silently.
+# into the arena would read a dead frame silently. The database's
+# prepared-query memo hands each planning call a PreparedQuery that points
+# into its entry's bound query, the catalog and the statistics; its tests
+# are PlannerMemoTest.* and PlannerArenaTest.* (the memo-hit leg of the
+# allocation contract), which the filters below already select.
 step "storage/exec/sql/planner/advisor suites under TABBENCH_SANITIZE=address"
 ASAN_DIR="${ROOT}/build-asan"
 cmake -B "${ASAN_DIR}" -S "${ROOT}" -DTABBENCH_SANITIZE=address
@@ -219,6 +228,7 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}" \
 "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
 ':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
+':AbbrevSortTest.*:StatsCollectorTest.*'\
 ':LexerTest.*:ParserTest.*:SqlFuzz*'
 ASAN_OPTIONS=detect_stack_use_after_return=1 \
   "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
