@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "advisor/candidates.h"
+#include "advisor/trial_costs.h"
 #include "optimizer/config_view.h"
 #include "optimizer/whatif.h"
 #include "util/rng.h"
@@ -14,6 +15,10 @@ namespace tabbench {
 
 /// Tuning of one configuration recommender. Together with HypotheticalRules
 /// this is what distinguishes the modeled commercial systems (profiles.h).
+/// Every profile shares the greedy search's fixed rules (advisor.cc): at
+/// most 24 picks, a pick must save more than 0.5% of the workload's current
+/// estimated cost, and a workload more than half of which the candidate
+/// generator cannot analyze gets no recommendation.
 struct AdvisorOptions {
   CandidateOptions candidates;
   HypotheticalRules whatif;
@@ -24,24 +29,6 @@ struct AdvisorOptions {
   /// faithful, slower). The tools the paper tested compress workloads the
   /// same way (reference [4]).
   size_t eval_sample = 30;
-  /// Maximum structures picked by the greedy search.
-  int max_picks = 24;
-  /// Minimum estimated improvement for a pick, as a fraction of the
-  /// workload's current estimated cost. Structures that only help cheap
-  /// queries fall below this bar — the recommenders optimize total workload
-  /// cost and so "favor improving long-running queries (the ones that
-  /// dominate total cost)" (Section 4.3); this knob is that behavior.
-  double min_benefit_frac = 0.005;
-  /// Give up entirely when more than this fraction of the workload is
-  /// unanalyzable (System A on NREF3J).
-  double max_unsupported_frac = 0.5;
-  /// Update-aware extension (paper Section 4.4 calls update workloads "a
-  /// valuable extension to the current benchmark"): expected single-row
-  /// inserts per workload query. Every candidate's benefit is charged its
-  /// estimated maintenance cost — descent I/O plus a leaf write per index
-  /// (double for materialized views, which also maintain the view rows).
-  /// 0 = the paper's read-only setting.
-  double updates_per_query = 0.0;
   /// Multiplier on the benefit-per-page score of materialized-view units.
   /// System C's search strongly favors MV-based designs (paper Table 3:
   /// 12 of its 16 UnTH3J indexes sit on materialized views); this knob
@@ -59,11 +46,49 @@ struct Recommendation {
   size_t candidates_considered = 0;
 };
 
-/// A what-if configuration recommender (Section 2.2's model): candidate
-/// generation from workload syntax, greedy benefit-per-page selection under
-/// a space budget, all costs taken from hypothetical optimizer estimates
-/// H(q, C_h, C_current) — never from actual executions. That restriction is
-/// the paper's central observation about the commercial tools.
+/// What a greedy search optimizes: an advisor's score and stop rule.
+class GreedyObjective {
+ public:
+  virtual ~GreedyObjective() = default;
+  /// Called before each pick round with the current estimated cost of each
+  /// evaluated query; false ends the search.
+  virtual bool BeginRound(const std::vector<double>& cur) = 0;
+  /// Score of picking unit `ui`, under which the queries would cost `trial`
+  /// instead of `cur`. A round picks the highest score above 0; on a tie,
+  /// the lowest unit.
+  virtual double Score(const TrialCosts& trials, size_t ui,
+                       const std::vector<double>& cur,
+                       const std::vector<double>& trial) = 0;
+};
+
+/// The outcome of a greedy search.
+struct GreedyResult {
+  Configuration config;  // the picks, in pick order; unnamed
+  std::vector<double> cost_before;  // per evaluated query, on P
+  std::vector<double> cost_after;   // the same under `config`
+  double pages = 0.0;
+  size_t units = 0;  // candidate units considered
+};
+
+/// The search every advisor runs (Section 2.2's model): candidate
+/// generation from workload syntax (NotFound when the profile cannot
+/// analyze too much of the workload), what-if trial costs of a
+/// deterministic sample of `eval_sample` queries (all of them when it is at
+/// least the workload's size), then greedy picks under the space budget
+/// until no unit scores above 0, the objective stops, or the pick limit is
+/// reached. All costs are hypothetical optimizer estimates
+/// H(q, C_h, C_current) — never actual executions.
+Result<GreedyResult> GreedySearch(const ConfigView& base,
+                                  const AdvisorOptions& options,
+                                  size_t eval_sample,
+                                  const std::vector<BoundQuery>& workload,
+                                  GreedyObjective* objective);
+
+/// A what-if configuration recommender: GreedySearch over an evaluation
+/// sample, scored by estimated total cost saved per page. Costs come from
+/// hypothetical optimizer estimates only — never from actual executions.
+/// That restriction is the paper's central observation about the
+/// commercial tools.
 class Advisor {
  public:
   /// `base` is the planner view of the *currently built* configuration

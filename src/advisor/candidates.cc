@@ -10,6 +10,12 @@ namespace tabbench {
 
 namespace {
 
+/// Widest composite index proposed.
+constexpr size_t kMaxIndexWidth = 4;
+/// Generation keeps the first this many distinct index candidates, and an
+/// eighth as many view candidates.
+constexpr size_t kMaxCandidates = 512;
+
 std::string IndexName(const IndexDef& def) {
   std::string name = "ix_" + def.target;
   for (const auto& c : def.columns) name += "_" + c;
@@ -79,23 +85,22 @@ class Generator {
       for (const auto& c : filter_cols) AddIndex(table, {c});
       for (const auto& c : join_cols) AddIndex(table, {c});
 
-      if (opts_.covering_composites) {
-        // Seed with the most useful leading column (filters first, then
-        // joins), extend with the remaining predicate and group columns.
-        std::vector<std::string> lead = filter_cols;
-        for (const auto& c : join_cols) Push(&lead, c);
-        for (const auto& seed : lead) {
-          std::vector<std::string> cols{seed};
-          for (const auto& c : lead) {
-            if (static_cast<int>(cols.size()) >= opts_.max_index_width) break;
-            Push(&cols, c);
-          }
-          for (const auto& c : group_cols) {
-            if (static_cast<int>(cols.size()) >= opts_.max_index_width) break;
-            Push(&cols, c);
-          }
-          if (cols.size() > 1) AddIndex(table, cols);
+      // Covering composites: seed with the most useful leading column
+      // (filters first, then joins), extend with the remaining predicate
+      // and group columns.
+      std::vector<std::string> lead = filter_cols;
+      for (const auto& c : join_cols) Push(&lead, c);
+      for (const auto& seed : lead) {
+        std::vector<std::string> cols{seed};
+        for (const auto& c : lead) {
+          if (cols.size() >= kMaxIndexWidth) break;
+          Push(&cols, c);
         }
+        for (const auto& c : group_cols) {
+          if (cols.size() >= kMaxIndexWidth) break;
+          Push(&cols, c);
+        }
+        if (cols.size() > 1) AddIndex(table, cols);
       }
     }
     if (opts_.enable_views) AddViewCandidates(q);
@@ -118,7 +123,7 @@ class Generator {
 
   void AddIndex(const std::string& table,
                 const std::vector<std::string>& cols) {
-    if (out_.indexes.size() >= opts_.max_candidates) return;
+    if (out_.indexes.size() >= kMaxCandidates) return;
     for (const auto& c : cols) {
       if (!Indexable(table, c)) return;
     }
@@ -131,7 +136,7 @@ class Generator {
     }
     IndexCandidate cand;
     cand.est_pages =
-        EstimateIndexPages(def, catalog_, stats_, /*leaf_fill=*/0.67,
+        EstimateIndexPages(def, catalog_, stats_, kUnbuiltLeafFill,
                            /*target_rows=*/-1.0);
     cand.def = std::move(def);
     out_.indexes.push_back(std::move(cand));
@@ -218,13 +223,13 @@ class Generator {
   }
 
   void AddView(const BoundQuery& q, const ViewDef& def) {
-    if (out_.views.size() >= opts_.max_candidates / 8) return;
+    if (out_.views.size() >= kMaxCandidates / 8) return;
     for (const auto& existing : out_.views) {
       if (existing.def.name == def.name) return;
     }
     ViewCandidate cand;
     cand.def = def;
-    ViewSizeEstimate est = EstimateViewSize(def, catalog_, stats_);
+    const ViewSizeEstimate est = EstimateViewSize(def, catalog_, stats_);
     cand.est_pages = est.pages;
     // Index the view on its filter columns (seekable) followed by group-by
     // columns — the shapes the paper's System C recommended (Table 3).
@@ -247,15 +252,11 @@ class Generator {
     if (!lead.empty()) {
       IndexDef idx;
       idx.target = def.name;
-      idx.columns.assign(
-          lead.begin(),
-          lead.begin() + std::min<size_t>(lead.size(),
-                                          static_cast<size_t>(opts_.max_index_width)));
+      idx.columns.assign(lead.begin(),
+                         lead.begin() + std::min(lead.size(), kMaxIndexWidth));
       idx.name = IndexName(idx);
-      cand.est_pages += EstimateIndexPages(idx, catalog_, stats_, 0.67,
-                                           EstimateViewSize(def, catalog_,
-                                                            stats_)
-                                               .rows);
+      cand.est_pages += EstimateIndexPages(idx, catalog_, stats_,
+                                           kUnbuiltLeafFill, est.rows);
       cand.indexes.push_back(std::move(idx));
     }
     out_.views.push_back(std::move(cand));

@@ -35,12 +35,10 @@ struct CandidateSet {
 };
 
 /// Knobs that differentiate the advisor profiles' candidate generation.
+/// Every profile proposes covering composites no wider than 4 columns (the
+/// paper observed none wider) and keeps the first 512 distinct index
+/// candidates and 64 view candidates (candidates.cc).
 struct CandidateOptions {
-  /// Widest composite index proposed (the paper observed none wider than 4).
-  int max_index_width = 4;
-  /// Merge predicate/join columns with group-by columns into covering
-  /// composite candidates.
-  bool covering_composites = true;
   /// Propose materialized views (join views and single-table projections)
   /// plus indexes over them. Profile C only.
   bool enable_views = false;
@@ -55,13 +53,11 @@ struct CandidateOptions {
   /// the shape of family NREF3J. Models System A's failure to produce any
   /// recommendation for that family.
   bool reject_count_distinct_self_joins = false;
-  /// Hard cap; generation keeps the first N distinct candidates.
-  size_t max_candidates = 512;
 };
 
 /// Derives the candidate structures for a workload: single-column indexes on
-/// every predicate/join/IN-subquery column, covering composites up to
-/// max_index_width, and (optionally) join/projection views with their own
+/// every predicate/join/IN-subquery column, covering composites of up to 4
+/// columns, and (optionally) join/projection views with their own
 /// indexes.
 CandidateSet GenerateCandidates(const std::vector<BoundQuery>& workload,
                                 const Catalog& catalog,

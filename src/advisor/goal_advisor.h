@@ -27,10 +27,11 @@ struct GoalRecommendation {
 ///  recommenders that can accept quality of service goals specified by
 ///  constraints on these curves."
 ///
-/// The search is the same candidate/greedy machinery as Advisor, scored by
-/// shortfall reduction per page (ties broken by total-cost reduction), and
-/// stops as soon as the estimated curve clears the goal — so it naturally
-/// spends *less* space than a total-cost advisor when the goal is modest.
+/// The search is Advisor's GreedySearch over every workload query, scored
+/// by shortfall reduction per page (ties broken by total-cost reduction),
+/// and stops as soon as the estimated curve clears the goal — so it
+/// naturally spends *less* space than a total-cost advisor when the goal is
+/// modest.
 class GoalDrivenAdvisor {
  public:
   GoalDrivenAdvisor(ConfigView base, AdvisorOptions options,

@@ -5,10 +5,8 @@ namespace tabbench {
 AdvisorOptions SystemAProfile() {
   AdvisorOptions o;
   o.candidates.enable_views = false;
-  o.candidates.covering_composites = true;
   o.candidates.reject_count_distinct_self_joins = true;
   o.whatif.credit_index_only = true;
-  o.whatif.clustering_pessimism = 1.0;
   o.whatif.composite_ndv_product = false;
   o.whatif.uniform_value_assumption = true;
   o.seed = 11;
@@ -18,9 +16,7 @@ AdvisorOptions SystemAProfile() {
 AdvisorOptions SystemBProfile() {
   AdvisorOptions o;
   o.candidates.enable_views = false;
-  o.candidates.covering_composites = true;
   o.whatif.credit_index_only = false;  // the conservative what-if
-  o.whatif.clustering_pessimism = 1.0;
   o.whatif.composite_ndv_product = false;
   o.whatif.uniform_value_assumption = true;
   o.seed = 13;
@@ -31,9 +27,7 @@ AdvisorOptions SystemCProfile() {
   AdvisorOptions o;
   o.candidates.enable_views = true;
   o.candidates.analyze_subquery_columns = true;
-  o.candidates.covering_composites = true;
   o.whatif.credit_index_only = true;
-  o.whatif.clustering_pessimism = 1.0;
   o.whatif.composite_ndv_product = true;
   o.whatif.uniform_value_assumption = true;
   o.view_score_boost = 6.0;

@@ -24,6 +24,14 @@ namespace tabbench {
 ///   System C — indexes plus materialized views (the paper ran it on the
 ///   TPC-H databases; its recommendations include indexes on views over
 ///   Lineitem and Lineitem x Partsupp, Table 3).
+///
+/// What the three share is fixed in code rather than set here: the greedy
+/// search's rules (GreedySearch), covering composites of up to 4 columns
+/// (candidates.h), and the what-if's worst-case clustering and leaf fill
+/// (whatif.h). Each profile costs its trials under uniform value densities
+/// (uniform_value_assumption, applied by TrialCosts only); the figure
+/// suite's H columns reuse the profile's rules with that flag off, since
+/// Database::HypotheticalEstimate refuses it.
 AdvisorOptions SystemAProfile();
 AdvisorOptions SystemBProfile();
 AdvisorOptions SystemCProfile();

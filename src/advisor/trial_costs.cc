@@ -79,6 +79,17 @@ std::vector<Unit> MakeUnits(const CandidateSet& cands) {
   return units;
 }
 
+DatabaseStats DegradeToUniform(const DatabaseStats& stats) {
+  DatabaseStats out = stats;
+  for (auto& [tname, ts] : out.tables) {
+    for (auto& [cname, cs] : ts.columns) {
+      cs.mcvs.clear();
+      cs.histogram = EquiDepthHistogram();
+    }
+  }
+  return out;
+}
+
 TrialCosts::TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
                        std::vector<Unit> units,
                        std::vector<const BoundQuery*> queries)
@@ -118,18 +129,14 @@ TrialCosts::TrialCosts(const ConfigView& base, const HypotheticalRules& rules,
   }
 }
 
-Configuration TrialCosts::Config(const std::string& name) const {
-  Configuration config = MakeConfig(units_, chosen_);
-  config.name = name;
-  return config;
+Configuration TrialCosts::Config() const {
+  return MakeConfig(units_, chosen_);
 }
 
 Result<std::vector<double>> TrialCosts::Baseline() const {
   TB_RETURN_IF_ERROR(prepare_status_);
   ConfigView v;
-  TB_ASSIGN_OR_RETURN(
-      v, MakeHypotheticalView(MakeConfig(units_, chosen_), whatif_base_,
-                              rules_));
+  TB_ASSIGN_OR_RETURN(v, MakeHypotheticalView(Config(), whatif_base_, rules_));
   std::vector<double> costs(queries_.size(), 0.0);
   for (size_t i = 0; i < queries_.size(); ++i) {
     TB_ASSIGN_OR_RETURN(costs[i], EstimateCost(prepared_[i], v));

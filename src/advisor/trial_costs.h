@@ -38,6 +38,12 @@ struct Unit {
 /// The units of a candidate set: its indexes, then its views.
 std::vector<Unit> MakeUnits(const CandidateSet& cands);
 
+/// Statistics with value-distribution detail removed (no MCVs, no
+/// histograms): equality selectivities degrade to rows/NDV. The model of
+/// HypotheticalRules::uniform_value_assumption, which TrialCosts alone
+/// applies.
+DatabaseStats DegradeToUniform(const DatabaseStats& stats);
+
 /// What-if trial costing for a greedy search over `units`: the estimated
 /// cost E of each query under `chosen ∪ {unit}`, all from hypothetical
 /// views over `base` (degraded to uniform densities when `rules` say so).
@@ -79,8 +85,8 @@ class TrialCosts {
   /// of the queries it is relevant to.
   void Pick(size_t ui);
 
-  /// The picked structures, in pick order.
-  Configuration Config(const std::string& name) const;
+  /// The picked structures, in pick order; unnamed.
+  Configuration Config() const;
 
  private:
   DatabaseStats degraded_;  // whatif_base_.stats points here when degraded

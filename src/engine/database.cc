@@ -275,18 +275,16 @@ Result<double> Database::Estimate(const std::string& sql) const {
 Result<double> Database::HypotheticalEstimate(
     const std::string& sql, const Configuration& hypothetical,
     const HypotheticalRules& rules) const {
+  if (rules.uniform_value_assumption) {
+    return Status::InvalidArgument(
+        "uniform_value_assumption is modeled by the advisors' trial costs "
+        "only; HypotheticalEstimate derives from the collected statistics");
+  }
   std::shared_ptr<const PreparedEntry> entry;
   TB_ASSIGN_OR_RETURN(entry, Prepared(sql));
   std::shared_ptr<const HypotheticalMemo> hyp;
   TB_ASSIGN_OR_RETURN(hyp, HypotheticalView(hypothetical, rules));
-  if (hyp->view.stats == &stats_) {
-    return EstimateCost(entry->prepared, hyp->view);
-  }
-  // Uniform-value rules: the view's statistics are its own.
-  PreparedQuery own;
-  TB_ASSIGN_OR_RETURN(own,
-                      PrepareQuery(entry->query, catalog_, *hyp->view.stats));
-  return EstimateCost(own, hyp->view);
+  return EstimateCost(entry->prepared, hyp->view);
 }
 
 Result<std::shared_ptr<const Database::PreparedEntry>> Database::Prepared(
@@ -385,16 +383,8 @@ Database::HypotheticalView(const Configuration& config,
   fresh->config = config;
   fresh->rules = rules;
   fresh->base = base;
-  if (rules.uniform_value_assumption) {
-    fresh->degraded = DegradeToUniform(stats_);
-    ConfigView degraded_base = base->view;
-    degraded_base.stats = &fresh->degraded;
-    TB_ASSIGN_OR_RETURN(fresh->view,
-                        MakeHypotheticalView(config, degraded_base, rules));
-  } else {
-    TB_ASSIGN_OR_RETURN(fresh->view,
-                        MakeHypotheticalView(config, base->view, rules));
-  }
+  TB_ASSIGN_OR_RETURN(fresh->view,
+                      MakeHypotheticalView(config, base->view, rules));
   MutexLock lock(&memo_mu_);
   hypothetical_memo_ = fresh;
   return std::shared_ptr<const HypotheticalMemo>(std::move(fresh));

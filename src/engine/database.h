@@ -166,9 +166,12 @@ class Database : public ObjectResolver {
   Result<double> Estimate(const std::string& sql) const;
 
   /// H(q, C_h, C_current): what-if estimate of a configuration that is NOT
-  /// built, derived per `rules` (Section 5 of the paper). Concurrency-safe
-  /// like Plan(). The derived view of the last (C_h, rules) pair asked for
-  /// is memoized until it or the built configuration changes.
+  /// built, derived per `rules` (Section 5 of the paper) from the collected
+  /// statistics. Rules with uniform_value_assumption are InvalidArgument,
+  /// before any memo is read or filled: only the advisors' trial costs
+  /// degrade statistics. Concurrency-safe like Plan(). The derived view of
+  /// the last (C_h, rules) pair asked for is memoized until it or the built
+  /// configuration changes.
   Result<double> HypotheticalEstimate(const std::string& sql,
                                       const Configuration& hypothetical,
                                       const HypotheticalRules& rules) const;
@@ -244,13 +247,11 @@ class Database : public ObjectResolver {
   /// rules, base) at a time; holding `base` keeps its address from being
   /// reused by a later ViewMemo. The configuration is compared on its full
   /// content, names included (IndexDef::operator== ignores them, but the
-  /// derived view carries them). `degraded` holds the uniform-value stats
-  /// the view points at when the rules ask for them. Immutable once stored.
+  /// derived view carries them). Immutable once stored.
   struct HypotheticalMemo {
     Configuration config;
     HypotheticalRules rules;
     std::shared_ptr<const ViewMemo> base;
-    DatabaseStats degraded;
     ConfigView view;
   };
   /// One SQL text parsed, bound and prepared against catalog_ and stats_.

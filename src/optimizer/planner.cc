@@ -776,8 +776,7 @@ class Planner {
     double total = acc.cost;
     for (const InSetChoice& s : in_sets_) total += s.cost;
     if (!q_.IsAggregate()) return Finished{total, acc.rows};
-    double groups =
-        CardinalityEstimator::GroupCountOf(pq_.group_distinct, acc.rows);
+    double groups = GroupCountOf(pq_.group_distinct, acc.rows);
     bool has_distinct = false;
     for (const auto& s : q_.select) {
       if (s.kind == BoundSelectItem::Kind::kCountDistinct) {

@@ -19,7 +19,6 @@ Result<PreparedQuery> PrepareQuery(const BoundQuery& q, const Catalog& catalog,
     return Status::InvalidArgument(
         "planner supports at most 64 relations and 64 joins");
   }
-  const CardinalityEstimator card(stats);
   PreparedQuery pq;
   pq.query = &q;
   pq.catalog = &catalog;
@@ -36,11 +35,11 @@ Result<PreparedQuery> PrepareQuery(const BoundQuery& q, const Catalog& catalog,
       return Status::NotFound("column " + p.sub_column);
     }
     const TableStats* ts = stats.FindTable(p.sub_table);
-    in_set.rows = CardinalityEstimator::Rows(ts);
-    in_set.pages = CardinalityEstimator::Pages(ts);
+    in_set.rows = TableRowsOf(ts);
+    in_set.pages = TablePagesOf(ts);
     pq.in_sets.push_back(in_set);
     pq.in_selectivity.push_back(
-        card.InFreqSelectivity(p.sub_table, p.sub_column, p.cmp, p.k));
+        InFreqSelectivity(stats, p.sub_table, p.sub_column, p.cmp, p.k));
   }
 
   // Per-side distinct counts, and from them the join selectivity.
@@ -49,21 +48,20 @@ Result<PreparedQuery> PrepareQuery(const BoundQuery& q, const Catalog& catalog,
     JoinInfo ji;
     ji.left = Slot(j.left);
     ji.right = Slot(j.right);
-    ji.left_distinct = card.Distinct(j.left.table, j.left.column);
-    ji.right_distinct = card.Distinct(j.right.table, j.right.column);
-    ji.selectivity = CardinalityEstimator::JoinSelectivityOf(
-        ji.left_distinct, ji.right_distinct);
+    ji.left_distinct = DistinctOf(stats, j.left.table, j.left.column);
+    ji.right_distinct = DistinctOf(stats, j.right.table, j.right.column);
+    ji.selectivity = JoinSelectivityOf(ji.left_distinct, ji.right_distinct);
     pq.joins.push_back(ji);
   }
 
   pq.filter_selectivity.reserve(q.filters.size());
   for (const auto& f : q.filters) {
     pq.filter_selectivity.push_back(
-        card.EqSelectivity(f.column.table, f.column.column, f.literal));
+        EqSelectivity(stats, f.column.table, f.column.column, f.literal));
   }
   pq.group_distinct.reserve(q.group_by.size());
   for (const auto& g : q.group_by) {
-    pq.group_distinct.push_back(card.Distinct(g.table, g.column));
+    pq.group_distinct.push_back(DistinctOf(stats, g.table, g.column));
   }
 
   // Needed slots per relation occurrence.
@@ -95,9 +93,9 @@ Result<PreparedQuery> PrepareQuery(const BoundQuery& q, const Catalog& catalog,
     const TableDef* def = catalog.FindTable(table);
     if (def == nullptr) return Status::NotFound("table " + table);
     const TableStats* ts = stats.FindTable(table);
-    o.rows = CardinalityEstimator::Rows(ts);
-    o.pages = CardinalityEstimator::Pages(ts);
-    o.row_bytes = CardinalityEstimator::RowBytes(ts);
+    o.rows = TableRowsOf(ts);
+    o.pages = TablePagesOf(ts);
+    o.row_bytes = RowBytesOf(ts);
     o.layout.reserve(def->columns.size());
     o.col_names.reserve(def->columns.size());
     for (size_t c = 0; c < def->columns.size(); ++c) {

@@ -1,8 +1,10 @@
 #include "optimizer/whatif.h"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
+#include <vector>
 
+#include "optimizer/cardinality.h"
 #include "storage/page_store.h"
 
 namespace tabbench {
@@ -18,17 +20,88 @@ double ColumnWidth(const Catalog& catalog, const std::string& table,
   return static_cast<double>(def->columns[static_cast<size_t>(ci)].avg_width);
 }
 
-double ColumnNdv(const DatabaseStats& stats, const std::string& table,
-                 const std::string& column) {
-  const ColumnStats* cs = stats.FindColumn(table, column);
-  if (cs == nullptr || cs->num_distinct == 0) return 1.0;
-  return static_cast<double>(cs->num_distinct);
+/// Appends the NDV of each key column of `def` on its target table to
+/// `ndvs`, in key order, and returns the key's width in bytes.
+double TableKey(const IndexDef& def, const Catalog& catalog,
+                const DatabaseStats& stats, std::vector<double>* ndvs) {
+  double key_bytes = 0.0;
+  for (const auto& c : def.columns) {
+    key_bytes += ColumnWidth(catalog, def.target, c);
+    ndvs->push_back(DistinctOf(stats, def.target, c));
+  }
+  return key_bytes;
 }
 
-double ColumnNdvForWhatIf(const DatabaseStats& stats,
-                          const std::string& table,
-                          const std::string& column) {
-  return ColumnNdv(stats, table, column);
+/// The same for an index on `view`: each key column reads the base-table
+/// column the view projects it from, so widths and NDVs come from real
+/// stats. A key column the view does not project is skipped.
+double ViewKey(const IndexDef& def, const ViewDef& view,
+               const Catalog& catalog, const DatabaseStats& stats,
+               std::vector<double>* ndvs) {
+  double key_bytes = 0.0;
+  for (const auto& c : def.columns) {
+    for (const auto& pc : view.projection) {
+      if (pc.view_name != c) continue;
+      ndvs->push_back(DistinctOf(stats, pc.table, pc.column));
+      key_bytes += ColumnWidth(catalog, pc.table, pc.column);
+      break;
+    }
+  }
+  return key_bytes;
+}
+
+/// `target_rows`, or the row count of `table` when it is <= 0.
+double TargetRows(const DatabaseStats& stats, const std::string& table,
+                  double target_rows) {
+  return target_rows > 0 ? target_rows : TableRowsOf(stats.FindTable(table));
+}
+
+/// The one derivation behind every unbuilt-index figure. Sets `out`'s
+/// entries, leaf pages, height and distinct keys for `rows` entries of
+/// `key_bytes`-wide keys whose columns hold `ndvs` distinct values each, in
+/// key order, with leaves `leaf_fill` full, and returns the tree's size in
+/// pages. The distinct-key estimate is the capped product of the NDVs when
+/// `ndv_product`, else the leading column's NDV.
+double ShapeUnbuiltIndex(double rows, double key_bytes,
+                         std::span<const double> ndvs, double leaf_fill,
+                         bool ndv_product, PhysicalIndex* out) {
+  out->entries = std::max(1.0, rows);
+  const double entry_bytes = std::max(12.0, key_bytes + 8.0);
+  const double fanout =
+      std::max(8.0, (static_cast<double>(kPageSize) - 64.0) / entry_bytes) *
+      leaf_fill;
+  out->leaf_pages = std::max(1.0, out->entries / fanout);
+  out->height = 1.0;
+  for (double level = out->leaf_pages; level > 1.0;
+       level /= std::max(8.0, fanout)) {
+    out->height += 1.0;
+  }
+  double distinct = ndvs.empty() ? 1.0 : ndvs.front();
+  if (ndv_product) {
+    distinct = 1.0;
+    for (double d : ndvs) {
+      distinct *= d;
+      if (distinct > out->entries) break;
+    }
+  }
+  out->distinct_keys = std::max(1.0, std::min(distinct, out->entries));
+  // Interior levels add ~1/fanout overhead per level; geometric sum.
+  return out->leaf_pages * (1.0 + 2.0 / fanout) + 1.0;
+}
+
+/// `def`'s what-if statistics from its target's rows and its key columns'
+/// widths and NDVs.
+PhysicalIndex Derive(const IndexDef& def, double rows, double key_bytes,
+                     std::span<const double> ndvs,
+                     const HypotheticalRules& rules) {
+  PhysicalIndex out;
+  out.def = def;
+  out.hypothetical = true;
+  out.allow_index_only = rules.credit_index_only;
+  ShapeUnbuiltIndex(rows, key_bytes, ndvs, kUnbuiltLeafFill,
+                    rules.composite_ndv_product, &out);
+  out.clustering_factor = out.entries;  // a fresh heap page per fetch
+  return out;
 }
 
 }  // namespace
@@ -36,22 +109,11 @@ double ColumnNdvForWhatIf(const DatabaseStats& stats,
 double EstimateIndexPages(const IndexDef& def, const Catalog& catalog,
                           const DatabaseStats& stats, double leaf_fill,
                           double target_rows) {
-  double key_bytes = 0;
-  for (const auto& c : def.columns) {
-    key_bytes += ColumnWidth(catalog, def.target, c);
-  }
-  double rows = target_rows;
-  if (rows <= 0) {
-    const TableStats* ts = stats.FindTable(def.target);
-    rows = ts == nullptr ? 1.0 : static_cast<double>(ts->row_count);
-  }
-  double entry_bytes = std::max(12.0, key_bytes + 8.0);
-  double fanout =
-      std::max(8.0, (static_cast<double>(kPageSize) - 64.0) / entry_bytes) *
-      leaf_fill;
-  double leaf_pages = std::max(1.0, rows / fanout);
-  // Interior levels add ~1/fanout overhead per level; geometric sum.
-  return leaf_pages * (1.0 + 2.0 / fanout) + 1.0;
+  std::vector<double> ndvs;
+  const double key_bytes = TableKey(def, catalog, stats, &ndvs);
+  PhysicalIndex shape;
+  return ShapeUnbuiltIndex(TargetRows(stats, def.target, target_rows),
+                           key_bytes, ndvs, leaf_fill, false, &shape);
 }
 
 PhysicalIndex DeriveHypotheticalIndex(const IndexDef& def,
@@ -59,70 +121,21 @@ PhysicalIndex DeriveHypotheticalIndex(const IndexDef& def,
                                       const DatabaseStats& stats,
                                       const HypotheticalRules& rules,
                                       double target_rows) {
-  PhysicalIndex out;
-  out.def = def;
-  out.physical_name = "";
-  out.hypothetical = true;
-  out.allow_index_only = rules.credit_index_only;
-
-  double rows = target_rows;
-  if (rows <= 0) {
-    const TableStats* ts = stats.FindTable(def.target);
-    rows = ts == nullptr ? 1.0 : static_cast<double>(ts->row_count);
-  }
-  rows = std::max(1.0, rows);
-  out.entries = rows;
-
-  double key_bytes = 0;
-  for (const auto& c : def.columns) {
-    key_bytes += ColumnWidth(catalog, def.target, c);
-  }
-  double entry_bytes = std::max(12.0, key_bytes + 8.0);
-  double fanout =
-      std::max(8.0, (static_cast<double>(kPageSize) - 64.0) / entry_bytes) *
-      rules.leaf_fill;
-  out.leaf_pages = std::max(1.0, rows / fanout);
-
-  double height = 1.0;
-  double level = out.leaf_pages;
-  while (level > 1.0) {
-    level /= std::max(8.0, fanout);
-    height += 1.0;
-  }
-  out.height = height;
-
-  if (rules.composite_ndv_product) {
-    double prod = 1.0;
-    for (const auto& c : def.columns) {
-      prod *= ColumnNdv(stats, def.target, c);
-      if (prod > rows) break;
-    }
-    out.distinct_keys = std::min(prod, rows);
-  } else {
-    // Conservative: credit only the leading column's distinctness.
-    out.distinct_keys =
-        def.columns.empty()
-            ? 1.0
-            : std::min(ColumnNdv(stats, def.target, def.columns[0]), rows);
-  }
-  out.distinct_keys = std::max(1.0, out.distinct_keys);
-
-  out.clustering_factor = rows * rules.clustering_pessimism;
-  return out;
+  std::vector<double> ndvs;
+  const double key_bytes = TableKey(def, catalog, stats, &ndvs);
+  return Derive(def, TargetRows(stats, def.target, target_rows), key_bytes,
+                ndvs, rules);
 }
 
 ViewSizeEstimate EstimateViewSize(const ViewDef& def, const Catalog& catalog,
                                   const DatabaseStats& stats) {
   ViewSizeEstimate out;
   double rows = 1.0;
-  for (const auto& t : def.tables) {
-    const TableStats* ts = stats.FindTable(t);
-    rows *= ts == nullptr ? 1.0 : std::max<double>(1.0, ts->row_count);
-  }
+  for (const auto& t : def.tables) rows *= TableRowsOf(stats.FindTable(t));
   for (const auto& j : def.joins) {
-    double d1 = ColumnNdv(stats, j.left_table, j.left_column);
-    double d2 = ColumnNdv(stats, j.right_table, j.right_column);
-    rows /= std::max({d1, d2, 1.0});
+    rows /= std::max(
+        {DistinctOf(stats, j.left_table, j.left_column),
+         DistinctOf(stats, j.right_table, j.right_column), 1.0});
   }
   out.rows = std::max(1.0, rows);
   double row_bytes = 0;
@@ -135,23 +148,14 @@ ViewSizeEstimate EstimateViewSize(const ViewDef& def, const Catalog& catalog,
   return out;
 }
 
-DatabaseStats DegradeToUniform(const DatabaseStats& stats) {
-  DatabaseStats out = stats;
-  for (auto& [tname, ts] : out.tables) {
-    for (auto& [cname, cs] : ts.columns) {
-      cs.mcvs.clear();
-      cs.histogram = EquiDepthHistogram();
-    }
-  }
-  return out;
-}
-
 Result<ConfigView> MakeHypotheticalView(const Configuration& config,
                                         const ConfigView& base,
                                         const HypotheticalRules& rules) {
   if (base.catalog == nullptr || base.stats == nullptr) {
     return Status::InvalidArgument("base view missing catalog or stats");
   }
+  const Catalog& catalog = *base.catalog;
+  const DatabaseStats& stats = *base.stats;
   ConfigView out;
   out.catalog = base.catalog;
   out.stats = base.stats;
@@ -166,69 +170,26 @@ Result<ConfigView> MakeHypotheticalView(const Configuration& config,
   // Hypothetical views first, so hypothetical indexes over views can size
   // themselves from the view's estimated row count.
   for (const auto& vd : config.views) {
-    ViewSizeEstimate est = EstimateViewSize(vd, *base.catalog, *base.stats);
+    ViewSizeEstimate est = EstimateViewSize(vd, catalog, stats);
     PhysicalView pv;
     pv.def = vd;
-    pv.physical_name = "";
     pv.rows = est.rows;
     pv.pages = est.pages;
     pv.hypothetical = true;
     out.views.push_back(std::move(pv));
   }
 
+  std::vector<double> ndvs;  // reused across indexes
   for (const auto& def : config.indexes) {
     if (def.is_primary) continue;  // already inherited
     const PhysicalView* pv = out.FindView(def.target);
-    if (pv == nullptr) {
-      out.indexes.push_back(DeriveHypotheticalIndex(
-          def, *base.catalog, *base.stats, rules, /*target_rows=*/-1.0));
-      continue;
-    }
-    // Index over a hypothetical view: translate the view columns back to
-    // their base-table columns so widths and NDVs come from real stats.
-    IndexDef base_equiv = def;
-    PhysicalIndex pi;
-    {
-      std::vector<double> ndvs;
-      double key_bytes = 0.0;
-      for (auto& c : base_equiv.columns) {
-        for (const auto& pc : pv->def.projection) {
-          if (pc.view_name != c) continue;
-          ndvs.push_back(ColumnNdvForWhatIf(*base.stats, pc.table, pc.column));
-          key_bytes += ColumnWidth(*base.catalog, pc.table, pc.column);
-          break;
-        }
-      }
-      pi.def = def;
-      pi.hypothetical = true;
-      pi.allow_index_only = rules.credit_index_only;
-      pi.entries = std::max(1.0, pv->rows);
-      double entry_bytes = std::max(12.0, key_bytes + 8.0);
-      double fanout = std::max(
-          8.0, (static_cast<double>(kPageSize) - 64.0) / entry_bytes) *
-          rules.leaf_fill;
-      pi.leaf_pages = std::max(1.0, pi.entries / fanout);
-      double height = 1.0;
-      for (double level = pi.leaf_pages; level > 1.0;
-           level /= std::max(8.0, fanout)) {
-        height += 1.0;
-      }
-      pi.height = height;
-      if (rules.composite_ndv_product) {
-        double prod = 1.0;
-        for (double d : ndvs) {
-          prod *= d;
-          if (prod > pi.entries) break;
-        }
-        pi.distinct_keys = std::max(1.0, std::min(prod, pi.entries));
-      } else {
-        pi.distinct_keys =
-            ndvs.empty() ? 1.0
-                         : std::max(1.0, std::min(ndvs.front(), pi.entries));
-      }
-      pi.clustering_factor = pi.entries * rules.clustering_pessimism;
-    }
-    out.indexes.push_back(std::move(pi));
+    ndvs.clear();
+    const double key_bytes =
+        pv == nullptr ? TableKey(def, catalog, stats, &ndvs)
+                      : ViewKey(def, pv->def, catalog, stats, &ndvs);
+    const double rows =
+        pv == nullptr ? TargetRows(stats, def.target, -1.0) : pv->rows;
+    out.indexes.push_back(Derive(def, rows, key_bytes, ndvs, rules));
   }
   return out;
 }

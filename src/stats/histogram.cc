@@ -1,31 +1,31 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tabbench {
 
 EquiDepthHistogram EquiDepthHistogram::Build(
-    const std::vector<Value>& sorted_values, size_t num_buckets) {
+    const std::vector<std::pair<Value, uint64_t>>& runs, size_t num_buckets) {
   EquiDepthHistogram h;
-  const size_t n = sorted_values.size();
+  uint64_t n = 0;
+  for (const auto& run : runs) n += run.second;
   if (n == 0 || num_buckets == 0) return h;
   h.total_rows_ = n;
-  num_buckets = std::min(num_buckets, n);
-  const size_t target_depth = (n + num_buckets - 1) / num_buckets;
+  const uint64_t buckets = std::min<uint64_t>(num_buckets, n);
+  const uint64_t target_depth = (n + buckets - 1) / buckets;
 
   Bucket cur;
   uint64_t cur_rows = 0, cur_distinct = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool new_value = (i == 0) || (sorted_values[i] != sorted_values[i - 1]);
-    if (new_value) ++cur_distinct;
-    ++cur_rows;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    const Value& v = runs[k].first;
+    if (k == 0 || v != runs[k - 1].first) ++cur_distinct;
+    cur_rows += runs[k].second;
     // Close the bucket at value boundaries once the target depth is met, so
     // that a single value never straddles two buckets.
-    const bool last = (i + 1 == n);
-    const bool boundary = last || (sorted_values[i + 1] != sorted_values[i]);
+    const bool last = (k + 1 == runs.size());
+    const bool boundary = last || (runs[k + 1].first != v);
     if (boundary && (cur_rows >= target_depth || last)) {
-      cur.upper = sorted_values[i];
+      cur.upper = v;
       cur.rows = cur_rows;
       cur.distinct = cur_distinct;
       h.buckets_.push_back(cur);

@@ -1,6 +1,8 @@
 #ifndef TABBENCH_STATS_HISTOGRAM_H_
 #define TABBENCH_STATS_HISTOGRAM_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "types/value.h"
@@ -22,9 +24,12 @@ class EquiDepthHistogram {
 
   EquiDepthHistogram() = default;
 
-  /// Builds from a *sorted* vector of non-null values.
-  static EquiDepthHistogram Build(const std::vector<Value>& sorted_values,
-                                  size_t num_buckets);
+  /// Builds from the runs of a sorted column of non-null values: each run
+  /// is a value and its (positive) row count, in ascending value order.
+  /// Adjacent runs whose values compare equal count as one value.
+  static EquiDepthHistogram Build(
+      const std::vector<std::pair<Value, uint64_t>>& runs,
+      size_t num_buckets);
 
   /// Estimated number of rows with value == v (uniform within bucket).
   double EstimateEqRows(const Value& v) const;

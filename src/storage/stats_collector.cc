@@ -10,8 +10,10 @@ namespace tabbench {
 
 namespace {
 
-ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
-                             const StatsOptions& opts) {
+constexpr size_t kHistogramBuckets = 64;
+constexpr size_t kNumMcvs = 16;
+
+ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count) {
   ColumnStats cs;
   cs.row_count = row_count;
   // Sort the non-NULL values on abbreviated keys (the index build's sort):
@@ -82,29 +84,28 @@ ColumnStats BuildColumnStats(std::vector<Value> values, uint64_t row_count,
     }
     return freqs[a].first < freqs[b].first;
   });
-  size_t num_mcv = std::min(opts.num_mcvs, freqs.size());
+  size_t num_mcv = std::min(kNumMcvs, freqs.size());
   std::vector<bool> is_mcv(freqs.size(), false);
   for (size_t i = 0; i < num_mcv; ++i) {
     cs.mcvs.push_back(freqs[by_freq[i]]);
     is_mcv[by_freq[i]] = true;
   }
 
-  // Histogram over the non-MCV remainder (sorted expansion).
-  std::vector<Value> rest;
-  rest.reserve(order.size());
+  // Histogram over the non-MCV runs, in value order; freqs is not read
+  // again.
+  std::vector<std::pair<Value, uint64_t>> rest;
+  rest.reserve(freqs.size() - num_mcv);
   for (size_t i = 0; i < freqs.size(); ++i) {
-    if (is_mcv[i]) continue;
-    for (uint64_t r = 0; r < freqs[i].second; ++r) rest.push_back(freqs[i].first);
+    if (!is_mcv[i]) rest.push_back(std::move(freqs[i]));
   }
-  cs.histogram = EquiDepthHistogram::Build(rest, opts.histogram_buckets);
+  cs.histogram = EquiDepthHistogram::Build(rest, kHistogramBuckets);
   return cs;
 }
 
 }  // namespace
 
 TableStats CollectTableStats(const HeapTable& table,
-                             const std::vector<std::string>& column_names,
-                             const StatsOptions& opts) {
+                             const std::vector<std::string>& column_names) {
   TableStats ts;
   ts.row_count = table.num_rows();
   ts.pages = table.num_pages();
@@ -129,7 +130,7 @@ TableStats CollectTableStats(const HeapTable& table,
       values.push_back(t.at(c));
     }
     ts.columns[column_names[c]] =
-        BuildColumnStats(std::move(values), table.num_rows(), opts);
+        BuildColumnStats(std::move(values), table.num_rows());
   }
   return ts;
 }

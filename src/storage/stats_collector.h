@@ -9,19 +9,13 @@
 
 namespace tabbench {
 
-/// Options for statistics collection.
-struct StatsOptions {
-  size_t histogram_buckets = 64;
-  size_t num_mcvs = 16;
-};
-
-/// Builds full statistics for a table by scanning it once per column.
+/// Builds full statistics for a table by scanning it once per column: 16
+/// MCVs and a 64-bucket equi-depth histogram of the rest per column.
 /// `column_names` must parallel the table's codec column order.
 /// This is the paper's "collect statistics before obtaining the
 /// recommendations and before running the queries" step (Section 3.2.3).
 TableStats CollectTableStats(const HeapTable& table,
-                             const std::vector<std::string>& column_names,
-                             const StatsOptions& opts = {});
+                             const std::vector<std::string>& column_names);
 
 }  // namespace tabbench
 

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "advisor/trial_costs.h"
 #include "core/query_family.h"
 #include "core/runner.h"
 #include "datagen/tpch_gen.h"
-#include "optimizer/whatif.h"
 #include "storage/buffer_pool.h"
 #include "test_util.h"
 

@@ -109,30 +109,5 @@ TEST_F(GoalAdvisorTest, EmptyWorkloadRejected) {
   EXPECT_FALSE(advisor.Recommend({}).ok());
 }
 
-// ------------------------------------------------- update-aware extension
-
-TEST_F(GoalAdvisorTest, UpdateAwareAdvisorPicksFewerStructures) {
-  AdvisorOptions read_only = SystemAProfile();
-  AdvisorOptions write_heavy = SystemAProfile();
-  write_heavy.updates_per_query = 500.0;  // inserts dominate
-  Advisor a_read(db()->CurrentView(), read_only);
-  Advisor a_write(db()->CurrentView(), write_heavy);
-  auto rec_read = a_read.Recommend(Workload());
-  auto rec_write = a_write.Recommend(Workload());
-  ASSERT_TRUE(rec_read.ok());
-  ASSERT_TRUE(rec_write.ok());
-  EXPECT_LT(rec_write->config.indexes.size() + rec_write->config.views.size(),
-            rec_read->config.indexes.size() + rec_read->config.views.size());
-}
-
-TEST_F(GoalAdvisorTest, MildUpdateRateStillRecommends) {
-  AdvisorOptions opts = SystemAProfile();
-  opts.updates_per_query = 0.01;
-  Advisor advisor(db()->CurrentView(), opts);
-  auto rec = advisor.Recommend(Workload());
-  ASSERT_TRUE(rec.ok());
-  EXPECT_FALSE(rec->config.indexes.empty());
-}
-
 }  // namespace
 }  // namespace tabbench

@@ -30,14 +30,14 @@ std::unique_ptr<TinyDb> OptimizerTest::tiny_;
 // ------------------------------------------------------------ cardinality
 
 TEST_F(OptimizerTest, TableRowsMatchesData) {
-  CardinalityEstimator card(db()->stats());
-  EXPECT_DOUBLE_EQ(card.TableRows("people"), 8000.0);
-  EXPECT_DOUBLE_EQ(card.TableRows("depts"), 60.0);
+  const DatabaseStats& stats = db()->stats();
+  EXPECT_DOUBLE_EQ(TableRowsOf(stats.FindTable("people")), 8000.0);
+  EXPECT_DOUBLE_EQ(TableRowsOf(stats.FindTable("depts")), 60.0);
 }
 
 TEST_F(OptimizerTest, EqSelectivityBounded) {
-  CardinalityEstimator card(db()->stats());
-  double sel = card.EqSelectivity("people", "dept", Value(int64_t{5}));
+  double sel =
+      EqSelectivity(db()->stats(), "people", "dept", Value(int64_t{5}));
   EXPECT_GT(sel, 0.0);
   EXPECT_LT(sel, 0.2);
 }
@@ -45,7 +45,7 @@ TEST_F(OptimizerTest, EqSelectivityBounded) {
 TEST_F(OptimizerTest, McvSelectivityIsExact) {
   // city0 is by construction the most common city; the MCV list should make
   // the estimate exact.
-  CardinalityEstimator card(db()->stats());
+  const DatabaseStats& stats = db()->stats();
   const HeapTable* heap = db()->FindHeap("people");
   auto cur = heap->Scan(nullptr);
   Tuple t;
@@ -54,22 +54,22 @@ TEST_F(OptimizerTest, McvSelectivityIsExact) {
     if (t.at(2) == Value(std::string("city0"))) ++actual;
   }
   double est =
-      card.EqSelectivity("people", "city", Value(std::string("city0"))) *
-      card.TableRows("people");
+      EqSelectivity(stats, "people", "city", Value(std::string("city0"))) *
+      TableRowsOf(stats.FindTable("people"));
   EXPECT_NEAR(est, actual, 1.0);
 }
 
 TEST_F(OptimizerTest, JoinSelectivityUsesMaxNdv) {
-  CardinalityEstimator card(db()->stats());
-  double sel = card.JoinSelectivity("people", "dept", "depts", "dept_id");
+  const DatabaseStats& stats = db()->stats();
+  double sel = JoinSelectivityOf(DistinctOf(stats, "people", "dept"),
+                                 DistinctOf(stats, "depts", "dept_id"));
   EXPECT_NEAR(sel, 1.0 / 60.0, 1e-9);
 }
 
 TEST_F(OptimizerTest, GroupCountCappedByInput) {
-  CardinalityEstimator card(db()->stats());
-  const double ids = card.Distinct("people", "id");
-  EXPECT_LE(CardinalityEstimator::GroupCountOf({ids, ids}, 100.0), 100.0);
-  EXPECT_GE(CardinalityEstimator::GroupCountOf({}, 100.0), 1.0);
+  const double ids = DistinctOf(db()->stats(), "people", "id");
+  EXPECT_LE(GroupCountOf({ids, ids}, 100.0), 100.0);
+  EXPECT_GE(GroupCountOf({}, 100.0), 1.0);
 }
 
 // -------------------------------------------------------------- cost model
@@ -246,6 +246,54 @@ TEST_F(OptimizerTest, CompositeNdvProductRule) {
                                              db()->stats(), rules, -1.0);
   EXPECT_GT(pi.distinct_keys, 60.0);
   EXPECT_LE(pi.distinct_keys, 8000.0);
+}
+
+TEST_F(OptimizerTest, ViewIndexDerivesAsItsBaseTableIndex) {
+  // An index over a hypothetical single-table projection view reads its
+  // key columns' widths and NDVs off the base columns they project, so it
+  // derives as the same index on the table would over the view's rows.
+  ViewDef v;
+  v.name = "pv";
+  v.tables = {"people"};
+  v.projection = {{"people", "dept", "people_dept"},
+                  {"people", "city", "people_city"},
+                  {"people", "score", "people_score"}};
+  const IndexDef on_view{"ix_pv", "pv", {"people_city", "people_dept"}, false};
+  const IndexDef on_table{"ix_pv", "people", {"city", "dept"}, false};
+  Configuration config;
+  config.views = {v};
+  config.indexes = {on_view};
+  const ConfigView base = db()->CurrentView();
+  for (bool credit : {false, true}) {
+    for (bool product : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "credit_index_only=" << credit
+                   << " composite_ndv_product=" << product);
+      HypotheticalRules rules;
+      rules.credit_index_only = credit;
+      rules.composite_ndv_product = product;
+      auto view = MakeHypotheticalView(config, base, rules);
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      const PhysicalView* pv = view->FindView("pv");
+      ASSERT_NE(pv, nullptr);
+      const PhysicalIndex* got = nullptr;
+      for (const auto& pi : view->indexes) {
+        if (pi.def.target == "pv") got = &pi;
+      }
+      ASSERT_NE(got, nullptr);
+      const PhysicalIndex want = DeriveHypotheticalIndex(
+          on_table, db()->catalog(), db()->stats(), rules, pv->rows);
+      // EXPECT_EQ on doubles is exact ==: bit-equal results.
+      EXPECT_EQ(got->entries, want.entries);
+      EXPECT_EQ(got->leaf_pages, want.leaf_pages);
+      EXPECT_EQ(got->height, want.height);
+      EXPECT_EQ(got->distinct_keys, want.distinct_keys);
+      EXPECT_EQ(got->clustering_factor, want.clustering_factor);
+      EXPECT_EQ(got->allow_index_only, want.allow_index_only);
+      EXPECT_TRUE(got->hypothetical);
+      EXPECT_EQ(got->def.columns, on_view.columns);
+    }
+  }
 }
 
 TEST_F(OptimizerTest, HypotheticalAtLeastAsConservativeAsBuilt) {

@@ -4,10 +4,11 @@
 // query of each SQL text. After every kind of mutation, each call must
 // bit-equal EstimateCost / PlanQuery run on a freshly bound query and a
 // freshly built view, and the view memo must have been rebuilt; a name-only
-// or one-field rules change must miss the hypothetical memo. A repeated text
-// must hit the prepared-query memo, a statistics pass must retire it, a text
-// that fails to parse or bind is never stored, and emptying the memo at its
-// cap changes no result.
+// or one-field rules change must miss the hypothetical memo, and rules that
+// ask for uniform value densities are refused without touching a memo. A
+// repeated text must hit the prepared-query memo, a statistics pass must
+// retire it, a text that fails to parse or bind is never stored, and
+// emptying the memo at its cap changes no result.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,11 @@ class DatabaseTestPeer {
     auto memo = db.HypotheticalView(config, rules);
     if (!memo.ok()) return nullptr;
     return *memo;
+  }
+  /// The hypothetical memo as it stands; looks without filling.
+  static std::shared_ptr<const void> HypotheticalSlot(const Database& db) {
+    MutexLock lock(&db.memo_mu_);
+    return db.hypothetical_memo_;
   }
   /// The memoized preparation of `sql` if the memo holds a current one,
   /// else null; looks without filling.
@@ -87,30 +93,17 @@ class PlannerMemoTest : public ::testing::Test {
     tiny_ = testing::TinyDb::Make(2000, 20);
     db_ = tiny_.db.get();
     hypothetical_ = Make1CConfig(db_->catalog());
-    uniform_ = rules_;
-    uniform_.uniform_value_assumption = true;
   }
 
   /// Every entry point against EstimateCost / PlanQuery on fresh views.
-  /// The uniform-rules what-if calls run first, as one loop, so a memo left
-  /// by AfterMutation's warm-up call is used, stale or not.
+  /// The what-if calls run first, as one loop, so a memo left by
+  /// AfterMutation's warm-up call is used, stale or not.
   void ExpectMatchesFreshViews(const std::string& step) {
     SCOPED_TRACE(step);
     const ConfigView fresh = db_->CurrentView();
-    const DatabaseStats degraded = DegradeToUniform(db_->stats());
-    ConfigView uniform_base = fresh;
-    uniform_base.stats = &degraded;
-    auto hyp_uniform =
-        MakeHypotheticalView(hypothetical_, uniform_base, uniform_);
-    ASSERT_TRUE(hyp_uniform.ok()) << hyp_uniform.status().ToString();
     auto hyp = MakeHypotheticalView(hypothetical_, fresh, rules_);
     ASSERT_TRUE(hyp.ok()) << hyp.status().ToString();
     // EXPECT_EQ on doubles is exact ==: bit-equal results.
-    for (const char* sql : kQueries) {
-      auto h = db_->HypotheticalEstimate(sql, hypothetical_, uniform_);
-      ASSERT_TRUE(h.ok()) << sql;
-      EXPECT_EQ(*h, *EstimateCost(Bound(sql), *hyp_uniform)) << sql;
-    }
     for (const char* sql : kQueries) {
       auto h = db_->HypotheticalEstimate(sql, hypothetical_, rules_);
       ASSERT_TRUE(h.ok()) << sql;
@@ -139,7 +132,7 @@ class PlannerMemoTest : public ::testing::Test {
   template <typename F>
   void AfterMutation(const std::string& step, F mutate) {
     ASSERT_TRUE(
-        db_->HypotheticalEstimate(kQueries[0], hypothetical_, uniform_).ok());
+        db_->HypotheticalEstimate(kQueries[0], hypothetical_, rules_).ok());
     const auto before = DatabaseTestPeer::View(*db_);
     mutate();
     if (HasFatalFailure()) return;
@@ -170,7 +163,6 @@ class PlannerMemoTest : public ::testing::Test {
   Database* db_ = nullptr;
   Configuration hypothetical_;
   HypotheticalRules rules_;
-  HypotheticalRules uniform_;
 };
 
 TEST_F(PlannerMemoTest, RepeatedCallsShareOneView) {
@@ -249,12 +241,9 @@ TEST_F(PlannerMemoTest, NameOrRuleChangesMissTheHypotheticalMemo) {
     EXPECT_NE(memo.get(), primed.get()) << "renamed " << i;
   }
 
-  std::vector<HypotheticalRules> variants(5, rules_);
-  variants[0].clustering_pessimism = 0.5;
-  variants[1].leaf_fill = 0.9;
-  variants[2].credit_index_only = !rules_.credit_index_only;
-  variants[3].composite_ndv_product = !rules_.composite_ndv_product;
-  variants[4].uniform_value_assumption = !rules_.uniform_value_assumption;
+  std::vector<HypotheticalRules> variants(2, rules_);
+  variants[0].credit_index_only = !rules_.credit_index_only;
+  variants[1].composite_ndv_product = !rules_.composite_ndv_product;
   for (size_t i = 0; i < variants.size(); ++i) {
     // Each variant differs from rules_ in one field only.
     auto primed = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
@@ -267,10 +256,7 @@ TEST_F(PlannerMemoTest, NameOrRuleChangesMissTheHypotheticalMemo) {
   // Each variant's estimates still match a fresh derivation.
   const ConfigView fresh = db_->CurrentView();
   for (const HypotheticalRules& r : variants) {
-    const DatabaseStats degraded = DegradeToUniform(db_->stats());
-    ConfigView base_view = fresh;
-    if (r.uniform_value_assumption) base_view.stats = &degraded;
-    auto view = MakeHypotheticalView(hypothetical_, base_view, r);
+    auto view = MakeHypotheticalView(hypothetical_, fresh, r);
     ASSERT_TRUE(view.ok());
     for (const char* sql : kQueries) {
       auto q = ParseAndBind(sql, db_->catalog());
@@ -280,6 +266,38 @@ TEST_F(PlannerMemoTest, NameOrRuleChangesMissTheHypotheticalMemo) {
       EXPECT_EQ(*h, *EstimateCost(*q, *view)) << sql;
     }
   }
+}
+
+// Uniform value densities belong to the advisors' trial costs alone: the
+// database refuses them before reading or filling any memo.
+TEST_F(PlannerMemoTest, UniformRulesAreRefusedAndLeaveTheMemosAlone) {
+  ASSERT_TRUE(
+      db_->HypotheticalEstimate(kQueries[0], hypothetical_, rules_).ok());
+  const auto hyp = DatabaseTestPeer::HypotheticalSlot(*db_);
+  const auto entry = DatabaseTestPeer::Prepared(*db_, kQueries[0]);
+  const size_t prepared = DatabaseTestPeer::PreparedCount(*db_);
+  ASSERT_NE(hyp, nullptr);
+  ASSERT_NE(entry, nullptr);
+  HypotheticalRules uniform = rules_;
+  uniform.uniform_value_assumption = true;
+  Configuration other = hypothetical_;
+  other.name += "_other";
+  for (const Configuration* config : {&hypothetical_, &other}) {
+    for (const char* sql : kQueries) {
+      auto h = db_->HypotheticalEstimate(sql, *config, uniform);
+      ASSERT_FALSE(h.ok()) << sql;
+      EXPECT_TRUE(h.status().IsInvalidArgument()) << h.status().ToString();
+      EXPECT_EQ(DatabaseTestPeer::HypotheticalSlot(*db_).get(), hyp.get())
+          << sql;
+    }
+  }
+  // No text was prepared for the refused calls.
+  EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), prepared);
+  EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, kQueries[1]), nullptr);
+  EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, kQueries[0]).get(), entry.get());
+  // The memo still serves the rules it holds.
+  auto again = DatabaseTestPeer::Hypothetical(*db_, hypothetical_, rules_);
+  EXPECT_EQ(again.get(), hyp.get());
 }
 
 TEST_F(PlannerMemoTest, RepeatedTextsHitThePreparedQueryMemo) {
@@ -292,11 +310,9 @@ TEST_F(PlannerMemoTest, RepeatedTextsHitThePreparedQueryMemo) {
     EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get()) << sql;
     ASSERT_TRUE(db_->Plan(sql).ok()) << sql;
     EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get()) << sql;
-    for (const HypotheticalRules& r : {rules_, uniform_}) {
-      ASSERT_TRUE(db_->HypotheticalEstimate(sql, hypothetical_, r).ok()) << sql;
-      EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get())
-          << sql;
-    }
+    ASSERT_TRUE(db_->HypotheticalEstimate(sql, hypothetical_, rules_).ok())
+        << sql;
+    EXPECT_EQ(DatabaseTestPeer::Prepared(*db_, sql).get(), entry.get()) << sql;
   }
   EXPECT_EQ(DatabaseTestPeer::PreparedCount(*db_), std::size(kQueries));
   // Run* plans through the same memo.
@@ -306,8 +322,8 @@ TEST_F(PlannerMemoTest, RepeatedTextsHitThePreparedQueryMemo) {
 
 // Every entry point bit-equals a fresh ParseAndBind + PlanQuery/EstimateCost
 // on every NREF2J, NREF3J and SkTH3J query: built on P, 1C and System C's
-// recommendation, and what-if (from P) of 1C and of System C, with and
-// without uniform value densities.
+// recommendation, and what-if (from P) of 1C and of System C under System
+// C's rules.
 TEST_F(PlannerMemoTest, EveryEntryPointBitEqualsAFreshPreparation) {
   auto nref = testing::MakeMiniNref();
   auto tpch = testing::MakeMiniTpch(4000.0, /*zipf_theta=*/1.0);
@@ -355,25 +371,20 @@ TEST_F(PlannerMemoTest, EveryEntryPointBitEqualsAFreshPreparation) {
     }
     ASSERT_TRUE(db->ResetToPrimary().ok());
     const ConfigView p = db->CurrentView();
-    const DatabaseStats degraded = DegradeToUniform(db->stats());
-    ConfigView uniform_p = p;
-    uniform_p.stats = &degraded;
+    HypotheticalRules rules = profile.whatif;
+    rules.uniform_value_assumption = false;
     for (const Configuration* hyp : {&configs[1], &configs[2]}) {
-      for (bool uniform : {false, true}) {
-        SCOPED_TRACE("what-if " + hyp->name + (uniform ? " uniform" : ""));
-        HypotheticalRules rules = profile.whatif;
-        rules.uniform_value_assumption = uniform;
-        auto view = MakeHypotheticalView(*hyp, uniform ? uniform_p : p, rules);
-        ASSERT_TRUE(view.ok()) << view.status().ToString();
-        for (const auto& q : family.queries) {
-          auto b = ParseAndBind(q.sql, db->catalog());
-          ASSERT_TRUE(b.ok()) << q.sql;
-          auto want = EstimateCost(*b, *view);
-          auto h = db->HypotheticalEstimate(q.sql, *hyp, rules);
-          ASSERT_TRUE(want.ok() && h.ok()) << q.sql;
-          EXPECT_EQ(*h, *want) << q.sql;
-          ++checked;
-        }
+      SCOPED_TRACE("what-if " + hyp->name);
+      auto view = MakeHypotheticalView(*hyp, p, rules);
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      for (const auto& q : family.queries) {
+        auto b = ParseAndBind(q.sql, db->catalog());
+        ASSERT_TRUE(b.ok()) << q.sql;
+        auto want = EstimateCost(*b, *view);
+        auto h = db->HypotheticalEstimate(q.sql, *hyp, rules);
+        ASSERT_TRUE(want.ok() && h.ok()) << q.sql;
+        EXPECT_EQ(*h, *want) << q.sql;
+        ++checked;
       }
     }
   }

@@ -26,6 +26,19 @@ std::vector<Value> IntValues(std::vector<int64_t> xs) {
   return out;
 }
 
+/// The runs of sorted values, split where Value::operator!= does.
+std::vector<std::pair<Value, uint64_t>> Runs(const std::vector<Value>& sorted) {
+  std::vector<std::pair<Value, uint64_t>> runs;
+  for (const Value& v : sorted) {
+    if (runs.empty() || runs.back().first != v) {
+      runs.emplace_back(v, 1);
+    } else {
+      ++runs.back().second;
+    }
+  }
+  return runs;
+}
+
 // ------------------------------------------------------------- Histogram
 
 TEST(HistogramTest, EmptyInput) {
@@ -35,7 +48,7 @@ TEST(HistogramTest, EmptyInput) {
 }
 
 TEST(HistogramTest, SingleValue) {
-  auto h = EquiDepthHistogram::Build(IntValues({5, 5, 5, 5}), 4);
+  auto h = EquiDepthHistogram::Build(Runs(IntValues({5, 5, 5, 5})), 4);
   EXPECT_EQ(h.total_rows(), 4u);
   EXPECT_DOUBLE_EQ(h.EstimateEqRows(Value(int64_t{5})), 4.0);
 }
@@ -44,7 +57,7 @@ TEST(HistogramTest, BucketsCoverAllRows) {
   std::vector<Value> vals;
   for (int64_t i = 0; i < 1000; ++i) vals.emplace_back(i % 97);
   std::sort(vals.begin(), vals.end());
-  auto h = EquiDepthHistogram::Build(vals, 16);
+  auto h = EquiDepthHistogram::Build(Runs(vals), 16);
   uint64_t total = 0;
   for (const auto& b : h.buckets()) total += b.rows;
   EXPECT_EQ(total, 1000u);
@@ -56,7 +69,7 @@ TEST(HistogramTest, ValueNeverStraddlesBuckets) {
   for (int64_t v = 0; v < 50; ++v) {
     for (int k = 0; k < 10; ++k) vals.emplace_back(v);
   }
-  auto h = EquiDepthHistogram::Build(vals, 7);
+  auto h = EquiDepthHistogram::Build(Runs(vals), 7);
   for (size_t i = 1; i < h.buckets().size(); ++i) {
     EXPECT_LT(h.buckets()[i - 1].upper, h.buckets()[i].upper);
   }
@@ -67,7 +80,7 @@ TEST(HistogramTest, ValueNeverStraddlesBuckets) {
 }
 
 TEST(HistogramTest, AboveMaxEstimatesZero) {
-  auto h = EquiDepthHistogram::Build(IntValues({1, 2, 3}), 2);
+  auto h = EquiDepthHistogram::Build(Runs(IntValues({1, 2, 3})), 2);
   EXPECT_EQ(h.EstimateEqRows(Value(int64_t{99})), 0.0);
 }
 
@@ -78,7 +91,7 @@ TEST(HistogramTest, LeEstimateMonotone) {
     vals.emplace_back(static_cast<int64_t>(rng.Uniform(1000)));
   }
   std::sort(vals.begin(), vals.end());
-  auto h = EquiDepthHistogram::Build(vals, 10);
+  auto h = EquiDepthHistogram::Build(Runs(vals), 10);
   double prev = -1;
   for (int64_t x = 0; x <= 1000; x += 100) {
     double est = h.EstimateLeRows(Value(x));
@@ -87,6 +100,21 @@ TEST(HistogramTest, LeEstimateMonotone) {
     EXPECT_LE(est, 500.0);
     prev = est;
   }
+}
+
+TEST(HistogramTest, EqualAdjacentRunsCountAsOneValue) {
+  // -0.0 and 0.0 compare equal: as runs they are one value, which no bucket
+  // boundary splits, exactly as in the expanded column.
+  const std::vector<std::pair<Value, uint64_t>> runs = {
+      {Value(-1.5), 2}, {Value(-0.0), 3}, {Value(0.0), 2}, {Value(1.5), 1}};
+  auto h = EquiDepthHistogram::Build(runs, 2);
+  ASSERT_EQ(h.num_buckets(), 2u);
+  EXPECT_EQ(h.total_rows(), 8u);
+  EXPECT_EQ(h.buckets()[0].rows, 7u);
+  EXPECT_EQ(h.buckets()[0].distinct, 2u);
+  EXPECT_EQ(h.buckets()[1].rows, 1u);
+  EXPECT_DOUBLE_EQ(h.EstimateEqRows(Value(-0.0)), 3.5);
+  EXPECT_DOUBLE_EQ(h.EstimateEqRows(Value(0.0)), 3.5);
 }
 
 class HistogramBucketSweep : public ::testing::TestWithParam<size_t> {};
@@ -99,7 +127,7 @@ TEST_P(HistogramBucketSweep, EstimatesSumApproxTotal) {
     vals.emplace_back(static_cast<int64_t>(rng.Uniform(200)));
   }
   std::sort(vals.begin(), vals.end());
-  auto h = EquiDepthHistogram::Build(vals, buckets);
+  auto h = EquiDepthHistogram::Build(Runs(vals), buckets);
   // Summing the equality estimate over every distinct value should land
   // near the true row count (property of depth/distinct bookkeeping).
   double sum = 0;
@@ -332,6 +360,61 @@ TEST(StatsCollectorTest, ColumnStatsMatchAStdSortReference) {
       ASSERT_NE(it, runs.end()) << v.ToString();
       EXPECT_EQ(f, it->second) << v.ToString();
     }
+  }
+}
+
+// The histogram is built from the non-MCV runs; it must equal an
+// element-by-element build over the expanded, sorted non-MCV values, with
+// -0.0 and 0.0 as one value.
+TEST(StatsCollectorTest, HistogramMatchesAnExpandedBuild) {
+  std::vector<Value> col;
+  for (int i = 1; i <= 40; ++i) {
+    for (int k = 0; k < 8; ++k) col.emplace_back(0.25 * i);
+  }
+  for (int i = 1; i <= 20; ++i) {
+    for (int k = 0; k < 2; ++k) col.emplace_back(-0.25 * i);
+  }
+  for (int k = 0; k < 3; ++k) {
+    col.emplace_back(-0.0);
+    col.emplace_back(0.0);
+  }
+  Rng rng(5);
+  rng.Shuffle(&col);
+  PageStore store;
+  HeapTable heap("t", TupleCodec({TypeId::kDouble}), &store);
+  for (const Value& v : col) heap.Append(Tuple({v}));
+  const ColumnStats cs = CollectTableStats(heap, {"c"}).columns.at("c");
+
+  std::vector<Value> rest;
+  for (const Value& v : col) {
+    const bool mcv = std::any_of(cs.mcvs.begin(), cs.mcvs.end(),
+                                 [&v](const auto& m) { return m.first == v; });
+    if (!mcv) rest.push_back(v);
+  }
+  std::sort(rest.begin(), rest.end());
+  const size_t n = rest.size();
+  const size_t buckets = std::min<size_t>(64, n);
+  const size_t target = (n + buckets - 1) / buckets;
+  std::vector<EquiDepthHistogram::Bucket> want;
+  uint64_t rows = 0;
+  uint64_t distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || rest[i] != rest[i - 1]) ++distinct;
+    ++rows;
+    const bool last = i + 1 == n;
+    if ((last || rest[i + 1] != rest[i]) && (rows >= target || last)) {
+      want.push_back(EquiDepthHistogram::Bucket{rest[i], rows, distinct});
+      rows = 0;
+      distinct = 0;
+    }
+  }
+  EXPECT_EQ(cs.histogram.total_rows(), n);
+  ASSERT_EQ(cs.histogram.num_buckets(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    const EquiDepthHistogram::Bucket& got = cs.histogram.buckets()[k];
+    EXPECT_EQ(got.upper.Compare(want[k].upper), 0) << k;
+    EXPECT_EQ(got.rows, want[k].rows) << k;
+    EXPECT_EQ(got.distinct, want[k].distinct) << k;
   }
 }
 

@@ -202,7 +202,9 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # builds and statistics passes sort abbreviated keys that index back into
 # the scanned entries; their suites (ExecIndexNLJoinTest, ExecIndexScanTest,
 # EngineBTreeBuildSortTest, AbbrevSortTest, StatsCollectorTest) match Exec*,
-# *BTree*, AbbrevSortTest.* and StatsCollectorTest.*.
+# *BTree*, AbbrevSortTest.* and StatsCollectorTest.*. The equi-depth
+# histogram is built from the statistics pass's value runs, which it reads
+# by index with one run of lookahead (HistogramTest.*).
 # The SQL front end rides along: the lexer scans string views of its input and
 # the parser moves token text into the AST, and the seeded front-end fuzzer
 # (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
@@ -210,10 +212,13 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # table definitions and the configuration view's view definitions, so the
 # planner suites, the plan-snapshot golden and the advisor suites (whose
 # trial memo plans against short-lived hypothetical views; System C's on
-# TPC-H plans views) run here too: a dangling name pointer fails here
-# rather than reading freed memory. Each planner call also keeps its search
-# state in a stack-buffer arena that dies on return, so those suites and
-# the planner's allocation contract (PlannerArenaTest) run with
+# TPC-H plans views; AdvisorTest.* covers candidate generation, budgets and
+# Unit::RelevantTo, and every advisor suite runs the one greedy search,
+# which swaps its cost buffers rather than reallocating them) run here too:
+# a dangling name pointer fails here rather than reading freed memory. Each
+# planner call also keeps its search state in a stack-buffer arena that
+# dies on return, so those suites and the planner's allocation contract
+# (PlannerArenaTest) run with
 # detect_stack_use_after_return=1: without it, a plan that kept a pointer
 # into the arena would read a dead frame silently. The database's
 # prepared-query memo hands each planning call a PreparedQuery that points
@@ -228,12 +233,12 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}" \
 "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
 ':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
-':AbbrevSortTest.*:StatsCollectorTest.*'\
+':AbbrevSortTest.*:StatsCollectorTest.*:HistogramTest.*'\
 ':LexerTest.*:ParserTest.*:SqlFuzz*'
 ASAN_OPTIONS=detect_stack_use_after_return=1 \
   "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
 'OptimizerTest.*:CostModelTest.*:PlannerMemoTest.*'\
-':AdvisorNrefTest.*:AdvisorTpchTest.*:GoalAdvisorTest.*'
+':AdvisorTest.*:AdvisorNrefTest.*:AdvisorTpchTest.*:GoalAdvisorTest.*'
 ASAN_OPTIONS=detect_stack_use_after_return=1 \
   "${ASAN_DIR}/tests/tabbench_golden_tests" --gtest_brief=1 \
   --gtest_filter='PlanGoldenTest.*'
