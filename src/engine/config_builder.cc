@@ -75,20 +75,21 @@ Status Database::BuildIndex(const IndexDef& def, ExecContext* ctx,
   }
 
   // Scan the heap extracting (key, rid) pairs, and each pair's sort record
-  // while its key is at hand; only key columns decode.
-  std::vector<uint8_t> decode(heap->codec().types().size(), 0);
-  for (int pos : key_cols) decode[static_cast<size_t>(pos)] = 1;
+  // while its key is at hand; key columns are read off the page, the rest
+  // of a row is never decoded.
+  const TupleCodec& codec = heap->codec();
   std::vector<std::pair<IndexKey, Rid>> entries;
   entries.reserve(heap->num_rows());
   std::vector<AbbrevEntry> order;
   order.reserve(heap->num_rows());
   auto cursor = heap->Scan([ctx](PageId id) { ctx->TouchPage(id); });
-  Tuple t;
-  while (cursor.NextColumns(&t, decode)) {
+  while (const uint8_t* row = cursor.NextRecord()) {
     ctx->ChargeTuples(1);
     IndexKey key;
     key.reserve(key_cols.size());
-    for (int pos : key_cols) key.push_back(t.at(static_cast<size_t>(pos)));
+    for (int pos : key_cols) {
+      key.push_back(codec.Column(row, static_cast<size_t>(pos)).ToValue());
+    }
     // The leading column's prefix; the scan visits Rids in ascending order,
     // so positions order as Rids do.
     const size_t pos = entries.size();

@@ -4,12 +4,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "exec/exec_context.h"
 #include "exec/plan.h"
 #include "exec/plan_executor.h"
+#include "storage/tuple_codec.h"
 #include "types/value.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -17,9 +18,66 @@
 
 namespace tabbench {
 
-/// One materialized IN-subquery value set. Immutable and shared, so a memo
-/// hit hands out the stored set without copying it.
-using InSet = std::shared_ptr<const std::unordered_set<Value, ValueHash>>;
+/// One materialized IN-subquery value set: a flat, open-addressing set of
+/// normalized keys, with no Value inside. An INT member is held as its
+/// int64, a DOUBLE as its bits with -0.0 folded to 0.0, a STRING as its
+/// bytes in one arena; NULL is never a member. Membership is therefore
+/// Value::operator== equality, except that a NaN matches only the same NaN
+/// bits (Value::Compare calls a NaN equal to everything; no benchmark column
+/// holds one). Every
+/// member has one type, the first inserted one's; a probe of another type is
+/// no member. A probe reads a ColumnView, so a heap row is tested on its page
+/// bytes (TupleCodec::Column) and a B-tree key in its leaf.
+class FlatInSet {
+ public:
+  /// Ordinal Insert returns for a NULL key, which it does not add.
+  static constexpr size_t kNoOrdinal = static_cast<size_t>(-1);
+
+  /// Adds `key` unless it is NULL or already a member; returns its ordinal.
+  /// Members are numbered 0, 1, ... in the order they were first inserted.
+  size_t Insert(const ColumnView& key);
+  size_t Insert(const Value& v) { return Insert(ColumnView::Of(v)); }
+
+  bool Contains(const ColumnView& key) const;
+  bool Contains(const Value& v) const { return Contains(ColumnView::Of(v)); }
+
+  /// The member with ordinal `i`.
+  ColumnView member(size_t i) const;
+  size_t size() const { return entries_.size(); }
+
+  /// True iff both sets have the same members.
+  bool operator==(const FlatInSet& o) const;
+
+ private:
+  /// A member: an INT's or DOUBLE's normalized bits, or a STRING's hash
+  /// and the place of its bytes in arena_.
+  struct Entry {
+    uint64_t word = 0;
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+
+  /// `key`'s hash (a non-NULL key of this set's type).
+  uint64_t Hash(const ColumnView& key) const;
+  /// `key`'s ordinal, or kNoOrdinal.
+  size_t Find(const ColumnView& key, uint64_t hash) const;
+  /// Places ordinal `ordinal`, whose hash is `hash`, in the first free slot
+  /// of its probe sequence.
+  void Place(uint64_t hash, size_t ordinal);
+  void Grow();
+
+  TypeId type_ = TypeId::kInt;
+  std::vector<Entry> entries_;  // by ordinal
+  /// Open addressing with linear probing, at most half full: 0 is a free
+  /// slot, else the high 32 bits of the member's hash over its ordinal + 1,
+  /// so most probes that miss never read entries_.
+  std::vector<uint64_t> slots_;
+  std::string arena_;  // STRING members' bytes, back to back
+};
+
+/// A shared, immutable FlatInSet, so a memo hit hands out the stored set
+/// without copying it.
+using InSet = std::shared_ptr<const FlatInSet>;
 
 /// Materialized IN-subquery value sets, one per PhysicalPlan::in_sets entry.
 using InSets = std::vector<InSet>;

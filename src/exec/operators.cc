@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -19,7 +20,7 @@ bool EvalAt(const CompiledPred& p, const AtFn& at) {
     case ResidualPred::Kind::kColEqCol:
       return at(p.pos_a) == at(p.pos_b);
     case ResidualPred::Kind::kInSet:
-      return p.in_set->count(at(p.pos_a)) > 0;
+      return p.in_set->Contains(at(p.pos_a));
   }
   return false;
 }
@@ -37,6 +38,24 @@ bool CompiledPred::EvalJoined(const Tuple& left, const Tuple& right) const {
     size_t p = static_cast<size_t>(pos);
     return p < left.size() ? left.at(p) : right.at(p - left.size());
   });
+}
+
+bool CompiledPred::EvalEncoded(const Tuple& outer, const TupleCodec& codec,
+                               const uint8_t* row) const {
+  auto at = [&outer, &codec, row](int pos) {
+    size_t p = static_cast<size_t>(pos);
+    return p < outer.size() ? ColumnView::Of(outer.at(p))
+                            : codec.Column(row, p - outer.size());
+  };
+  switch (kind) {
+    case ResidualPred::Kind::kColEqLit:
+      return at(pos_a) == ColumnView::Of(literal);
+    case ResidualPred::Kind::kColEqCol:
+      return at(pos_a) == at(pos_b);
+    case ResidualPred::Kind::kInSet:
+      return in_set->Contains(at(pos_a));
+  }
+  return false;
 }
 
 namespace {
@@ -104,15 +123,25 @@ Result<std::vector<CompiledPred>> CompilePreds(const PlanNode& node,
 
 namespace {
 
-bool EvalPreds(const std::vector<CompiledPred>& preds, const Tuple& t) {
+/// True iff every residual holds on Concat(outer, row), with `row` read in
+/// place (CompiledPred::EvalEncoded).
+bool EvalEncodedPreds(const std::vector<CompiledPred>& preds,
+                      const Tuple& outer, const TupleCodec& codec,
+                      const uint8_t* row) {
   for (const auto& p : preds) {
-    if (!p.Eval(t)) return false;
+    if (!p.EvalEncoded(outer, codec, row)) return false;
   }
   return true;
 }
 
-/// EvalPreds on a join row before it is built: only rows that pass are
-/// concatenated.
+/// Decodes the encoded record `row` of `codec` into `*out`.
+void DecodeRecord(const TupleCodec& codec, const uint8_t* row, Tuple* out) {
+  size_t off = 0;
+  codec.DecodeInto(row, &off, out);
+}
+
+/// True iff every residual holds on Concat(left, right), tested before the
+/// row is built: only rows that pass are concatenated.
 bool EvalJoinedPreds(const std::vector<CompiledPred>& preds, const Tuple& left,
                      const Tuple& right) {
   for (const auto& p : preds) {
@@ -130,28 +159,18 @@ class SeqScanOp : public Operator {
       : heap_(heap),
         preds_(std::move(preds)),
         ctx_(ctx),
-        cursor_(heap->Scan([ctx](PageId id) { ctx->TouchPage(id); })) {
-    if (preds_.empty()) return;
-    pred_cols_.assign(heap->codec().types().size(), 0);
-    for (const auto& p : preds_) {
-      pred_cols_[static_cast<size_t>(p.pos_a)] = 1;
-      if (p.pos_b >= 0) pred_cols_[static_cast<size_t>(p.pos_b)] = 1;
-    }
-  }
+        cursor_(heap->Scan([ctx](PageId id) { ctx->TouchPage(id); })) {}
 
   Status Open() override { return Status::OK(); }
 
-  // Rows decode straight into *out and are filtered there; with residual
-  // predicates only their columns are decoded until a row passes, so a
-  // rejected row costs neither the copy of the rest of its values nor any
-  // allocation, and is simply overwritten by the next.
+  // Each row is tested on its page bytes and decoded into *out only once it
+  // passes, so a rejected row costs no decode, string copy or allocation.
   Result<bool> NextImpl(Tuple* out) override {
-    while (pred_cols_.empty() ? cursor_.Next(out, nullptr)
-                              : cursor_.NextColumns(out, pred_cols_)) {
+    while (const uint8_t* row = cursor_.NextRecord()) {
       ctx_->ChargeTuples(1);
       TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
-      if (EvalPreds(preds_, *out)) {
-        if (!pred_cols_.empty()) cursor_.DecodeRow(out);
+      if (EvalEncodedPreds(preds_, no_outer_, heap_->codec(), row)) {
+        cursor_.DecodeRow(out);
         return true;
       }
     }
@@ -164,19 +183,18 @@ class SeqScanOp : public Operator {
   std::vector<CompiledPred> preds_;
   ExecContext* ctx_;
   HeapTable::Cursor cursor_;
-  /// Columns the residual predicates read (empty without predicates).
-  std::vector<uint8_t> pred_cols_;
+  const Tuple no_outer_;  // a scan's residuals read only its own row
 };
 
 // -------------------------------------------------------------- IndexScan
 
 /// Like SeqScan, a visited entry is materialized only once its residuals
 /// pass: an index-only scan reads the key in place in its leaf
-/// (BTree::Iterator::NextKey), a heap scan decodes only the residuals'
-/// columns and completes the row for a passing entry. Charges never depend
-/// on this: every visited entry pays its leaf touch, ChargeTuples and
-/// CheckTimeout, and a heap scan's fetch (fault point and random page
-/// touch) and second ChargeTuples.
+/// (BTree::Iterator::NextKey), a heap scan tests the fetched row on its page
+/// bytes (CompiledPred::EvalEncoded) and decodes a passing one. Charges
+/// never depend on this: every visited entry pays its leaf touch,
+/// ChargeTuples and CheckTimeout, and a heap scan's fetch (fault point and
+/// random page touch) and second ChargeTuples.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const IndexInfo* index, IndexKey prefix, bool index_only,
@@ -186,14 +204,7 @@ class IndexScanOp : public Operator {
         index_only_(index_only),
         preds_(std::move(preds)),
         ctx_(ctx),
-        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {
-    if (index_only_ || preds_.empty()) return;
-    pred_cols_.assign(index_->heap->codec().types().size(), 0);
-    for (const auto& p : preds_) {
-      pred_cols_[static_cast<size_t>(p.pos_a)] = 1;
-      if (p.pos_b >= 0) pred_cols_[static_cast<size_t>(p.pos_b)] = 1;
-    }
-  }
+        touch_random_([ctx](PageId id) { ctx->TouchPageRandom(id); }) {}
 
   Status Open() override {
     if (prefix_.empty()) {
@@ -217,12 +228,12 @@ class IndexScanOp : public Operator {
         *out->mutable_values() = *key;
         return true;
       }
-      TB_RETURN_IF_ERROR(index_->heap->FetchColumnsInto(
-          rid, touch_random_, pred_cols_.empty() ? nullptr : &pred_cols_,
-          out));
+      const uint8_t* row;
+      TB_ASSIGN_OR_RETURN(row, index_->heap->FetchRecord(rid, touch_random_));
       ctx_->ChargeTuples(1);
-      if (!EvalPreds(preds_, *out)) continue;
-      index_->heap->DecodeRowAt(rid, out);
+      const TupleCodec& codec = index_->heap->codec();
+      if (!EvalEncodedPreds(preds_, no_outer_, codec, row)) continue;
+      DecodeRecord(codec, row, out);
       return true;
     }
     TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
@@ -248,8 +259,7 @@ class IndexScanOp : public Operator {
   ExecContext* ctx_;
   PageTouchFn touch_random_;  // probes and heap fetches: random I/O
   BTree::Iterator iter_;
-  /// Heap scan: the columns the residuals read (empty without them).
-  std::vector<uint8_t> pred_cols_;
+  const Tuple no_outer_;  // a scan's residuals read only its own row
 };
 
 // --------------------------------------------------------------- HashJoin
@@ -348,11 +358,11 @@ class HashJoinOp : public Operator {
 /// equality every predicate kind tests), so such a predicate is evaluated
 /// once per probe on (outer row, prefix). The other, per-entry, residuals
 /// read the inner entry: an index-only inner is read in place in its leaf
-/// (BTree::Iterator::NextKey), a heap inner decodes only their columns. An
-/// entry is materialized only once its pair passes. Charges never depend on
-/// any of this: every visited entry pays its leaf touch, ChargeTuples and
-/// CheckTimeout, and a heap inner's fetch (fault point and random page
-/// touch) and second ChargeTuples, even after a failed probe.
+/// (BTree::Iterator::NextKey), a heap inner on its page bytes (CompiledPred::
+/// EvalEncoded). An entry is materialized only once its pair passes. Charges
+/// never depend on any of this: every visited entry pays its leaf touch,
+/// ChargeTuples and CheckTimeout, and a heap inner's fetch (fault point and
+/// random page touch) and second ChargeTuples, even after a failed probe.
 class IndexNLJoinOp : public Operator {
  public:
   IndexNLJoinOp(std::unique_ptr<Operator> outer, size_t outer_arity,
@@ -389,16 +399,6 @@ class IndexNLJoinOp : public Operator {
       bool probe = invariant(p.pos_a) && (p.pos_b < 0 || invariant(p.pos_b));
       (probe ? probe_preds_ : entry_preds_).push_back(std::move(p));
     }
-    if (!inner_index_only_ && !entry_preds_.empty()) {
-      entry_cols_.assign(inner_arity, 0);
-      for (const auto& p : entry_preds_) {
-        for (int pos : {p.pos_a, p.pos_b}) {
-          if (pos >= static_cast<int>(outer_arity_)) {
-            entry_cols_[static_cast<size_t>(pos) - outer_arity_] = 1;
-          }
-        }
-      }
-    }
   }
 
   Status Open() override { return outer_->Open(); }
@@ -410,17 +410,17 @@ class IndexNLJoinOp : public Operator {
         while (const IndexKey* key = iter_.NextKey(&rid)) {
           ctx_->ChargeTuples(1);
           TB_RETURN_IF_ERROR(ctx_->CheckTimeout());
+          const uint8_t* row = nullptr;
           if (!inner_index_only_) {
-            TB_RETURN_IF_ERROR(inner_->heap->FetchColumnsInto(
-                rid, touch_random_, probe_passed_ ? EntryCols() : nullptr,
-                &inner_row_));
+            TB_ASSIGN_OR_RETURN(row,
+                                inner_->heap->FetchRecord(rid, touch_random_));
             ctx_->ChargeTuples(1);
           }
-          if (!probe_passed_ || !EntryPasses(*key)) continue;
+          if (!probe_passed_ || !EntryPasses(*key, row)) continue;
           if (inner_index_only_) {
             *inner_row_.mutable_values() = *key;
           } else {
-            inner_->heap->DecodeRowAt(rid, &inner_row_);
+            DecodeRecord(inner_->heap->codec(), row, &inner_row_);
           }
           out->AssignConcat(outer_row_, inner_row_);
           return true;
@@ -458,24 +458,20 @@ class IndexNLJoinOp : public Operator {
   }
 
   /// The per-entry residuals on (outer row, this entry): `key` in place for
-  /// an index-only inner, else the columns FetchColumnsInto decoded.
-  bool EntryPasses(const IndexKey& key) const {
+  /// an index-only inner, else the fetched heap row `row` on its page.
+  bool EntryPasses(const IndexKey& key, const uint8_t* row) const {
+    if (!inner_index_only_) {
+      return EvalEncodedPreds(entry_preds_, outer_row_, inner_->heap->codec(),
+                              row);
+    }
     auto at = [this, &key](int pos) -> const Value& {
       size_t p = static_cast<size_t>(pos);
-      if (p < outer_arity_) return outer_row_.at(p);
-      return inner_index_only_ ? key[p - outer_arity_]
-                               : inner_row_.at(p - outer_arity_);
+      return p < outer_arity_ ? outer_row_.at(p) : key[p - outer_arity_];
     };
     for (const auto& p : entry_preds_) {
       if (!EvalAt(p, at)) return false;
     }
     return true;
-  }
-
-  /// Heap columns a passed probe decodes per entry (none without per-entry
-  /// residuals: then every entry passes and is decoded whole).
-  const std::vector<uint8_t>* EntryCols() const {
-    return entry_cols_.empty() ? nullptr : &entry_cols_;
   }
 
   std::unique_ptr<Operator> outer_;
@@ -489,8 +485,6 @@ class IndexNLJoinOp : public Operator {
   std::vector<CompiledPred> entry_preds_;
   /// Per inner column: the seek-prefix position binding it, or -1.
   std::vector<int> bound_;
-  /// Heap inner: the inner columns entry_preds_ read (empty without them).
-  std::vector<uint8_t> entry_cols_;
   ExecContext* ctx_;
   PageTouchFn touch_random_;  // probes and heap fetches: random I/O
   IndexKey prefix_;

@@ -1,14 +1,15 @@
 #ifndef TABBENCH_EXEC_OPERATORS_H_
 #define TABBENCH_EXEC_OPERATORS_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/exec_context.h"
 #include "exec/in_set.h"
 #include "exec/plan.h"
 #include "exec/plan_executor.h"
+#include "storage/tuple_codec.h"
 #include "types/tuple.h"
 #include "util/status.h"
 
@@ -49,11 +50,18 @@ struct CompiledPred {
   int pos_a = -1;
   int pos_b = -1;
   Value literal;
-  const std::unordered_set<Value, ValueHash>* in_set = nullptr;
+  const FlatInSet* in_set = nullptr;
 
   bool Eval(const Tuple& t) const;
   /// Eval on Concat(left, right), without building the concatenation.
   bool EvalJoined(const Tuple& left, const Tuple& right) const;
+  /// Eval on Concat(outer, row) with `row` read in place: positions before
+  /// outer.size() read the decoded outer values, the others the columns of
+  /// `row`, an encoded record of `codec` (TupleCodec::Column). Equal to Eval
+  /// on the decoded concatenation, so a filtering read decodes only the rows
+  /// that pass.
+  bool EvalEncoded(const Tuple& outer, const TupleCodec& codec,
+                   const uint8_t* row) const;
 };
 
 /// Compiles a node's residual predicates against its output slot layout.

@@ -73,14 +73,13 @@ void AndEqCol(const Column& a, const Column& b, std::vector<uint8_t>* pass) {
   }
 }
 
-void AndInSet(const Column& c,
-              const std::unordered_set<Value, ValueHash>& in_set,
+void AndInSet(const Column& c, const FlatInSet& in_set,
               std::vector<uint8_t>* pass) {
   const size_t n = c.size();
   uint8_t* p = pass->data();
   for (size_t i = 0; i < n; ++i) {
     if (p[i] == 0) continue;
-    p[i] = in_set.count(c.GetValue(i)) > 0 ? 1 : 0;
+    p[i] = in_set.Contains(c.GetValue(i)) ? 1 : 0;
   }
 }
 

@@ -95,23 +95,17 @@ Status HeapTable::Delete(const Rid& rid, const PageTouchFn& touch) {
   return Status::OK();
 }
 
-void HeapTable::DecodeSlot(const Page* page, size_t page_ordinal,
-                           size_t slot, Tuple* out) const {
-  // Skip the record's own length header.
-  size_t off = slot_offsets_[page_ordinal][slot] + 2u;
-  codec_.DecodeInto(page->data, &off, out);
-}
-
 Status HeapTable::FetchInto(const Rid& rid, const PageTouchFn& touch,
                             Tuple* out) const {
-  TB_RETURN_IF_ERROR(FetchColumnsInto(rid, touch, nullptr, out));
-  DecodeRowAt(rid, out);
+  const uint8_t* row;
+  TB_ASSIGN_OR_RETURN(row, FetchRecord(rid, touch));
+  size_t off = 0;
+  codec_.DecodeInto(row, &off, out);
   return Status::OK();
 }
 
-Status HeapTable::FetchColumnsInto(const Rid& rid, const PageTouchFn& touch,
-                                   const std::vector<uint8_t>* cols,
-                                   Tuple* out) const {
+Result<const uint8_t*> HeapTable::FetchRecord(const Rid& rid,
+                                              const PageTouchFn& touch) const {
   TB_FAULT_POINT("storage.heap_fetch");
   if (rid.page_ordinal >= pages_.size()) {
     return Status::NotFound("rid page out of range in " + name_);
@@ -125,16 +119,7 @@ Status HeapTable::FetchColumnsInto(const Rid& rid, const PageTouchFn& touch,
   if (rid.slot >= page->num_slots) {
     return Status::NotFound("rid slot out of range in " + name_);
   }
-  if (cols != nullptr) {
-    size_t off = slot_offsets_[rid.page_ordinal][rid.slot] + 2u;
-    codec_.DecodeColumnsInto(page->data, &off, *cols, out);
-  }
-  return Status::OK();
-}
-
-void HeapTable::DecodeRowAt(const Rid& rid, Tuple* out) const {
-  DecodeSlot(store_->GetPage(pages_[rid.page_ordinal]), rid.page_ordinal,
-             rid.slot, out);
+  return RecordAt(page, rid.page_ordinal, rid.slot);
 }
 
 Result<Tuple> HeapTable::Fetch(const Rid& rid, const PageTouchFn& touch) const {
@@ -180,16 +165,15 @@ bool HeapTable::Cursor::Next(Tuple* t, Rid* rid) {
   return true;
 }
 
-bool HeapTable::Cursor::NextColumns(Tuple* t,
-                                    const std::vector<uint8_t>& cols) {
-  if (!Advance()) return false;
-  size_t off = table_->slot_offsets_[page_ordinal_][slot_] + 2u;
-  table_->codec_.DecodeColumnsInto(page_->data, &off, cols, t);
-  return true;
+const uint8_t* HeapTable::Cursor::NextRecord() {
+  if (!Advance()) return nullptr;
+  return table_->RecordAt(page_, page_ordinal_, slot_);
 }
 
 void HeapTable::Cursor::DecodeRow(Tuple* t) const {
-  table_->DecodeSlot(page_, page_ordinal_, slot_, t);
+  size_t off = 0;
+  table_->codec_.DecodeInto(table_->RecordAt(page_, page_ordinal_, slot_),
+                            &off, t);
 }
 
 void HeapTable::Drop() {

@@ -50,9 +50,10 @@ using PageTouchFn = std::function<void(PageId)>;
 /// Reads decode into the caller's tuple (TupleCodec::DecodeInto): Cursor::
 /// Next and FetchInto overwrite `*t` in place, so an operator that passes
 /// the same tuple row after row allocates nothing once its string buffers
-/// have grown. Fetch is FetchInto a fresh tuple. Cursor::NextColumns and
-/// FetchColumnsInto decode only the columns a filter reads; Cursor::
-/// DecodeRow and DecodeRowAt complete the row.
+/// have grown. Fetch is FetchInto a fresh tuple. Cursor::NextRecord and
+/// FetchRecord stop short of the decode and hand out the encoded row on its
+/// page, so a filter can test it in place (TupleCodec::Column) and decode
+/// only a row that passes.
 class HeapTable {
  public:
   HeapTable(std::string name, TupleCodec codec, PageStore* store);
@@ -87,17 +88,12 @@ class HeapTable {
   /// tombstoned or out-of-range rows, which leave `*out` untouched.
   Status FetchInto(const Rid& rid, const PageTouchFn& touch, Tuple* out) const;
 
-  /// FetchInto that decodes only the columns `cols` marks (TupleCodec::
-  /// DecodeColumnsInto; the other values of `*out` stay stale), or none when
-  /// `cols` is null. The fault point, checks and page touch are FetchInto's,
-  /// so a row rejected on those columns costs what a full fetch costs in
-  /// simulated time. DecodeRowAt completes the row.
-  Status FetchColumnsInto(const Rid& rid, const PageTouchFn& touch,
-                          const std::vector<uint8_t>* cols, Tuple* out) const;
-
-  /// Decodes the whole row at `rid`, which a FetchColumnsInto has just found
-  /// live, into `*out`: no page touch, no fault point.
-  void DecodeRowAt(const Rid& rid, Tuple* out) const;
+  /// FetchInto without the decode: the fault point, checks and page touch
+  /// are FetchInto's, so a row rejected on its bytes costs what a full fetch
+  /// costs in simulated time. The encoded row (TupleCodec format) stays
+  /// valid until the table changes.
+  Result<const uint8_t*> FetchRecord(const Rid& rid,
+                                     const PageTouchFn& touch) const;
 
   /// FetchInto a fresh tuple.
   Result<Tuple> Fetch(const Rid& rid, const PageTouchFn& touch) const;
@@ -110,16 +106,15 @@ class HeapTable {
     /// `*t` in place and `*rid` (if non-null) is set.
     bool Next(Tuple* t, Rid* rid);
 
-    /// Next, decoding only the columns `cols` marks (TupleCodec::
-    /// DecodeColumnsInto); the other values of `*t` are stale until
-    /// DecodeRow. Page touches and fault triggers are those of Next.
-    bool NextColumns(Tuple* t, const std::vector<uint8_t>& cols);
+    /// Next without the decode: the encoded row on its page, or nullptr at
+    /// end. Page touches and fault triggers are those of Next.
+    const uint8_t* NextRecord();
 
-    /// Decodes the whole row the last successful Next/NextColumns stopped
-    /// on into `*t`.
+    /// Decodes the whole row the last successful Next/NextRecord stopped on
+    /// into `*t`.
     void DecodeRow(Tuple* t) const;
 
-    /// The Rid of the row the last successful Next/NextColumns stopped on.
+    /// The Rid of the row the last successful Next/NextRecord stopped on.
     Rid rid() const {
       return Rid{static_cast<uint32_t>(page_ordinal_),
                  static_cast<uint32_t>(slot_)};
@@ -158,9 +153,12 @@ class HeapTable {
 
  private:
   bool IsDeleted(size_t page_ordinal, size_t slot) const;
-  /// Decodes the record in `slot` of `page` (the page at `page_ordinal`).
-  void DecodeSlot(const Page* page, size_t page_ordinal, size_t slot,
-                  Tuple* out) const;
+  /// The encoded row in `slot` of `page` (the page at `page_ordinal`), past
+  /// its length header.
+  const uint8_t* RecordAt(const Page* page, size_t page_ordinal,
+                          size_t slot) const {
+    return page->data + slot_offsets_[page_ordinal][slot] + 2u;
+  }
 
   std::string name_;
   TupleCodec codec_;

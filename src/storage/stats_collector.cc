@@ -117,17 +117,13 @@ TableStats CollectTableStats(const HeapTable& table,
 
   const size_t ncols = column_names.size();
   // One pass per column keeps peak memory to a single column's values, and
-  // each pass decodes only its column.
-  std::vector<uint8_t> decode(table.codec().types().size(), 0);
+  // each pass reads only its column, off the page.
   for (size_t c = 0; c < ncols; ++c) {
     std::vector<Value> values;
     values.reserve(table.num_rows());
-    std::fill(decode.begin(), decode.end(), 0);
-    decode[c] = 1;
     auto cursor = table.Scan(/*touch=*/nullptr);
-    Tuple t;
-    while (cursor.NextColumns(&t, decode)) {
-      values.push_back(t.at(c));
+    while (const uint8_t* row = cursor.NextRecord()) {
+      values.push_back(table.codec().Column(row, c).ToValue());
     }
     ts.columns[column_names[c]] =
         BuildColumnStats(std::move(values), table.num_rows());

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/configurations.h"
@@ -187,7 +186,7 @@ TEST(InSetMemoConcurrencyTest, ConcurrentFillsAndHitsMatchSerialScans) {
   struct Outcome {
     double sim_seconds = 0.0;
     uint64_t tuples = 0;
-    std::unordered_set<Value, ValueHash> values;
+    FlatInSet values;
   };
   auto materialize = [&](const InSetSpec& spec) {
     BufferPool pool(db->options().buffer_pool_pages);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 #include "core/configurations.h"
 #include "core/nref_families.h"
@@ -708,8 +707,8 @@ class ExecIndexNLJoinTest : public ::testing::Test {
     config.indexes = {{"s_c2", "s", {"c2"}, false},
                       {"s_c2c1", "s", {"c2", "c1"}, false}};
     ASSERT_TRUE(db_->ApplyConfiguration(config).ok());
-    auto evens = std::make_shared<std::unordered_set<Value, ValueHash>>();
-    for (int64_t v = 0; v < 20; v += 2) evens->insert(Value(v));
+    auto evens = std::make_shared<FlatInSet>();
+    for (int64_t v = 0; v < 20; v += 2) evens->Insert(Value(v));
     sets_ = {evens};
   }
   static void TearDownTestSuite() { db_.reset(); }
@@ -767,13 +766,22 @@ class ExecIndexNLJoinTest : public ::testing::Test {
   /// reached only counts hits).
   template <typename Body>
   static JoinRun Measure(uint64_t fetch_fault, const Body& body) {
+    return MeasureWith("storage.heap_fetch", fetch_fault, db_->options().cost,
+                       body);
+  }
+
+  /// Measure with fault point `point` armed at its `nth` hit (fetch_hits
+  /// counts that point's hits) and `cost` as the context's parameters.
+  template <typename Body>
+  static JoinRun MeasureWith(const std::string& point, uint64_t nth,
+                             const CostParams& cost, const Body& body) {
     FaultSpec fault;
-    fault.point = "storage.heap_fetch";
+    fault.point = point;
     fault.trigger = FaultSpec::Trigger::kNth;
-    fault.nth = fetch_fault;
+    fault.nth = nth;
     EXPECT_TRUE(FaultRegistry::Global().Arm(fault).ok());
     BufferPool pool(16);
-    ExecContext ctx = db_->MakeSessionContext(&pool, db_->options().cost);
+    ExecContext ctx = db_->MakeSessionContext(&pool, cost);
     JoinRun run;
     ctx.set_trace(&run.trace);
     run.status = body(&ctx, &run.rows);
@@ -1061,6 +1069,151 @@ TEST_F(ExecIndexScanTest, HeapScanMatchesFetchWholeThenFilter) {
   EXPECT_EQ(got.status.code(), Status::Code::kUnavailable);
   EXPECT_EQ(got.fetch_hits, 2u);
   ExpectSameRun(got, want);
+}
+
+// ---------------------------------------------------- seq scan exactness
+
+/// The seq scan on ExecIndexNLJoinTest's table s under `c2 IN {even}`,
+/// `c1 = 3` and a string literal on `pad`, each alone and all together.
+class ExecSeqScanTest : public ExecIndexNLJoinTest {
+ protected:
+  static std::unique_ptr<PlanNode> ScanPlan(std::vector<ResidualPred> preds) {
+    auto scan = std::make_unique<PlanNode>();
+    scan->kind = PlanNode::Kind::kSeqScan;
+    scan->object = "s";
+    scan->output_cols = {{0, 0}, {0, 1}, {0, 2}};
+    scan->residual = std::move(preds);
+    return scan;
+  }
+
+  static ResidualPred InEven() {
+    ResidualPred in;
+    in.kind = ResidualPred::Kind::kInSet;
+    in.a = {0, 1};
+    in.in_set = 0;
+    return in;
+  }
+  static ResidualPred Eq(int col, Value literal) {
+    ResidualPred eq;
+    eq.kind = ResidualPred::Kind::kColEqLit;
+    eq.a = {0, col};
+    eq.literal = std::move(literal);
+    return eq;
+  }
+
+  /// Every residual combination the tests run.
+  static std::vector<std::unique_ptr<PlanNode>> Plans() {
+    const Value pad(std::string(40, 'e'));
+    std::vector<std::unique_ptr<PlanNode>> plans;
+    plans.push_back(ScanPlan({}));
+    plans.push_back(ScanPlan({InEven()}));
+    plans.push_back(ScanPlan({Eq(0, Value(int64_t{3}))}));
+    plans.push_back(ScanPlan({Eq(2, pad)}));
+    plans.push_back(ScanPlan({InEven(), Eq(0, Value(int64_t{3})), Eq(2, pad)}));
+    return plans;
+  }
+
+  /// The scan as a plain loop: every row is decoded whole, charged, and
+  /// then filtered.
+  static Status RunScanReference(const PlanNode& scan, ExecContext* ctx,
+                                 std::vector<Tuple>* rows) {
+    std::vector<CompiledPred> preds;
+    TB_ASSIGN_OR_RETURN(preds, CompilePreds(scan, sets_));
+    auto cursor =
+        db_->FindHeap(scan.object)->Scan([ctx](PageId id) { ctx->TouchPage(id); });
+    Tuple row;
+    while (cursor.Next(&row, nullptr)) {
+      ctx->ChargeTuples(1);
+      TB_RETURN_IF_ERROR(ctx->CheckTimeout());
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&](const CompiledPred& p) { return p.Eval(row); })) {
+        rows->push_back(row);
+      }
+    }
+    return ctx->CheckTimeout();
+  }
+
+  /// Operator and reference runs of every plan, with `point` armed at its
+  /// `nth` hit and `cost` as parameters; returns the operator runs.
+  static std::vector<JoinRun> ExpectAllMatch(const std::string& point,
+                                             uint64_t nth,
+                                             const CostParams& cost) {
+    std::vector<JoinRun> runs;
+    for (const auto& scan : Plans()) {
+      SCOPED_TRACE(scan->ToString());
+      // A scope, so a latched storage.heap_scan trigger surfaces.
+      JoinRun got = MeasureWith(point, nth, cost,
+                                [&](ExecContext* ctx, std::vector<Tuple>* r) {
+                                  FaultScope scope(7);
+                                  return RunOperator(*scan, ctx, r);
+                                });
+      JoinRun want = MeasureWith(point, nth, cost,
+                                 [&](ExecContext* ctx, std::vector<Tuple>* r) {
+                                   FaultScope scope(7);
+                                   return RunScanReference(*scan, ctx, r);
+                                 });
+      ExpectSameRun(got, want);
+      runs.push_back(std::move(got));
+    }
+    return runs;
+  }
+};
+
+TEST_F(ExecSeqScanTest, ScanMatchesDecodeWholeThenFilter) {
+  const uint64_t never = uint64_t{1} << 40;
+  // A seq scan never fetches: an armed storage.heap_fetch is never hit.
+  std::vector<JoinRun> runs =
+      ExpectAllMatch("storage.heap_fetch", never, db_->options().cost);
+  const uint64_t rows = ScanAll(*db_, "s").size();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(runs[i].status.ok()) << runs[i].status.ToString();
+    EXPECT_EQ(runs[i].tuples, rows);
+    EXPECT_EQ(runs[i].fetch_hits, 0u);
+    EXPECT_FALSE(runs[i].rows.empty());
+    for (const Tuple& row : runs[i].rows) ASSERT_EQ(row.size(), 3u);
+  }
+  EXPECT_EQ(runs[0].rows.size(), rows);
+  EXPECT_EQ(runs[1].rows.size(), rows / 2);  // c2 is even on even rows
+  for (const Tuple& row : runs[2].rows) EXPECT_EQ(row.at(0).as_int(), 3);
+  for (const Tuple& row : runs[3].rows) {
+    EXPECT_EQ(row.at(2).as_string(), std::string(40, 'e'));  // decoded whole
+  }
+  for (const Tuple& row : runs[4].rows) {
+    EXPECT_EQ(row.at(1).as_int() % 2, 0);
+    EXPECT_EQ(row.at(0).as_int(), 3);
+    EXPECT_EQ(row.at(2).as_string(), std::string(40, 'e'));
+  }
+}
+
+TEST_F(ExecSeqScanTest, MidScanTimeoutStopsAtTheSameRow) {
+  const uint64_t never = uint64_t{1} << 40;
+  std::vector<JoinRun> full =
+      ExpectAllMatch("storage.heap_fetch", never, db_->options().cost);
+  CostParams cost = db_->options().cost;
+  cost.timeout_seconds = full.back().sim_seconds / 2;
+  std::vector<JoinRun> cut = ExpectAllMatch("storage.heap_fetch", never, cost);
+  for (size_t i = 0; i < cut.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(cut[i].status.code(), Status::Code::kTimeout);
+    EXPECT_GT(cut[i].tuples, 0u);
+    EXPECT_LT(cut[i].tuples, full[i].tuples);
+  }
+}
+
+TEST_F(ExecSeqScanTest, FaultedPageFailsTheScanAtTheSameRow) {
+  // The trigger latches on the third page; the scan surfaces it at its
+  // next timeout check, among rows the residuals reject.
+  std::vector<JoinRun> runs =
+      ExpectAllMatch("storage.heap_scan", 3, db_->options().cost);
+  const uint64_t rows = ScanAll(*db_, "s").size();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(runs[i].status.code(), Status::Code::kUnavailable);
+    EXPECT_GE(runs[i].fetch_hits, 3u);
+    EXPECT_GT(runs[i].tuples, 0u);
+    EXPECT_LT(runs[i].tuples, rows);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // query, on P, on 1C and on a System C recommendation with views; nor does
 // Database::Estimate once the text's preparation is memoized. A query that
 // outgrows the buffer spills to the heap and still costs bit-equal to
-// PlanQuery.
+// PlanQuery. On the executor's side, a warm seq scan that an IN-set rejects
+// row by row allocates nothing.
 //
 // This file replaces the global operator new with one that counts the
 // calling thread's allocations, which is why the suite has its own binary.
@@ -22,6 +23,8 @@
 
 #include "core/nref_families.h"
 #include "core/tpch_families.h"
+#include "exec/in_set.h"
+#include "exec/operators.h"
 #include "optimizer/planner.h"
 #include "test_util.h"
 #include "util/strings.h"
@@ -179,6 +182,54 @@ TEST_F(PlannerArenaTest, OversizedQuerySpillsToTheHeapAndStaysExact) {
   Result<PhysicalPlan> plan = PlanQuery(q, nref2j.one_c);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(Bits(*cost), Bits(plan->est_cost));
+}
+
+// The executor's side of the contract: a warm seq scan whose residual is a
+// STRING IN-set that rejects every row tests each row on its page bytes
+// (CompiledPred::EvalEncoded), so it allocates nothing per row: no decode,
+// string copy or hash-set node.
+TEST_F(PlannerArenaTest, RejectingStringInSetScanMakesNoHeapAllocation) {
+  const Database& db = *nref_;
+  const HeapTable* heap = db.FindHeap("source");
+  ASSERT_NE(heap, nullptr);
+  ASSERT_GT(heap->num_rows(), 100u);
+  const size_t p_name = 4;
+  ASSERT_EQ(heap->codec().types()[p_name], TypeId::kString);
+  PlanNode scan;
+  scan.kind = PlanNode::Kind::kSeqScan;
+  scan.object = "source";
+  for (size_t i = 0; i < heap->codec().types().size(); ++i) {
+    scan.output_cols.push_back({0, static_cast<int>(i)});
+  }
+  ResidualPred in;
+  in.kind = ResidualPred::Kind::kInSet;
+  in.a = {0, static_cast<int>(p_name)};
+  in.in_set = 0;
+  scan.residual = {in};
+  auto names = std::make_shared<FlatInSet>();
+  names->Insert(Value(std::string("no protein is called this")));
+  names->Insert(Value(std::string()));
+  const InSets sets = {names};
+
+  BufferPool pool(heap->num_pages() + 8);
+  ExecContext ctx = db.MakeSessionContext(&pool, db.options().cost);
+  // Allocations made by one whole scan's Next calls.
+  auto scan_allocations = [&]() -> size_t {
+    Result<std::unique_ptr<Operator>> op = BuildOperator(scan, db, sets, &ctx);
+    EXPECT_TRUE(op.ok()) << op.status().ToString();
+    if (!op.ok()) return 0;
+    EXPECT_TRUE((*op)->Open().ok());
+    Tuple out;
+    const size_t before = t_heap_allocations;
+    Result<bool> more = (*op)->Next(&out);
+    const size_t allocations = t_heap_allocations - before;
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    EXPECT_FALSE(more.ok() && *more) << "a row passed";
+    return allocations;
+  };
+  scan_allocations();  // warms the pool
+  EXPECT_EQ(scan_allocations(), 0u);
+  EXPECT_EQ(ctx.tuples_processed(), 2 * heap->num_rows());
 }
 
 }  // namespace

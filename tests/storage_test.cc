@@ -233,8 +233,8 @@ TEST_P(CodecFuzz, RandomRowsRoundTrip) {
 // string columns cycle long -> short -> NULL -> long (growing, shrinking,
 // dropping and re-creating their buffers) while the other columns flip
 // between NULL and present at random, and the buffer starts out with the
-// wrong arity and types. A column-selective decode into a second reused
-// tuple must match on the columns it selects and skip the whole row.
+// wrong arity and types. A column read in place (TupleCodec::Column) must
+// be the encoded value, with its type and NULL tag.
 TEST_P(CodecFuzz, DecodeIntoReusedTupleMatchesFreshDecode) {
   Rng rng(GetParam());
   TupleCodec codec({TypeId::kString, TypeId::kInt, TypeId::kString,
@@ -256,7 +256,6 @@ TEST_P(CodecFuzz, DecodeIntoReusedTupleMatchesFreshDecode) {
   };
   Tuple reused({Value(3.5), Value(std::string(500, 'z')), Value(),
                 Value(int64_t{7}), Value(std::string("extra")), Value()});
-  Tuple partial;
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<Value> vals;
     vals.push_back(string_value(iter));
@@ -279,16 +278,14 @@ TEST_P(CodecFuzz, DecodeIntoReusedTupleMatchesFreshDecode) {
     for (size_t i = 0; i < t.size(); ++i) {
       EXPECT_EQ(reused.at(i).is_null(), t.at(i).is_null()) << iter << "/" << i;
     }
-    std::vector<uint8_t> cols(t.size());
-    for (uint8_t& c : cols) c = rng.Bernoulli(0.5) ? 1 : 0;
-    size_t partial_off = 0;
-    codec.DecodeColumnsInto(buf.data(), &partial_off, cols, &partial);
-    EXPECT_EQ(partial_off, buf.size());
-    ASSERT_EQ(partial.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (cols[i] != 0) {
-        EXPECT_EQ(partial.at(i), t.at(i)) << iter << "/" << i;
-      }
+    // Each column read in place, in a random order, is the encoded value.
+    for (int k = 0; k < 4; ++k) {
+      const size_t i = rng.Uniform(t.size());
+      const ColumnView v = codec.Column(buf.data(), i);
+      EXPECT_EQ(v.type, codec.types()[i]) << iter << "/" << i;
+      EXPECT_EQ(v.null, t.at(i).is_null()) << iter << "/" << i;
+      EXPECT_EQ(v.ToValue(), t.at(i)) << iter << "/" << i;
+      EXPECT_TRUE(v == ColumnView::Of(t.at(i))) << iter << "/" << i;
     }
   }
 }
@@ -486,36 +483,42 @@ TEST(HeapTableTest, FetchEveryRidMatchesScan) {
     Rid rid;
     while (cur.Next(&t, &rid)) scanned[{rid.page_ordinal, rid.slot}] = t;
     EXPECT_EQ(scanned.size(), heap.num_rows());
-    // A column-selective scan visits the same rows in the same order, with
-    // the same page touches; DecodeRow completes each row.
-    std::vector<PageId> touches, partial_touches;
+    // A scan that stops at each encoded row visits the same rows in the
+    // same order, with the same page touches; a column read off the page is
+    // the decoded one, and DecodeRow completes each row.
+    std::vector<PageId> touches, record_touches;
     auto full = heap.Scan([&](PageId id) { touches.push_back(id); });
-    auto part = heap.Scan([&](PageId id) { partial_touches.push_back(id); });
-    const std::vector<uint8_t> id_only = {1, 0, 0};
+    auto part = heap.Scan([&](PageId id) { record_touches.push_back(id); });
     Tuple partial;
     while (full.Next(&t, nullptr)) {
-      ASSERT_TRUE(part.NextColumns(&partial, id_only));
-      EXPECT_EQ(partial.at(0), t.at(0));
+      const uint8_t* row = part.NextRecord();
+      ASSERT_NE(row, nullptr);
+      EXPECT_EQ(heap.codec().Column(row, 0).ToValue(), t.at(0));
       part.DecodeRow(&partial);
       EXPECT_EQ(partial, t);
     }
-    EXPECT_FALSE(part.NextColumns(&partial, id_only));
-    EXPECT_EQ(partial_touches, touches);
+    EXPECT_EQ(part.NextRecord(), nullptr);
+    EXPECT_EQ(record_touches, touches);
     Tuple reused;
     for (const Rid& r : rids) {
       auto it = scanned.find({r.page_ordinal, r.slot});
       auto fetched = heap.Fetch(r, nullptr);
       Status into = heap.FetchInto(r, nullptr, &reused);
+      auto record = heap.FetchRecord(r, nullptr);
       if (it == scanned.end()) {
         EXPECT_FALSE(heap.IsLive(r));
         EXPECT_TRUE(fetched.status().IsNotFound());
         EXPECT_TRUE(into.IsNotFound());
+        EXPECT_TRUE(record.status().IsNotFound());
         continue;
       }
       ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
       EXPECT_EQ(*fetched, it->second);
       TB_ASSERT_OK(into);
       EXPECT_EQ(reused, it->second);
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      size_t off = 0;
+      EXPECT_EQ(heap.codec().Decode(*record, &off), it->second);
     }
   };
 

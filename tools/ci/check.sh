@@ -205,6 +205,12 @@ cmake --build "${UBSAN_DIR}" -j "${JOBS}" --target tabbench_tests
 # *BTree*, AbbrevSortTest.* and StatsCollectorTest.*. The equi-depth
 # histogram is built from the statistics pass's value runs, which it reads
 # by index with one run of lookahead (HistogramTest.*).
+# Filtering reads test rows on their page bytes: the in-place evaluator
+# (CompiledPred::EvalEncoded) and the flat IN-set (FlatInSet) read columns
+# through pointers into heap pages (TupleCodec::Column) and B-tree leaves,
+# and the set keeps its string members in one arena it grows; so a read past
+# a record's end or into a moved arena must fail here. Their suites are
+# *FlatInSet*, *EvalEncoded* and ExecSeqScanTest (matched by Exec*).
 # The SQL front end rides along: the lexer scans string views of its input and
 # the parser moves token text into the AST, and the seeded front-end fuzzer
 # (SqlFuzz*) feeds both flipped bytes, cut tokens and unterminated quotes.
@@ -234,6 +240,7 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}" \
 'TupleCodecTest.*:*CodecFuzz.*:HeapTableTest.*:*BTree*:Exec*:*Equivalence*'\
 ':EngineTest.OversizedRowsAreRejectedBeforeAnyChange'\
 ':AbbrevSortTest.*:StatsCollectorTest.*:HistogramTest.*'\
+':*FlatInSet*:*EvalEncoded*'\
 ':LexerTest.*:ParserTest.*:SqlFuzz*'
 ASAN_OPTIONS=detect_stack_use_after_return=1 \
   "${ASAN_DIR}/tests/tabbench_tests" --gtest_brief=1 --gtest_filter=\
